@@ -968,17 +968,15 @@ let bechamel_suite () =
         Synth.run_random_actions t ~n:20 ~objects_per_action:2 ();
         Scheme.housekeep (Synth.scheme t) technique)
   in
-  let early_prepare_kernel ~early =
-    let scheme = Scheme.hybrid () in
-    let t = Synth.create ~seed:37 ~scheme ~n_objects:64 ~payload_bytes:64 () in
-    let i = ref 0 in
+  (* The page path: one checksum per careful put and per agreeing get. *)
+  let page = String.init 1024 (fun i -> Char.chr (i land 0xFF)) in
+  let crc_kernel = Staged.stage (fun () -> ignore (Rs_util.Crc32.string page : int32)) in
+  let store_kernel =
+    let store = Rs_storage.Stable_store.create ~pages:1 () in
     Staged.stage (fun () ->
-        incr i;
-        let idx = !i mod 64 in
-        ignore early;
-        Synth.run_action t ~indices:[ idx ] ~outcome:`Commit)
+        Rs_storage.Stable_store.put store 0 page;
+        ignore (Rs_storage.Stable_store.get store 0 : string option))
   in
-  ignore early_prepare_kernel;
   let tests =
     Test.make_grouped ~name:"argus"
       [
@@ -992,6 +990,11 @@ let bechamel_suite () =
           [
             Test.make ~name:"compaction" (housekeep_kernel Scheme.Compaction);
             Test.make ~name:"snapshot" (housekeep_kernel Scheme.Snapshot);
+          ];
+        Test.make_grouped ~name:"page-path"
+          [
+            Test.make ~name:"crc32-1KiB" crc_kernel;
+            Test.make ~name:"store-put-get-1KiB" store_kernel;
           ];
       ]
   in

@@ -62,7 +62,6 @@ let resolve t g =
   go g 8
 
 let locate t key = resolve t (Placement.shard_of_key t.placement key)
-let gid_str g = Format.asprintf "%a" Gid.pp g
 
 let pool t g =
   match Gid.Tbl.find_opt t.pools g with
@@ -115,7 +114,7 @@ let pool_mint t g () =
 
 let install_source t g =
   Heap.set_uid_source (heap_of t g)
-    (Some { Uid.Source.label = "pool:" ^ gid_str g; mint = pool_mint t g })
+    (Some { Uid.Source.label = "pool:" ^ Gid.to_string g; mint = pool_mint t g })
 
 (* --- batch reservation ------------------------------------------------- *)
 
@@ -145,7 +144,7 @@ let add_range t g ~lo =
   p.ranges <- p.ranges @ [ (lo, hi) ];
   Metrics.incr m_reserves;
   if Trace.enabled () then
-    Trace.emit (Trace.Uid_reserve { gid = gid_str g; lo; count = t.batch })
+    Trace.emit (Trace.Uid_reserve { gid = Gid.to_string g; lo; count = t.batch })
 
 let reserve_async ?(on_ready = fun () -> ()) t g =
   let p = pool t g in
@@ -254,7 +253,7 @@ let submit ?mode ?coordinator t ~steps =
   if Trace.enabled () then
     Trace.emit
       (Trace.Dir_route
-         { coordinator = gid_str coord; shards = List.length distinct; cross });
+         { coordinator = Gid.to_string coord; shards = List.length distinct; cross });
   System.submit ?mode t.system ~coordinator:coord ~steps:routed
 
 let create_step key init uid_out heap aid =
@@ -340,13 +339,12 @@ let snapshot_read_multi t keys =
   if cross then Metrics.incr m_cross_routes;
   if Trace.enabled () then
     Trace.emit
-      (Trace.Dir_route { coordinator = gid_str coord; shards = List.length distinct; cross });
+      (Trace.Dir_route
+         { coordinator = Gid.to_string coord; shards = List.length distinct; cross });
   ignore
     (System.submit ~mode:System.Read_only t.system ~coordinator:coord ~steps:routed
       : Rs_guardian.Action.handle);
   List.map (fun k -> (k, Hashtbl.find results k)) keys
-
-let read_committed = snapshot_read
 
 (* --- crashes ----------------------------------------------------------- *)
 

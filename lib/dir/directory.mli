@@ -136,11 +136,6 @@ val snapshot_read_multi : t -> string list -> (string * Rs_objstore.Value.t opti
     Raises {!System.Guardian_down} if any owning shard is down and
     [Invalid_argument] on an empty key list. *)
 
-val read_committed : t -> string -> Rs_objstore.Value.t option
-[@@ocaml.deprecated "use Directory.snapshot_read"]
-(** @deprecated Alias of {!snapshot_read} (it is now a true snapshot
-    read; the historical name survives for older callers). *)
-
 (** {1 Crashes} *)
 
 val crash : t -> Rs_util.Gid.t -> unit

@@ -16,8 +16,6 @@ let m_aborts = Metrics.counter "guardian.aborts"
 let m_crashes = Metrics.counter "guardian.crashes"
 let m_restarts = Metrics.counter "guardian.restarts"
 let m_hk_runs = Metrics.counter "guardian.housekeeping_runs"
-let gid_str g = Format.asprintf "%a" Gid.pp g
-let aid_str a = Format.asprintf "%a" Aid.pp a
 
 type t = {
   gid : Gid.t;
@@ -101,7 +99,8 @@ let hooks_of t : Twopc.hooks =
           Metrics.incr m_refusals;
           if Trace.enabled () then
             Trace.emit
-              (Trace.Action_prepare { gid = gid_str t.gid; aid = aid_str aid; refused = true });
+              (Trace.Action_prepare
+                 { gid = Gid.to_string t.gid; aid = Aid.to_string aid; refused = true });
           `Refused
         end
         else begin
@@ -115,14 +114,15 @@ let hooks_of t : Twopc.hooks =
           Metrics.incr m_prepares;
           if Trace.enabled () then
             Trace.emit
-              (Trace.Action_prepare { gid = gid_str t.gid; aid = aid_str aid; refused = false });
+              (Trace.Action_prepare
+                 { gid = Gid.to_string t.gid; aid = Aid.to_string aid; refused = false });
           `Prepared
         end);
     on_commit =
       (fun aid ->
         Metrics.incr m_commits;
         if Trace.enabled () then
-          Trace.emit (Trace.Action_commit { gid = gid_str t.gid; aid = aid_str aid });
+          Trace.emit (Trace.Action_commit { gid = Gid.to_string t.gid; aid = Aid.to_string aid });
         Hybrid_rs.commit t.rs aid;
         Heap.commit_action t.heap aid;
         maybe_housekeep t);
@@ -130,7 +130,7 @@ let hooks_of t : Twopc.hooks =
       (fun aid ->
         Metrics.incr m_aborts;
         if Trace.enabled () then
-          Trace.emit (Trace.Action_abort { gid = gid_str t.gid; aid = aid_str aid });
+          Trace.emit (Trace.Action_abort { gid = Gid.to_string t.gid; aid = Aid.to_string aid });
         Hybrid_rs.abort t.rs aid;
         Heap.abort_action t.heap aid;
         maybe_housekeep t);
@@ -169,9 +169,9 @@ let wire_protocol t =
 let create ~gid ~sim ~net ?(page_size = 1024) ?(force_window = 0.0) ?prepare_timeout
     ?retry_interval () =
   let dir = Log_dir.create ~page_size () in
-  Log_dir.set_label dir (gid_str gid);
+  Log_dir.set_label dir (Gid.to_string gid);
   let heap = Heap.create () in
-  Heap.set_label heap (gid_str gid);
+  Heap.set_label heap (Gid.to_string gid);
   let rs = Hybrid_rs.create heap dir in
   let t =
     {
@@ -216,7 +216,7 @@ let crash t =
     t.up <- false;
     t.crashes <- t.crashes + 1;
     Metrics.incr m_crashes;
-    Trace.emit (Trace.Crash { gid = gid_str t.gid });
+    Trace.emit (Trace.Crash { gid = Gid.to_string t.gid });
     Net.set_up t.net t.gid false;
     Twopc.stop (twopc t);
     (* Unforced tokens die with the crash; any armed flush timer still in
@@ -231,14 +231,14 @@ let crash t =
        don't pollute the lock monitor's state for this guardian. *)
     Heap.set_label t.heap "";
     t.heap <- Heap.create ();
-    Heap.set_label t.heap (gid_str t.gid)
+    Heap.set_label t.heap (Gid.to_string t.gid)
   end
 
 (* Common tail of [restart] and [adopt]: wire the (already rebuilt) rs back
    into the protocol and resume in-flight 2PC duties from the tables. *)
 let resume_duties t info =
   t.heap <- Hybrid_rs.heap t.rs;
-  Heap.set_label t.heap (gid_str t.gid);
+  Heap.set_label t.heap (Gid.to_string t.gid);
   configure_scheduler t; (* the rebuilt rs starts with a sync scheduler *)
   wire_protocol t;
   Net.set_up t.net t.gid true;
@@ -275,7 +275,7 @@ let restart t =
   Trace.emit
     (Trace.Restart
        {
-         gid = gid_str t.gid;
+         gid = Gid.to_string t.gid;
          prepared = List.length (Core.Tables.Recovery_info.prepared_actions info);
          committing = List.length (Core.Tables.Recovery_info.committing_actions info);
        });
@@ -285,7 +285,7 @@ let restart t =
 let adopt t ~dir ~info rs =
   if t.up then invalid_arg "Guardian.adopt: guardian is up";
   t.dir <- dir;
-  Log_dir.set_label dir (gid_str t.gid);
+  Log_dir.set_label dir (Gid.to_string t.gid);
   t.rs <- rs;
   resume_duties t info
 

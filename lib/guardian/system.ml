@@ -121,8 +121,8 @@ let resolve_handle t h o =
       Rs_obs.Trace.emit
         (Rs_obs.Trace.Handle_resolve
            {
-             gid = Format.asprintf "%a" Gid.pp (Aid.coordinator aid);
-             aid = Format.asprintf "%a" Aid.pp aid;
+             gid = Gid.to_string (Aid.coordinator aid);
+             aid = Aid.to_string aid;
              committed = (o = Committed);
            });
     Action.resolve h ~now:(Sim.now t.sim) o
@@ -176,7 +176,7 @@ let submit ?(mode = Update) t ~coordinator ~steps =
       if Rs_obs.Trace.enabled () then
         Rs_obs.Trace.emit
           (Rs_obs.Trace.Action_shed
-             { gid = Format.asprintf "%a" Gid.pp coordinator; in_flight = t.in_flight.(ci) });
+             { gid = Gid.to_string coordinator; in_flight = t.in_flight.(ci) });
       raise (Overloaded { gid = coordinator; in_flight = t.in_flight.(ci) })
   | Some _ | None -> ());
   let aid = Guardian.fresh_aid coord in
@@ -187,8 +187,8 @@ let submit ?(mode = Update) t ~coordinator ~steps =
     Rs_obs.Trace.emit
       (Rs_obs.Trace.Handle_submit
          {
-           gid = Format.asprintf "%a" Gid.pp coordinator;
-           aid = Format.asprintf "%a" Aid.pp aid;
+           gid = Gid.to_string coordinator;
+           aid = Aid.to_string aid;
          });
   match mode with
   | Read_only ->

@@ -67,7 +67,7 @@ let validate cfg =
   if cfg.replicated && cfg.profile <> Load.Synthetic then
     invalid_arg "Nemesis: replicated mode drives the Synthetic profile (directory routing)"
 
-let gname i = Format.asprintf "%a" Gid.pp (Gid.of_int i)
+let gname i = Gid.to_string (Gid.of_int i)
 
 (* One seeded run: build the loaded system, pre-generate a fault schedule
    over [0.05, 0.85] of the duration, chain every fault's restore action
@@ -251,7 +251,7 @@ let run cfg =
     (fun g ->
       if Guardian.is_up g then begin
         let ldir = Guardian.log_dir g in
-        let name = Format.asprintf "%a" Gid.pp (Guardian.gid g) in
+        let name = Gid.to_string (Guardian.gid g) in
         let report (v : Oracle.violation) = add "%s %s: %s" name v.oracle v.detail in
         List.iter report (Oracle.check_log (Some (Log_dir.current ldir)));
         List.iter report (Oracle.check_segments (Some ldir));

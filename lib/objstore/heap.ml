@@ -19,10 +19,9 @@ let g_chain_len = Metrics.gauge "mvcc.chain_len"
    registry reset between runs restarts the mark. *)
 let note_chain_len n = if n > Metrics.gauge_value g_chain_len then Metrics.set g_chain_len n
 
-let aid_str aid = Format.asprintf "%a" Aid.pp aid
 let holders_str = function
   | [] -> "-"
-  | hs -> String.concat ";" (List.map aid_str hs)
+  | hs -> String.concat ";" (List.map Aid.to_string hs)
 
 (* A conflicting lock/possession request, counted and traced before the
    exception reaches the guardian runtime. *)
@@ -30,7 +29,7 @@ let conflict ~addr ~requester ~holders =
   Metrics.incr m_lock_conflicts;
   if Trace.enabled () then
     Trace.emit
-      (Trace.Lock_conflict { aid = aid_str requester; holder = holders_str holders; addr })
+      (Trace.Lock_conflict { aid = Aid.to_string requester; holder = holders_str holders; addr })
 
 (* Self-test mutation (see [set_allow_read_barging]): re-enables the
    pre-wait-queue read path that grants past queued writers. *)
@@ -244,11 +243,11 @@ let label t = t.label
 
 let trace_lock t aid addr kind =
   if Trace.enabled () then
-    Trace.emit (Trace.Lock_acquire { heap = t.label; aid = aid_str aid; addr; kind })
+    Trace.emit (Trace.Lock_acquire { heap = t.label; aid = Aid.to_string aid; addr; kind })
 
 let trace_release t aid addr =
   if Trace.enabled () then
-    Trace.emit (Trace.Lock_release { heap = t.label; aid = aid_str aid; addr })
+    Trace.emit (Trace.Lock_release { heap = t.label; aid = Aid.to_string aid; addr })
 let set_uid_source t s = t.uid_source <- s
 let uid_source t = t.uid_source
 
@@ -547,11 +546,18 @@ let wait_atomic t aid a b ~write ~front =
       if Trace.enabled () then
         Trace.emit
           (Trace.Lock_wait
-             { heap = t.label; aid = aid_str aid; holder = holders_str holders; addr = a; write });
+             {
+               heap = t.label;
+               aid = Aid.to_string aid;
+               holder = holders_str holders;
+               addr = a;
+               write;
+             });
       if not (rt.block ~addr:a ~aid) then begin
         Metrics.incr m_wait_timeouts;
         if Trace.enabled () then
-          Trace.emit (Trace.Lock_timeout { heap = t.label; aid = aid_str aid; addr = a });
+          Trace.emit
+            (Trace.Lock_timeout { heap = t.label; aid = Aid.to_string aid; addr = a });
         raise (Wait_timeout { addr = a; waiter = aid })
       end
 
@@ -667,7 +673,7 @@ let rec seize t aid a =
               (Trace.Lock_wait
                  {
                    heap = t.label;
-                   aid = aid_str aid;
+                   aid = Aid.to_string aid;
                    holder = holders_str holders;
                    addr = a;
                    write = true;
@@ -676,7 +682,8 @@ let rec seize t aid a =
           else begin
             Metrics.incr m_wait_timeouts;
             if Trace.enabled () then
-              Trace.emit (Trace.Lock_timeout { heap = t.label; aid = aid_str aid; addr = a });
+              Trace.emit
+                (Trace.Lock_timeout { heap = t.label; aid = Aid.to_string aid; addr = a });
             raise (Wait_timeout { addr = a; waiter = aid })
           end)
 
@@ -765,7 +772,7 @@ let finish ~commit t aid =
                          if Trace.enabled () then
                            Trace.emit
                              (Trace.Version_install
-                                { heap = t.label; aid = aid_str aid; addr = a; stamp = st });
+                                { heap = t.label; aid = Aid.to_string aid; addr = a; stamp = st });
                          prune_chain t a b
                      | None -> ());
                   b.a_cur <- None;
@@ -784,7 +791,7 @@ let finish ~commit t aid =
    unblock compatible waiters behind it. *)
 let trace_cancel t aid a =
   if Trace.enabled () then
-    Trace.emit (Trace.Lock_cancel { heap = t.label; aid = aid_str aid; addr = a })
+    Trace.emit (Trace.Lock_cancel { heap = t.label; aid = Aid.to_string aid; addr = a })
 
 let cancel_wait t aid a =
   match (obj t a).body with

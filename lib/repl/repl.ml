@@ -27,7 +27,6 @@ module Uid = Rs_util.Uid
 
 type addr = Log.addr
 
-let gid_str g = Format.asprintf "%a" Gid.pp g
 
 let m_ships = Metrics.counter "repl.ships"
 let m_ship_bytes = Metrics.counter "repl.ship_bytes"
@@ -352,8 +351,8 @@ module Pair = struct
     Trace.emit
       (Trace.Repl_ship
          {
-           src = gid_str t.primary;
-           dst = gid_str t.standby;
+           src = Gid.to_string t.primary;
+           dst = Gid.to_string t.standby;
            epoch = t.epoch;
            base;
            entries = List.length entries;
@@ -451,7 +450,7 @@ module Pair = struct
         Trace.emit
           (Trace.Repl_apply
              {
-               gid = gid_str t.standby;
+               gid = Gid.to_string t.standby;
                epoch = t.epoch;
                watermark = Replica.watermark r;
                entries = List.length entries;
@@ -485,7 +484,7 @@ module Pair = struct
           if epoch > t.epoch then t.epoch <- epoch;
           if reset then begin
             let r = Replica.create ~page_size ~segment_pages () in
-            Log_dir.set_label (Replica.dir r) (gid_str t.standby ^ ":replica");
+            Log_dir.set_label (Replica.dir r) (Gid.to_string t.standby ^ ":replica");
             t.replica <- Some r;
             t.buffer <- []
           end;
@@ -615,8 +614,8 @@ module Pair = struct
     Trace.emit
       (Trace.Repl_promote
          {
-           heir = gid_str heir;
-           for_ = gid_str old;
+           heir = Gid.to_string heir;
+           for_ = Gid.to_string old;
            epoch = t.epoch;
            watermark = Replica.watermark r;
          });
@@ -653,7 +652,7 @@ module Pair = struct
     Printf.sprintf
       "repl epoch=%d primary=%s standby=%s%s attached=%b shipped=%d acked=%d applied=%d \
        lag=%d failovers=%d%s"
-      t.epoch (gid_str t.primary) (gid_str t.standby)
+      t.epoch (Gid.to_string t.primary) (Gid.to_string t.standby)
       (if t.standby_shadow then "(shadow)" else "")
       t.attached t.shipped t.acked (applied t) (lag_entries t) t.failovers
       (match diverged t with None -> "" | Some d -> " DIVERGED: " ^ d)

@@ -2,6 +2,11 @@
    fire in schedule order. *)
 type event = { time : float; seq : int; thunk : unit -> unit }
 
+(* Unused queue slots hold this shared event, so a popped thunk (and
+   whatever it captured, such as a crashed guardian's heap) becomes
+   garbage once it has run instead of living until the slot is reused. *)
+let vacant = { time = infinity; seq = max_int; thunk = ignore }
+
 type t = {
   mutable heap : event array;
   mutable size : int;
@@ -51,7 +56,7 @@ let schedule t ~delay thunk =
   t.next_seq <- t.next_seq + 1;
   if t.size = Array.length t.heap then begin
     let ncap = max 16 (2 * Array.length t.heap) in
-    let nheap = Array.make ncap ev in
+    let nheap = Array.make ncap vacant in
     Array.blit t.heap 0 nheap 0 t.size;
     t.heap <- nheap
   end;
@@ -62,10 +67,9 @@ let schedule t ~delay thunk =
 let pop t =
   let top = t.heap.(0) in
   t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    sift_down t 0
-  end;
+  t.heap.(0) <- t.heap.(t.size);
+  t.heap.(t.size) <- vacant;
+  if t.size > 0 then sift_down t 0;
   top
 
 let step t =

@@ -43,16 +43,26 @@ let pages t = max (Disk.pages t.a) (Disk.pages t.b)
 let check _t p name =
   if p < 0 then invalid_arg (Printf.sprintf "Stable_store.%s: negative page %d" name p)
 
-let read_rep disk p =
-  match Disk.read disk p with None -> None | Some s -> unframe s
+(* One checksum per page: a careful read unframes each replica that it
+   must trust on its own, but two byte-equal framed pages carry the same
+   payload and the same verdict, so the common case of agreeing replicas
+   is unframed once. *)
+let read_pair t p =
+  let ra = Disk.read t.a p in
+  let rb = Disk.read t.b p in
+  match (ra, rb) with
+  | Some fa, Some fb when String.equal fa fb ->
+      let v = unframe fa in
+      (v, v)
+  | _ -> (Option.bind ra unframe, Option.bind rb unframe)
 
-(* Read repair: a careful get that had to fall back to one replica
-   rewrites the unreadable partner on the spot (decay would otherwise
-   accumulate until only the periodic [recover] pass stood between the
-   page and catastrophe). Repairs write the disk directly — they are not
-   part of any careful-put write budget, so an armed crash countdown is
-   unaffected, like the repairs [recover] performs. *)
-let read_repair disk p data =
+(* Repair, by a careful get or by [recover]: a get that had to fall back
+   to one replica rewrites the unreadable partner on the spot (decay would
+   otherwise accumulate until only the periodic [recover] pass stood
+   between the page and catastrophe). Repairs write the disk directly —
+   they are not part of any careful-put write budget, so an armed crash
+   countdown is unaffected. *)
+let repair disk p data =
   Metrics.incr m_repairs;
   Trace.emit (Trace.Store_repair { page = p });
   Disk.write disk p (frame data)
@@ -60,18 +70,18 @@ let read_repair disk p data =
 let get t p =
   check t p "get";
   Metrics.incr m_gets;
-  match (read_rep t.a p, read_rep t.b p) with
+  match read_pair t p with
   | Some va, Some vb ->
       (* A crash between the two careful writes leaves B readable but
          stale; A is written first, so A is never older. Mend B now rather
          than leaving the divergence for the next offline [recover]. *)
-      if not (String.equal va vb) then read_repair t.b p va;
+      if not (String.equal va vb) then repair t.b p va;
       Some va
   | Some va, None ->
-      read_repair t.b p va;
+      repair t.b p va;
       Some va
   | None, Some vb ->
-      read_repair t.a p vb;
+      repair t.a p vb;
       Some vb
   | None, None -> None
 
@@ -110,8 +120,13 @@ let put t p data =
      The recovery invariant "when both replicas are readable, A is never
      older than B" is preserved: within every round the write to A is
      issued before the write to B, so a crash mid-round can tear B with A
-     already new, but never the reverse. *)
-  let ok disk = match read_rep disk p with Some v -> String.equal v data | None -> false in
+     already new, but never the reverse.
+
+     The verify re-read compares the page with the framed bytes just
+     written: byte equality implies a valid CRC and the same payload, so
+     it is at least as strict as unframing, and a round costs the one CRC
+     [frame] computed. *)
+  let ok disk = match Disk.read disk p with Some s -> String.equal s framed | None -> false in
   let rec round need_a need_b attempts =
     if attempts = 0 then failwith "Stable_store.put: persistent device failure";
     if need_a then write_phys t t.a p framed;
@@ -125,20 +140,15 @@ let put t p data =
 
 let recover t =
   Metrics.incr m_recoveries;
-  let repair disk p framed =
-    Metrics.incr m_repairs;
-    Trace.emit (Trace.Store_repair { page = p });
-    Disk.write disk p framed
-  in
   for p = 0 to pages t - 1 do
-    match (read_rep t.a p, read_rep t.b p) with
+    match read_pair t p with
     | Some va, Some vb ->
         if not (String.equal va vb) then
           (* A crash fell between the two careful writes: A holds the newer
              value (A is always written first), so propagate it. *)
-          repair t.b p (frame va)
-    | Some va, None -> repair t.b p (frame va)
-    | None, Some vb -> repair t.a p (frame vb)
+          repair t.b p va
+    | Some va, None -> repair t.b p va
+    | None, Some vb -> repair t.a p vb
     | None, None -> ()
   done
 
@@ -162,7 +172,7 @@ let disks t = (t.a, t.b)
 let agreement_issues t =
   let issues = ref [] in
   for p = pages t - 1 downto 0 do
-    match (read_rep t.a p, read_rep t.b p) with
+    match read_pair t p with
     | Some va, Some vb ->
         if not (String.equal va vb) then
           issues := (p, Printf.sprintf "replicas diverge (%d vs %d bytes)"

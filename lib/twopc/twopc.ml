@@ -14,18 +14,6 @@ type msg =
   | Aborted_ack of Aid.t
   | Query of Aid.t
 
-let pp_msg fmt m =
-  let f name aid = Format.fprintf fmt "%s(%a)" name Aid.pp aid in
-  match m with
-  | Prepare a -> f "prepare" a
-  | Prepared_reply a -> f "prepared" a
-  | Refused_reply a -> f "refused" a
-  | Commit a -> f "commit" a
-  | Committed_ack a -> f "committed" a
-  | Abort a -> f "abort" a
-  | Aborted_ack a -> f "aborted" a
-  | Query a -> f "query" a
-
 let msg_kind = function
   | Prepare _ -> "prepare"
   | Prepared_reply _ -> "prepared"
@@ -35,6 +23,20 @@ let msg_kind = function
   | Abort _ -> "abort"
   | Aborted_ack _ -> "aborted"
   | Query _ -> "query"
+
+let msg_aid = function
+  | Prepare a
+  | Prepared_reply a
+  | Refused_reply a
+  | Commit a
+  | Committed_ack a
+  | Abort a
+  | Aborted_ack a
+  | Query a ->
+      a
+
+let msg_to_string m = String.concat "" [ msg_kind m; "("; Aid.to_string (msg_aid m); ")" ]
+let pp_msg fmt m = Format.pp_print_string fmt (msg_to_string m)
 
 let kind_counter prefix =
   let tbl =
@@ -48,7 +50,6 @@ let send_counter = kind_counter "twopc.send."
 let recv_counter = kind_counter "twopc.recv."
 let m_retries = Metrics.counter "twopc.retries"
 let m_prepare_timeouts = Metrics.counter "twopc.prepare_timeouts"
-let gid_str g = Format.asprintf "%a" Gid.pp g
 
 type hooks = {
   on_prepare : Aid.t -> [ `Prepared | `Refused ];
@@ -127,7 +128,7 @@ let send_as t ~self ~dst msg =
   if Trace.enabled () then
     Trace.emit
       (Trace.Twopc_send
-         { src = gid_str self; dst = gid_str dst; msg = Format.asprintf "%a" pp_msg msg });
+         { src = Gid.to_string self; dst = Gid.to_string dst; msg = msg_to_string msg });
   t.send ~src:self ~dst msg
 
 let send_msg t ~dst msg = send_as t ~self:t.gid ~dst msg
@@ -137,7 +138,7 @@ let note_recv t ~src msg =
   if Trace.enabled () then
     Trace.emit
       (Trace.Twopc_recv
-         { src = gid_str src; dst = gid_str t.gid; msg = Format.asprintf "%a" pp_msg msg })
+         { src = Gid.to_string src; dst = Gid.to_string t.gid; msg = msg_to_string msg })
 
 let stop t =
   t.stopped <- true;

@@ -25,6 +25,10 @@ type msg =
   | Aborted_ack of Rs_util.Aid.t
   | Query of Rs_util.Aid.t  (** prepared participant asks for the verdict *)
 
+val msg_to_string : msg -> string
+(** [msg_to_string m] is ["<kind>(<aid>)"], e.g. ["prepare(T0.3)"]: the
+    text [Twopc_send]/[Twopc_recv] trace events carry. *)
+
 val pp_msg : Format.formatter -> msg -> unit
 
 (** How the protocol touches the guardian it runs in. Every callback

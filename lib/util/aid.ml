@@ -14,7 +14,10 @@ let compare a b =
   | c -> c
 
 let hash t = (Gid.hash t.coordinator * 1000003) + t.seq
-let pp fmt t = Format.fprintf fmt "T%d.%d" (Gid.to_int t.coordinator) t.seq
+let to_string t =
+  String.concat "" [ "T"; string_of_int (Gid.to_int t.coordinator); "."; string_of_int t.seq ]
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Ord = struct
   type nonrec t = t

@@ -15,6 +15,10 @@ val seq : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+val to_string : t -> string
+(** [to_string a] is ["T<coordinator>.<seq>"], the form [pp] prints and trace
+    payloads carry. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t

@@ -8,7 +8,8 @@ let to_int t = t
 let equal = Int.equal
 let compare = Int.compare
 let hash t = t
-let pp fmt t = Format.fprintf fmt "G%d" t
+let to_string t = "G" ^ string_of_int t
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Ord = struct
   type nonrec t = t

@@ -12,6 +12,9 @@ val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+val to_string : t -> string
+(** [to_string g] is ["G<n>"], the form [pp] prints and trace payloads carry. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t

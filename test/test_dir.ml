@@ -41,6 +41,19 @@ let test_placement_deterministic () =
        (fun k -> not (Gid.equal (Placement.shard_of_key p1 k) (Placement.shard_of_key p3 k)))
        keys)
 
+(* Placement hashes keys through Crc32: a checksum change would silently
+   move data between shards, so pin the assignment of a fixed key list. *)
+let test_placement_pinned () =
+  let keys = List.init 24 key @ [ ""; "k"; "acct-17"; String.make 1500 'z' ] in
+  let render p =
+    String.concat ""
+      (List.map (fun k -> string_of_int (Gid.to_int (Placement.shard_of_key p k))) keys)
+  in
+  Alcotest.(check string) "hash, seed 7, 5 shards" "3334021202434112343423334310"
+    (render (Placement.create ~seed:7 ~shards:(gids 5) ()));
+  Alcotest.(check string) "hash, seed 0, 8 shards" "3462737455247000554152030737"
+    (render (Placement.create ~shards:(gids 8) ()))
+
 let test_placement_covers_all_shards () =
   let p = Placement.create ~seed:3 ~shards:(gids 8) () in
   let hits = Array.make 8 0 in
@@ -252,6 +265,7 @@ let suite =
   [
     Alcotest.test_case "placement is deterministic" `Quick test_placement_deterministic;
     Alcotest.test_case "placement covers all shards" `Quick test_placement_covers_all_shards;
+    Alcotest.test_case "placement is pinned" `Quick test_placement_pinned;
     Alcotest.test_case "range strategy partitions spans" `Quick test_placement_range_strategy;
     Alcotest.test_case "allocator mints unique uids" `Quick test_allocator_unique_uids;
     Alcotest.test_case "batch exhaustion across crash" `Quick test_batch_exhaustion_across_crash;

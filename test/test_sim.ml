@@ -55,6 +55,31 @@ let test_negative_delay () =
   Alcotest.check_raises "negative" (Invalid_argument "Sim.schedule: negative delay") (fun () ->
       Sim.schedule sim ~delay:(-1.0) (fun () -> ()))
 
+(* A popped event's thunk must not stay reachable from the queue array:
+   in a run it can hold a crashed guardian's whole heap. Schedule thunks
+   capturing fresh blocks, pop them all, and the blocks must be
+   collectable while the simulator itself is still live. *)
+let test_popped_thunk_collectable () =
+  let sim = Sim.create () in
+  let weak = Weak.create 20 in
+  let fill () =
+    for i = 0 to 19 do
+      let captured = Bytes.make 64 'x' in
+      Weak.set weak i (Some captured);
+      Sim.schedule sim ~delay:(float_of_int i) (fun () -> ignore (Bytes.length captured))
+    done
+  in
+  fill ();
+  ignore (Sim.run ~until:9.5 sim);
+  Gc.full_major ();
+  let live lo hi = List.filter (fun i -> Weak.check weak i) (List.init (hi - lo) (( + ) lo)) in
+  Alcotest.(check (list int)) "popped thunks collected" [] (live 0 10);
+  Alcotest.(check int) "pending thunks kept" 10 (List.length (live 10 20));
+  ignore (Sim.run sim);
+  Gc.full_major ();
+  Alcotest.(check (list int)) "all collected once drained" [] (live 0 20);
+  Alcotest.(check int) "simulator still usable" 0 (Sim.pending sim)
+
 let test_net_delivery () =
   let sim = Sim.create () in
   let net = Net.create ~latency:2.0 sim () in
@@ -116,6 +141,7 @@ let suite =
     Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
     Alcotest.test_case "run until" `Quick test_run_until;
     Alcotest.test_case "negative delay rejected" `Quick test_negative_delay;
+    Alcotest.test_case "popped thunks collectable" `Quick test_popped_thunk_collectable;
     Alcotest.test_case "net delivery with latency" `Quick test_net_delivery;
     Alcotest.test_case "net drops to down nodes" `Quick test_net_down_node_drops;
     Alcotest.test_case "net loss statistics" `Quick test_net_loss_statistics;

@@ -135,6 +135,108 @@ let test_store_get_repairs_divergent_readable () =
     (Store.agreement_issues s);
   Alcotest.(check (option string)) "stable afterwards" (Some "new") (Store.get s 2)
 
+(* The careful put verifies by comparing read-back bytes with the frame it
+   wrote, and careful reads unframe byte-equal replicas once. These
+   shortcuts must leave every physical read, write and repair where the
+   per-replica unframing put them. *)
+let io () =
+  let c name = Option.value ~default:0 (Rs_obs.Metrics.find_counter Rs_obs.Metrics.default name) in
+  (c "disk.reads", c "disk.writes", c "stable_store.repairs")
+
+let check_io name (r0, w0, p0) ~reads ~writes ~repairs =
+  let r1, w1, p1 = io () in
+  Alcotest.(check (triple int int int))
+    (name ^ ": reads, writes, repairs")
+    (reads, writes, repairs)
+    (r1 - r0, w1 - w0, p1 - p0)
+
+(* Decay is drawn once per read of an existing page from the rng both
+   disks share. Pick the first seed whose draws decay exactly the first
+   verify re-read of [victim] (A's comes first), so the retry round must
+   rewrite that replica alone. *)
+let test_store_put_retries_only_failed_replica () =
+  List.iter
+    (fun (victim, draws) ->
+      let rec seed n =
+        let r = Rng.create n in
+        if List.for_all (fun d -> Rng.bool r 0.5 = d) draws then n else seed (n + 1)
+      in
+      let s = Store.create ~rng:(Rng.create (seed 1)) ~decay_prob:0.5 ~pages:4 () in
+      let a, b = Store.disks s in
+      let before = io () in
+      Store.put s 1 "payload";
+      check_io ("put, " ^ victim ^ " decayed") before ~reads:3 ~writes:3 ~repairs:0;
+      Alcotest.(check (pair int int))
+        (victim ^ " alone rewritten")
+        (if victim = "A" then (2, 1) else (1, 2))
+        ((Disk.stats a).writes, (Disk.stats b).writes))
+    [ ("A", [ true; false; false ]); ("B", [ false; true; false ]) ]
+
+let test_store_get_divergent_io () =
+  let s = Store.create ~pages:4 () in
+  Store.put s 2 "old";
+  let _, b = Store.disks s in
+  let stale = Option.get (Disk.read b 2) in
+  Store.put s 2 "new";
+  Disk.write b 2 stale;
+  let before = io () in
+  Alcotest.(check (option string)) "A wins" (Some "new") (Store.get s 2);
+  check_io "divergent get" before ~reads:2 ~writes:1 ~repairs:1;
+  let before = io () in
+  Alcotest.(check (option string)) "agreeing get" (Some "new") (Store.get s 2);
+  check_io "agreeing get" before ~reads:2 ~writes:0 ~repairs:0
+
+let test_store_get_one_sided_io () =
+  let s = Store.create ~pages:4 () in
+  Store.put s 0 "zero";
+  let a, b = Store.disks s in
+  List.iter
+    (fun (name, spoil) ->
+      spoil ();
+      let before = io () in
+      Alcotest.(check (option string)) name (Some "zero") (Store.get s 0);
+      check_io name before ~reads:2 ~writes:1 ~repairs:1;
+      Alcotest.(check (list (pair int string))) (name ^ ": mended") [] (Store.agreement_issues s))
+    [
+      ("B decayed", fun () -> Disk.decay b 0);
+      ("A decayed", fun () -> Disk.decay a 0);
+      ("B fails its checksum", fun () -> Disk.write b 0 "\000\000\000\000\004zero");
+      ("A fails its checksum", fun () -> Disk.write a 0 "not a frame");
+    ]
+
+let test_store_get_both_bad_io () =
+  let s = Store.create ~pages:4 () in
+  Store.put s 3 "three";
+  let a, b = Store.disks s in
+  Disk.decay a 3;
+  Disk.write b 3 "garbage";
+  let before = io () in
+  Alcotest.(check (option string)) "both bad" None (Store.get s 3);
+  check_io "both bad" before ~reads:2 ~writes:0 ~repairs:0;
+  Disk.write a 3 "garbage";
+  let before = io () in
+  Alcotest.(check (option string)) "equal but bad" None (Store.get s 3);
+  check_io "equal but bad" before ~reads:2 ~writes:0 ~repairs:0;
+  let before = io () in
+  Alcotest.(check (option string)) "never written" None (Store.get s 1);
+  check_io "never written" before ~reads:2 ~writes:0 ~repairs:0
+
+let test_store_recover_divergent_io () =
+  let s = Store.create ~pages:4 () in
+  for p = 0 to 3 do
+    Store.put s p (Printf.sprintf "v%d" p)
+  done;
+  let _, b = Store.disks s in
+  let stale = Option.get (Disk.read b 2) in
+  Store.put s 2 "v2'";
+  Disk.write b 2 stale;
+  let before = io () in
+  Store.recover s;
+  check_io "recover" before ~reads:8 ~writes:1 ~repairs:1;
+  Alcotest.(check (list (pair int string))) "recovered replicas agree" []
+    (Store.agreement_issues s);
+  Alcotest.(check (option string)) "A's value kept" (Some "v2'") (Store.get s 2)
+
 let test_store_crash_between_pages () =
   (* A multi-page update interrupted between logical pages: each page
      individually must be old-or-new. *)
@@ -182,5 +284,11 @@ let suite =
     Alcotest.test_case "store get repairs divergent replicas" `Quick
       test_store_get_repairs_divergent_readable;
     Alcotest.test_case "store crash between pages" `Quick test_store_crash_between_pages;
+    Alcotest.test_case "put retries only the failed replica" `Quick
+      test_store_put_retries_only_failed_replica;
+    Alcotest.test_case "divergent get I/O" `Quick test_store_get_divergent_io;
+    Alcotest.test_case "one-sided get I/O" `Quick test_store_get_one_sided_io;
+    Alcotest.test_case "both-bad get I/O" `Quick test_store_get_both_bad_io;
+    Alcotest.test_case "recover divergent I/O" `Quick test_store_recover_divergent_io;
     QCheck_alcotest.to_alcotest prop_store_atomic_random;
   ]

@@ -11,6 +11,27 @@ module Gid = Rs_util.Gid
 let g = Gid.of_int
 let aid ?(c = 0) n = Aid.make ~coordinator:(g c) ~seq:n
 
+(* Trace payloads carry [msg_to_string]; the spec monitors and the
+   benchmark parse that text, so it must keep the "<kind>(T<c>.<seq>)"
+   form, and [pp_msg] must print the same. *)
+let test_msg_rendering () =
+  let a = Aid.make ~coordinator:(g 3) ~seq:41 in
+  List.iter
+    (fun (kind, m) ->
+      let expect = Printf.sprintf "%s(T3.41)" kind in
+      Alcotest.(check string) kind expect (Twopc.msg_to_string m);
+      Alcotest.(check string) (kind ^ " via pp") expect (Format.asprintf "%a" Twopc.pp_msg m))
+    [
+      ("prepare", Twopc.Prepare a);
+      ("prepared", Twopc.Prepared_reply a);
+      ("refused", Twopc.Refused_reply a);
+      ("commit", Twopc.Commit a);
+      ("committed", Twopc.Committed_ack a);
+      ("abort", Twopc.Abort a);
+      ("aborted", Twopc.Aborted_ack a);
+      ("query", Twopc.Query a);
+    ]
+
 (* A recording endpoint: every hook call and outgoing message is logged. *)
 type probe = {
   endpoint : Twopc.t;
@@ -210,4 +231,5 @@ let suite =
     Alcotest.test_case "query answers by state" `Quick test_query_answers;
     Alcotest.test_case "resume coordinator" `Quick test_resume_coordinator;
     Alcotest.test_case "stopped endpoint ignores" `Quick test_stopped_endpoint_ignores;
+    Alcotest.test_case "message rendering" `Quick test_msg_rendering;
   ]

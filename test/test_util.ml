@@ -69,6 +69,61 @@ let test_crc32_known () =
   Alcotest.(check bool) "substring" true
     (Crc32.string ~off:1 ~len:3 "x123y" = Crc32.string "123")
 
+(* Bit-at-a-time reference: the textbook reflected CRC-32 the table
+   kernel must agree with on every input. *)
+let crc32_reference ?(off = 0) ?len s =
+  let len = Option.value len ~default:(String.length s - off) in
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+(* Every length from 0 to 17 at every offset within one 8-byte stride:
+   the block loop, the byte tail and their seam. *)
+let test_crc32_strides () =
+  let src = String.init 40 (fun i -> Char.chr (((i * 97) + 13) land 0xFF)) in
+  for off = 0 to 8 do
+    for len = 0 to 17 do
+      let expect = crc32_reference ~off ~len src in
+      Alcotest.(check int32)
+        (Printf.sprintf "off %d len %d" off len)
+        expect (Crc32.string ~off ~len src);
+      Alcotest.(check int32)
+        (Printf.sprintf "bytes off %d len %d" off len)
+        expect
+        (Crc32.bytes ~off ~len (Bytes.of_string src))
+    done
+  done;
+  Alcotest.check_raises "out of bounds" (Invalid_argument "Crc32.bytes: out of bounds") (fun () ->
+      ignore (Crc32.string ~off:3 ~len:38 src))
+
+let prop_crc32_reference =
+  QCheck.Test.make ~name:"crc32 equals bit-at-a-time reference" ~count:500
+    QCheck.(triple (string_of_size Gen.(0 -- 3000)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = a mod (n + 1) in
+      let len = b mod (n - off + 1) in
+      Crc32.string s = crc32_reference s
+      && Crc32.string ~off ~len s = crc32_reference ~off ~len s
+      && Crc32.string ~off s = crc32_reference ~off s)
+
+(* Trace payloads and the benchmark's aid join key on these spellings. *)
+let prop_id_rendering =
+  QCheck.Test.make ~name:"id to_string matches the G%d and T%d.%d forms" ~count:500
+    QCheck.(pair (int_bound max_int) (int_bound max_int))
+    (fun (g, seq) ->
+      let gid = Gid.of_int g in
+      let aid = Aid.make ~coordinator:gid ~seq in
+      Gid.to_string gid = Printf.sprintf "G%d" g
+      && Gid.to_string gid = Format.asprintf "%a" Gid.pp gid
+      && Aid.to_string aid = Printf.sprintf "T%d.%d" g seq
+      && Aid.to_string aid = Format.asprintf "%a" Aid.pp aid)
+
 let test_vec () =
   let v = Vec.create () in
   Alcotest.(check bool) "empty" true (Vec.is_empty v);
@@ -236,6 +291,7 @@ let suite =
     Alcotest.test_case "composite codecs" `Quick test_composites;
     Alcotest.test_case "decode errors" `Quick test_decode_errors;
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_known;
+    Alcotest.test_case "crc32 strides" `Quick test_crc32_strides;
     Alcotest.test_case "vec operations" `Quick test_vec;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
@@ -245,4 +301,6 @@ let suite =
     Alcotest.test_case "lru edge cases" `Quick test_lru_edge_cases;
     QCheck_alcotest.to_alcotest prop_varint;
     QCheck_alcotest.to_alcotest prop_string;
+    QCheck_alcotest.to_alcotest prop_crc32_reference;
+    QCheck_alcotest.to_alcotest prop_id_rendering;
   ]
