@@ -843,7 +843,7 @@ let e13 () =
 
 let e14 () =
   header "e14: nemesis — committed work & availability under fault schedules";
-  let module Nemesis = Rs_nemesis.Nemesis in
+  let module Nemesis = Rs_explore.Nemesis in
   let module Load = Rs_load.Load in
   let gauge name v = Rs_obs.Metrics.set (Rs_obs.Metrics.gauge ("e14." ^ name)) v in
   let base = { Nemesis.default with duration = 80.0; events = 6; clients = 6 } in

@@ -611,7 +611,7 @@ let nemesis seed seeds profile_name guardians clients duration events replicated
   let profile_name = if replicated then "synthetic" else profile_name in
   let cfg =
     {
-      Rs_nemesis.Nemesis.default with
+      Rs_explore.Nemesis.default with
       profile;
       guardians;
       clients;
@@ -629,8 +629,8 @@ let nemesis seed seeds profile_name guardians clients duration events replicated
             let cfg = { cfg with seed = seed + i } in
             Printf.printf "== nemesis seed=%d profile=%s%s ==\n" cfg.seed profile_name
               (if replicated then " replicated" else "");
-            let o = Rs_nemesis.Nemesis.run cfg in
-            Format.printf "%a@." Rs_nemesis.Nemesis.pp_outcome o;
+            let o = Rs_explore.Nemesis.run cfg in
+            Format.printf "%a@." Rs_explore.Nemesis.pp_outcome o;
             o.violations <> [])
         |> List.filter Fun.id |> List.length)
   in

@@ -755,23 +755,9 @@ let hk_step (t : t) (job : job) ~budget =
   | Finished -> ());
   job.stage = Finished
 
-(* The stop-the-world staged pair, kept as the synchronous path: stage
-   one runs to completion in [begin_housekeeping], everything else in
-   [finish_housekeeping]. *)
-let begin_housekeeping (t : t) technique =
+let housekeep t technique =
+  Span.run ("housekeep." ^ technique_name technique) @@ fun () ->
   let job = hk_start t technique in
-  while job.stage = Walk do
-    ignore (hk_step t job ~budget:max_int)
-  done;
-  job
-
-let finish_housekeeping (t : t) (job : job) =
-  check_current "finish_housekeeping" t job;
   while not (hk_step t job ~budget:max_int) do
     ()
   done
-
-let housekeep t technique =
-  Span.run ("housekeep." ^ technique_name technique) @@ fun () ->
-  let job = begin_housekeeping t technique in
-  finish_housekeeping t job

@@ -9,11 +9,11 @@
     append-only.
 
     Early prepare (§4.4) is supported via {!write_entry}; housekeeping
-    (Ch. 5) via {!begin_housekeeping}/{!finish_housekeeping}, implementing
+    (Ch. 5) via the {!hk_start}/{!hk_step} slice machine, implementing
     both {e log compaction} (§5.1) and the {e stable-state snapshot}
     (§5.2) with the two-stage structure of the thesis: normal operation
-    may continue between the two calls, and the affected outcome entries
-    are tracked in the OEL and carried over in stage two. *)
+    may continue between slices, and the affected outcome entries are
+    tracked in the OEL and carried over in stage two. *)
 
 type t
 
@@ -112,21 +112,13 @@ val hk_step : t -> job -> budget:int -> bool
     therefore runs as one atomic slice regardless of [budget]. *)
 
 val housekeeping_active : t -> bool
-(** Whether a checkpoint (incremental or staged) is in progress. *)
-
-val begin_housekeeping : t -> technique -> job
-(** Stage one: set the housekeeping marker, build the new stable state in
-    the spare log slot, and start recording post-marker outcome entries in
-    the OEL. Normal operations may continue (they keep writing to the old
-    log) until {!finish_housekeeping}. *)
-
-val finish_housekeeping : t -> job -> unit
-(** Stage two: carry post-marker outcome entries (and the data entries of
-    still-unprepared in-flight actions) over to the new log, then replace
-    the old log in one atomic step. *)
+(** Whether a checkpoint is in progress. *)
 
 val housekeep : t -> technique -> unit
-(** [begin_housekeeping] immediately followed by [finish_housekeeping]. *)
+(** A whole checkpoint at once: {!hk_start}, then {!hk_step} with an
+    unbounded budget until it completes — the chain walk (or heap
+    traversal) in the first slice, the carry and the switch in the
+    second. *)
 
 (** {1 Introspection for tests and benchmarks} *)
 

@@ -3,8 +3,20 @@ module Synth = Rs_workload.Synth
 module Store = Rs_storage.Stable_store
 module Disk = Rs_storage.Disk
 module Slog = Rs_slog.Stable_log
+module Log_dir = Rs_slog.Log_dir
+module System = Rs_guardian.System
+module Guardian = Rs_guardian.Guardian
+module Directory = Rs_dir.Directory
+module Pair = Rs_repl.Repl.Pair
+module Load = Rs_load.Load
+module Heap = Rs_objstore.Heap
+module Value = Rs_objstore.Value
+module Sim = Rs_sim.Sim
+module Net = Rs_sim.Net
 module Trace = Rs_obs.Trace
+module Monitor = Rs_obs.Monitor
 module Metrics = Rs_obs.Metrics
+module Gid = Rs_util.Gid
 module Rng = Rs_util.Rng
 
 let m_schedules = Metrics.counter "explore.schedules"
@@ -23,13 +35,103 @@ type outcome = {
   counterexample : counterexample option;
 }
 
+let violation oracle fmt = Printf.ksprintf (fun detail -> { Oracle.oracle; detail }) fmt
+let opt_int = function Some v -> string_of_int v | None -> "-"
+
+(* ------------------------------------------------------------------ *)
+(* The world a schedule runs in: crash, restart, judge.               *)
+
+type client = { mutable issued : int; mutable resolved : int; mutable committed : int }
+
+type world = {
+  sys : System.t;
+  dir : Directory.t option;
+  pair : Pair.t option;
+  load : Load.t option;
+  client : client;
+}
+
+let world ?dir ?pair ?load sys =
+  { sys; dir; pair; load; client = { issued = 0; resolved = 0; committed = 0 } }
+
+let pair_of w gid =
+  match w.pair with
+  | Some p when Gid.equal gid (Pair.primary p) || Gid.equal gid (Pair.standby p) -> Some p
+  | Some _ | None -> None
+
+let down w gid =
+  match (pair_of w gid, w.dir) with
+  | Some p, _ -> Pair.crash p gid
+  | None, Some d -> Directory.crash d gid
+  | None, None -> System.crash w.sys gid
+
+let up w gid =
+  match (pair_of w gid, w.dir) with
+  | Some p, _ when Gid.equal gid (Pair.standby p) ->
+      Pair.restart_standby p;
+      `Restarted
+  | Some p, _ when Pair.promotable p ->
+      ignore (Pair.promote p);
+      `Promoted
+  | Some p, _ ->
+      (* Overlapping faults left the replica stale or missing: the lost
+         tail lives only in the dead primary's own log, so fall back to a
+         cold restart instead of promoting away acked commits. *)
+      ignore (Pair.restart_primary p);
+      `Restarted
+  | None, Some d ->
+      ignore (Directory.restart d gid);
+      `Restarted
+  | None, None ->
+      ignore (System.restart w.sys gid);
+      `Restarted
+
+type subject = World of world | Single of Scheme.t
+
+let fsck_guardian g =
+  let ldir = Guardian.log_dir g in
+  let name = Gid.to_string (Guardian.gid g) in
+  Oracle.check_log (Some (Log_dir.current ldir))
+  @ Oracle.check_segments (Some ldir)
+  @ Oracle.check_stores (Log_dir.stores ldir)
+  |> List.map (fun (v : Oracle.violation) -> { v with detail = name ^ ": " ^ v.detail })
+
+let judge subject =
+  let own =
+    match subject with
+    | Single scheme -> Oracle.check_scheme scheme
+    | World w ->
+        let unresolved, committed =
+          match w.load with
+          | Some l -> (Load.unresolved l, (Load.stats l).Load.committed)
+          | None -> (w.client.issued - w.client.resolved, w.client.committed)
+        in
+        List.concat
+          [
+            (if unresolved = 0 then []
+             else [ violation "liveness" "%d handles unresolved after the drain" unresolved ]);
+            (if committed > 0 then [] else [ violation "progress" "no action ever committed" ]);
+            (match Option.map Load.check w.load with
+            | Some (Error e) -> [ violation "consistency" "%s" e ]
+            | Some (Ok ()) | None -> []);
+            List.concat_map fsck_guardian (List.filter Guardian.is_up (System.guardians w.sys));
+            (match Option.map Directory.verify_unique_uids w.dir with
+            | Some (Error e) -> [ violation "uid-unique" "%s" e ]
+            | Some (Ok ()) | None -> []);
+          ]
+  in
+  own
+  @ List.map
+      (fun (v : Monitor.violation) -> { Oracle.oracle = "monitor:" ^ v.monitor; detail = v.detail })
+      (Monitor.check ())
+
+(* ------------------------------------------------------------------ *)
+(* Generic driver: run schedules until a violation, then shrink it.   *)
+
 let rec take n = function
   | [] -> []
   | _ when n <= 0 -> []
   | x :: tl -> x :: take (n - 1) tl
-
-(* ------------------------------------------------------------------ *)
-(* Generic driver: run schedules until a violation, then shrink it.   *)
 
 (* Greedy delta-debugging: drop any slot whose removal still fails,
    repeat until no single removal preserves the failure. *)
@@ -40,21 +142,67 @@ let shrink run schedule v0 =
       if i >= n then (sched, v)
       else
         let cand = List.filteri (fun j _ -> j <> i) sched in
-        match run cand with Some v' -> go cand v' | None -> try_at (i + 1)
+        match run cand with v' :: _ -> go cand v' | [] -> try_at (i + 1)
     in
     if n = 0 then (sched, v) else try_at 0
   in
   go schedule v0
 
-let drive_schedules ~target ~points ~schedules ~run =
+(* Baseline first, then every depth-1 schedule in census order, then
+   depth-2 pairs (strictly increasing op index) in seeded-shuffle order
+   so a budget prefix samples the pair space evenly. *)
+let enumerate cfg points =
+  let singles = List.map (fun p -> [ p ]) points in
+  let pairs =
+    if cfg.max_depth < 2 then []
+    else begin
+      let arr =
+        Array.of_list
+          (List.concat_map
+             (fun p1 ->
+               List.filter_map
+                 (fun p2 -> if p1.Fault.op < p2.Fault.op then Some [ p1; p2 ] else None)
+                 points)
+             points)
+      in
+      Rng.shuffle (Rng.create (cfg.seed lxor 0x9e3779b9)) arr;
+      Array.to_list arr
+    end
+  in
+  take cfg.budget (([] : Fault.schedule) :: singles @ pairs)
+
+(* A schedule body stops at its first violation by raising it. *)
+exception Found of Oracle.violation
+
+let fail_on = function [] -> () | v :: _ -> raise (Found v)
+
+(* Census the target's fault points, then run its enumerated schedules,
+   each in a fresh world with a fresh trace ring, so the spec monitors
+   judge that run alone. Every world stamps the trace with its own
+   simulator's clock; the default clock is back when the driver returns. *)
+let drive cfg ~target ~census ~run =
+  Fun.protect ~finally:Trace.clear_clock @@ fun () ->
+  let points = census () in
+  let runs = ref 0 in
+  let run sched =
+    Metrics.incr m_schedules;
+    Trace.clear ();
+    Trace.emit (Trace.Explore_schedule { id = !runs; points = List.length sched });
+    incr runs;
+    match run sched with
+    | vs -> vs
+    | exception Found v -> [ v ]
+    | exception exn -> [ violation "exception" "%s" (Printexc.to_string exn) ]
+  in
+  let outcome schedules counterexample =
+    { target; points = List.length points; schedules; counterexample }
+  in
   let rec go id = function
-    | [] ->
-        { target; points = List.length points; schedules = id; counterexample = None }
+    | [] -> outcome id None
     | sched :: rest -> (
-        Trace.emit (Trace.Explore_schedule { id; points = List.length sched });
         match run sched with
-        | None -> go (id + 1) rest
-        | Some v ->
+        | [] -> go (id + 1) rest
+        | v :: _ ->
             Metrics.incr m_violations;
             Trace.emit
               (Trace.Explore_violation
@@ -63,14 +211,21 @@ let drive_schedules ~target ~points ~schedules ~run =
             Trace.emit
               (Trace.Explore_shrunk
                  { points = List.length shrunk; schedule = Fault.schedule_to_string shrunk });
-            {
-              target;
-              points = List.length points;
-              schedules = id + 1;
-              counterexample = Some { schedule = shrunk; violation = v' };
-            })
+            outcome (id + 1) (Some { schedule = shrunk; violation = v' }))
   in
-  go 0 schedules
+  go 0 (enumerate cfg points)
+
+(* At most 20 event boundaries, evenly spread over [n] events. *)
+let spread n =
+  let cap = min n 20 in
+  List.init cap (fun i -> 1 + (i * n / cap)) |> List.sort_uniq compare
+
+let step_all sim =
+  let n = ref 0 in
+  while Sim.step sim do
+    incr n
+  done;
+  !n
 
 (* ------------------------------------------------------------------ *)
 (* Single-guardian targets: a Synth workload over one Scheme.         *)
@@ -114,7 +269,7 @@ let make_scheme = function
   | "segments" -> Scheme.hybrid ~page_size:128 ~segment_pages:2 ()
   | s -> invalid_arg ("Explore.explore_scheme: unknown scheme " ^ s)
 
-let fresh_world cfg name =
+let fresh_synth cfg name =
   let t = Synth.create ~seed:cfg.seed ~scheme:(make_scheme name) ~n_objects:8 () in
   Synth.run_random_actions t ~n:4 ~objects_per_action:2 ~abort_rate:0.25 ();
   t
@@ -135,7 +290,12 @@ let post_state expected op =
 
 (* ---- census ------------------------------------------------------ *)
 
-type census = { writes : int array array; forces : int array; segs : int array array }
+type census = {
+  writes : int array array;
+  forces : int array;
+  segs : int array array;
+  events : int array;
+}
 
 let seg_stages = [| Fault.Seg_alloc; Fault.Seg_link; Fault.Seg_retire |]
 
@@ -144,16 +304,15 @@ let seg_stage_index : Slog.segment_event -> int = function
   | Slog.Seg_link -> 1
   | Slog.Seg_retire _ -> 2
 
-(* One clean run with the process-wide census hooks installed: per
-   operation, how many physical page writes land on each stable store
-   (both disk replicas counted together, matching what
-   [Store.arm_crash ~after_writes] counts), how many log forces
-   complete, and how many segment events of each stage fire. Segments
-   allocated mid-run are invisible to the write census (their disks are
-   not in the start-of-run store list) — their crash windows are covered
-   by the segment-boundary points instead. *)
-let take_census cfg name ops =
-  let t = fresh_world cfg name in
+(* One clean run of [phases] over [t] with the process-wide census hooks
+   installed: per phase, how many physical page writes land on each
+   stable store (both disk replicas counted together, matching what
+   [Store.arm_crash ~after_writes] counts), how many log forces complete,
+   how many segment events of each stage fire, and the simulator events
+   the phase reports. Segments allocated mid-run are invisible to the
+   write census (their disks are not in the start-of-run store list) —
+   their crash windows are covered by the segment-boundary points. *)
+let take_census t phases =
   let stores = Scheme.stable_stores (Synth.scheme t) in
   let disk_of =
     List.concat
@@ -163,10 +322,11 @@ let take_census cfg name ops =
            [ (a, i); (b, i) ])
          stores)
   in
-  let n_ops = List.length ops in
-  let writes = Array.init n_ops (fun _ -> Array.make (List.length stores) 0) in
-  let forces = Array.make n_ops 0 in
-  let segs = Array.init n_ops (fun _ -> Array.make (Array.length seg_stages) 0) in
+  let n = List.length phases in
+  let writes = Array.init n (fun _ -> Array.make (List.length stores) 0) in
+  let forces = Array.make n 0 in
+  let segs = Array.init n (fun _ -> Array.make (Array.length seg_stages) 0) in
+  let events = Array.make n 0 in
   let cur = ref (-1) in
   Disk.set_write_hook
     (Some
@@ -189,333 +349,128 @@ let take_census cfg name ops =
       Slog.set_segment_hook None)
     (fun () ->
       List.iteri
-        (fun j op ->
+        (fun j phase ->
           cur := j;
-          exec_plain t op)
-        ops);
-  { writes; forces; segs }
+          events.(j) <- phase ())
+        phases);
+  { writes; forces; segs; events }
 
-(* Per-op point order: housekeeping boundary, segment boundaries, force
-   boundaries, then the store-write sweep. Rarer, structural boundaries
-   come first so a modest budget's depth-1 prefix reaches them before the
-   long tail of store writes. *)
-let points_of_census ops census =
+(* Per-phase point order: housekeeping boundary, segment boundaries,
+   force boundaries, the store-write sweep, then event boundaries.
+   Rarer, structural boundaries come first so a modest budget's depth-1
+   prefix reaches them before the long tail of store writes. *)
+let points_of_census ?(hk = fun _ -> false) c =
   List.concat
-    (List.mapi
-       (fun j op ->
-         let hk =
-           match op with
-           | Housekeep _ -> [ { Fault.op = j; point = Fault.Hk_boundary } ]
-           | Act _ -> []
+    (List.init (Array.length c.forces) (fun j ->
+         let at point = { Fault.op = j; point } in
+         let per counts mk =
+           List.concat (List.mapi (fun s n -> List.init n (mk s)) (Array.to_list counts))
          in
-         let seg_points =
-           List.concat
-             (List.mapi
-                (fun s c ->
-                  List.init c (fun k ->
-                      {
-                        Fault.op = j;
-                        point = Fault.Segment_boundary { stage = seg_stages.(s); nth = k + 1 };
-                      }))
-                (Array.to_list census.segs.(j)))
-         in
-         let store_points =
-           List.concat
-             (List.mapi
-                (fun s w ->
-                  List.init w (fun k ->
-                      { Fault.op = j; point = Fault.Store_write { store = s; after_writes = k } }))
-                (Array.to_list census.writes.(j)))
-         in
-         let force_points =
-           List.init census.forces.(j) (fun k ->
-               { Fault.op = j; point = Fault.Force_boundary { nth = k + 1 } })
-         in
-         hk @ seg_points @ force_points @ store_points)
-       ops)
-
-(* Baseline first, then every depth-1 schedule in census order, then
-   depth-2 pairs (strictly increasing op index) in seeded-shuffle order
-   so a budget prefix samples the pair space evenly. *)
-let enumerate cfg points =
-  let singles = List.map (fun p -> [ p ]) points in
-  let pairs =
-    if cfg.max_depth < 2 then []
-    else begin
-      let arr =
-        Array.of_list
-          (List.concat_map
-             (fun p1 ->
-               List.filter_map
-                 (fun p2 -> if p1.Fault.op < p2.Fault.op then Some [ p1; p2 ] else None)
-                 points)
-             points)
-      in
-      Rng.shuffle (Rng.create (cfg.seed lxor 0x9e3779b9)) arr;
-      Array.to_list arr
-    end
-  in
-  take cfg.budget (([] : Fault.schedule) :: singles @ pairs)
+         (if hk j then [ at Fault.Hk_boundary ] else [])
+         @ per c.segs.(j) (fun s k ->
+               at (Fault.Segment_boundary { stage = seg_stages.(s); nth = k + 1 }))
+         @ List.init c.forces.(j) (fun k -> at (Fault.Force_boundary { nth = k + 1 }))
+         @ per c.writes.(j) (fun s k -> at (Fault.Store_write { store = s; after_writes = k }))
+         @ List.map (fun nth -> at (Fault.Event_boundary { nth })) (spread c.events.(j))))
 
 (* ---- one schedule ------------------------------------------------ *)
 
-(* Arm [point] around [f]; true iff the crash fired. Message points
-   never fire here (single-guardian world). *)
+(* Arm [point] around [f]; true iff the crash fired. Event, message and
+   housekeeping points are the caller's to handle. *)
 let inject stores point f =
+  let crashed () = match f () with () -> false | exception Disk.Crash -> true in
+  let nth_hook nth =
+    let count = ref 0 in
+    fun () ->
+      incr count;
+      if !count = nth then raise Disk.Crash
+  in
   match point with
   | Fault.Store_write { store; after_writes } -> (
       match List.nth_opt stores store with
-      | None ->
-          f ();
-          false
+      | None -> crashed ()
       | Some s ->
           Store.arm_crash s ~after_writes;
-          Fun.protect
-            ~finally:(fun () -> List.iter Store.clear_crash stores)
-            (fun () -> match f () with () -> false | exception Disk.Crash -> true))
+          Fun.protect ~finally:(fun () -> List.iter Store.clear_crash stores) crashed)
   | Fault.Force_boundary { nth } ->
-      let count = ref 0 in
-      Slog.set_force_hook
-        (Some
-           (fun () ->
-             incr count;
-             if !count = nth then raise Disk.Crash));
-      Fun.protect
-        ~finally:(fun () -> Slog.set_force_hook None)
-        (fun () -> match f () with () -> false | exception Disk.Crash -> true)
+      Slog.set_force_hook (Some (nth_hook nth));
+      Fun.protect ~finally:(fun () -> Slog.set_force_hook None) crashed
   | Fault.Segment_boundary { stage; nth } ->
-      let count = ref 0 in
+      let hit = nth_hook nth in
       Slog.set_segment_hook
-        (Some
-           (fun ev ->
-             if seg_stages.(seg_stage_index ev) = stage then begin
-               incr count;
-               if !count = nth then raise Disk.Crash
-             end));
-      Fun.protect
-        ~finally:(fun () -> Slog.set_segment_hook None)
-        (fun () -> match f () with () -> false | exception Disk.Crash -> true)
+        (Some (fun ev -> if seg_stages.(seg_stage_index ev) = stage then hit ()));
+      Fun.protect ~finally:(fun () -> Slog.set_segment_hook None) crashed
   | Fault.Hk_boundary | Fault.Event_boundary _ | Fault.Msg_crash _ | Fault.Msg_drop _
   | Fault.Msg_delay _ ->
-      f ();
-      false
+      crashed ()
+
+(* Crash recovery plus in-doubt resolution (presumed abort, §2.2.3),
+   then [check] on the recovered counters and the judge. Returns the
+   recovered facade and its counters. *)
+let crash_recover t check =
+  let t, info = Synth.crash_recover t in
+  let scheme = Synth.scheme t in
+  List.iter (Scheme.abort scheme) (Core.Tables.Recovery_report.prepared_actions info);
+  match Synth.counters t with
+  | actual ->
+      fail_on (check actual);
+      fail_on (judge (Single scheme));
+      (t, actual)
+  | exception Failure msg ->
+      (* objects vanished wholesale — committed state did not survive *)
+      raise (Found (violation "durability" "recovered state incomplete: %s" msg))
 
 let run_scheme_schedule cfg name ops sched =
-  Metrics.incr m_schedules;
-  let t = ref (fresh_world cfg name) in
+  let t = ref (fresh_synth cfg name) in
   let expected = ref (Synth.counters !t) in
-  let found = ref None in
-  let note = function [] -> () | v :: _ -> if !found = None then found := Some v in
-  (* Crash recovery plus in-doubt resolution (presumed abort, §2.2.3),
-     then the full oracle suite. [allowed] lists the serial states the
-     recovered counters may land on. *)
+  (* [allowed] lists the serial states the recovered counters may land on. *)
   let recover ~allowed =
-    let t', info = Synth.crash_recover !t in
+    let t', actual =
+      crash_recover !t (fun actual -> Oracle.check_counters ~oracle:"atomicity" ~allowed ~actual)
+    in
     t := t';
-    let scheme = Synth.scheme !t in
-    List.iter
-      (fun aid -> Scheme.abort scheme aid)
-      (Core.Tables.Recovery_report.prepared_actions info);
-    (match Synth.counters !t with
-    | actual ->
-        note (Oracle.check_counters ~oracle:"atomicity" ~allowed ~actual);
-        expected := actual
-    | exception Failure msg ->
-        (* objects vanished wholesale — committed state did not survive *)
-        note
-          [ { Oracle.oracle = "durability"; detail = "recovered state incomplete: " ^ msg } ]);
-    note (Oracle.check_scheme scheme)
+    expected := actual
   in
-  (try
-     List.iteri
-       (fun j op ->
-         if !found = None then begin
-           let slot = List.find_opt (fun s -> s.Fault.op = j) sched in
-           let post = post_state !expected op in
-           match (op, slot) with
-           | Housekeep tech, Some { Fault.point = Fault.Hk_boundary; _ } -> (
-               (* stage one only: the half-built spare log must vanish *)
-               match Scheme.begin_housekeep (Synth.scheme !t) tech with
-               | None -> ()
-               | Some _abandoned -> recover ~allowed:[ !expected ])
-           | _, Some { Fault.point; _ } ->
-               let stores = Scheme.stable_stores (Synth.scheme !t) in
-               if inject stores point (fun () -> exec_plain !t op) then
-                 recover ~allowed:[ !expected; post ]
-               else expected := post
-           | _, None ->
-               exec_plain !t op;
-               expected := post
-         end)
-       ops;
-     (* Final durability probe: a cleanly committed action must survive a
-        crash that interrupts nothing — this is what catches a force that
-        lies about stability (e.g. the seeded skip-header mutation). *)
-     if !found = None then begin
-       let indices = [ 1; 4 ] in
-       Synth.run_action !t ~indices ~outcome:`Commit;
-       let after = post_state !expected (Act { indices; outcome = `Commit }) in
-       recover ~allowed:[ after ]
-     end
-   with exn ->
-     note [ { Oracle.oracle = "exception"; detail = Printexc.to_string exn } ]);
-  !found
+  List.iteri
+    (fun j op ->
+      let post = post_state !expected op in
+      match (op, List.find_opt (fun s -> s.Fault.op = j) sched) with
+      | Housekeep tech, Some { Fault.point = Fault.Hk_boundary; _ } -> (
+          (* stage one only: the half-built spare log must vanish *)
+          match Scheme.begin_housekeep (Synth.scheme !t) tech with
+          | None -> ()
+          | Some _abandoned -> recover ~allowed:[ !expected ])
+      | _, Some { Fault.point; _ } ->
+          let stores = Scheme.stable_stores (Synth.scheme !t) in
+          if inject stores point (fun () -> exec_plain !t op) then
+            recover ~allowed:[ !expected; post ]
+          else expected := post
+      | _, None ->
+          exec_plain !t op;
+          expected := post)
+    ops;
+  (* Final durability probe: a cleanly committed action must survive a
+     crash that interrupts nothing — this is what catches a force that
+     lies about stability (e.g. the seeded skip-header mutation). *)
+  let indices = [ 1; 4 ] in
+  Synth.run_action !t ~indices ~outcome:`Commit;
+  recover ~allowed:[ post_state !expected (Act { indices; outcome = `Commit }) ];
+  []
 
 let explore_scheme ?(config = default_config) name =
   let ops = ops_for name in
-  let census = take_census config name ops in
-  let points = points_of_census ops census in
-  let schedules = enumerate config points in
-  drive_schedules ~target:name ~points ~schedules
-    ~run:(run_scheme_schedule config name ops)
-
-(* ------------------------------------------------------------------ *)
-(* Distributed target: a two-guardian transfer under 2PC.             *)
-
-let explore_twopc ?(config = default_config) () =
-  let module System = Rs_guardian.System in
-  let module Guardian = Rs_guardian.Guardian in
-  let module Sim = Rs_sim.Sim in
-  let module Net = Rs_sim.Net in
-  let module Heap = Rs_objstore.Heap in
-  let module Value = Rs_objstore.Value in
-  let g = Rs_util.Gid.of_int in
-  let set_var name v : System.work =
-   fun heap aid ->
-    match Heap.get_stable_var heap name with
-    | Some (Value.Ref a) -> Heap.set_current heap aid a (Value.Int v)
-    | Some _ -> failwith "Explore: stable var is not a ref"
-    | None ->
-        let a = Heap.alloc_atomic heap ~creator:aid (Value.Int v) in
-        Heap.set_stable_var heap aid name (Value.Ref a)
+  let census () =
+    let t = fresh_synth config name in
+    take_census t
+      (List.map
+         (fun op () ->
+           exec_plain t op;
+           0)
+         ops)
+    |> points_of_census ~hk:(fun j ->
+           match List.nth ops j with Housekeep _ -> true | Act _ -> false)
   in
-  let stable_int sys i name =
-    let heap = Guardian.heap (System.guardian sys (g i)) in
-    Heap.with_snapshot heap (fun s ->
-        match Heap.snapshot_var heap s name with
-        | Some (Value.Ref a) -> (
-            match Heap.snapshot_read heap s a with Value.Int v -> Some v | _ -> None)
-        | Some _ | None -> None)
-  in
-  (* x on guardian 0, y on guardian 1, both committed to 1; the explored
-     action is the distributed transfer writing both to 2. *)
-  let build () =
-    let sys = System.create ~seed:config.seed ~n:2 () in
-    ignore
-      (System.await sys (System.submit sys ~coordinator:(g 0) ~steps:[ (g 0, set_var "x" 1) ]));
-    ignore
-      (System.await sys (System.submit sys ~coordinator:(g 0) ~steps:[ (g 1, set_var "y" 1) ]));
-    System.quiesce sys;
-    sys
-  in
-  let transfer sys =
-    ignore
-      (System.submit sys ~coordinator:(g 0)
-         ~steps:[ (g 0, set_var "x" 2); (g 1, set_var "y" 2) ])
-  in
-  (* census: one clean transfer, counting message deliveries and sends *)
-  let deliveries, sends =
-    let sys = build () in
-    let net = System.net sys in
-    let d0 = Net.messages_delivered net and s0 = Net.messages_sent net in
-    transfer sys;
-    System.quiesce sys;
-    (Net.messages_delivered net - d0, Net.messages_sent net - s0)
-  in
-  let points =
-    List.concat
-      [
-        List.concat_map
-          (fun victim ->
-            List.init deliveries (fun k ->
-                { Fault.op = 0; point = Fault.Msg_crash { after_deliveries = k + 1; victim } }))
-          [ 1; 0 ];
-        List.init sends (fun k -> { Fault.op = 0; point = Fault.Msg_drop { nth = k + 1 } });
-        List.init sends (fun k ->
-            { Fault.op = 0; point = Fault.Msg_delay { nth = k + 1; by = 7.5 } });
-      ]
-  in
-  let run sched =
-    Metrics.incr m_schedules;
-    let sys = build () in
-    let net = System.net sys in
-    let d0 = Net.messages_delivered net in
-    let found = ref None in
-    let note = function [] -> () | v :: _ -> if !found = None then found := Some v in
-    (try
-       (match sched with
-        | [] ->
-            transfer sys;
-            System.quiesce sys
-        | { Fault.point = Fault.Msg_crash { after_deliveries; victim }; _ } :: _ ->
-            transfer sys;
-            let target = d0 + after_deliveries in
-            let rec spin () =
-              if Net.messages_delivered net < target && Sim.step (System.sim sys) then spin ()
-            in
-            spin ();
-            System.crash sys (g victim);
-            ignore (System.restart sys (g victim));
-            System.quiesce sys
-        | { Fault.point = Fault.Msg_drop { nth }; _ } :: _ ->
-            let count = ref 0 in
-            Net.set_send_hook
-              (Some
-                 (fun () ->
-                   incr count;
-                   if !count = nth then Net.Drop else Net.Deliver));
-            Fun.protect
-              ~finally:(fun () -> Net.set_send_hook None)
-              (fun () ->
-                transfer sys;
-                System.quiesce sys)
-        | { Fault.point = Fault.Msg_delay { nth; by }; _ } :: _ ->
-            let count = ref 0 in
-            Net.set_send_hook
-              (Some
-                 (fun () ->
-                   incr count;
-                   if !count = nth then Net.Delay by else Net.Deliver));
-            Fun.protect
-              ~finally:(fun () -> Net.set_send_hook None)
-              (fun () ->
-                transfer sys;
-                System.quiesce sys)
-        | {
-            Fault.point =
-              ( Fault.Store_write _ | Fault.Force_boundary _ | Fault.Segment_boundary _
-              | Fault.Event_boundary _ | Fault.Hk_boundary );
-            _;
-          }
-          :: _ ->
-            transfer sys;
-            System.quiesce sys);
-       (* atomicity across guardians: both sides of the transfer, or neither *)
-       (let x = stable_int sys 0 "x" and y = stable_int sys 1 "y" in
-        match (x, y) with
-        | Some 2, Some 2 | Some 1, Some 1 -> ()
-        | x, y ->
-            let s = function None -> "?" | Some v -> string_of_int v in
-            note
-              [
-                {
-                  Oracle.oracle = "atomicity";
-                  detail = Printf.sprintf "x=%s y=%s after recovery" (s x) (s y);
-                };
-              ]);
-       List.iter
-         (fun gd ->
-           let rs = Guardian.rs gd in
-           note (Oracle.check_log (Some (Core.Hybrid_rs.log rs)));
-           note (Oracle.check_stores (Rs_slog.Log_dir.stores (Core.Hybrid_rs.dir rs))))
-         (System.guardians sys)
-     with exn -> note [ { Oracle.oracle = "liveness"; detail = Printexc.to_string exn } ]);
-    !found
-  in
-  let schedules = take config.budget (([] : Fault.schedule) :: List.map (fun p -> [ p ]) points) in
-  let outcome = drive_schedules ~target:"twopc" ~points ~schedules ~run in
-  Trace.clear_clock ();
-  outcome
+  drive config ~target:name ~census ~run:(run_scheme_schedule config name ops)
 
 (* ------------------------------------------------------------------ *)
 (* Group-commit target: concurrent clients over a windowed hybrid.    *)
@@ -532,7 +487,6 @@ let explore_twopc ?(config = default_config) () =
    below the floor a confirmed commit was lost, above the ceiling a
    phantom effect appeared, and a split pair breaks atomicity. *)
 let explore_group ?(config = default_config) () =
-  let module Sim = Rs_sim.Sim in
   let module Fsched = Rs_slog.Force_scheduler in
   let n_clients = 3 in
   let window = 2.0 in
@@ -542,14 +496,14 @@ let explore_group ?(config = default_config) () =
   let aborts ~phase ~client ~k = phase = 0 && client = 0 && k = 1 in
   let n_phases = Array.length plan in
   let fresh () =
-    Synth.create ~seed:config.seed ~scheme:(Scheme.hybrid ())
-      ~n_objects:(2 * n_clients) ()
+    Synth.create ~seed:config.seed ~scheme:(Scheme.hybrid ()) ~n_objects:(2 * n_clients) ()
   in
   let scheduler t = Option.get (Scheme.scheduler (Synth.scheme t)) in
-  (* Launch one phase's clients on [sim]: chained actions, each next hop
-     scheduled from the previous one's durability callback, client
-     starts staggered so enqueues interleave inside the window. *)
-  let start_phase ~phase t issued acked sim =
+  (* Launch one phase's clients on a fresh simulator: chained actions,
+     each next hop scheduled from the previous one's durability callback,
+     client starts staggered so enqueues interleave inside the window. *)
+  let start_phase ~phase t issued acked =
+    let sim = Sim.create ~seed:(config.seed + phase) () in
     Fsched.configure (scheduler t) ~window
       ~timer:(Some (fun ~delay k -> Sim.schedule sim ~delay k));
     for c = 0 to n_clients - 1 do
@@ -566,414 +520,368 @@ let explore_group ?(config = default_config) () =
         end
       in
       Sim.schedule sim ~delay:(0.3 *. float_of_int (c + 1)) (fun () -> act 0)
-    done
+    done;
+    sim
   in
   (* Drain [sim], optionally raising a crash right after its [crash_at]-th
      event; returns the number of events run. *)
-  let drive ?crash_at sim =
+  let drain ?crash_at sim =
     let events = ref 0 in
-    let rec spin () =
-      if Sim.step sim then begin
-        incr events;
-        (match crash_at with
-        | Some n when !events = n -> raise Disk.Crash
-        | Some _ | None -> ());
-        spin ()
-      end
-    in
-    spin ();
+    while Sim.step sim do
+      incr events;
+      if Some !events = crash_at then raise Disk.Crash
+    done;
     !events
   in
-  (* ---- census: one clean run, counting writes/forces/events per phase *)
-  let writes, forces, events =
+  let census () =
     let t = fresh () in
-    let stores = Scheme.stable_stores (Synth.scheme t) in
-    let disk_of =
-      List.concat
-        (List.mapi
-           (fun i s ->
-             let a, b = Store.disks s in
-             [ (a, i); (b, i) ])
-           stores)
-    in
-    let writes = Array.init n_phases (fun _ -> Array.make (List.length stores) 0) in
-    let forces = Array.make n_phases 0 in
-    let events = Array.make n_phases 0 in
-    let cur = ref (-1) in
-    Disk.set_write_hook
-      (Some
-         (fun d _page ->
-           if !cur >= 0 then
-             match List.find_opt (fun (d', _) -> d' == d) disk_of with
-             | Some (_, i) -> writes.(!cur).(i) <- writes.(!cur).(i) + 1
-             | None -> ()));
-    Slog.set_force_hook
-      (Some (fun () -> if !cur >= 0 then forces.(!cur) <- forces.(!cur) + 1));
-    Fun.protect
-      ~finally:(fun () ->
-        Disk.set_write_hook None;
-        Slog.set_force_hook None)
-      (fun () ->
-        let issued = Array.make n_clients 0 and acked = Array.make n_clients 0 in
-        for phase = 0 to n_phases - 1 do
-          cur := phase;
-          let sim = Sim.create ~seed:(config.seed + phase) () in
-          start_phase ~phase t issued acked sim;
-          events.(phase) <- drive sim
-        done);
-    (writes, forces, events)
+    let issued = Array.make n_clients 0 and acked = Array.make n_clients 0 in
+    take_census t
+      (List.init n_phases (fun phase () -> drain (start_phase ~phase t issued acked)))
+    |> points_of_census
   in
-  let points =
-    List.concat
-      (List.init n_phases (fun phase ->
-           let store_points =
-             List.concat
-               (List.mapi
-                  (fun s w ->
-                    List.init w (fun k ->
-                        {
-                          Fault.op = phase;
-                          point = Fault.Store_write { store = s; after_writes = k };
-                        }))
-                  (Array.to_list writes.(phase)))
-           in
-           let force_points =
-             List.init forces.(phase) (fun k ->
-                 { Fault.op = phase; point = Fault.Force_boundary { nth = k + 1 } })
-           in
-           let event_points =
-             (* at most 20 event boundaries per phase, evenly spread *)
-             let n = events.(phase) in
-             let cap = min n 20 in
-             List.init cap (fun i -> 1 + (i * n / cap))
-             |> List.sort_uniq compare
-             |> List.map (fun nth ->
-                    { Fault.op = phase; point = Fault.Event_boundary { nth } })
-           in
-           store_points @ force_points @ event_points))
-  in
-  (* ---- one schedule --------------------------------------------- *)
   let run sched =
-    Metrics.incr m_schedules;
     let t = ref (fresh ()) in
     let issued = Array.make n_clients 0 and acked = Array.make n_clients 0 in
-    let found = ref None in
-    let note = function [] -> () | v :: _ -> if !found = None then found := Some v in
-    let recover () =
-      let t', info = Synth.crash_recover !t in
-      t := t';
-      let scheme = Synth.scheme !t in
-      (* in-doubt actions resolve by presumed abort (§2.2.3) *)
-      List.iter
-        (fun aid -> Scheme.abort scheme aid)
-        (Core.Tables.Recovery_report.prepared_actions info);
-      (match Synth.counters !t with
-      | actual ->
-          for c = 0 to n_clients - 1 do
-            let a = actual.(2 * c) and b = actual.((2 * c) + 1) in
-            if a <> b then
-              note
-                [
-                  {
-                    Oracle.oracle = "atomicity";
-                    detail =
-                      Printf.sprintf "client %d: pair split %d/%d after recovery" c a b;
-                  };
-                ]
-            else begin
-              if a < acked.(c) then
-                note
+    let check actual =
+      List.concat
+        (List.init n_clients (fun c ->
+             let a = actual.(2 * c) and b = actual.((2 * c) + 1) in
+             if a <> b then
+               [ violation "atomicity" "client %d: pair split %d/%d after recovery" c a b ]
+             else begin
+               let floor = acked.(c) and ceiling = issued.(c) in
+               (* the crash resolved every in-flight action: resync *)
+               acked.(c) <- a;
+               issued.(c) <- a;
+               (if a < floor then
                   [
-                    {
-                      Oracle.oracle = "durability";
-                      detail =
-                        Printf.sprintf "client %d: %d commits durably acked, %d survived"
-                          c acked.(c) a;
-                    };
-                  ];
-              if a > issued.(c) then
-                note
-                  [
-                    {
-                      Oracle.oracle = "durability";
-                      detail =
-                        Printf.sprintf
-                          "client %d: %d effects recovered, only %d commits issued" c a
-                          issued.(c);
-                    };
-                  ];
-              (* the crash resolved every in-flight action: resync *)
-              acked.(c) <- a;
-              issued.(c) <- a
-            end
-          done
-      | exception Failure msg ->
-          note
-            [ { Oracle.oracle = "durability"; detail = "recovered state incomplete: " ^ msg } ]);
-      note (Oracle.check_scheme scheme)
+                    violation "durability" "client %d: %d commits durably acked, %d survived" c
+                      floor a;
+                  ]
+                else [])
+               @
+               if a > ceiling then
+                 [
+                   violation "durability" "client %d: %d effects recovered, only %d commits issued"
+                     c a ceiling;
+                 ]
+               else []
+             end))
     in
-    (try
-       for phase = 0 to n_phases - 1 do
-         if !found = None then begin
-           let sim = Sim.create ~seed:(config.seed + phase) () in
-           start_phase ~phase !t issued acked sim;
-           let crashed =
-             match List.find_opt (fun s -> s.Fault.op = phase) sched with
-             | None ->
-                 ignore (drive sim);
-                 false
-             | Some { Fault.point = Fault.Event_boundary { nth }; _ } -> (
-                 match drive ~crash_at:nth sim with
-                 | _ -> false
-                 | exception Disk.Crash -> true)
-             | Some { Fault.point; _ } ->
-                 let stores = Scheme.stable_stores (Synth.scheme !t) in
-                 inject stores point (fun () -> ignore (drive sim))
-           in
-           if crashed then recover ()
-         end
-       done;
-       (* Final probe: drop back to synchronous forces and commit once
-          more — a scheduler that acked tokens before their covering
-          force was stable fails the acked floor here. *)
-       if !found = None then begin
-         Fsched.configure (scheduler !t) ~window:0.0 ~timer:None;
-         Synth.run_action !t ~indices:[ 0; 1 ] ~outcome:`Commit;
-         issued.(0) <- issued.(0) + 1;
-         acked.(0) <- acked.(0) + 1;
-         recover ()
-       end
-     with exn -> note [ { Oracle.oracle = "exception"; detail = Printexc.to_string exn } ]);
-    !found
+    let recover () = t := fst (crash_recover !t check) in
+    for phase = 0 to n_phases - 1 do
+      let sim = start_phase ~phase !t issued acked in
+      let crashed =
+        match List.find_opt (fun s -> s.Fault.op = phase) sched with
+        | None ->
+            ignore (drain sim);
+            false
+        | Some { Fault.point = Fault.Event_boundary { nth }; _ } -> (
+            match drain ~crash_at:nth sim with _ -> false | exception Disk.Crash -> true)
+        | Some { Fault.point; _ } ->
+            inject (Scheme.stable_stores (Synth.scheme !t)) point (fun () -> ignore (drain sim))
+      in
+      if crashed then recover ()
+    done;
+    (* Final probe: drop back to synchronous forces and commit once more —
+       a scheduler that acked tokens before their covering force was
+       stable fails the acked floor here. *)
+    Fsched.configure (scheduler !t) ~window:0.0 ~timer:None;
+    Synth.run_action !t ~indices:[ 0; 1 ] ~outcome:`Commit;
+    issued.(0) <- issued.(0) + 1;
+    acked.(0) <- acked.(0) + 1;
+    recover ();
+    []
   in
-  let schedules = enumerate config points in
-  drive_schedules ~target:"group" ~points ~schedules ~run
+  drive config ~target:"group" ~census ~run
 
 (* ------------------------------------------------------------------ *)
-(* Load target: crash guardians under closed-loop contended traffic.  *)
+(* Guardian-system targets.                                           *)
 
-(* A high-conflict Rs_load run over two guardians — every client fighting
-   for the hot objects keeps the wait queues populated, so event-boundary
-   crashes land while actions are parked on locks, mid-2PC, or both. Each
-   schedule replays the same seeded run, crashes a guardian at the chosen
-   simulator-event boundary (victim alternates with the boundary index),
-   restarts it, and drains. Oracles: the drain terminates (no action waits
-   forever on a lock whose holder died), every submitted handle resolved
-   (no lost or stuck actions), and the committed counters match the
-   model's committed increments exactly. *)
-let explore_load ?(config = default_config) () =
-  let module System = Rs_guardian.System in
-  let module Sim = Rs_sim.Sim in
-  let module Load = Rs_load.Load in
-  let cfg =
-    {
-      Load.default with
-      seed = config.seed;
-      guardians = 2;
-      conflict = 0.8;
-      duration = 40.0;
-      objects_per_guardian = 3;
-      mode = Load.Closed { clients = 6; think = 0.5 };
-      wait_timeout = 10.0;
-    }
+let g = Gid.of_int
+
+let set_var name v : System.work =
+ fun heap aid ->
+  match Heap.get_stable_var heap name with
+  | Some (Value.Ref a) -> Heap.set_current heap aid a (Value.Int v)
+  | Some _ -> failwith "Explore: stable var is not a ref"
+  | None ->
+      let a = Heap.alloc_atomic heap ~creator:aid (Value.Int v) in
+      Heap.set_stable_var heap aid name (Value.Ref a)
+
+let heap_int heap name =
+  Heap.with_snapshot heap (fun s ->
+      match Heap.snapshot_var heap s name with
+      | Some (Value.Ref a) -> (
+          match Heap.snapshot_read heap s a with Value.Int v -> Some v | _ -> None)
+      | Some _ | None -> None)
+
+let stable_int sys gid name = heap_int (Guardian.heap (System.guardian sys gid)) name
+
+(* One client action on the world's client counters: submit [route ()]
+   (re-evaluated per attempt, so a failover re-routes), retrying after
+   1.5 around a down or overloaded guardian and — with [retry_aborts] —
+   after 1.0 on an abort, at most [tries] attempts in all. *)
+let rec attempt w ~tries ~retry_aborts ~on_commit route () =
+  if tries > 0 then begin
+    let retry delay =
+      Sim.schedule (System.sim w.sys) ~delay
+        (attempt w ~tries:(tries - 1) ~retry_aborts ~on_commit route)
+    in
+    let coordinator, steps = route () in
+    match System.submit w.sys ~coordinator ~steps with
+    | h ->
+        let c = w.client in
+        c.issued <- c.issued + 1;
+        Rs_guardian.Action.on_resolve h (fun _ o ->
+            c.resolved <- c.resolved + 1;
+            match o with
+            | System.Committed ->
+                c.committed <- c.committed + 1;
+                on_commit ()
+            | System.Aborted -> if retry_aborts then retry 1.0)
+    | exception (System.Guardian_down _ | System.Overloaded _) -> retry 1.5
+  end
+
+(* ---- twopc: a two-guardian transfer under message faults ---------- *)
+
+let explore_twopc ?(config = default_config) () =
+  let once w coordinator steps =
+    attempt w ~tries:1 ~retry_aborts:false ~on_commit:ignore (fun () -> (coordinator, steps)) ()
   in
-  (* census: one clean run, counting simulator events after start *)
-  let events =
-    let t = Load.create cfg in
-    Load.start t;
-    let sim = System.sim (Load.system t) in
-    let n = ref 0 in
-    while Sim.step sim do
-      incr n
-    done;
-    !n
+  (* x on guardian 0, y on guardian 1, both committed to 1; the explored
+     action is the distributed transfer writing both to 2. *)
+  let build () =
+    let w = world (System.create ~seed:config.seed ~n:2 ()) in
+    once w (g 0) [ (g 0, set_var "x" 1) ];
+    System.quiesce w.sys;
+    once w (g 0) [ (g 1, set_var "y" 1) ];
+    System.quiesce w.sys;
+    w
   in
-  let points =
-    let cap = min events 20 in
-    List.init cap (fun i -> 1 + (i * events / cap))
-    |> List.sort_uniq compare
+  let transfer w = once w (g 0) [ (g 0, set_var "x" 2); (g 1, set_var "y" 2) ] in
+  (* census: one clean transfer, counting message deliveries and sends *)
+  let census () =
+    let w = build () in
+    let net = System.net w.sys in
+    let d0 = Net.messages_delivered net and s0 = Net.messages_sent net in
+    transfer w;
+    System.quiesce w.sys;
+    let deliveries = Net.messages_delivered net - d0 and sends = Net.messages_sent net - s0 in
+    let at point = { Fault.op = 0; point } in
+    List.concat
+      [
+        List.concat_map
+          (fun victim ->
+            List.init deliveries (fun k ->
+                at (Fault.Msg_crash { after_deliveries = k + 1; victim })))
+          [ 1; 0 ];
+        List.init sends (fun k -> at (Fault.Msg_drop { nth = k + 1 }));
+        List.init sends (fun k -> at (Fault.Msg_delay { nth = k + 1; by = 7.5 }));
+      ]
+  in
+  let run sched =
+    let w = build () in
+    let net = System.net w.sys in
+    let d0 = Net.messages_delivered net in
+    let send_fault =
+      match sched with
+      | { Fault.point = Fault.Msg_drop { nth }; _ } :: _ -> Some (nth, Net.Drop)
+      | { Fault.point = Fault.Msg_delay { nth; by }; _ } :: _ -> Some (nth, Net.Delay by)
+      | _ -> None
+    in
+    Option.iter
+      (fun (nth, fault) ->
+        let count = ref 0 in
+        Net.set_send_hook
+          (Some
+             (fun () ->
+               incr count;
+               if !count = nth then fault else Net.Deliver)))
+      send_fault;
+    Fun.protect
+      ~finally:(fun () -> Net.set_send_hook None)
+      (fun () ->
+        transfer w;
+        (match sched with
+        | { Fault.point = Fault.Msg_crash { after_deliveries; victim }; _ } :: _ ->
+            while
+              Net.messages_delivered net < d0 + after_deliveries && Sim.step (System.sim w.sys)
+            do
+              ()
+            done;
+            down w (g victim);
+            ignore (up w (g victim))
+        | _ -> ());
+        System.quiesce w.sys);
+    (* atomicity across guardians: both sides of the transfer, or neither *)
+    (match (stable_int w.sys (g 0) "x", stable_int w.sys (g 1) "y") with
+    | Some 2, Some 2 | Some 1, Some 1 -> []
+    | x, y -> [ violation "atomicity" "x=%s y=%s after recovery" (opt_int x) (opt_int y) ])
+    @ judge (World w)
+  in
+  drive config ~target:"twopc" ~census ~run
+
+(* ---- event-boundary targets ---------------------------------------- *)
+
+type 's target = {
+  name : string;
+  setup : config -> world * 's;
+  victim : world -> 's -> i:int -> nth:int -> unit;
+  extra_oracles : world -> 's -> Fault.schedule -> Oracle.violation list;
+}
+
+let explore_events ?(config = default_config) tgt =
+  let census () =
+    let w, _ = tgt.setup config in
+    spread (step_all (System.sim w.sys))
     (* one op ordinal per boundary so [enumerate] pairs distinct ones *)
     |> List.mapi (fun i nth -> { Fault.op = i; point = Fault.Event_boundary { nth } })
   in
   let run sched =
-    Metrics.incr m_schedules;
-    let found = ref None in
-    let note = function [] -> () | v :: _ -> if !found = None then found := Some v in
-    (try
-       let t = Load.create cfg in
-       Load.start t;
-       let sys = Load.system t in
-       let sim = System.sim sys in
-       let stepped = ref 0 in
-       let crashes =
-         List.filter_map
-           (function { Fault.point = Fault.Event_boundary { nth }; _ } -> Some nth | _ -> None)
-           sched
-         |> List.sort_uniq compare
-       in
-       List.iteri
-         (fun i nth ->
-           while !stepped < nth && Sim.step sim do
-             incr stepped
-           done;
-           let victim = Rs_util.Gid.of_int ((nth + i) mod 2) in
-           System.crash sys victim;
-           ignore (System.restart sys victim))
-         crashes;
-       let s = Load.drain t in
-       if Load.unresolved t <> 0 then
-         note
-           [
-             {
-               Oracle.oracle = "liveness";
-               detail =
-                 Printf.sprintf "%d actions stuck after a quiescent drain" (Load.unresolved t);
-             };
-           ];
-       if s.Load.committed = 0 then
-         note [ { Oracle.oracle = "progress"; detail = "no action ever committed" } ];
-       match Load.check t with
-       | Ok () -> ()
-       | Error detail -> note [ { Oracle.oracle = "consistency"; detail } ]
-     with exn -> note [ { Oracle.oracle = "liveness"; detail = Printexc.to_string exn } ]);
-    !found
-  in
-  let schedules = enumerate config points in
-  drive_schedules ~target:"load" ~points ~schedules ~run
-
-(* ------------------------------------------------------------------ *)
-(* Shards target: crash guardians under directory-routed traffic.     *)
-
-(* Directory-mode Rs_load over three shards with a deliberately tiny uid
-   batch, plus a drip of object creates scheduled mid-run: every few time
-   units a create forces another batch reservation against the master, so
-   event-boundary crashes land inside reservations, routed submits and
-   cross-shard 2PC alike. The victim rotates over all shards including
-   the master. Crashes and restarts go through the directory (pools
-   dropped, uid sources reinstalled). Oracles: the drain terminates,
-   every handle resolved, committed state matches the model (cross-shard
-   atomicity: a routed action lands on all its shards or none), and no
-   uid is ever bound on two guardians (duplicate-uid check over durable
-   state, plus the reserved ranges staying disjoint and below the
-   watermark). *)
-let explore_shards ?(config = default_config) () =
-  let module System = Rs_guardian.System in
-  let module Sim = Rs_sim.Sim in
-  let module Load = Rs_load.Load in
-  let module Directory = Rs_dir.Directory in
-  let module Value = Rs_objstore.Value in
-  let shards = 3 in
-  let cfg =
-    {
-      Load.default with
-      seed = config.seed;
-      guardians = shards;
-      directory = true;
-      cross_shard = 0.4;
-      uid_batch = 4;
-      conflict = 0.5;
-      duration = 40.0;
-      objects_per_guardian = 2;
-      mode = Load.Closed { clients = 5; think = 0.5 };
-      wait_timeout = 10.0;
-    }
-  in
-  let setup () =
-    let t = Load.create cfg in
-    Load.start t;
-    let d = Option.get (Load.directory t) in
-    let minted = ref [] in
-    let sim = System.sim (Load.system t) in
-    List.iteri
-      (fun i delay ->
-        Sim.schedule sim ~delay (fun () ->
-            Directory.create_object_async d
-              ~key:(Printf.sprintf "extra%d" i)
-              ~init:(Value.Int 0)
-              ~on_done:(fun u -> minted := u :: !minted)))
-      [ 2.0; 6.0; 10.0; 14.0; 18.0; 22.0 ];
-    (t, d, minted)
-  in
-  (* census: one clean run, counting simulator events after start *)
-  let events =
-    let t, _, _ = setup () in
-    let sim = System.sim (Load.system t) in
-    let n = ref 0 in
-    while Sim.step sim do
-      incr n
-    done;
-    !n
-  in
-  let points =
-    let cap = min events 20 in
-    List.init cap (fun i -> 1 + (i * events / cap))
+    let w, st = tgt.setup config in
+    let sim = System.sim w.sys in
+    let stepped = ref 0 in
+    List.filter_map
+      (function { Fault.point = Fault.Event_boundary { nth }; _ } -> Some nth | _ -> None)
+      sched
     |> List.sort_uniq compare
-    (* one op ordinal per boundary so [enumerate] pairs distinct ones *)
-    |> List.mapi (fun i nth -> { Fault.op = i; point = Fault.Event_boundary { nth } })
-  in
-  let run sched =
-    Metrics.incr m_schedules;
-    let found = ref None in
-    let note = function [] -> () | v :: _ -> if !found = None then found := Some v in
-    (try
-       let t, d, minted = setup () in
-       let sim = System.sim (Load.system t) in
-       let stepped = ref 0 in
-       let crashes =
-         List.filter_map
-           (function { Fault.point = Fault.Event_boundary { nth }; _ } -> Some nth | _ -> None)
-           sched
-         |> List.sort_uniq compare
-       in
-       List.iteri
-         (fun i nth ->
+    |> List.iteri (fun i nth ->
            while !stepped < nth && Sim.step sim do
              incr stepped
            done;
-           let victim = Rs_util.Gid.of_int ((nth + i) mod shards) in
-           Directory.crash d victim;
-           ignore (Directory.restart d victim))
-         crashes;
-       let s = Load.drain t in
-       if Load.unresolved t <> 0 then
-         note
-           [
-             {
-               Oracle.oracle = "liveness";
-               detail =
-                 Printf.sprintf "%d actions stuck after a quiescent drain" (Load.unresolved t);
-             };
-           ];
-       if s.Load.committed = 0 then
-         note [ { Oracle.oracle = "progress"; detail = "no action ever committed" } ];
-       (* The scripted creates all eventually commit (they retry through
-          crashes) and must have minted distinct uids. *)
-       let us = List.sort_uniq Rs_util.Uid.compare !minted in
-       if List.length us <> List.length !minted then
-         note [ { Oracle.oracle = "uid-unique"; detail = "a create observed a reused uid" } ];
-       (match Directory.verify_unique_uids d with
-       | Ok () -> ()
-       | Error detail -> note [ { Oracle.oracle = "uid-unique"; detail } ]);
-       match Load.check t with
-       | Ok () -> ()
-       | Error detail -> note [ { Oracle.oracle = "atomicity"; detail } ]
-     with exn -> note [ { Oracle.oracle = "liveness"; detail = Printexc.to_string exn } ]);
-    !found
+           tgt.victim w st ~i ~nth);
+    (match w.load with Some l -> ignore (Load.drain l) | None -> ignore (step_all sim));
+    (* The target's closing oracles run first, so whatever probe they
+       drive is judged with the rest of the run. *)
+    let extra = tgt.extra_oracles w st sched in
+    extra @ judge (World w)
   in
-  let schedules = enumerate config points in
-  drive_schedules ~target:"shards" ~points ~schedules ~run
+  drive config ~target:tgt.name ~census ~run
 
-let explore_repl ?(config = default_config) () =
-  let module System = Rs_guardian.System in
-  let module Guardian = Rs_guardian.Guardian in
-  let module Sim = Rs_sim.Sim in
-  let module Heap = Rs_objstore.Heap in
-  let module Value = Rs_objstore.Value in
-  let module Pair = Rs_repl.Repl.Pair in
-  let n_actions = 12 in
-  (* One logical client action: read-modify-write increment of both "x"
-     and "y" on the current primary, so the pair of counters moves in
-     lockstep — the cross-variable consistency oracle. *)
+(* Crash guardian [(nth + i) mod n] and bring it straight back. *)
+let rotate w _ ~i ~nth =
+  let victim = g ((nth + i) mod System.n_guardians w.sys) in
+  down w victim;
+  ignore (up w victim)
+
+let no_extra _ _ _ = []
+
+let load_world cfg =
+  let t = Load.create cfg in
+  Load.start t;
+  world ?dir:(Load.directory t) ~load:t (Load.system t)
+
+(* Two guardians at high conflict: every client fighting for the hot
+   objects keeps the wait queues populated, so crashes land while
+   actions are parked on locks, mid-2PC, or both. *)
+let contended seed =
+  {
+    Load.default with
+    seed;
+    guardians = 2;
+    conflict = 0.8;
+    duration = 40.0;
+    objects_per_guardian = 3;
+    mode = Load.Closed { clients = 6; think = 0.5 };
+    wait_timeout = 10.0;
+  }
+
+let load =
+  {
+    name = "load";
+    setup = (fun c -> (load_world (contended c.seed), ()));
+    victim = rotate;
+    extra_oracles = no_extra;
+  }
+
+(* Directory-mode traffic over three shards with a deliberately tiny uid
+   batch, plus a drip of object creates: every few time units a create
+   forces another batch reservation against the master, so crashes land
+   inside reservations, routed submits and cross-shard 2PC alike. *)
+let shards =
+  {
+    name = "shards";
+    setup =
+      (fun c ->
+        let w =
+          load_world
+            {
+              Load.default with
+              seed = c.seed;
+              guardians = 3;
+              directory = true;
+              cross_shard = 0.4;
+              uid_batch = 4;
+              conflict = 0.5;
+              duration = 40.0;
+              objects_per_guardian = 2;
+              mode = Load.Closed { clients = 5; think = 0.5 };
+              wait_timeout = 10.0;
+            }
+        in
+        let minted = ref [] in
+        List.iteri
+          (fun i delay ->
+            Sim.schedule (System.sim w.sys) ~delay (fun () ->
+                Directory.create_object_async (Option.get w.dir)
+                  ~key:(Printf.sprintf "extra%d" i)
+                  ~init:(Value.Int 0)
+                  ~on_done:(fun u -> minted := u :: !minted)))
+          [ 2.0; 6.0; 10.0; 14.0; 18.0; 22.0 ];
+        (w, minted));
+    victim = rotate;
+    extra_oracles =
+      (fun _ minted _ ->
+        (* the scripted creates retry through crashes and must mint
+           distinct uids *)
+        if List.length (List.sort_uniq Rs_util.Uid.compare !minted) = List.length !minted then []
+        else [ violation "uid-unique" "a create observed a reused uid" ]);
+  }
+
+(* Half the operations are MVCC read-only actions pinning snapshots while
+   writers install versions, so crashes land with chains grown,
+   snapshots open and writers mid-2PC. *)
+let mvcc =
+  {
+    name = "mvcc";
+    setup = (fun c -> (load_world { (contended c.seed) with read_fraction = 0.5 }, ()));
+    victim = rotate;
+    extra_oracles =
+      (fun w () _ ->
+        let reads = (Load.stats (Option.get w.load)).Load.reads_committed in
+        (if reads > 0 then [] else [ violation "progress" "no snapshot read ever committed" ])
+        (* No stale version survives the drain: with no snapshot left
+           open, every chain must have pruned back to its base version. *)
+        @ List.concat_map
+            (fun gd ->
+              let heap = Guardian.heap gd and gi = Gid.to_int (Guardian.gid gd) in
+              let vs = ref [] in
+              if Heap.active_snapshots heap <> 0 then
+                vs :=
+                  [
+                    violation "snapshot-leak" "G%d: %d snapshots still active after drain" gi
+                      (Heap.active_snapshots heap);
+                  ];
+              Heap.iter_objects heap (fun a kind ->
+                  if kind = Heap.Atomic then
+                    let len = Heap.chain_length heap a in
+                    if len <> 1 then
+                      vs :=
+                        violation "stale-version"
+                          "G%d: object %d still holds %d versions after drain" gi a len
+                        :: !vs);
+              List.rev !vs)
+            (System.guardians w.sys));
+  }
+
+(* A replicated pair under closed-loop clients incrementing both "x" and
+   "y" on whichever guardian is primary. The victim alternates between
+   the primary (killed at a ship boundary, then promoted over) and the
+   standby (killed at an apply boundary, cold-restarted into a resync
+   two time units later). *)
+let repl =
   let bump key heap aid =
     match Heap.get_stable_var heap key with
     | Some (Value.Ref a) -> (
@@ -983,548 +891,174 @@ let explore_repl ?(config = default_config) () =
         | _ -> failwith "not an int")
     | Some _ | None -> failwith ("counter " ^ key ^ " not bootstrapped")
   in
-  let work : System.work = fun heap aid -> bump "x" heap aid; bump "y" heap aid in
-  let setup () =
-    let sys = System.create ~seed:config.seed ~latency:1.0 ~n:2 () in
-    let p =
-      Pair.create ~system:sys ~primary:(Rs_util.Gid.of_int 0)
-        ~standby:(Rs_util.Gid.of_int 1) ()
-    in
-    (* Bootstrap both counters in one awaited action, so the clients
-       never race on the first binding (two concurrent first writers
-       would each allocate their own counter object and strand the
-       loser's increments behind a superseded binding). *)
-    let init : System.work =
-     fun heap aid ->
-      List.iter
-        (fun key ->
-          let a = Heap.alloc_atomic heap ~creator:aid (Value.Int 0) in
-          Heap.set_stable_var heap aid key (Value.Ref a))
-        [ "x"; "y" ]
-    in
-    ignore
-      (System.await sys
-         (System.submit sys ~coordinator:(Rs_util.Gid.of_int 0)
-            ~steps:[ (Rs_util.Gid.of_int 0, init) ]));
-    System.quiesce sys;
-    let sim = System.sim sys in
-    let issued = ref 0 and committed = ref 0 and resolved = ref 0 in
-    (* A closed-loop client per logical action: re-route to the current
-       primary on Guardian_down (the failover path Rs_load/Rs_dir take)
-       and retry aborts — including the presumed-abort resolution an
-       orphaned handle gets at promotion — until one attempt commits. *)
-    let rec attempt tries () =
-      if tries > 0 then begin
-        let target = Pair.primary p in
-        match System.submit sys ~coordinator:target ~steps:[ (target, work) ] with
-        | h ->
-            incr issued;
-            Rs_guardian.Action.on_resolve h (fun _ o ->
-                incr resolved;
-                match o with
-                | System.Committed -> incr committed
-                | System.Aborted -> Sim.schedule sim ~delay:1.0 (attempt (tries - 1)))
-        | exception System.Guardian_down _ ->
-            Sim.schedule sim ~delay:1.5 (attempt (tries - 1))
-        | exception System.Overloaded _ ->
-            Sim.schedule sim ~delay:1.5 (attempt (tries - 1))
-      end
-    in
-    List.iteri
-      (fun i () -> Sim.schedule sim ~delay:(1.0 +. (float_of_int i *. 2.0)) (attempt 25))
-      (List.init n_actions (fun _ -> ()));
-    (sys, p, sim, issued, committed, resolved)
+  let work : System.work =
+   fun heap aid ->
+    bump "x" heap aid;
+    bump "y" heap aid
   in
-  let events =
-    let _, _, sim, _, _, _ = setup () in
-    let n = ref 0 in
-    while Sim.step sim do
-      incr n
+  let fail_over w p =
+    let dead = Pair.primary p in
+    down w dead;
+    (* Let in-flight ships land before promoting: the commit point
+       guarantees every acked commit's ship is already in the network,
+       one latency from the standby. *)
+    let sim = System.sim w.sys in
+    let until = Sim.now sim +. 2.5 in
+    while Sim.now sim < until && Sim.step sim do
+      ()
     done;
-    !n
+    match up w dead with `Promoted -> Pair.rejoin p | `Restarted -> ()
   in
-  let points =
-    let cap = min events 20 in
-    List.init cap (fun i -> 1 + (i * events / cap))
-    |> List.sort_uniq compare
-    |> List.mapi (fun i nth -> { Fault.op = i; point = Fault.Event_boundary { nth } })
-  in
-  let stable_int sys gid name =
-    let heap = Guardian.heap (System.guardian sys gid) in
-    Heap.with_snapshot heap (fun s ->
-        match Heap.snapshot_var heap s name with
-        | Some (Value.Ref a) -> (
-            match Heap.snapshot_read heap s a with Value.Int v -> Some v | _ -> None)
-        | Some _ | None -> None)
-  in
-  let run sched =
-    Metrics.incr m_schedules;
-    (* Each schedule is its own world: scrub the ring so the spec
-       monitors judge this run alone (epochs restart at 1 here). *)
-    Rs_obs.Trace.clear ();
-    let found = ref None in
-    let note = function [] -> () | v :: _ -> if !found = None then found := Some v in
-    (try
-       let sys, p, sim, issued, committed, resolved = setup () in
-       let drain_ships () =
-         (* Let in-flight ships land before promoting: the commit point
-            guarantees every acked commit's ship is already in the
-            network, one latency from the standby. *)
-         let until = Sim.now sim +. 2.5 in
-         while Sim.now sim < until && Sim.step sim do
-           ()
-         done
-       in
-       let fail_over () =
-         drain_ships ();
-         if Pair.promotable p then begin
-           ignore (Pair.promote p);
-           Pair.rejoin p
-         end
-         else
-           (* Overlapping faults left the replica stale or missing (the
-              single-fault model's edge: the lost tail lives only in the
-              dead primary's own log) — the operator falls back to a
-              cold restart instead of promoting away acked commits. *)
-           ignore (Pair.restart_primary p)
-       in
-       let stepped = ref 0 in
-       let crashes =
-         List.filter_map
-           (function { Fault.point = Fault.Event_boundary { nth }; _ } -> Some nth | _ -> None)
-           sched
-         |> List.sort_uniq compare
-       in
-       List.iteri
-         (fun i nth ->
-           while !stepped < nth && Sim.step sim do
-             incr stepped
-           done;
-           if (nth + i) mod 2 = 0 then begin
-             (* primary death at a ship boundary: promote the standby *)
-             Pair.crash p (Pair.primary p);
-             fail_over ()
-           end
-           else begin
-             (* standby death at an apply boundary: cold-restart it and
-                let the resync request pull the missed tail *)
-             Pair.crash p (Pair.standby p);
-             Sim.schedule sim ~delay:2.0 (fun () -> Pair.restart_standby p)
-           end)
-         crashes;
-       while Sim.step sim do
-         ()
-       done;
-       (* Every schedule ends with a failover probe: kill whichever
-          guardian is primary now and promote — all acked commits must
-          be present on the heir. *)
-       Pair.crash p (Pair.primary p);
-       fail_over ();
-       while Sim.step sim do
-         ()
-       done;
-       let heir = Pair.primary p in
-       let x = stable_int sys heir "x" and y = stable_int sys heir "y" in
-       (match Pair.diverged p with
-       | None -> ()
-       | Some detail -> note [ { Oracle.oracle = "divergence"; detail } ]);
-       if x <> y then
-         note
-           [
-             {
-               Oracle.oracle = "consistency";
-               detail =
-                 Printf.sprintf "x and y split after failover: x=%s y=%s"
-                   (match x with Some v -> string_of_int v | None -> "-")
-                   (match y with Some v -> string_of_int v | None -> "-");
-             };
-           ];
-       let xv = Option.value x ~default:0 in
-       if xv < !committed then
-         note
-           [
-             {
-               Oracle.oracle = "commit-survival";
-               detail =
-                 Printf.sprintf "%d commits acked but only %d increments survived failover"
-                   !committed xv;
-             };
-           ];
-       if xv > !issued then
-         note
-           [
-             {
-               Oracle.oracle = "ceiling";
-               detail =
-                 Printf.sprintf "%d increments survived but only %d attempts were issued" xv
-                   !issued;
-             };
-           ];
-       if !resolved <> !issued then
-         note
-           [
-             {
-               Oracle.oracle = "liveness";
-               detail =
-                 Printf.sprintf "%d of %d handles never resolved" (!issued - !resolved) !issued;
-             };
-           ];
-       if !committed = 0 then
-         note [ { Oracle.oracle = "progress"; detail = "no action ever committed" } ];
-       List.iter
-         (fun (v : Rs_obs.Monitor.violation) ->
-           note [ { Oracle.oracle = "monitor:" ^ v.monitor; detail = v.detail } ])
-         (Rs_obs.Monitor.check ())
-     with exn -> note [ { Oracle.oracle = "liveness"; detail = Printexc.to_string exn } ]);
-    !found
-  in
-  let schedules = enumerate config points in
-  drive_schedules ~target:"repl" ~points ~schedules ~run
-
-(* ------------------------------------------------------------------ *)
-(* Ckpt target: crashes between incremental checkpoint slices.        *)
+  {
+    name = "repl";
+    setup =
+      (fun c ->
+        let sys = System.create ~seed:c.seed ~latency:1.0 ~n:2 () in
+        let p = Pair.create ~system:sys ~primary:(g 0) ~standby:(g 1) () in
+        let w = world ~pair:p sys in
+        (* Bootstrap both counters in one awaited action, so the clients
+           never race on the first binding. *)
+        let init : System.work =
+         fun heap aid ->
+          List.iter
+            (fun key ->
+              let a = Heap.alloc_atomic heap ~creator:aid (Value.Int 0) in
+              Heap.set_stable_var heap aid key (Value.Ref a))
+            [ "x"; "y" ]
+        in
+        ignore (System.await sys (System.submit sys ~coordinator:(g 0) ~steps:[ (g 0, init) ]));
+        System.quiesce sys;
+        for i = 0 to 11 do
+          Sim.schedule (System.sim sys) ~delay:(1.0 +. (float_of_int i *. 2.0))
+            (attempt w ~tries:25 ~retry_aborts:true ~on_commit:ignore (fun () ->
+                 let target = Pair.primary p in
+                 (target, [ (target, work) ])))
+        done;
+        (w, p));
+    victim =
+      (fun w p ~i ~nth ->
+        if (nth + i) mod 2 = 0 then fail_over w p
+        else begin
+          down w (Pair.standby p);
+          Sim.schedule (System.sim w.sys) ~delay:2.0 (fun () -> ignore (up w (Pair.standby p)))
+        end);
+    extra_oracles =
+      (fun w p _ ->
+        (* Every schedule ends with a failover probe: kill whichever
+           guardian is primary now and promote — all acked commits must
+           be present on the heir. *)
+        fail_over w p;
+        ignore (step_all (System.sim w.sys));
+        let heir = Pair.primary p in
+        let x = stable_int w.sys heir "x" and y = stable_int w.sys heir "y" in
+        let xv = Option.value x ~default:0 and c = w.client in
+        List.concat
+          [
+            Option.to_list (Option.map (violation "divergence" "%s") (Pair.diverged p));
+            (if x = y then []
+             else
+               [
+                 violation "consistency" "x and y split after failover: x=%s y=%s" (opt_int x)
+                   (opt_int y);
+               ]);
+            (if xv >= c.committed then []
+             else
+               [
+                 violation "commit-survival"
+                   "%d commits acked but only %d increments survived failover" c.committed xv;
+               ]);
+            (if xv <= c.issued then []
+             else
+               [
+                 violation "ceiling" "%d increments survived but only %d attempts were issued" xv
+                   c.issued;
+               ]);
+          ]);
+  }
 
 (* Two guardians with incremental background checkpointing (compaction
-   on G0, snapshot on G1) under sequential two-guardian commit traffic.
-   The checkpoint fiber's slice firings are ordinary simulator events, so
-   event-boundary crashes land between slices as well as inside the 2PC
-   protocol. Safety oracles: every handle resolves, the pair of counters
-   never splits, acked commits survive, the spec monitors stay quiet.
-   The checkpoint-specific oracle is an image-equivalence probe closing
-   every schedule: crash each guardian and recover its directory twice —
-   serial chain walk and segment-parallel scan — demanding identical
-   stable state, prepared set and chain head. A crash that landed
-   mid-checkpoint must have abandoned the spare log, so both paths see
-   the old log unchanged. *)
-let explore_ckpt ?(config = default_config) () =
-  let module System = Rs_guardian.System in
-  let module Guardian = Rs_guardian.Guardian in
-  let module Sim = Rs_sim.Sim in
-  let module Heap = Rs_objstore.Heap in
-  let module Value = Rs_objstore.Value in
-  let n_actions = 16 in
-  let g = Rs_util.Gid.of_int in
-  let set_var name v : System.work =
-   fun heap aid ->
-    match Heap.get_stable_var heap name with
-    | Some (Value.Ref a) -> Heap.set_current heap aid a (Value.Int v)
-    | Some _ -> failwith "stable var is not a ref"
-    | None ->
-        let a = Heap.alloc_atomic heap ~creator:aid (Value.Int v) in
-        Heap.set_stable_var heap aid name (Value.Ref a)
-  in
-  let heap_int heap name =
-    Heap.with_snapshot heap (fun s ->
-        match Heap.snapshot_var heap s name with
-        | Some (Value.Ref a) -> (
-            match Heap.snapshot_read heap s a with Value.Int v -> Some v | _ -> None)
-        | Some _ | None -> None)
-  in
-  let setup () =
-    let sys = System.create ~seed:config.seed ~latency:1.0 ~n:2 () in
-    Guardian.set_auto_housekeeping
-      (System.guardian sys (g 0))
-      ~threshold_bytes:1200 ~slice:(2, 0.05)
-      (Some Core.Hybrid_rs.Compaction);
-    Guardian.set_auto_housekeeping
-      (System.guardian sys (g 1))
-      ~threshold_bytes:1200 ~slice:(3, 0.07)
-      (Some Core.Hybrid_rs.Snapshot);
-    let sim = System.sim sys in
-    let issued = ref 0 and resolved = ref 0 and committed = ref 0 and acked_max = ref 0 in
-    (* One client per logical action, retrying around a down guardian;
-       the value written is the action's index, so the surviving counter
-       names the newest acked commit. *)
-    let rec attempt i tries () =
-      if tries > 0 then
-        match
-          System.submit sys ~coordinator:(g 0)
-            ~steps:[ (g 0, set_var "x" i); (g 1, set_var "y" i) ]
-        with
-        | h ->
-            incr issued;
-            Rs_guardian.Action.on_resolve h (fun _ o ->
-                incr resolved;
-                match o with
-                | System.Committed ->
-                    incr committed;
-                    acked_max := max !acked_max i
-                | System.Aborted -> ())
-        | exception System.Guardian_down _ ->
-            Sim.schedule sim ~delay:1.5 (attempt i (tries - 1))
-        | exception System.Overloaded _ ->
-            Sim.schedule sim ~delay:1.5 (attempt i (tries - 1))
-    in
-    for i = 1 to n_actions do
-      Sim.schedule sim ~delay:(1.0 +. (float_of_int i *. 2.0)) (attempt i 10)
-    done;
-    (sys, sim, issued, resolved, committed, acked_max)
-  in
-  let events =
-    let _, sim, _, _, _, _ = setup () in
-    let n = ref 0 in
-    while Sim.step sim do
-      incr n
-    done;
-    !n
-  in
-  let points =
-    let cap = min events 20 in
-    List.init cap (fun i -> 1 + (i * events / cap))
-    |> List.sort_uniq compare
-    |> List.mapi (fun i nth -> { Fault.op = i; point = Fault.Event_boundary { nth } })
-  in
-  let run sched =
-    Metrics.incr m_schedules;
-    Rs_obs.Trace.clear ();
-    let found = ref None in
-    let note = function [] -> () | v :: _ -> if !found = None then found := Some v in
-    (try
-       let sys, sim, issued, resolved, committed, acked_max = setup () in
-       let stepped = ref 0 in
-       let crashes =
-         List.filter_map
-           (function { Fault.point = Fault.Event_boundary { nth }; _ } -> Some nth | _ -> None)
-           sched
-         |> List.sort_uniq compare
-       in
-       List.iteri
-         (fun i nth ->
-           while !stepped < nth && Sim.step sim do
-             incr stepped
-           done;
-           let victim = g ((nth + i) mod 2) in
-           System.crash sys victim;
-           ignore (System.restart sys victim))
-         crashes;
-       while Sim.step sim do
-         ()
-       done;
-       let hk_runs =
-         Guardian.housekeeping_runs (System.guardian sys (g 0))
-         + Guardian.housekeeping_runs (System.guardian sys (g 1))
-       in
-       if sched = [] && hk_runs = 0 then
-         note
-           [
-             {
-               Oracle.oracle = "progress";
-               detail = "the clean run never completed an incremental checkpoint";
-             };
-           ];
-       let x = heap_int (Guardian.heap (System.guardian sys (g 0))) "x" in
-       let y = heap_int (Guardian.heap (System.guardian sys (g 1))) "y" in
-       if x <> y then
-         note
-           [
-             {
-               Oracle.oracle = "consistency";
-               detail =
-                 Printf.sprintf "x and y split: x=%s y=%s"
-                   (match x with Some v -> string_of_int v | None -> "-")
-                   (match y with Some v -> string_of_int v | None -> "-");
-             };
-           ];
-       let xv = Option.value x ~default:0 in
-       if xv < !acked_max then
-         note
-           [
-             {
-               Oracle.oracle = "commit-survival";
-               detail =
-                 Printf.sprintf "commit of action %d was acked but x=%d survived" !acked_max xv;
-             };
-           ];
-       if !resolved <> !issued then
-         note
-           [
-             {
-               Oracle.oracle = "liveness";
-               detail = Printf.sprintf "%d of %d handles never resolved" (!issued - !resolved) !issued;
-             };
-           ];
-       if !committed = 0 then
-         note [ { Oracle.oracle = "progress"; detail = "no action ever committed" } ];
-       List.iter
-         (fun (v : Rs_obs.Monitor.violation) ->
-           note [ { Oracle.oracle = "monitor:" ^ v.monitor; detail = v.detail } ])
-         (Rs_obs.Monitor.check ());
-       (* Image-equivalence probe: both recovery paths over each
-          guardian's directory must rebuild the same world. *)
-       List.iter
-         (fun (gid, key) ->
-           System.crash sys gid;
-           let dir = Guardian.log_dir (System.guardian sys gid) in
-           let rs_s, info_s = Core.Hybrid_rs.recover dir in
-           let rs_p, info_p = Core.Hybrid_rs.recover_parallel dir in
-           let vs = heap_int (Core.Hybrid_rs.heap rs_s) key in
-           let vp = heap_int (Core.Hybrid_rs.heap rs_p) key in
-           let prep i = List.sort compare (Core.Tables.Recovery_info.prepared_actions i) in
-           if
-             vs <> vp
-             || prep info_s <> prep info_p
-             || Core.Hybrid_rs.last_outcome_addr rs_s <> Core.Hybrid_rs.last_outcome_addr rs_p
-           then
-             note
+   on G0, snapshot on G1) under sequential two-guardian commits; the
+   checkpoint fiber's slices are simulator events, so crashes land
+   between slices as well as inside 2PC. The closing image-equivalence
+   probe crashes each guardian and recovers its directory twice — serial
+   chain walk and segment-parallel scan — demanding identical stable
+   state, prepared set and chain head: a crash mid-checkpoint must have
+   abandoned the spare log, so both paths see the old log unchanged. *)
+let ckpt =
+  {
+    name = "ckpt";
+    setup =
+      (fun c ->
+        let sys = System.create ~seed:c.seed ~latency:1.0 ~n:2 () in
+        Guardian.set_auto_housekeeping (System.guardian sys (g 0)) ~threshold_bytes:1200
+          ~slice:(2, 0.05) (Some Core.Hybrid_rs.Compaction);
+        Guardian.set_auto_housekeeping (System.guardian sys (g 1)) ~threshold_bytes:1200
+          ~slice:(3, 0.07) (Some Core.Hybrid_rs.Snapshot);
+        let w = world sys in
+        (* The value written is the action's index, so the surviving
+           counter names the newest acked commit. *)
+        let acked_max = ref 0 in
+        for i = 1 to 16 do
+          Sim.schedule (System.sim sys) ~delay:(1.0 +. (float_of_int i *. 2.0))
+            (attempt w ~tries:10 ~retry_aborts:false
+               ~on_commit:(fun () -> acked_max := max !acked_max i)
+               (fun () -> (g 0, [ (g 0, set_var "x" i); (g 1, set_var "y" i) ])))
+        done;
+        (w, acked_max));
+    victim = rotate;
+    extra_oracles =
+      (fun w acked_max sched ->
+        let hk_runs =
+          List.fold_left (fun n gd -> n + Guardian.housekeeping_runs gd) 0 (System.guardians w.sys)
+        in
+        let x = stable_int w.sys (g 0) "x" and y = stable_int w.sys (g 1) "y" in
+        let xv = Option.value x ~default:0 in
+        let image (gid, key) =
+          down w gid;
+          let dir = Guardian.log_dir (System.guardian w.sys gid) in
+          let rs_s, info_s = Core.Hybrid_rs.recover dir in
+          let rs_p, info_p = Core.Hybrid_rs.recover_parallel dir in
+          let vs = heap_int (Core.Hybrid_rs.heap rs_s) key in
+          let vp = heap_int (Core.Hybrid_rs.heap rs_p) key in
+          let prep i = List.sort compare (Core.Tables.Recovery_info.prepared_actions i) in
+          (if
+             vs = vp
+             && prep info_s = prep info_p
+             && Core.Hybrid_rs.last_outcome_addr rs_s = Core.Hybrid_rs.last_outcome_addr rs_p
+           then []
+           else
+             [
+               violation "image-divergence" "serial and parallel recovery disagree on G%d (%s=%s vs %s)"
+                 (Gid.to_int gid) key (opt_int vs) (opt_int vp);
+             ])
+          @ Oracle.check_log (Some (Core.Hybrid_rs.log rs_p))
+          @ Oracle.check_stores (Log_dir.stores (Core.Hybrid_rs.dir rs_p))
+        in
+        List.concat
+          [
+            (if sched <> [] || hk_runs > 0 then []
+             else [ violation "progress" "the clean run never completed an incremental checkpoint" ]);
+            (if x = y then []
+             else [ violation "consistency" "x and y split: x=%s y=%s" (opt_int x) (opt_int y) ]);
+            (if xv >= !acked_max then []
+             else
                [
-                 {
-                   Oracle.oracle = "image-divergence";
-                   detail =
-                     Printf.sprintf "serial and parallel recovery disagree on G%d (%s=%s vs %s)"
-                       (Rs_util.Gid.to_int gid) key
-                       (match vs with Some v -> string_of_int v | None -> "-")
-                       (match vp with Some v -> string_of_int v | None -> "-");
-                 };
-               ];
-           note (Oracle.check_log (Some (Core.Hybrid_rs.log rs_p)));
-           note (Oracle.check_stores (Rs_slog.Log_dir.stores (Core.Hybrid_rs.dir rs_p))))
-         [ (g 0, "x"); (g 1, "y") ]
-     with exn -> note [ { Oracle.oracle = "liveness"; detail = Printexc.to_string exn } ]);
-    !found
-  in
-  let schedules = enumerate config points in
-  drive_schedules ~target:"ckpt" ~points ~schedules ~run
-
-(* ------------------------------------------------------------------ *)
-(* Mvcc target: crashes under mixed snapshot-read / update traffic.   *)
-
-(* A read-heavy, high-conflict Rs_load run: half the operations are MVCC
-   read-only actions pinning snapshots while writers install versions,
-   so event-boundary crashes land with chains grown, snapshots open and
-   writers mid-2PC. Each schedule replays the seeded run, crashes an
-   alternating victim, restarts it and drains. Oracles: the drain
-   terminates with every handle resolved, updates AND snapshot reads made
-   progress, committed counters match the model, reads were monotone
-   (Load.check), the spec monitors — snapshot-legality included — stay
-   quiet, and after the drain no stale version survives: every atomic
-   object on every guardian is back to a single version with zero active
-   snapshots. *)
-let explore_mvcc ?(config = default_config) () =
-  let module System = Rs_guardian.System in
-  let module Guardian = Rs_guardian.Guardian in
-  let module Sim = Rs_sim.Sim in
-  let module Load = Rs_load.Load in
-  let cfg =
-    {
-      Load.default with
-      seed = config.seed;
-      guardians = 2;
-      conflict = 0.8;
-      duration = 40.0;
-      objects_per_guardian = 3;
-      mode = Load.Closed { clients = 6; think = 0.5 };
-      wait_timeout = 10.0;
-      read_fraction = 0.5;
-    }
-  in
-  let events =
-    let t = Load.create cfg in
-    Load.start t;
-    let sim = System.sim (Load.system t) in
-    let n = ref 0 in
-    while Sim.step sim do
-      incr n
-    done;
-    !n
-  in
-  let points =
-    let cap = min events 20 in
-    List.init cap (fun i -> 1 + (i * events / cap))
-    |> List.sort_uniq compare
-    |> List.mapi (fun i nth -> { Fault.op = i; point = Fault.Event_boundary { nth } })
-  in
-  let run sched =
-    Metrics.incr m_schedules;
-    Rs_obs.Trace.clear ();
-    let found = ref None in
-    let note = function [] -> () | v :: _ -> if !found = None then found := Some v in
-    (try
-       let t = Load.create cfg in
-       Load.start t;
-       let sys = Load.system t in
-       let sim = System.sim sys in
-       let stepped = ref 0 in
-       let crashes =
-         List.filter_map
-           (function { Fault.point = Fault.Event_boundary { nth }; _ } -> Some nth | _ -> None)
-           sched
-         |> List.sort_uniq compare
-       in
-       List.iteri
-         (fun i nth ->
-           while !stepped < nth && Sim.step sim do
-             incr stepped
-           done;
-           let victim = Rs_util.Gid.of_int ((nth + i) mod 2) in
-           System.crash sys victim;
-           ignore (System.restart sys victim))
-         crashes;
-       let s = Load.drain t in
-       if Load.unresolved t <> 0 then
-         note
-           [
-             {
-               Oracle.oracle = "liveness";
-               detail =
-                 Printf.sprintf "%d actions stuck after a quiescent drain" (Load.unresolved t);
-             };
-           ];
-       if s.Load.committed = 0 then
-         note [ { Oracle.oracle = "progress"; detail = "no action ever committed" } ];
-       if s.Load.reads_committed = 0 then
-         note [ { Oracle.oracle = "progress"; detail = "no snapshot read ever committed" } ];
-       (match Load.check t with
-       | Ok () -> ()
-       | Error detail -> note [ { Oracle.oracle = "consistency"; detail } ]);
-       (* No stale version survives the drain: with no snapshot left open,
-          every chain must have pruned back to its base version. *)
-       List.iter
-         (fun gd ->
-           let heap = Guardian.heap gd in
-           if Rs_objstore.Heap.active_snapshots heap <> 0 then
-             note
-               [
-                 {
-                   Oracle.oracle = "snapshot-leak";
-                   detail =
-                     Printf.sprintf "G%d: %d snapshots still active after drain"
-                       (Rs_util.Gid.to_int (Guardian.gid gd))
-                       (Rs_objstore.Heap.active_snapshots heap);
-                 };
-               ];
-           Rs_objstore.Heap.iter_objects heap (fun a kind ->
-               if kind = Rs_objstore.Heap.Atomic then
-                 let len = Rs_objstore.Heap.chain_length heap a in
-                 if len <> 1 then
-                   note
-                     [
-                       {
-                         Oracle.oracle = "stale-version";
-                         detail =
-                           Printf.sprintf "G%d: object %d still holds %d versions after drain"
-                             (Rs_util.Gid.to_int (Guardian.gid gd))
-                             a len;
-                       };
-                     ]))
-         (System.guardians sys);
-       List.iter
-         (fun (v : Rs_obs.Monitor.violation) ->
-           note [ { Oracle.oracle = "monitor:" ^ v.monitor; detail = v.detail } ])
-         (Rs_obs.Monitor.check ())
-     with exn -> note [ { Oracle.oracle = "liveness"; detail = Printexc.to_string exn } ]);
-    !found
-  in
-  let schedules = enumerate config points in
-  drive_schedules ~target:"mvcc" ~points ~schedules ~run
+                 violation "commit-survival" "commit of action %d was acked but x=%d survived"
+                   !acked_max xv;
+               ]);
+            (* Image-equivalence probe, once the judge-relevant state is read. *)
+            List.concat_map image [ (g 0, "x"); (g 1, "y") ];
+          ]);
+  }
 
 let explore ?config = function
   | "twopc" -> explore_twopc ?config ()
   | "group" -> explore_group ?config ()
-  | "load" -> explore_load ?config ()
-  | "shards" -> explore_shards ?config ()
-  | "repl" -> explore_repl ?config ()
-  | "ckpt" -> explore_ckpt ?config ()
-  | "mvcc" -> explore_mvcc ?config ()
+  | "load" -> explore_events ?config load
+  | "shards" -> explore_events ?config shards
+  | "repl" -> explore_events ?config repl
+  | "ckpt" -> explore_events ?config ckpt
+  | "mvcc" -> explore_events ?config mvcc
   | name -> explore_scheme ?config name
 
 (* ------------------------------------------------------------------ *)

@@ -1,18 +1,20 @@
 (** Systematic crash-schedule exploration — a model-checker-style harness
-    over the recovery schemes.
+    over the recovery schemes and the guardian system.
 
-    For each target the engine (a) runs a fixed seeded scenario once with
-    census hooks installed ({!Rs_storage.Disk.set_write_hook},
-    {!Rs_slog.Stable_log.set_force_hook}, {!Rs_sim.Net.set_send_hook}) to
-    enumerate its fault points; (b) re-runs the scenario once per
-    schedule with the fault injected — [arm_crash] on the named store
-    write, a crash raised at the named force boundary, a crash between
-    the housekeeping stages, or a message crash/drop/delay in the
-    distributed case — recovering after every crash; and (c) checks the
-    {!Oracle} suite. The first violation is {e shrunk} to a minimal
-    counterexample (greedy delta-debugging: drop any slot whose removal
-    still fails) and reported through {!Rs_obs.Trace} events plus a
-    deterministic text dump. *)
+    For each target one driver (a) runs a fixed seeded scenario once to
+    census its fault points — store writes, log forces, segment events and
+    the housekeeping stage boundary through the census hooks
+    ({!Rs_storage.Disk.set_write_hook}, {!Rs_slog.Stable_log.set_force_hook},
+    {!Rs_slog.Stable_log.set_segment_hook}), message deliveries and sends
+    for the distributed target, at most 20 evenly spaced simulator event
+    boundaries for the event targets; (b) re-runs the scenario once per
+    enumerated schedule with the faults injected, recovering after every
+    crash; and (c) asks the target's own oracles and the one {!judge}. The
+    first violation is {e shrunk} to a minimal counterexample (greedy
+    delta-debugging: drop any slot whose removal still fails) and reported
+    through {!Rs_obs.Trace} events plus a deterministic text dump. Each
+    schedule starts from a cleared trace ring, and the trace clock is back
+    at its default when an exploration returns. *)
 
 type config = {
   seed : int;  (** scenario and schedule-shuffle seed *)
@@ -29,13 +31,61 @@ type counterexample = {
 }
 
 type outcome = {
-  target : string;
-      (** ["simple"], ["hybrid"], ["shadow"], ["segments"], ["twopc"],
-          ["group"], ["load"] or ["shards"] *)
+  target : string;  (** the explored target's name *)
   points : int;  (** fault points the census found *)
   schedules : int;  (** schedules actually run (≤ budget) *)
   counterexample : counterexample option;  (** [None]: all oracles held *)
 }
+
+(** {1 The world and the judge} *)
+
+type client = { mutable issued : int; mutable resolved : int; mutable committed : int }
+(** Counters of a target's own clients, for worlds without a load. *)
+
+type world = {
+  sys : Rs_guardian.System.t;
+  dir : Rs_dir.Directory.t option;  (** directory routing, when present *)
+  pair : Rs_repl.Repl.Pair.t option;  (** a replicated pair, when present *)
+  load : Rs_load.Load.t option;  (** the traffic generator, when present *)
+  client : client;
+}
+(** A guardian system under faults, shared by the explorer's system
+    targets and {!Nemesis}. *)
+
+val world :
+  ?dir:Rs_dir.Directory.t ->
+  ?pair:Rs_repl.Repl.Pair.t ->
+  ?load:Rs_load.Load.t ->
+  Rs_guardian.System.t ->
+  world
+(** A world with zeroed client counters. *)
+
+val down : world -> Rs_util.Gid.t -> unit
+(** Crash a guardian: through the pair when it is the pair's primary or
+    standby, else through the directory when there is one, else through
+    the system. *)
+
+val up : world -> Rs_util.Gid.t -> [ `Promoted | `Restarted ]
+(** Bring a crashed guardian back, by the same dispatch as {!down}. A
+    crashed pair primary is promoted over when {!Rs_repl.Repl.Pair.promotable},
+    else cold-restarted in place; a crashed standby restarts into a
+    resync. *)
+
+type subject =
+  | World of world  (** a guardian system, drained *)
+  | Single of Rs_workload.Scheme.t  (** one recovered single-guardian scheme *)
+
+val judge : subject -> Oracle.violation list
+(** The one verdict every target and {!Nemesis} end in. For a world: no
+    handle unresolved, at least one commit, {!Rs_load.Load.check} when
+    there is a load, log, segment and store fsck of every live guardian
+    (details prefixed with its gid), and
+    {!Rs_dir.Directory.verify_unique_uids} when there is a directory. For
+    a single scheme: {!Oracle.check_scheme}. Both end with the spec
+    monitors ({!Rs_obs.Monitor.check}) over the trace ring, reported as
+    oracle ["monitor:<name>"]. *)
+
+(** {1 Targets} *)
 
 val explore_scheme : ?config:config -> string -> outcome
 (** Explore a single-guardian {!Rs_workload.Scheme} by name ("simple",
@@ -43,11 +93,10 @@ val explore_scheme : ?config:config -> string -> outcome
     aborts and (where supported) staged housekeeping, with crash points
     censused on every stable store and every log force. The ["segments"]
     target is a hybrid scheme with tiny log segments (two 128-byte pages)
-    under a churn-heavy scenario — two housekeeping passes between extra
-    commits — whose census adds a point at every segment alloc/link/retire
-    boundary and whose oracle suite includes the segment-chain fsck.
-    Stops at the first violation. Raises [Invalid_argument] on an unknown
-    name. *)
+    under a churn-heavy scenario whose census adds a point at every
+    segment alloc/link/retire boundary. Each crash is recovered with
+    presumed abort and the counters checked against the serial model
+    before the judge. Raises [Invalid_argument] on an unknown name. *)
 
 val explore_twopc : ?config:config -> unit -> outcome
 (** Explore the distributed stack: a two-guardian transfer action under
@@ -65,70 +114,47 @@ val explore_group : ?config:config -> unit -> outcome
     on every store write, every physical force, and sampled simulator
     event boundaries — including between a durability token's enqueue
     and its covering flush. The oracle requires every recovered pair to
-    sit between the client's durably-acknowledged commit count (a lost
-    acked commit is a durability violation) and its issued count (an
-    effect beyond it is a phantom), with both pair members equal. *)
+    sit between the client's durably-acknowledged commit count and its
+    issued count, with both pair members equal. *)
 
-val explore_load : ?config:config -> unit -> outcome
-(** Explore guardian crashes under contended closed-loop traffic: a
-    seeded {!Rs_load} run over two guardians at high conflict, so the
-    lock wait queues stay populated, with crash points at sampled
-    simulator event boundaries (the victim guardian alternates with the
-    boundary). After restart and a full drain the oracles demand
-    termination (no action parked forever on a dead holder's lock),
-    every submitted handle resolved, nonzero commits, and committed
-    counters equal to the model — no lost or phantom actions. *)
+type 's target = {
+  name : string;
+  setup : config -> world * 's;
+      (** a fresh seeded world with its traffic scheduled, plus whatever
+          state the victim and oracles share *)
+  victim : world -> 's -> i:int -> nth:int -> unit;
+      (** the [i]-th crash of a schedule, right after simulator event
+          [nth]: take a guardian {!down} and bring it (eventually) {!up} *)
+  extra_oracles : world -> 's -> Fault.schedule -> Oracle.violation list;
+      (** run after the drain and before the {!judge}, so a closing
+          probe they drive is judged too *)
+}
+(** An event-boundary target. {!explore_events} censuses the clean run's
+    simulator events, crashes at up to 20 evenly spaced boundaries
+    (pairs of them at depth 2), drains — through {!Rs_load.Load.drain}
+    when the world has a load — and judges. The shipped targets:
+    - ["load"]: contended closed-loop traffic over two guardians; the
+      victim alternates.
+    - ["shards"]: directory-routed traffic over three shards with a tiny
+      uid batch and creates dripped in; the victim rotates over every
+      shard, the master included; created uids must be distinct.
+    - ["mvcc"]: the load target with half the operations MVCC snapshot
+      reads; reads must commit, and after the drain no snapshot stays
+      open and every atomic object is back to one version.
+    - ["repl"]: a replicated pair under retrying clients; primary deaths
+      promote (then rejoin the old primary), standby deaths restart two
+      time units later, and a closing failover probe precedes the
+      oracles: no divergence, counters equal on the heir, acked commits
+      survive, no phantom increments.
+    - ["ckpt"]: two guardians with incremental background checkpointing;
+      counters equal, the newest acked commit survives, and serial and
+      segment-parallel recovery of each guardian's directory agree. *)
 
-val explore_shards : ?config:config -> unit -> outcome
-(** Explore guardian crashes under directory-routed traffic: a
-    directory-mode {!Rs_load} run over three shards with cross-shard
-    actions and a deliberately tiny uid batch, plus scripted object
-    creates dripped in mid-run so batch reservations stay in flight.
-    Crash points land at sampled simulator event boundaries; the victim
-    rotates over every shard, the master allocator included, and goes
-    down and up through {!Rs_dir.Directory.crash}/[restart]. Oracles:
-    the drain terminates, every handle resolved, nonzero commits, no
-    uid ever minted or bound by two guardians (bounded-leak batch
-    reservation), reserved ranges disjoint and below the watermark, and
-    committed counters equal to the model — a cross-shard action lands
-    on all its shards or none. *)
-
-val explore_repl : ?config:config -> unit -> outcome
-(** Explore crashes under primary/backup replication: a two-guardian
-    {!Rs_repl.Repl.Pair} with closed-loop clients incrementing a pair of
-    counters on whichever guardian is primary, re-routing through
-    [Guardian_down] after a failover. Crash points land at sampled
-    simulator event boundaries; the victim alternates between the
-    primary (killed at a ship boundary, then promoted over after the
-    in-flight ships drain) and the standby (killed at an apply boundary,
-    then cold-restarted into a resync). Every schedule ends with a final
-    failover probe — kill the current primary and promote. Oracles: the
-    replica never diverges from the primary's forced prefix, both
-    counters stay equal on the heir, every acked commit survives the
-    failover (floor) with no phantom increments (ceiling), every handle
-    resolves, and the always-on spec monitors stay clean over the
-    schedule's own trace. *)
-
-val explore_mvcc : ?config:config -> unit -> outcome
-(** Explore crashes under mixed snapshot-read / update traffic: a
-    read-heavy, high-conflict {!Rs_load} run where half the operations
-    are MVCC read-only actions pinning snapshots while writers install
-    versions. Crash points land at sampled simulator event boundaries
-    with chains grown, snapshots open and writers mid-2PC; the victim
-    alternates. Oracles: the drain terminates with every handle
-    resolved, both updates and snapshot reads made progress, committed
-    counters match the model, reads were monotone, the spec monitors —
-    snapshot-legality included — stay clean over the schedule's own
-    trace, and no stale version survives: after the drain every atomic
-    object on every guardian is a single version with zero active
-    snapshots. *)
+val explore_events : ?config:config -> 's target -> outcome
 
 val explore : ?config:config -> string -> outcome
-(** Dispatch: scheme names go to {!explore_scheme}, ["twopc"] to
-    {!explore_twopc}, ["group"] to {!explore_group}, ["load"] to
-    {!explore_load}, ["shards"] to {!explore_shards}, ["repl"] to
-    {!explore_repl}, ["ckpt"] to the checkpoint target, ["mvcc"] to
-    {!explore_mvcc}. *)
+(** Dispatch: ["twopc"], ["group"], the event targets ["load"],
+    ["shards"], ["mvcc"], ["repl"] and ["ckpt"], else {!explore_scheme}. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** Deterministic report: a one-line summary, then — on violation — the

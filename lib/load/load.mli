@@ -158,7 +158,7 @@ val stats : t -> stats
 val note_downtime : t -> float -> unit
 (** Report [d] virtual-time units of injected unavailability (a partition
     window, a crash-to-restart gap). The caller — normally
-    {!Rs_nemesis.Nemesis} — is responsible for reporting the *union* of
+    {!Rs_explore.Nemesis} — is responsible for reporting the *union* of
     overlapping fault windows, not their sum. Feeds
     [stats.nemesis_downtime] and the availability-adjusted throughput. *)
 

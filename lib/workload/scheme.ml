@@ -73,13 +73,19 @@ type hk_job =
 
 let begin_housekeep t technique =
   match (t, technique) with
-  | Hybrid { rs; _ }, tech -> Some (Hybrid_job (rs, Core.Hybrid_rs.begin_housekeeping rs tech))
+  | Hybrid { rs; _ }, tech ->
+      let job = Core.Hybrid_rs.hk_start rs tech in
+      ignore (Core.Hybrid_rs.hk_step rs job ~budget:max_int);
+      Some (Hybrid_job (rs, job))
   | Simple { rs; _ }, Snapshot -> Some (Simple_job (rs, Core.Simple_rs.begin_snapshot rs))
   | Simple _, Compaction -> None (* compaction needs the chain; not available *)
   | Shadow _, (Compaction | Snapshot) -> None
 
 let finish_housekeep _t = function
-  | Hybrid_job (rs, job) -> Core.Hybrid_rs.finish_housekeeping rs job
+  | Hybrid_job (rs, job) ->
+      while not (Core.Hybrid_rs.hk_step rs job ~budget:max_int) do
+        ()
+      done
   | Simple_job (rs, job) -> Core.Simple_rs.finish_snapshot rs job
 
 let housekeep t technique =

@@ -8,9 +8,28 @@ module Fault = Rs_explore.Fault
 
 let config = { Explore.default_config with budget = 60 }
 
+(* Fault points each target's census finds at the default seed. *)
+let census_points =
+  [
+    ("simple", 50);
+    ("hybrid", 64);
+    ("shadow", 97);
+    ("segments", 85);
+    ("twopc", 32);
+    ("group", 53);
+    ("load", 20);
+    ("shards", 20);
+    ("repl", 20);
+    ("ckpt", 20);
+    ("mvcc", 20);
+  ]
+
+let check_points target (o : Explore.outcome) =
+  Alcotest.(check int) (target ^ ": census points") (List.assoc target census_points) o.points
+
 let check_clean target =
   let o = Explore.explore ~config target in
-  Alcotest.(check bool) (target ^ ": found fault points") true (o.Explore.points > 0);
+  check_points target o;
   Alcotest.(check bool) (target ^ ": ran schedules") true (o.Explore.schedules > 1);
   match o.Explore.counterexample with
   | None -> ()
@@ -35,7 +54,7 @@ let test_segments_clean () = check_clean "segments"
    including crashes landing between a token's enqueue and its flush. *)
 let test_group_clean () =
   let o = Explore.explore ~config:{ Explore.default_config with budget = 200 } "group" in
-  Alcotest.(check bool) "group: found fault points" true (o.Explore.points > 0);
+  check_points "group" o;
   Alcotest.(check int) "group: ran the full budget" 200 o.Explore.schedules;
   match o.Explore.counterexample with
   | None -> ()
@@ -50,7 +69,7 @@ let test_group_clean () =
    the zombie-fiber phantom (a lock grant in flight across a crash). *)
 let test_load_clean () =
   let o = Explore.explore ~config:{ Explore.default_config with budget = 60 } "load" in
-  Alcotest.(check bool) "load: found fault points" true (o.Explore.points > 0);
+  check_points "load" o;
   Alcotest.(check bool) "load: ran schedules" true (o.Explore.schedules > 1);
   match o.Explore.counterexample with
   | None -> ()
@@ -98,6 +117,44 @@ let test_depth_one () =
     (Option.map (fun _ -> ()) o.Explore.counterexample);
   Alcotest.(check bool) "budget respected" true (o.Explore.schedules <= config.budget)
 
+(* Every target's census, pinned: the baseline schedule alone runs, so
+   this is cheap, and it covers the targets without a clean case above. *)
+let test_census_pinned () =
+  List.iter
+    (fun (target, _) ->
+      let o = Explore.explore ~config:{ Explore.default_config with budget = 1 } target in
+      check_points target o;
+      Alcotest.(check bool) (target ^ ": baseline clean") true (o.counterexample = None))
+    census_points
+
+(* The judge reports the spec monitors: a commit no log force covers
+   surfaces as a monitor violation, for a world and a single scheme alike. *)
+let test_judge_reports_monitors () =
+  let sys = Rs_guardian.System.create ~n:1 () in
+  Rs_obs.Trace.clear_clock ();
+  List.iter
+    (fun subject ->
+      Rs_obs.Trace.clear ();
+      Rs_obs.Trace.emit (Rs_obs.Trace.Action_commit { gid = "G0"; aid = "T0.1" });
+      let oracles = List.map (fun v -> v.Rs_explore.Oracle.oracle) (Explore.judge subject) in
+      Rs_obs.Trace.clear ();
+      Alcotest.(check bool) "monitor:commit-implies-durable reported" true
+        (List.mem "monitor:commit-implies-durable" oracles))
+    [ Explore.World (Explore.world sys); Explore.Single (Rs_workload.Scheme.hybrid ()) ]
+
+(* Every world installs its simulator's clock into the trace; neither an
+   exploration nor a nemesis run may leave a dead simulator's clock
+   behind. *)
+let test_trace_clock_restored () =
+  ignore (Explore.explore ~config:{ Explore.default_config with budget = 3 } "load");
+  Alcotest.(check (float 0.)) "clock after explore" 0. (Rs_obs.Trace.now ());
+  let o =
+    Rs_explore.Nemesis.run
+      { Rs_explore.Nemesis.default with seed = 3; duration = 30.0; events = 2 }
+  in
+  Alcotest.(check (list string)) "nemesis clean" [] o.violations;
+  Alcotest.(check (float 0.)) "clock after nemesis" 0. (Rs_obs.Trace.now ())
+
 let suite =
   [
     Alcotest.test_case "simple survives exploration" `Quick test_simple_clean;
@@ -111,4 +168,7 @@ let suite =
     Alcotest.test_case "group target catches broken force" `Quick
       test_group_broken_force_caught;
     Alcotest.test_case "depth-1 exploration" `Quick test_depth_one;
+    Alcotest.test_case "census pinned for every target" `Quick test_census_pinned;
+    Alcotest.test_case "judge reports the spec monitors" `Quick test_judge_reports_monitors;
+    Alcotest.test_case "trace clock restored" `Quick test_trace_clock_restored;
   ]

@@ -22,6 +22,19 @@ let commit_value heap rs ~seq ~name ~v =
   Rs.commit rs t;
   Heap.commit_action heap t
 
+(* The thesis's two stages as slices of the checkpoint machine: stage one
+   is a single unbounded slice (the whole chain walk or heap traversal);
+   stage two runs slices until the carry completes and the logs switch. *)
+let stage_one rs technique =
+  let job = Rs.hk_start rs technique in
+  ignore (Rs.hk_step rs job ~budget:max_int);
+  job
+
+let stage_two rs job =
+  while not (Rs.hk_step rs job ~budget:max_int) do
+    ()
+  done
+
 let stable_int heap name =
   match Heap.get_stable_var heap name with
   | Some (Value.Ref a) -> (
@@ -98,7 +111,7 @@ let test_two_stage_interleaving technique () =
   for i = 0 to 9 do
     commit_value heap rs ~seq:i ~name:"x" ~v:i
   done;
-  let job = Rs.begin_housekeeping rs technique in
+  let job = stage_one rs technique in
   (* Post-marker activity: two more commits and one prepared action. *)
   commit_value heap rs ~seq:100 ~name:"x" ~v:100;
   commit_value heap rs ~seq:101 ~name:"y" ~v:55;
@@ -107,7 +120,7 @@ let test_two_stage_interleaving technique () =
   | Some (Value.Ref a) -> Heap.set_current heap t a (Value.Int 200)
   | Some _ | None -> Alcotest.fail "setup");
   Rs.prepare rs t (Heap.mos heap t);
-  Rs.finish_housekeeping rs job;
+  stage_two rs job;
   let rs', info = Rs.recover dir in
   let heap' = Rs.heap rs' in
   Alcotest.(check int) "x base" 100 (stable_int heap' "x");
@@ -145,9 +158,9 @@ let test_crash_during_housekeeping () =
   for i = 0 to 9 do
     commit_value heap rs ~seq:i ~name:"x" ~v:i
   done;
-  let _job = Rs.begin_housekeeping rs Rs.Compaction in
+  let _job = stage_one rs Rs.Compaction in
   commit_value heap rs ~seq:50 ~name:"x" ~v:50;
-  (* Crash before finish_housekeeping. *)
+  (* Crash before stage two. *)
   let rs', _ = Rs.recover dir in
   Alcotest.(check int) "old log authoritative" 50 (stable_int (Rs.heap rs') "x")
 
@@ -204,7 +217,7 @@ let test_interleaved_commit_abort technique () =
   for i = 0 to 9 do
     commit_value heap rs ~seq:i ~name:"x" ~v:i
   done;
-  let job = Rs.begin_housekeeping rs technique in
+  let job = stage_one rs technique in
   let abort_attempt seq v =
     let t = aid seq in
     (match Heap.get_stable_var heap "x" with
@@ -219,7 +232,7 @@ let test_interleaved_commit_abort technique () =
   commit_value heap rs ~seq:102 ~name:"y" ~v:55;
   abort_attempt 103 777;
   commit_value heap rs ~seq:104 ~name:"x" ~v:104;
-  Rs.finish_housekeeping rs job;
+  stage_two rs job;
   fsck rs "after finish";
   let rs', _ = Rs.recover dir in
   let heap' = Rs.heap rs' in
@@ -235,9 +248,9 @@ let test_crash_at_stage_boundary technique () =
   for i = 0 to 9 do
     commit_value heap rs ~seq:i ~name:"x" ~v:i
   done;
-  let _job = Rs.begin_housekeeping rs technique in
+  let _job = stage_one rs technique in
   commit_value heap rs ~seq:50 ~name:"x" ~v:50;
-  (* Crash before finish_housekeeping ever runs. *)
+  (* Crash before stage two ever runs. *)
   let rs', _ = Rs.recover dir in
   Alcotest.(check int) "old log authoritative" 50 (stable_int (Rs.heap rs') "x");
   fsck rs' "recovered at stage boundary";
@@ -258,7 +271,7 @@ let test_crash_at_segment_retirement technique () =
   for i = 0 to 19 do
     commit_value heap rs ~seq:i ~name:(Printf.sprintf "k%d" (i mod 2)) ~v:i
   done;
-  let job = Rs.begin_housekeeping rs technique in
+  let job = stage_one rs technique in
   commit_value heap rs ~seq:100 ~name:"k0" ~v:100;
   let armed = ref true in
   Log.set_segment_hook
@@ -272,7 +285,7 @@ let test_crash_at_segment_retirement technique () =
     match
       Fun.protect
         ~finally:(fun () -> Log.set_segment_hook None)
-        (fun () -> Rs.finish_housekeeping rs job)
+        (fun () -> stage_two rs job)
     with
     | () -> false
     | exception Rs_storage.Disk.Crash -> true

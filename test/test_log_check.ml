@@ -106,9 +106,12 @@ let test_housekept_logs_clean () =
       (* A prepared action in flight across housekeeping. *)
       let t99 = aid 99 in
       Heap.set_current heap t99 a (Value.Int 999);
-      let job = Core.Hybrid_rs.begin_housekeeping rs technique in
+      let job = Core.Hybrid_rs.hk_start rs technique in
+      ignore (Core.Hybrid_rs.hk_step rs job ~budget:max_int);
       Core.Hybrid_rs.prepare rs t99 (Heap.mos heap t99);
-      Core.Hybrid_rs.finish_housekeeping rs job;
+      while not (Core.Hybrid_rs.hk_step rs job ~budget:max_int) do
+        ()
+      done;
       match Check.check_log (Core.Hybrid_rs.log rs) with
       | [] -> ()
       | issues ->

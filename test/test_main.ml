@@ -1,5 +1,22 @@
+(* The spec monitors are asserted at the end of every test, literally:
+   each case starts from an empty trace ring and must leave the monitors
+   clean over whatever it traced. *)
+let monitored (name, speed, f) =
+  ( name,
+    speed,
+    fun () ->
+      Rs_obs.Trace.clear ();
+      f ();
+      match Rs_obs.Monitor.check () with
+      | [] -> ()
+      | vs ->
+          Alcotest.failf "%d monitor violation(s): %a" (List.length vs)
+            (Format.pp_print_list Rs_obs.Monitor.pp_violation)
+            vs )
+
 let () =
   Alcotest.run "argus-storage"
+  @@ List.map (fun (suite, cases) -> (suite, List.map monitored cases))
     [
       ("util", Test_util.suite);
       ("storage", Test_storage.suite);
@@ -26,6 +43,5 @@ let () =
       ("dir", Test_dir.suite);
       ("repl", Test_repl.suite);
       ("mvcc", Test_mvcc.suite);
-      (* Last: also runs the always-on spec monitors over the trace ring. *)
       ("nemesis", Test_nemesis.suite);
     ]
