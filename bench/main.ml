@@ -977,6 +977,27 @@ let bechamel_suite () =
         Rs_storage.Stable_store.put store 0 page;
         ignore (Rs_storage.Stable_store.get store 0 : string option))
   in
+  (* The stable-variable root: one lookup per call on a 256-binding
+     root, cycling through every name, through the base version and
+     through a snapshot held open across the run. *)
+  let vars_heap = Heap.create () in
+  let var_names = Array.init 256 (Printf.sprintf "v%d") in
+  let binder = Rs_util.Aid.make ~coordinator:(Gid.of_int 0) ~seq:1 in
+  Array.iteri (fun i n -> Heap.set_stable_var vars_heap binder n (Value.Int i)) var_names;
+  Heap.commit_action vars_heap binder;
+  let next_var = ref 0 in
+  let var () =
+    next_var := (!next_var + 1) land 255;
+    var_names.(!next_var)
+  in
+  let lookup_kernel =
+    Staged.stage (fun () -> ignore (Heap.get_stable_var vars_heap (var ()) : Value.t option))
+  in
+  let vars_snapshot = Heap.snapshot vars_heap in
+  let snapshot_var_kernel =
+    Staged.stage (fun () ->
+        ignore (Heap.snapshot_var vars_heap vars_snapshot (var ()) : Value.t option))
+  in
   let tests =
     Test.make_grouped ~name:"argus"
       [
@@ -995,6 +1016,11 @@ let bechamel_suite () =
           [
             Test.make ~name:"crc32-1KiB" crc_kernel;
             Test.make ~name:"store-put-get-1KiB" store_kernel;
+          ];
+        Test.make_grouped ~name:"stable-vars"
+          [
+            Test.make ~name:"get_stable_var-256" lookup_kernel;
+            Test.make ~name:"snapshot_var-256" snapshot_var_kernel;
           ];
       ]
   in

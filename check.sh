@@ -329,6 +329,32 @@ else
   echo "mvcc ok (python3 unavailable; zero-lock/zero-abort keys checked only)"
 fi
 
+echo "== standing bench smoke: every workload ends correct with no failed op =="
+# The standing benchmark (bench/standing, declared in BENCHMARK.json)
+# ends each run with one JSON line. A 1 s run per workload must pass the
+# benchmark's own correctness gates ("correct": true) and fail no
+# operation; the figures themselves are not gated here.
+for workload in mixed update-open crash-restart; do
+  LAST=$(dune exec bench/standing/standing.exe -- --workload "$workload" \
+           --seed 1 --seconds 1 --trace 0 | tail -1)
+  if command -v python3 >/dev/null 2>&1; then
+    echo "$LAST" | python3 -c '
+import json, sys
+w = sys.argv[1]
+d = json.loads(sys.stdin.read())
+failed, attempted = d["failed"], d["attempted"]
+assert d["correct"] is True, f"{w}: standing run not correct"
+assert failed == 0, f"{w}: {failed} failed operations"
+print(f"{w}: correct, {attempted} attempted, 0 failed")
+' "$workload" || { echo "$LAST"; exit 1; }
+  else
+    case "$LAST" in
+      *'"correct": true,'*'"failed": 0,'*) echo "$workload: correct, 0 failed" ;;
+      *) echo "$LAST"; echo "standing bench $workload failed its gates"; exit 1 ;;
+    esac
+  fi
+done
+
 echo "== nemesis gate: seeded fault schedules clean for every profile =="
 for profile in synthetic bank reservation queue saga; do
   OUT=$(dune exec bin/argusctl.exe -- nemesis --profile "$profile" \

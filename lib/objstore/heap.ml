@@ -140,6 +140,16 @@ type runtime = {
   wake : addr:addr -> aid:Aid.t -> unit;
 }
 
+(* Name -> slot index over one root version's pairs array, keyed on that
+   array's physical identity. [slots] maps each bound name to its first
+   slot (first-match, as [List.assoc_opt]); [names] is every bound name
+   in tuple order. *)
+type root_index = {
+  pairs : Value.t array;
+  slots : (string, int) Hashtbl.t;
+  names : string list;
+}
+
 type t = {
   objs : obj Vec.t;
   gen : Uid.Gen.t;
@@ -172,6 +182,10 @@ type t = {
   ro : snapshot Aid.Tbl.t;
   chained : (addr, unit) Hashtbl.t;
   heap_id : int;
+  (* Index over the root version this heap last looked a binding up in;
+     rebuilt when a different version's array shows up. Per heap, so two
+     guardians' roots never evict each other. *)
+  mutable root_index : root_index;
 }
 
 exception Lock_conflict of { addr : addr; holders : Aid.t list }
@@ -218,6 +232,7 @@ let create () =
       ro = Aid.Tbl.create 8;
       chained = Hashtbl.create 16;
       heap_id = !heap_ids;
+      root_index = { pairs = [||]; slots = Hashtbl.create 1; names = [] };
     }
   in
   let root =
@@ -853,19 +868,54 @@ let set_stable_var t aid name v =
   let bs = (name, v) :: List.remove_assoc name bs in
   set_current t aid t.root (of_bindings bs)
 
-let get_stable_var t name =
-  let b = atomic t t.root "get_stable_var" in
-  List.assoc_opt name (bindings_of b.a_base)
+(* The root's bindings change only by replacement — a committed
+   [set_stable_var], a recovery [install_atomic]/[set_base], or a read of
+   a historical version all present a different array — except for
+   [patch_placeholders], which rewrites pair contents in place but never
+   moves a name. So the index is rebuilt on a physical mismatch, and a hit
+   re-checks the name in its slot and reads the value live from the pair,
+   falling back to a scan if the name moved. *)
+let root_index t v =
+  let pairs =
+    match v with
+    | Value.Tup pairs -> pairs
+    | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ -> [||]
+  in
+  let ix = t.root_index in
+  if ix.pairs == pairs then ix
+  else begin
+    let slots = Hashtbl.create (Array.length pairs) in
+    let names = ref [] in
+    for i = Array.length pairs - 1 downto 0 do
+      match pairs.(i) with
+      | Value.Tup [| Value.Str name; _ |] ->
+          Hashtbl.replace slots name i;
+          names := name :: !names
+      | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ -> ()
+    done;
+    let ix = { pairs; slots; names = !names } in
+    t.root_index <- ix;
+    ix
+  end
+
+let lookup_var t v name =
+  let ix = root_index t v in
+  match Hashtbl.find_opt ix.slots name with
+  | None -> None
+  | Some i -> (
+      match ix.pairs.(i) with
+      | Value.Tup [| Value.Str n; x |] when String.equal n name -> Some x
+      | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ ->
+          List.assoc_opt name (bindings_of v))
+
+let get_stable_var t name = lookup_var t (atomic t t.root "get_stable_var").a_base name
 
 (* Snapshot view of the stable-variable bindings: reads the root through
    the snapshot, so the binding and any value read under the same snapshot
    form one consistent committed cut. *)
-let snapshot_var t s name = List.assoc_opt name (bindings_of (snapshot_read t s t.root))
+let snapshot_var t s name = lookup_var t (snapshot_read t s t.root) name
 let committed_var t name = with_snapshot t (fun s -> snapshot_var t s name)
-
-let stable_var_names t =
-  let b = atomic t t.root "stable_var_names" in
-  List.map fst (bindings_of b.a_base)
+let stable_var_names t = (root_index t (atomic t t.root "stable_var_names").a_base).names
 
 (* Recovery-time interface *)
 

@@ -175,7 +175,10 @@ val snapshot_read : t -> snapshot -> addr -> Value.t
 val snapshot_var : t -> snapshot -> string -> Value.t option
 (** Stable-variable binding as of the snapshot (the root object is
     versioned like any other atomic object, so a binding and the value
-    read through it under one snapshot form a single consistent cut). *)
+    read through it under one snapshot form a single consistent cut).
+    Constant time through the root index of {!get_stable_var}; reading a
+    snapshot that pins an older root version rebuilds the index for that
+    version. *)
 
 val with_snapshot : t -> (snapshot -> 'a) -> 'a
 (** Open, run, release (also on exception). *)
@@ -251,11 +254,23 @@ val set_stable_var : t -> Rs_util.Aid.t -> string -> Value.t -> unit
 (** Bind a stable variable in the root object (write-locks the root). *)
 
 val get_stable_var : t -> string -> Value.t option
-(** Committed binding of a stable variable (from the root's base version,
-    or the current version of a writer — callers during normal operation
-    want their own view; this is the base view used after recovery). *)
+(** Committed binding of a stable variable, read from the root's base
+    version only: a writer's uncommitted rebinding is invisible until it
+    commits. If the name is bound more than once, the first binding in
+    the root tuple wins.
+
+    Constant time: each heap keeps a name-to-slot index over the root
+    version it last read, keyed on that version's pairs array and rebuilt
+    (once, in O(bindings)) when a different array is read. The index
+    relies on one invariant: a root tuple changes only by replacement —
+    a committed {!set_stable_var}, {!install_atomic} or {!set_base} —
+    except under {!patch_placeholders}, which rewrites pair contents in
+    place but never moves a name. Values are always read live from the
+    tuple, and a slot whose name no longer matches falls back to a scan. *)
 
 val stable_var_names : t -> string list
+(** Every name bound in the root's base version, in tuple order (through
+    the same index as {!get_stable_var}). *)
 
 (** {1 Recovery-time interface} *)
 

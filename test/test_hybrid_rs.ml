@@ -162,6 +162,32 @@ let test_many_objects_roundtrip () =
     (fun i _ -> Alcotest.(check int) (Printf.sprintf "v%d" i) i (stable_int heap' (Printf.sprintf "v%d" i)))
     objs
 
+(* The root index is per heap and rebuilt for the recovered root: every
+   key bound before the crash — including rebound ones — resolves after
+   it, through the base and the snapshot lookups alike. *)
+let test_recovered_root_resolves_every_key () =
+  let heap, dir, rs = fresh () in
+  let keys = List.init 40 (Printf.sprintf "k%d") in
+  let want = Hashtbl.create 40 in
+  let bind seq k v =
+    ignore (commit_one heap rs ~seq ~name:k ~v);
+    Hashtbl.replace want k v
+  in
+  List.iteri (fun i k -> bind (i + 1) k i) keys;
+  (* Rebind a few keys to fresh objects, then look everything up so the
+     pre-crash heap has built its index. *)
+  List.iteri (fun i k -> bind (100 + i) k (1000 + i)) [ "k0"; "k7"; "k39" ];
+  List.iter (fun k -> Alcotest.(check int) k (Hashtbl.find want k) (stable_int heap k)) keys;
+  let rs', _ = Rs.recover dir in
+  let heap' = Rs.heap rs' in
+  Alcotest.(check (list string)) "names survive" (Heap.stable_var_names heap) (Heap.stable_var_names heap');
+  List.iter
+    (fun k ->
+      Alcotest.(check int) k (Hashtbl.find want k) (stable_int heap' k);
+      Alcotest.(check bool) (k ^ " committed_var") true (Heap.committed_var heap' k = Heap.get_stable_var heap' k))
+    keys;
+  Alcotest.(check bool) "unbound stays unbound" true (Heap.get_stable_var heap' "k40" = None)
+
 let test_recover_twice_stable () =
   let heap, dir, rs = fresh () in
   ignore (commit_one heap rs ~seq:1 ~name:"x" ~v:9);
@@ -181,4 +207,5 @@ let suite =
     Alcotest.test_case "mutex table maintained" `Quick test_mutex_mt_maintained;
     Alcotest.test_case "many objects roundtrip" `Quick test_many_objects_roundtrip;
     Alcotest.test_case "recover twice is stable" `Quick test_recover_twice_stable;
+    Alcotest.test_case "recovered root resolves every key" `Quick test_recovered_root_resolves_every_key;
   ]

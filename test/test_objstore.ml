@@ -238,6 +238,216 @@ let test_dangling_placeholder_fails () =
   | () -> Alcotest.fail "expected failure on dangling uid"
   | exception Failure _ -> ()
 
+(* The root index never caches a value: a binding whose value is a
+   placeholder must read the real object once the final recovery pass has
+   patched the pair in place, even if the index was built before it. *)
+let test_root_index_sees_patch () =
+  let h = Heap.create () in
+  let u = Uid.of_int 77 in
+  let fv =
+    Fvalue.make
+      ~nodes:[| Fvalue.Nstr "x"; Fvalue.Nuid u; Fvalue.Ntup [| 0; 1 |]; Fvalue.Ntup [| 2 |] |]
+      ~root:3
+  in
+  let root =
+    Heap.install_atomic h ~uid:Uid.stable_vars ~base:(Some (Flatten.rebuild h fv)) ~cur:None
+  in
+  Alcotest.(check int) "root reinstalled in place" (Heap.root_addr h) root;
+  (match Heap.get_stable_var h "x" with
+  | Some (Value.Ref a) ->
+      Alcotest.(check bool) "bound to a placeholder" true (Heap.kind_of h a = Heap.Placeholder)
+  | Some _ | None -> Alcotest.fail "x unbound before patching");
+  let real = Heap.install_atomic h ~uid:u ~base:(Some (Value.Int 1)) ~cur:None in
+  Heap.patch_placeholders h;
+  (match Heap.get_stable_var h "x" with
+  | Some (Value.Ref a) -> Alcotest.(check int) "patched binding" real a
+  | Some _ | None -> Alcotest.fail "x unbound after patching");
+  (match Heap.committed_var h "x" with
+  | Some (Value.Ref a) -> Alcotest.(check int) "patched snapshot binding" real a
+  | Some _ | None -> Alcotest.fail "x unbound in a snapshot after patching");
+  Alcotest.(check (list string)) "names" [ "x" ] (Heap.stable_var_names h)
+
+let pair name v = Value.Tup [| Value.Str name; v |]
+
+(* Lookups keep [List.assoc_opt]'s first-match semantics over the root
+   tuple, skip malformed entries, and fall back to a scan when a slot's
+   name no longer matches. *)
+let test_root_index_first_match () =
+  let h = Heap.create () in
+  let root = Heap.root_addr h in
+  let pairs = [| pair "x" (Value.Int 1); Value.Int 5; pair "y" (Value.Int 2); pair "x" (Value.Int 3) |] in
+  Heap.set_base h root (Value.Tup pairs);
+  let get n = Heap.get_stable_var h n in
+  Alcotest.(check bool) "first x" true (get "x" = Some (Value.Int 1));
+  Alcotest.(check bool) "y" true (get "y" = Some (Value.Int 2));
+  Alcotest.(check bool) "unbound" true (get "z" = None);
+  Alcotest.(check (list string)) "names in tuple order" [ "x"; "y"; "x" ] (Heap.stable_var_names h);
+  (* A name moved under the index: the stale slot is re-checked. *)
+  pairs.(0) <- pair "w" (Value.Int 9);
+  Alcotest.(check bool) "scan finds the later x" true (get "x" = Some (Value.Int 3));
+  Heap.set_base h root Value.Unit;
+  Alcotest.(check bool) "non-tuple root binds nothing" true (get "x" = None);
+  Alcotest.(check (list string)) "no names" [] (Heap.stable_var_names h)
+
+(* Model-based check of the indexed lookups. Random interleavings of
+   binding, commit, abort and snapshots over two heaps; after every step
+   each lookup must agree with a linear scan of the root version it reads
+   and with a pure model of the committed bindings. *)
+type root_op =
+  | Bind of int * int * int  (** heap, name, value *)
+  | Commit of int
+  | Abort of int
+  | Open of int
+  | Release of int * int  (** heap, index among its open snapshots *)
+  | With_snapshot of int
+
+let var_names = [| "a"; "b"; "c"; "d"; "e" |]
+
+(* "z" is never bound. *)
+let probe_names = Array.to_list var_names @ [ "z" ]
+
+let show_root_op = function
+  | Bind (h, n, v) -> Printf.sprintf "bind(h%d,%s,%d)" h var_names.(n) v
+  | Commit h -> Printf.sprintf "commit(h%d)" h
+  | Abort h -> Printf.sprintf "abort(h%d)" h
+  | Open h -> Printf.sprintf "open(h%d)" h
+  | Release (h, i) -> Printf.sprintf "release(h%d,%d)" h i
+  | With_snapshot h -> Printf.sprintf "with_snapshot(h%d)" h
+
+let gen_root_ops =
+  QCheck.Gen.(
+    let heap = int_bound 1 in
+    list_size (int_range 0 60)
+      (frequency
+         [
+           (5, map3 (fun h n v -> Bind (h, n, v)) heap (int_bound (Array.length var_names - 1)) (int_bound 9));
+           (2, map (fun h -> Commit h) heap);
+           (1, map (fun h -> Abort h) heap);
+           (1, map (fun h -> Open h) heap);
+           (1, map2 (fun h i -> Release (h, i)) heap (int_bound 3));
+           (1, map (fun h -> With_snapshot h) heap);
+         ]))
+
+module Smap = Map.Make (String)
+
+let scan_root v name =
+  match v with
+  | Value.Tup pairs ->
+      Array.to_list pairs
+      |> List.find_map (function
+           | Value.Tup [| Value.Str n; x |] when n = name -> Some x
+           | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ ->
+               None)
+  | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ -> None
+
+let scan_names = function
+  | Value.Tup pairs ->
+      Array.to_list pairs
+      |> List.filter_map (function
+           | Value.Tup [| Value.Str n; _ |] -> Some n
+           | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ ->
+               None)
+  | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ -> []
+
+type model_heap = {
+  heap : Heap.t;
+  mutable writer : Aid.t option;
+  mutable committed : int Smap.t;
+  mutable pending : int Smap.t;  (** what the open writer would commit *)
+  mutable snaps : (Heap.snapshot * int Smap.t) list;
+}
+
+let prop_root_index =
+  QCheck.Test.make ~name:"root index agrees with a scan of the root" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_root_op ops)) gen_root_ops)
+    (fun ops ->
+      let seq = ref 0 in
+      let hs =
+        Array.init 2 (fun _ ->
+            {
+              heap = Heap.create ();
+              writer = None;
+              committed = Smap.empty;
+              pending = Smap.empty;
+              snaps = [];
+            })
+      in
+      let expect what model name got =
+        let want = Option.map (fun v -> Value.Int v) (Smap.find_opt name model) in
+        if got <> want then QCheck.Test.fail_reportf "%s %s disagrees with the model" what name
+      in
+      let check_snapshot m s model =
+        let root = Heap.snapshot_read m.heap s (Heap.root_addr m.heap) in
+        List.iter
+          (fun n ->
+            let got = Heap.snapshot_var m.heap s n in
+            if got <> scan_root root n then QCheck.Test.fail_reportf "snapshot_var %s disagrees with a scan" n;
+            expect "snapshot_var" model n got)
+          probe_names
+      in
+      let check m =
+        let base = (Heap.atomic_view m.heap (Heap.root_addr m.heap)).base in
+        List.iter
+          (fun n ->
+            let got = Heap.get_stable_var m.heap n in
+            if got <> scan_root base n then QCheck.Test.fail_reportf "get_stable_var %s disagrees with a scan" n;
+            expect "get_stable_var" m.committed n got;
+            expect "committed_var" m.committed n (Heap.committed_var m.heap n))
+          probe_names;
+        let names = Heap.stable_var_names m.heap in
+        if names <> scan_names base then QCheck.Test.fail_report "stable_var_names disagrees with a scan";
+        if List.sort compare names <> List.map fst (Smap.bindings m.committed) then
+          QCheck.Test.fail_report "stable_var_names disagrees with the model";
+        List.iter (fun (s, model) -> check_snapshot m s model) m.snaps
+      in
+      let finish h ~commit =
+        let m = hs.(h) in
+        match m.writer with
+        | None -> ()
+        | Some t ->
+            if commit then begin
+              Heap.commit_action m.heap t;
+              m.committed <- m.pending
+            end
+            else Heap.abort_action m.heap t;
+            m.writer <- None
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Bind (h, n, v) ->
+              let m = hs.(h) in
+              let t =
+                match m.writer with
+                | Some t -> t
+                | None ->
+                    incr seq;
+                    let t = aid !seq in
+                    m.writer <- Some t;
+                    m.pending <- m.committed;
+                    t
+              in
+              Heap.set_stable_var m.heap t var_names.(n) (Value.Int v);
+              m.pending <- Smap.add var_names.(n) v m.pending
+          | Commit h -> finish h ~commit:true
+          | Abort h -> finish h ~commit:false
+          | Open h ->
+              let m = hs.(h) in
+              m.snaps <- m.snaps @ [ (Heap.snapshot m.heap, m.committed) ]
+          | Release (h, i) ->
+              let m = hs.(h) in
+              (match List.nth_opt m.snaps i with
+              | Some (s, _) ->
+                  Heap.release_snapshot m.heap s;
+                  m.snaps <- List.filteri (fun j _ -> j <> i) m.snaps
+              | None -> ())
+          | With_snapshot h ->
+              let m = hs.(h) in
+              Heap.with_snapshot m.heap (fun s -> check_snapshot m s m.committed));
+          Array.iter check hs)
+        ops;
+      true)
+
 let test_heap_check_clean () =
   let h = Heap.create () in
   let t1 = aid 1 in
@@ -416,6 +626,9 @@ let suite =
     Alcotest.test_case "regular object cycle" `Quick test_regular_cycle;
     Alcotest.test_case "placeholder patching" `Quick test_placeholder_patching;
     Alcotest.test_case "dangling placeholder fails" `Quick test_dangling_placeholder_fails;
+    Alcotest.test_case "root index sees placeholder patch" `Quick test_root_index_sees_patch;
+    Alcotest.test_case "root index: first match, stale slot" `Quick test_root_index_first_match;
+    QCheck_alcotest.to_alcotest prop_root_index;
     Alcotest.test_case "heap check: clean heap" `Quick test_heap_check_clean;
     Alcotest.test_case "heap check: detects placeholder" `Quick test_heap_check_detects_placeholder;
     Alcotest.test_case "heap check: lock/version pairing" `Quick test_heap_check_detects_lockless_current;
