@@ -12,6 +12,33 @@ cd "$(dirname "$0")"
 echo "== dune build =="
 dune build
 
+echo "== metrics lint: every default-registry name has a reader =="
+# A name registered in lib/ must be a string literal, and that literal
+# must appear in lib/, bin/, bench/, test/ or this script on a line other
+# than a lib/ registration: a metric nothing reads is only hot-path cost
+# and BENCH churn. [~registry:] registrations are private to their owner
+# and never exported, so they are exempt.
+REG='Metrics\.(counter|gauge|histogram)[[:space:]]+[^[:space:]]'
+LIT='Metrics\.(counter|gauge|histogram)[[:space:]]+(~bounds:[^[:space:]]+[[:space:]]+)?"'
+ORPHANS=""
+REGS=$(grep -rnE --include='*.ml' "$REG" lib | grep -v '~registry' || true)
+NAMES=$(echo "$REGS" | sed -nE "s/.*$LIT([^\"]+)\".*/\\3/p" | sort -u)
+NONLIT=$(echo "$REGS" | grep -vE "$LIT" || true)
+[ -z "$NONLIT" ] || ORPHANS="$ORPHANS
+registered under a computed name:
+$NONLIT"
+for name in $NAMES; do
+  grep -rnF "\"$name\"" lib bin bench test check.sh |
+    grep -qvE "^lib/[^:]*:[0-9]+:.*$REG" ||
+    ORPHANS="$ORPHANS
+registered but never read: $name"
+done
+if [ -n "$ORPHANS" ]; then
+  echo "metrics without a reader:$ORPHANS"
+  exit 1
+fi
+echo "metrics ok: $(echo "$NAMES" | wc -l | tr -d ' ') default-registry names, each read somewhere"
+
 echo "== dune runtest =="
 dune runtest
 

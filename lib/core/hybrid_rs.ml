@@ -9,16 +9,9 @@ module Log_dir = Rs_slog.Log_dir
 module Fsched = Rs_slog.Force_scheduler
 module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
-module Span = Rs_obs.Span
 
 let m_entries_written = Metrics.counter "hybrid_rs.entries_written"
-let m_prepares = Metrics.counter "hybrid_rs.prepares"
-let m_commits = Metrics.counter "hybrid_rs.commits"
-let m_aborts = Metrics.counter "hybrid_rs.aborts"
-let m_recoveries = Metrics.counter "hybrid_rs.recoveries"
 let m_recovery_entries = Metrics.counter "hybrid_rs.recovery_entries"
-let m_housekeepings = Metrics.counter "hybrid_rs.housekeepings"
-let h_checkpoint = Metrics.histogram "hybrid_rs.checkpoint_entries"
 
 type addr = Log_entry.addr
 
@@ -131,8 +124,6 @@ let pending_pairs = pairs_of
    this action's state transition (e.g. a commit issued from a prepare's
    [on_durable]). *)
 let prepare ?on_durable t aid mos =
-  Span.run "prepare.hybrid" @@ fun () ->
-  Metrics.incr m_prepares;
   ignore (write_mos t aid mos);
   let pairs = pairs_of t aid in
   Aid.Tbl.remove t.pending aid;
@@ -142,13 +133,10 @@ let prepare ?on_durable t aid mos =
        (Log_entry.Prepared { aid; pairs = Some pairs; prev = None }))
 
 let commit ?on_durable t aid =
-  Span.run "commit.hybrid" @@ fun () ->
-  Metrics.incr m_commits;
   Aid.Tbl.remove t.pat aid;
   ignore (append_outcome ~force:true ?on_durable t (Log_entry.Committed { aid; prev = None }))
 
 let abort ?on_durable t aid =
-  Metrics.incr m_aborts;
   Aid.Tbl.remove t.pat aid;
   Aid.Tbl.remove t.pending aid;
   ignore (append_outcome ~force:true ?on_durable t (Log_entry.Aborted { aid; prev = None }))
@@ -247,8 +235,6 @@ let assemble ~heap ~dir ~log ~ctx ~head =
   (t, info)
 
 let recover source_dir =
-  Span.run "recover.hybrid" @@ fun () ->
-  Metrics.incr m_recoveries;
   let dir = Log_dir.open_ source_dir in
   let log = Log_dir.current dir in
   let heap = Heap.create () in
@@ -289,8 +275,6 @@ let recover source_dir =
    live bytes plus the fetched data entries, so restart time is bounded
    by live data, not history. *)
 let recover_parallel ?stats source_dir =
-  Span.run "recover.hybrid.parallel" @@ fun () ->
-  Metrics.incr m_recoveries;
   let dir = Log_dir.open_ source_dir in
   let log = Log_dir.current dir in
   let heap = Heap.create () in
@@ -707,9 +691,7 @@ let hk_finalize (t : t) (job : job) =
   | Some new_as -> t.acc <- Uid.Set.inter t.acc new_as
   | None -> ());
   job.stage <- Finished;
-  Metrics.incr m_housekeepings;
   let entries = Log.entry_count t.log in
-  Metrics.observe h_checkpoint entries;
   Trace.emit
     (Trace.Checkpoint { system = "hybrid"; technique = technique_name job.technique; entries });
   (* Settle tokens enqueued during the settle-callbacks above: their
@@ -756,7 +738,6 @@ let hk_step (t : t) (job : job) ~budget =
   job.stage = Finished
 
 let housekeep t technique =
-  Span.run ("housekeep." ^ technique_name technique) @@ fun () ->
   let job = hk_start t technique in
   while not (hk_step t job ~budget:max_int) do
     ()

@@ -4,15 +4,7 @@ module Codec = Rs_util.Codec
 module Heap = Rs_objstore.Heap
 module Store = Rs_storage.Stable_store
 module Log = Rs_slog.Stable_log
-module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
-module Span = Rs_obs.Span
-
-let m_prepares = Metrics.counter "shadow_rs.prepares"
-let m_commits = Metrics.counter "shadow_rs.commits"
-let m_aborts = Metrics.counter "shadow_rs.aborts"
-let m_recoveries = Metrics.counter "shadow_rs.recoveries"
-let m_recovery_entries = Metrics.counter "shadow_rs.recovery_entries"
 
 type addr = Log_entry.addr
 
@@ -166,7 +158,6 @@ let sink_for t aid : Write_objects.sink =
   }
 
 let prepare t aid mos =
-  Metrics.incr m_prepares;
   ignore
     (Write_objects.write_mos ~heap:t.heap
        ~accessible:(fun u -> Uid.Set.mem u t.acc)
@@ -195,7 +186,6 @@ let maybe_truncate_ilog t =
   then t.ilog <- Log.create t.stores.istore
 
 let commit t aid =
-  Metrics.incr m_commits;
   ignore (Log.force_write t.ilog (Log_entry.encode (Log_entry.Committed { aid; prev = None })));
   (match Aid.Tbl.find_opt t.pending aid with
   | Some tbl -> Uid.Tbl.iter (fun u entry -> Uid.Tbl.replace t.map u entry) tbl
@@ -206,7 +196,6 @@ let commit t aid =
   maybe_truncate_ilog t
 
 let abort t aid =
-  Metrics.incr m_aborts;
   ignore (Log.force_write t.ilog (Log_entry.encode (Log_entry.Aborted { aid; prev = None })));
   (* Mutex versions written by this prepared action survive the abort
      (§2.4.2): they are installed in the map even though the atomic
@@ -251,8 +240,6 @@ let fetch_data log a =
       failwith "Shadow_rs: map points at a non-data entry"
 
 let recover old =
-  Span.run "recover.shadow" @@ fun () ->
-  Metrics.incr m_recoveries;
   let stores = old.stores in
   Store.recover stores.root;
   let heap = Heap.create () in
@@ -310,7 +297,6 @@ let recover old =
     ~pairs:(List.map (fun (u, a, _) -> (u, a)) map_entries)
     ~fetch:(fun daddr -> fetch daddr ());
   let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) ~aid_gen:None in
-  Metrics.incr ~by:info.Tables.Recovery_info.entries_processed m_recovery_entries;
   Trace.emit
     (Trace.Recovery_scan
        { system = "shadow"; entries = info.Tables.Recovery_info.entries_processed });

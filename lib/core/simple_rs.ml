@@ -8,16 +8,8 @@ module Log_dir = Rs_slog.Log_dir
 module Fsched = Rs_slog.Force_scheduler
 module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
-module Span = Rs_obs.Span
 
-let m_entries_written = Metrics.counter "simple_rs.entries_written"
-let m_prepares = Metrics.counter "simple_rs.prepares"
-let m_commits = Metrics.counter "simple_rs.commits"
-let m_aborts = Metrics.counter "simple_rs.aborts"
-let m_recoveries = Metrics.counter "simple_rs.recoveries"
 let m_recovery_entries = Metrics.counter "simple_rs.recovery_entries"
-let m_snapshots = Metrics.counter "simple_rs.snapshots"
-let h_checkpoint = Metrics.histogram "simple_rs.checkpoint_entries"
 
 type t = {
   heap : Heap.t;
@@ -50,19 +42,15 @@ let create heap dir =
   }
 
 let append t entry =
-  Metrics.incr m_entries_written;
   ignore (Log.write t.log (Log_entry.encode entry))
 
-(* Forced outcome entries share the written-entries tally; the durability
-   token rides the group-commit scheduler (synchronous unless a batching
-   window is configured). *)
+(* A forced outcome entry's durability token rides the group-commit
+   scheduler (synchronous unless a batching window is configured). *)
 let force_append ?on_durable t entry =
-  Metrics.incr m_entries_written;
   ignore (Log.write t.log (Log_entry.encode entry));
   Fsched.enqueue t.sched ?on_durable ()
 
 let write_data t aid ~uid ~otype version =
-  Metrics.incr m_entries_written;
   let a =
     Log.write t.log
       (Log_entry.encode (Log_entry.Data { uid = Some uid; otype; aid = Some aid; version }))
@@ -90,17 +78,14 @@ let prepare ?on_durable t aid mos =
       ~aid ~mos ~sink:(sink_for t aid)
   in
   ignore leftovers;
-  Metrics.incr m_prepares;
   Aid.Tbl.replace t.pat aid ();
   force_append ?on_durable t (Log_entry.Prepared { aid; pairs = None; prev = None })
 
 let commit ?on_durable t aid =
-  Metrics.incr m_commits;
   Aid.Tbl.remove t.pat aid;
   force_append ?on_durable t (Log_entry.Committed { aid; prev = None })
 
 let abort ?on_durable t aid =
-  Metrics.incr m_aborts;
   Aid.Tbl.remove t.pat aid;
   force_append ?on_durable t (Log_entry.Aborted { aid; prev = None })
 
@@ -128,8 +113,6 @@ let fetch_data log a =
       failwith "Simple_rs: CSSL points at a non-data entry"
 
 let recover dir =
-  Span.run "recover.simple" @@ fun () ->
-  Metrics.incr m_recoveries;
   let dir = Log_dir.open_ dir in
   let log = Log_dir.current dir in
   let heap = Heap.create () in
@@ -302,10 +285,7 @@ let finish_snapshot t job =
   Fsched.flush t.sched
 
 let housekeep t =
-  Span.run "housekeep.simple" @@ fun () ->
-  Metrics.incr m_snapshots;
   let job = begin_snapshot t in
   finish_snapshot t job;
   let entries = Log.entry_count t.log in
-  Metrics.observe h_checkpoint entries;
   Trace.emit (Trace.Checkpoint { system = "simple"; technique = "snapshot"; entries })

@@ -8,8 +8,6 @@ module Sim = Rs_sim.Sim
 module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
 
-let m_reserves = Metrics.counter "dir.reserves"
-let m_reserve_aborts = Metrics.counter "dir.reserve_aborts"
 let m_routes = Metrics.counter "dir.routes"
 let m_cross_routes = Metrics.counter "dir.cross_routes"
 
@@ -142,7 +140,6 @@ let add_range t g ~lo =
   t.ranges <- (lo, hi, g) :: t.ranges;
   let p = pool t g in
   p.ranges <- p.ranges @ [ (lo, hi) ];
-  Metrics.incr m_reserves;
   if Trace.enabled () then
     Trace.emit (Trace.Uid_reserve { gid = Gid.to_string g; lo; count = t.batch })
 
@@ -168,9 +165,7 @@ let reserve_async ?(on_ready = fun () -> ()) t g =
                   let ws = List.rev p.waiters in
                   p.waiters <- [];
                   List.iter (fun k -> k ()) ws
-              | System.Aborted ->
-                  Metrics.incr m_reserve_aborts;
-                  Sim.schedule sim ~delay:retry_delay attempt)
+              | System.Aborted -> Sim.schedule sim ~delay:retry_delay attempt)
       | exception (System.Guardian_down _ | System.Overloaded _) ->
           (* Master dead or at capacity: back off and re-ask. Like every
              retry against a down guardian, this only drains once someone

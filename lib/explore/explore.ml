@@ -15,12 +15,9 @@ module Sim = Rs_sim.Sim
 module Net = Rs_sim.Net
 module Trace = Rs_obs.Trace
 module Monitor = Rs_obs.Monitor
-module Metrics = Rs_obs.Metrics
 module Gid = Rs_util.Gid
 module Rng = Rs_util.Rng
 
-let m_schedules = Metrics.counter "explore.schedules"
-let m_violations = Metrics.counter "explore.violations"
 
 type config = { seed : int; budget : int; max_depth : int }
 
@@ -185,7 +182,6 @@ let drive cfg ~target ~census ~run =
   let points = census () in
   let runs = ref 0 in
   let run sched =
-    Metrics.incr m_schedules;
     Trace.clear ();
     Trace.emit (Trace.Explore_schedule { id = !runs; points = List.length sched });
     incr runs;
@@ -203,7 +199,6 @@ let drive cfg ~target ~census ~run =
         match run sched with
         | [] -> go (id + 1) rest
         | v :: _ ->
-            Metrics.incr m_violations;
             Trace.emit
               (Trace.Explore_violation
                  { oracle = v.Oracle.oracle; schedule = Fault.schedule_to_string sched });

@@ -10,11 +10,7 @@ module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
 
 let m_prepares = Metrics.counter "guardian.prepares"
-let m_refusals = Metrics.counter "guardian.refusals"
 let m_commits = Metrics.counter "guardian.commits"
-let m_aborts = Metrics.counter "guardian.aborts"
-let m_crashes = Metrics.counter "guardian.crashes"
-let m_restarts = Metrics.counter "guardian.restarts"
 let m_hk_runs = Metrics.counter "guardian.housekeeping_runs"
 
 type t = {
@@ -96,7 +92,6 @@ let hooks_of t : Twopc.hooks =
         (* An action unknown here never ran, aborted locally, or was wiped
            out by a crash: refuse (§2.2.2). *)
         if not (Aid.Set.mem aid t.known) then begin
-          Metrics.incr m_refusals;
           if Trace.enabled () then
             Trace.emit
               (Trace.Action_prepare
@@ -128,7 +123,6 @@ let hooks_of t : Twopc.hooks =
         maybe_housekeep t);
     on_abort =
       (fun aid ->
-        Metrics.incr m_aborts;
         if Trace.enabled () then
           Trace.emit (Trace.Action_abort { gid = Gid.to_string t.gid; aid = Aid.to_string aid });
         Hybrid_rs.abort t.rs aid;
@@ -215,7 +209,6 @@ let crash t =
   if t.up then begin
     t.up <- false;
     t.crashes <- t.crashes + 1;
-    Metrics.incr m_crashes;
     Trace.emit (Trace.Crash { gid = Gid.to_string t.gid });
     Net.set_up t.net t.gid false;
     Twopc.stop (twopc t);
@@ -271,7 +264,6 @@ let restart t =
   in
   let info = report.Core.Tables.Recovery_report.info in
   t.rs <- rs;
-  Metrics.incr m_restarts;
   Trace.emit
     (Trace.Restart
        {

@@ -14,9 +14,7 @@ exception Abort_action
 exception Overloaded of { gid : Gid.t; in_flight : int }
 exception Guardian_down of { gid : Gid.t }
 
-let m_lock_conflicts = Rs_obs.Metrics.counter "guardian.lock_conflicts"
 let m_wait_aborts = Rs_obs.Metrics.counter "guardian.wait_aborts"
-let m_sheds = Rs_obs.Metrics.counter "guardian.sheds"
 
 (* A suspended action: its step hit a lock queue on [p_gid]'s heap and the
    fiber is parked until the lock transfers ([continue true]) or the wait
@@ -172,7 +170,6 @@ let submit ?(mode = Update) t ~coordinator ~steps =
      consume neither and complete synchronously, so they are never shed. *)
   (match t.max_in_flight with
   | Some cap when mode = Update && t.in_flight.(ci) >= cap ->
-      Rs_obs.Metrics.incr m_sheds;
       if Rs_obs.Trace.enabled () then
         Rs_obs.Trace.emit
           (Rs_obs.Trace.Action_shed
@@ -275,9 +272,7 @@ let submit ?(mode = Update) t ~coordinator ~steps =
           | () ->
               if t.early_prepare then Guardian.early_prepare target aid;
               exec rest
-          | exception Heap.Lock_conflict _ ->
-              Rs_obs.Metrics.incr m_lock_conflicts;
-              abort_all ()
+          | exception Heap.Lock_conflict _ -> abort_all ()
           | exception Heap.Wait_timeout _ ->
               Rs_obs.Metrics.incr m_wait_aborts;
               abort_all ()

@@ -54,7 +54,7 @@ exception Abort_action
     (e.g. business-rule violation: insufficient funds, sold out). *)
 
 exception Overloaded of { gid : Rs_util.Gid.t; in_flight : int }
-(** See the exception surface above (metric [guardian.sheds]). *)
+(** See the exception surface above (traced as [Action_shed]). *)
 
 exception Guardian_down of { gid : Rs_util.Gid.t }
 (** See the exception surface above. Distinct from {!Overloaded} so

@@ -5,28 +5,15 @@ module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
 
 let m_read_locks = Metrics.counter "heap.read_locks_taken"
-let m_uids_minted = Metrics.counter "heap.uids_minted"
-let m_write_locks = Metrics.counter "heap.write_locks"
-let m_lock_conflicts = Metrics.counter "heap.lock_conflicts"
-let m_lock_waits = Metrics.counter "heap.lock_waits"
 let m_wait_timeouts = Metrics.counter "heap.wait_timeouts"
-let m_snapshots = Metrics.counter "mvcc.snapshots"
-let m_snap_reads = Metrics.counter "mvcc.snap_reads"
-let m_pruned = Metrics.counter "mvcc.pruned"
-let g_chain_len = Metrics.gauge "mvcc.chain_len"
-
-(* High-water mark of per-object version-chain length; read back so a
-   registry reset between runs restarts the mark. *)
-let note_chain_len n = if n > Metrics.gauge_value g_chain_len then Metrics.set g_chain_len n
 
 let holders_str = function
   | [] -> "-"
   | hs -> String.concat ";" (List.map Aid.to_string hs)
 
-(* A conflicting lock/possession request, counted and traced before the
-   exception reaches the guardian runtime. *)
+(* A conflicting lock/possession request, traced before the exception
+   reaches the guardian runtime. *)
 let conflict ~addr ~requester ~holders =
-  Metrics.incr m_lock_conflicts;
   if Trace.enabled () then
     Trace.emit
       (Trace.Lock_conflict { aid = Aid.to_string requester; holder = holders_str holders; addr })
@@ -281,7 +268,6 @@ let mint_uid t =
         (s.Uid.Source.label, u)
     | None -> ("local", Uid.Gen.fresh t.gen)
   in
-  Metrics.incr m_uids_minted;
   if Trace.enabled () then Trace.emit (Trace.Uid_mint { source; uid = Uid.to_int u });
   u
 
@@ -398,12 +384,9 @@ let prune_chain t a b =
             in
             go b.a_stamp hist
       in
-      let dropped = List.length hist - List.length hist' in
-      if dropped > 0 then Metrics.incr ~by:dropped m_pruned;
       b.a_hist <- hist';
       assert (List.length hist' <= t.snap_active));
-  if b.a_hist = [] then Hashtbl.remove t.chained a else Hashtbl.replace t.chained a ();
-  note_chain_len (1 + List.length b.a_hist)
+  if b.a_hist = [] then Hashtbl.remove t.chained a else Hashtbl.replace t.chained a ()
 
 let snapshot t =
   let stamp = t.commit_seq in
@@ -413,7 +396,6 @@ let snapshot t =
       Hashtbl.replace t.snap_live stamp (ref 1);
       Snap_heap.push t.snap_heap stamp);
   t.snap_active <- t.snap_active + 1;
-  Metrics.incr m_snapshots;
   if Trace.enabled () then Trace.emit (Trace.Snap_open { heap = t.label; stamp });
   { s_stamp = stamp; s_heap = t.heap_id; s_released = false }
 
@@ -458,7 +440,6 @@ let snapshot_read t s a =
       in
       find b.a_hist
   in
-  Metrics.incr m_snap_reads;
   if Trace.enabled () then
     Trace.emit (Trace.Snap_read { heap = t.label; addr = a; stamp = s.s_stamp; vstamp });
   v
@@ -539,7 +520,6 @@ let grant_write t aid a b =
   b.a_lock <- Write aid;
   b.a_cur <- Some (copy_version t b.a_base);
   record t.locked aid a;
-  Metrics.incr m_write_locks;
   trace_lock t aid a Trace.Write
 
 (* Join the FIFO queue (front = an upgrade request, which must beat queued
@@ -557,7 +537,6 @@ let wait_atomic t aid a b ~write ~front =
   | Some rt ->
       let w = { w_aid = aid; w_write = write } in
       b.a_wait <- (if front then w :: b.a_wait else b.a_wait @ [ w ]);
-      Metrics.incr m_lock_waits;
       if Trace.enabled () then
         Trace.emit
           (Trace.Lock_wait
@@ -682,7 +661,6 @@ let rec seize t aid a =
           raise (Lock_conflict { addr = a; holders })
       | Some rt ->
           b.m_wait <- b.m_wait @ [ aid ];
-          Metrics.incr m_lock_waits;
           if Trace.enabled () then
             Trace.emit
               (Trace.Lock_wait

@@ -84,10 +84,9 @@ val set_uid_source : t -> Rs_util.Uid.Source.t option -> unit
 (** Install (or clear) the uid source consulted by {!alloc_atomic} and
     {!alloc_mutex}. [None] (the default) mints from the guardian's own
     stable counter; a placement directory installs a pool of batched,
-    globally-unique ranges. Every mint emits a [Uid_mint] trace event and
-    bumps the [heap.uids_minted] counter. Pool-minted uids also advance
-    the local counter past themselves, so a later fallback to the local
-    source cannot collide. *)
+    globally-unique ranges. Every mint emits a [Uid_mint] trace event.
+    Pool-minted uids also advance the local counter past themselves, so a
+    later fallback to the local source cannot collide. *)
 
 val uid_source : t -> Rs_util.Uid.Source.t option
 val root_addr : t -> addr
@@ -148,7 +147,7 @@ val current_of : t -> Rs_util.Aid.t -> addr -> Value.t
 
     History versions are pruned eagerly: a version is dropped the moment
     no live snapshot's stamp falls in its visibility window, keeping every
-    chain at most [active_snapshots + 1] long (gauged by [mvcc.chain_len]).
+    chain at most [active_snapshots + 1] long (read by {!chain_length}).
     Snapshot state is {e volatile}: a crash replaces the heap and resets
     stamps to zero, and a snapshot from the previous incarnation is
     rejected with [Invalid_argument] rather than read stale chains. *)

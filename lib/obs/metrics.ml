@@ -137,8 +137,15 @@ let find_counter registry name =
   | Some (Counter c) -> Some c.c_value
   | Some _ | None -> None
 
-let sorted_metrics registry =
-  Hashtbl.fold (fun _ m acc -> m :: acc) registry.tbl []
+(* What export shows: counters a run moved, histograms it observed, and
+   every gauge (a gauge set to 0 is a reading, not an untouched metric). *)
+let touched = function
+  | Counter c -> c.c_value > 0
+  | Gauge _ -> true
+  | Histogram h -> h.h_count > 0
+
+let exported registry =
+  Hashtbl.fold (fun _ m acc -> if touched m then m :: acc else acc) registry.tbl []
   |> List.sort (fun a b ->
          let name = function
            | Counter c -> c.c_name
@@ -162,7 +169,7 @@ let json_escape s =
   Buffer.contents buf
 
 let to_json registry =
-  let ms = sorted_metrics registry in
+  let ms = exported registry in
   let buf = Buffer.create 1024 in
   let obj label emit items =
     Buffer.add_string buf (Printf.sprintf "  \"%s\": {" label);
@@ -209,7 +216,7 @@ let pp fmt registry =
       | Histogram h ->
           Format.fprintf fmt "%-44s count=%d sum=%d under=%d over=%d@." h.h_name h.h_count
             h.h_sum h.underflow h.overflow)
-    (sorted_metrics registry)
+    (exported registry)
 
 let reset registry =
   Hashtbl.iter

@@ -4,10 +4,12 @@
     All metrics live in a registry ({!default} unless stated otherwise)
     keyed by name; looking up the same name twice returns the same metric,
     so instrumented modules simply declare their counters at module
-    initialization. Export ({!to_json}, {!pp}) is deterministic: metrics
-    are emitted in name order, so two runs that perform the same operations
-    serialize to identical bytes — the property the trace-determinism tests
-    rely on. *)
+    initialization. Export ({!to_json}, {!pp}) shows only what a run
+    touched: counters above zero, histograms with at least one
+    observation, and every gauge (a gauge set to 0 is a reading). It is
+    deterministic: metrics are emitted in name order, so two runs that
+    perform the same operations serialize to identical bytes — the
+    property the trace-determinism tests rely on. *)
 
 type t
 (** A registry. *)
@@ -73,12 +75,14 @@ val find_counter : t -> string -> int option
 (** Read a counter by name without creating it. *)
 
 val to_json : t -> string
-(** Serialize the whole registry as one JSON object
+(** Serialize the touched metrics as one JSON object
     [{"counters": {...}, "gauges": {...}, "histograms": {...}}] with keys
-    in sorted order (deterministic). *)
+    in sorted order (deterministic). Zero counters and unobserved
+    histograms are left out; gauges always appear. *)
 
 val pp : Format.formatter -> t -> unit
-(** Human-readable listing, one metric per line, name order. *)
+(** Human-readable listing of the metrics {!to_json} exports, one per
+    line, name order. *)
 
 val reset : t -> unit
 (** Zero every metric but keep all registrations — used between the two

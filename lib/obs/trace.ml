@@ -39,8 +39,6 @@ type event =
   | Checkpoint of { system : string; technique : string; entries : int }
   | Crash of { gid : string }
   | Restart of { gid : string; prepared : int; committing : int }
-  | Span_begin of { name : string }
-  | Span_end of { name : string }
   | Explore_schedule of { id : int; points : int }
   | Explore_violation of { oracle : string; schedule : string }
   | Explore_shrunk of { points : int; schedule : string }
@@ -150,8 +148,6 @@ let pp_event fmt = function
   | Crash { gid } -> Format.fprintf fmt "crash{gid=%s}" gid
   | Restart { gid; prepared; committing } ->
       Format.fprintf fmt "restart{gid=%s prepared=%d committing=%d}" gid prepared committing
-  | Span_begin { name } -> Format.fprintf fmt "span_begin{%s}" name
-  | Span_end { name } -> Format.fprintf fmt "span_end{%s}" name
   | Explore_schedule { id; points } ->
       Format.fprintf fmt "explore_schedule{id=%d points=%d}" id points
   | Explore_violation { oracle; schedule } ->

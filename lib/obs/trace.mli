@@ -95,8 +95,6 @@ type event =
   | Checkpoint of { system : string; technique : string; entries : int }
   | Crash of { gid : string }
   | Restart of { gid : string; prepared : int; committing : int }
-  | Span_begin of { name : string }
-  | Span_end of { name : string }
   | Explore_schedule of { id : int; points : int }
       (** one crash schedule about to run under the explorer *)
   | Explore_violation of { oracle : string; schedule : string }

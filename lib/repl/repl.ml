@@ -35,7 +35,6 @@ let m_resets = Metrics.counter "repl.resets"
 let m_resyncs = Metrics.counter "repl.resyncs"
 let m_fenced = Metrics.counter "repl.fenced"
 let m_failovers = Metrics.counter "repl.failovers"
-let g_lag = Metrics.gauge "repl.lag_entries"
 
 (* ------------------------------------------------------------------ *)
 (* Replica: the standby's stable log + warm recovery tables.          *)
@@ -337,8 +336,6 @@ module Pair = struct
      recovery system has swapped its own cached log handle. *)
   let primary_log t = Log_dir.current (Hybrid_rs.dir (Guardian.rs (primary_guardian t)))
 
-  let set_lag t = Metrics.set g_lag (lag_entries t)
-
   let fenced () = Metrics.incr m_fenced
 
   (* ---- primary side ---------------------------------------------- *)
@@ -379,7 +376,6 @@ module Pair = struct
     if t.attached then begin
       t.shipped <- Log.stream_bytes log;
       t.shipped_entries <- t.shipped_entries + List.length fb.Log.fb_entries;
-      set_lag t;
       send_ship t ~base:fb.Log.fb_base ~entries:fb.Log.fb_entries ~table:fb.Log.fb_table
         ~low_water:fb.Log.fb_low_water ~reset:false
     end
@@ -401,7 +397,6 @@ module Pair = struct
     t.shipped_entries <- Log.forced_count log;
     t.acked <- 0;
     t.acked_entries <- 0;
-    set_lag t;
     Metrics.incr m_resets;
     send_ship t ~base:0 ~entries ~table:(Log.segment_table log)
       ~low_water:(Log.low_water log) ~reset:true
@@ -504,8 +499,7 @@ module Pair = struct
         if epoch <> t.epoch then fenced ()
         else begin
           if watermark > t.acked then t.acked <- watermark;
-          if applied > t.acked_entries then t.acked_entries <- applied;
-          set_lag t
+          if applied > t.acked_entries then t.acked_entries <- applied
         end
     | Resync { epoch; from_ } -> if epoch <> t.epoch then fenced () else ship_tail t from_
     | Ship _ -> ()
@@ -633,7 +627,6 @@ module Pair = struct
     t.shipped_entries <- 0;
     t.acked <- 0;
     t.acked_entries <- 0;
-    set_lag t;
     install_hooks t;
     info
 

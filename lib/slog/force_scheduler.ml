@@ -1,8 +1,6 @@
 module Metrics = Rs_obs.Metrics
-module Span = Rs_obs.Span
 
 let m_group_commits = Metrics.counter "slog.group_commits"
-let h_batch_entries = Metrics.histogram "slog.batch_entries"
 
 type timer = delay:float -> (unit -> unit) -> unit
 
@@ -39,12 +37,10 @@ let flush t =
   t.armed <- false;
   if t.alive && t.n_waiters > 0 then begin
     let callbacks = List.rev t.waiters in
-    let covered = t.n_waiters in
     t.waiters <- [];
     t.n_waiters <- 0;
-    Span.run "force" (fun () -> Stable_log.force t.log);
+    Stable_log.force t.log;
     Metrics.incr m_group_commits;
-    Metrics.observe h_batch_entries covered;
     (* The covering force is stable, so every token in the batch is owed
        its notification: a raising callback must not starve the rest.
        Run them all, then re-raise the first failure. *)

@@ -21,9 +21,9 @@
     drops its waiters {e before} forcing, so a crash raised from inside the
     force never fires completion callbacks.
 
-    Instrumented in {!Rs_obs.Metrics}: [slog.group_commits] counts batches,
-    [slog.batch_entries] histograms tokens per batch, and the physical
-    force runs under [span.force]. *)
+    Instrumented in {!Rs_obs.Metrics}: [slog.group_commits] counts batches;
+    the [Log_force] trace event of each covering force carries how many
+    entries it made durable. *)
 
 type t
 

@@ -3,7 +3,6 @@ module Codec = Rs_util.Codec
 module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
 
-let m_segments_retired = Metrics.counter "slog.segments_retired"
 let m_swept = Metrics.counter "slog.orphan_segments_swept"
 
 (* The segment pool shared by the two log generations. Stores are created
@@ -142,7 +141,6 @@ let open_ t =
       List.iter
         (fun id ->
           pool_release pool id;
-          Metrics.incr m_segments_retired;
           Metrics.incr m_swept;
           Trace.emit (Trace.Segment_retire { id }))
         (List.sort compare orphans));

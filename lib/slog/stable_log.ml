@@ -5,17 +5,9 @@ module Store = Rs_storage.Stable_store
 module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
 
-let m_writes = Metrics.counter "slog.writes"
 let m_forces = Metrics.counter "slog.forces"
 let m_cache_hits = Metrics.counter "slog.cache_hits"
 let m_cache_misses = Metrics.counter "slog.cache_misses"
-let m_entry_reads = Metrics.counter "slog.entry_reads"
-let m_bytes_read = Metrics.counter "slog.bytes_read"
-let m_segments_allocated = Metrics.counter "slog.segments_allocated"
-let m_segments_retired = Metrics.counter "slog.segments_retired"
-let g_stream_bytes = Metrics.gauge "slog.stream_bytes"
-let g_live_bytes = Metrics.gauge "slog.live_bytes"
-let g_live_segments = Metrics.gauge "slog.live_segments"
 let h_force_bytes = Metrics.histogram "slog.force_bytes"
 
 type addr = int
@@ -169,13 +161,6 @@ let decode_header s =
   (forced_len, forced_entries, last_offset, page_size, low_water, segment_pages, table)
 
 let write_header t = Store.put t.store 0 (encode_header t)
-
-let update_liveness_gauges t =
-  Metrics.set g_stream_bytes t.forced_len;
-  Metrics.set g_live_bytes (t.forced_len - t.low_water);
-  match t.seg with
-  | Some s -> Metrics.set g_live_segments (List.length s.table)
-  | None -> ()
 
 let mk ~store ~page_size ~seg ~cache_pages ~forced_len ~low_water ~forced_entries
     ~last_offset =
@@ -346,8 +331,6 @@ let read t a =
   in
   t.entry_reads <- t.entry_reads + 1;
   t.bytes_read <- t.bytes_read + String.length payload;
-  Metrics.incr m_entry_reads;
-  Metrics.incr ~by:(String.length payload) m_bytes_read;
   payload
 
 (* Address of the entry preceding the one at [a], if any. The backward
@@ -461,9 +444,7 @@ let scan_segments t f =
           pos := !pos + frame_overhead + len
         done;
         t.entry_reads <- t.entry_reads + !frames;
-        t.bytes_read <- t.bytes_read + !bytes;
-        Metrics.incr ~by:!frames m_entry_reads;
-        Metrics.incr ~by:!bytes m_bytes_read
+        t.bytes_read <- t.bytes_read + !bytes
       end;
       stats :=
         { scan_id = id; scan_base = lo; scan_len = hi - lo; scan_first = first; scan_frames = !frames }
@@ -483,7 +464,6 @@ let write t entry =
   Hashtbl.replace t.pending_idx a (entry, prev);
   t.last_pending <- Some a;
   t.pending_bytes <- t.pending_bytes + frame_overhead + String.length entry;
-  Metrics.incr m_writes;
   Trace.emit (Trace.Log_write { log = t.label; addr = a; bytes = String.length entry });
   a
 
@@ -517,7 +497,6 @@ let ensure_page_store t p =
           in
           Store.put store 0 (encode_segment_header hdr);
           s.table <- List.merge compare s.table [ (idx, id) ];
-          Metrics.incr m_segments_allocated;
           Trace.emit (Trace.Segment_alloc { id; index = idx });
           seg_event (Seg_alloc id);
           (store, store_page, true))
@@ -573,7 +552,6 @@ let force t =
     t.forces <- t.forces + 1;
     Metrics.incr m_forces;
     Metrics.observe h_force_bytes (t.forced_len - start);
-    update_liveness_gauges t;
     Trace.emit (Trace.Log_force { log = t.label; entries = count; stream_bytes = t.forced_len });
     (match (t.on_force, batch) with
     | Some f, Some entries ->
@@ -598,7 +576,6 @@ let force_write t entry =
    segment unreachable first). *)
 let release_segment s id =
   s.provider.release id;
-  Metrics.incr m_segments_retired;
   Trace.emit (Trace.Segment_retire { id });
   seg_event (Seg_retire id)
 
@@ -632,8 +609,7 @@ let retire_below t addr =
     | Some s ->
         List.iter (release_segment s) dead;
         if dead <> [] then Lru.clear t.pages
-    | None -> ());
-    update_liveness_gauges t
+    | None -> ())
   end
 
 let get_top t =

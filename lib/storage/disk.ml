@@ -10,13 +10,10 @@ type stats = {
   mutable decays : int;
 }
 
-(* Process-wide totals in the observability registry; per-disk tallies live
-   in the fields below and surface through the [stats] compatibility
-   reader. *)
+(* Process-wide page I/O totals in the observability registry; per-disk
+   tallies live in the fields below and surface through [stats]. *)
 let m_reads = Metrics.counter "disk.reads"
 let m_writes = Metrics.counter "disk.writes"
-let m_torn = Metrics.counter "disk.torn_writes"
-let m_decays = Metrics.counter "disk.decays"
 
 type t = {
   mutable pages : page array;
@@ -72,7 +69,6 @@ let grow_to t p =
 let note_decay t p =
   t.pages.(p) <- Bad;
   t.decays <- t.decays + 1;
-  Metrics.incr m_decays;
   Trace.emit (Trace.Page_decay { page = p })
 
 let maybe_decay t p =
@@ -105,7 +101,6 @@ let write t p data =
       (* The crash interrupts this write: the page is torn. *)
       t.pages.(p) <- Bad;
       t.torn_writes <- t.torn_writes + 1;
-      Metrics.incr m_torn;
       Trace.emit (Trace.Torn_write { page = p });
       t.crash_in <- None;
       raise Crash

@@ -21,8 +21,9 @@ type stats = {
   mutable torn_writes : int;  (** writes interrupted by a crash *)
   mutable decays : int;
 }
-(** Per-disk tallies. Process-wide totals live in the [Rs_obs] registry as
-    [disk.reads], [disk.writes], [disk.torn_writes], [disk.decays]. *)
+(** Per-disk tallies. Process-wide page I/O totals live in the [Rs_obs]
+    registry as [disk.reads] and [disk.writes]; torn writes and decays are
+    per disk here and in the trace ([Torn_write], [Page_decay]). *)
 
 val create : ?rng:Rs_util.Rng.t -> ?decay_prob:float -> pages:int -> unit -> t
 (** [create ~pages ()] is a disk of initially [pages] pages, all bad

@@ -4,9 +4,6 @@ module Trace = Rs_obs.Trace
 type t = { a : Disk.t; b : Disk.t; mutable armed : int option }
 
 let m_phys_writes = Metrics.counter "stable_store.physical_writes"
-let m_puts = Metrics.counter "stable_store.logical_puts"
-let m_gets = Metrics.counter "stable_store.logical_gets"
-let m_recoveries = Metrics.counter "stable_store.recoveries"
 let m_repairs = Metrics.counter "stable_store.repairs"
 
 let m_write_rounds = Metrics.counter "stable_store.write_rounds"
@@ -69,7 +66,6 @@ let repair disk p data =
 
 let get t p =
   check t p "get";
-  Metrics.incr m_gets;
   match read_pair t p with
   | Some va, Some vb ->
       (* A crash between the two careful writes leaves B readable but
@@ -108,7 +104,6 @@ let write_phys t disk p data =
 
 let put t p data =
   check t p "put";
-  Metrics.incr m_puts;
   let framed = frame data in
   (* Careful put, mirrors overlapped: issue the write to A then to B
      back-to-back, then verify both re-reads — one round instead of two
@@ -139,7 +134,6 @@ let put t p data =
   round true true 5
 
 let recover t =
-  Metrics.incr m_recoveries;
   for p = 0 to pages t - 1 do
     match read_pair t p with
     | Some va, Some vb ->

@@ -38,16 +38,6 @@ let msg_aid = function
 let msg_to_string m = String.concat "" [ msg_kind m; "("; Aid.to_string (msg_aid m); ")" ]
 let pp_msg fmt m = Format.pp_print_string fmt (msg_to_string m)
 
-let kind_counter prefix =
-  let tbl =
-    List.map
-      (fun k -> (k, Metrics.counter (prefix ^ k)))
-      [ "prepare"; "prepared"; "refused"; "commit"; "committed"; "abort"; "aborted"; "query" ]
-  in
-  fun m -> List.assoc (msg_kind m) tbl
-
-let send_counter = kind_counter "twopc.send."
-let recv_counter = kind_counter "twopc.recv."
 let m_retries = Metrics.counter "twopc.retries"
 let m_prepare_timeouts = Metrics.counter "twopc.prepare_timeouts"
 
@@ -124,7 +114,6 @@ let gid t = t.gid
    promotion) must reply under that name, or the peer's per-gid waiting
    sets never recognise the ack. *)
 let send_as t ~self ~dst msg =
-  Metrics.incr (send_counter msg);
   if Trace.enabled () then
     Trace.emit
       (Trace.Twopc_send
@@ -134,7 +123,6 @@ let send_as t ~self ~dst msg =
 let send_msg t ~dst msg = send_as t ~self:t.gid ~dst msg
 
 let note_recv t ~src msg =
-  Metrics.incr (recv_counter msg);
   if Trace.enabled () then
     Trace.emit
       (Trace.Twopc_recv

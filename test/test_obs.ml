@@ -108,6 +108,27 @@ let test_to_json_and_reset () =
   Alcotest.(check (option int)) "registration survives reset" (Some 0)
     (Metrics.find_counter r "z.count")
 
+(* Export shows what a run touched: a zero counter and an unobserved
+   histogram are left out, a gauge is shown even at 0. *)
+let test_export_skips_untouched () =
+  let r = Metrics.create () in
+  ignore (Metrics.counter ~registry:r "idle.count");
+  Metrics.incr (Metrics.counter ~registry:r "busy.count");
+  Metrics.set (Metrics.gauge ~registry:r "zero.gauge") 0;
+  ignore (Metrics.histogram ~registry:r "idle.hist");
+  Metrics.observe (Metrics.histogram ~registry:r "busy.hist") 0;
+  let json = Metrics.to_json r and listing = Format.asprintf "%a" Metrics.pp r in
+  List.iter
+    (fun (what, out) ->
+      Alcotest.(check bool) (what ^ ": zero counter absent") false (contains out "idle.count");
+      Alcotest.(check bool) (what ^ ": moved counter present") true (contains out "busy.count");
+      Alcotest.(check bool) (what ^ ": zero gauge present") true (contains out "zero.gauge");
+      Alcotest.(check bool) (what ^ ": empty histogram absent") false (contains out "idle.hist");
+      Alcotest.(check bool) (what ^ ": observed histogram present") true
+        (contains out "busy.hist"))
+    [ ("json", json); ("pp", listing) ];
+  Alcotest.(check bool) "zero gauge value in json" true (contains json "\"zero.gauge\": 0")
+
 (* --- determinism: same seed, byte-identical trace and registry --- *)
 
 let g = Gid.of_int
@@ -211,6 +232,7 @@ let suite =
     Alcotest.test_case "histogram bad bounds" `Quick test_histogram_bad_bounds;
     Alcotest.test_case "default bucket boundaries" `Quick test_default_bucket_boundaries;
     Alcotest.test_case "to_json and reset" `Quick test_to_json_and_reset;
+    Alcotest.test_case "export skips untouched metrics" `Quick test_export_skips_untouched;
     Alcotest.test_case "trace ring overwrites oldest" `Quick test_ring_overwrites_oldest;
     Alcotest.test_case "repl monitor: reset forgiveness is a threshold" `Quick
       test_repl_monitor_reset_window;
