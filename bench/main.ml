@@ -1116,9 +1116,9 @@ let () =
   print_endline "(thesis has no measured tables; experiments per EXPERIMENTS.md)";
   (* The always-on spec monitors judge each experiment's own trace: a
      bench that committed without a covering force, or shipped backwards,
-     is a bug regardless of its numbers. Clearing first keeps one
-     experiment's events from being judged, or evicted from the ring, by
-     the next. *)
+     is a bug regardless of its numbers. Clearing first resets the
+     monitors' folds, so each experiment is judged on exactly its own
+     events, all of them. *)
   List.iter
     (fun (name, f) ->
       Rs_obs.Trace.clear ();

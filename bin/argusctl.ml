@@ -299,8 +299,8 @@ let explore seed scheme_name budget max_depth break_force =
       (fun () -> List.map (Rs_explore.Explore.explore ~config) targets)
   in
   List.iter (fun o -> Format.printf "%a@." Rs_explore.Explore.pp_outcome o) outcomes;
-  (* The always-on spec monitors double-check whatever the trace ring
-     still holds from the last runs. *)
+  (* The always-on spec monitors double-check every event since the last
+     schedule's [Trace.clear]. *)
   let monitor_violations = Rs_obs.Monitor.check () in
   List.iter (fun v -> Format.printf "MONITOR %a@." Rs_obs.Monitor.pp_violation v) monitor_violations;
   if

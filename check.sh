@@ -382,6 +382,28 @@ print(f"{w}: correct, {attempted} attempted, 0 failed")
   fi
 done
 
+echo "== standing bench smoke: the traced repetition sees every event =="
+# With --trace 1 the benchmark sizes a ring from the previous repetition's
+# Trace.total () and fails its "trace ring wrapped" gate if the traced
+# repetition outgrows it, so "correct": true also checks that events
+# built only while a ring is kept are still counted without one.
+LAST=$(dune exec bench/standing/standing.exe -- --workload mixed \
+         --seed 1 --seconds 1 --trace 1 | tail -1)
+case "$LAST" in
+  *'"correct": true,'*) echo "mixed --trace 1: correct" ;;
+  *) echo "$LAST"; echo "traced standing run failed its gates"; exit 1 ;;
+esac
+
+echo "== trace gate: argusctl trace is non-empty and deterministic =="
+TRACE_DIR=$(mktemp -d)
+trap 'rm -rf "$TRACE_DIR"' EXIT
+dune exec bin/argusctl.exe -- trace --seed 7 > "$TRACE_DIR/a"
+dune exec bin/argusctl.exe -- trace --seed 7 > "$TRACE_DIR/b"
+[ -s "$TRACE_DIR/a" ] || { echo "argusctl trace printed nothing"; exit 1; }
+cmp -s "$TRACE_DIR/a" "$TRACE_DIR/b" ||
+  { echo "argusctl trace --seed 7 differs between runs"; exit 1; }
+echo "trace ok: $(wc -l < "$TRACE_DIR/a" | tr -d ' ') lines, byte-identical across two runs"
+
 echo "== nemesis gate: seeded fault schedules clean for every profile =="
 for profile in synthetic bank reservation queue saga; do
   OUT=$(dune exec bin/argusctl.exe -- nemesis --profile "$profile" \

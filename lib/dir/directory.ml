@@ -245,10 +245,11 @@ let submit ?mode ?coordinator t ~steps =
   let cross = List.compare_length_with distinct 1 > 0 in
   Metrics.incr m_routes;
   if cross then Metrics.incr m_cross_routes;
-  if Trace.enabled () then
+  if Trace.recording () then
     Trace.emit
       (Trace.Dir_route
-         { coordinator = Gid.to_string coord; shards = List.length distinct; cross });
+         { coordinator = Gid.to_string coord; shards = List.length distinct; cross })
+  else Trace.skip ();
   System.submit ?mode t.system ~coordinator:coord ~steps:routed
 
 let create_step key init uid_out heap aid =
@@ -332,10 +333,11 @@ let snapshot_read_multi t keys =
   let cross = List.compare_length_with distinct 1 > 0 in
   Metrics.incr m_routes;
   if cross then Metrics.incr m_cross_routes;
-  if Trace.enabled () then
+  if Trace.recording () then
     Trace.emit
       (Trace.Dir_route
-         { coordinator = Gid.to_string coord; shards = List.length distinct; cross });
+         { coordinator = Gid.to_string coord; shards = List.length distinct; cross })
+  else Trace.skip ();
   ignore
     (System.submit ~mode:System.Read_only t.system ~coordinator:coord ~steps:routed
       : Rs_guardian.Action.handle);

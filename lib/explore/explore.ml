@@ -174,7 +174,7 @@ exception Found of Oracle.violation
 let fail_on = function [] -> () | v :: _ -> raise (Found v)
 
 (* Census the target's fault points, then run its enumerated schedules,
-   each in a fresh world with a fresh trace ring, so the spec monitors
+   each in a fresh world on a freshly cleared trace, so the spec monitors
    judge that run alone. Every world stamps the trace with its own
    simulator's clock; the default clock is back when the driver returns. *)
 let drive cfg ~target ~census ~run =

@@ -72,11 +72,18 @@ let gname i = Gid.to_string (Gid.of_int i)
    into the simulator (no nested runs), drain to quiescence, then ask the
    explorer's judge for the verdict. Deterministic end to end:
    the nemesis draws from its own rng (seed lxor 0x4e4d), so the same
-   config replays the same faults against the same traffic. *)
+   config replays the same faults against the same traffic. Keeps a ring
+   of the newest 8192 events for the outcome's trace unless the caller
+   already keeps one. *)
 let run cfg =
   validate cfg;
+  let own_ring = Trace.capacity () = 0 in
+  if own_ring then Trace.set_capacity 8192;
   Trace.clear ();
-  Fun.protect ~finally:Trace.clear_clock @@ fun () ->
+  Fun.protect ~finally:(fun () ->
+      Trace.clear_clock ();
+      if own_ring then Trace.set_capacity 0)
+  @@ fun () ->
   let lcfg =
     {
       Load.default with

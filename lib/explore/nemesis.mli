@@ -54,7 +54,9 @@ type outcome = {
           the throughput rate excludes *)
   fired : fired list;
   violations : string list;  (** empty = every oracle and monitor clean *)
-  trace : string;  (** the run's full trace — byte-identical per seed *)
+  trace : string;
+      (** the run's newest 8192 trace events, or the caller's ring when it
+          keeps one — byte-identical per seed *)
 }
 
 val run : config -> outcome

@@ -240,7 +240,10 @@ let create () =
 let uid_gen t = t.gen
 let root_addr t = t.root
 let set_runtime t rt = t.runtime <- rt
-let set_label t s = t.label <- s
+let set_label t s =
+  t.label <- s;
+  if s <> "" then Trace.emit (Trace.Heap_label { heap = s })
+
 let label t = t.label
 
 let trace_lock t aid addr kind =
@@ -268,7 +271,8 @@ let mint_uid t =
         (s.Uid.Source.label, u)
     | None -> ("local", Uid.Gen.fresh t.gen)
   in
-  if Trace.enabled () then Trace.emit (Trace.Uid_mint { source; uid = Uid.to_int u });
+  if Trace.recording () then Trace.emit (Trace.Uid_mint { source; uid = Uid.to_int u })
+  else Trace.skip ();
   u
 
 let kind_of t a =

@@ -61,7 +61,9 @@ val set_label : t -> string -> unit
 (** Tag the heap with its owning guardian's name ("G0", …); stamped on
     [Lock_*] trace events so the lock-legality spec monitor can keep
     per-guardian lock state (object addresses collide across guardians).
-    Unlabeled heaps ("") are skipped by the monitor. *)
+    Unlabeled heaps ("") are skipped by the monitor. A non-empty label
+    emits [Heap_label]: the lock and snapshot monitors forget whatever an
+    earlier heap did under that label (a fresh heap's stamps restart). *)
 
 val label : t -> string
 

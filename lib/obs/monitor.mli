@@ -1,12 +1,13 @@
-(** Always-on spec monitors over the deterministic trace ring.
+(** Always-on spec monitors, folded over every trace event as it is emitted.
 
-    Declarative safety checks in the style of oswald's PSpec monitors,
-    evaluated against whatever the ring currently holds. They are meant to
-    run at the end of {e every} test and bench run (and inside explorer
-    passes), not only when a scenario explicitly exercises the property.
-    Ring truncation is handled: each rule only relates an event to {e later}
-    events, which by construction survive in the ring whenever the earlier
-    event does. *)
+    Declarative safety checks in the style of oswald's PSpec monitors.
+    Each monitor is an incremental fold that {!Trace.emit} feeds, so it
+    judges every event since the last {!Trace.clear}, whether or not a
+    trace ring is kept. Fold state is bounded by live things (open
+    handles, held and queued locks, uncovered commits, open snapshots, the
+    last address per log stream). They are meant to be checked at the end
+    of {e every} test and bench run (and inside explorer passes), not only
+    when a scenario explicitly exercises the property. *)
 
 type violation = { monitor : string; detail : string }
 
@@ -33,9 +34,9 @@ val log_monotonic : unit -> violation list
 
 val lock_legal : unit -> violation list
 (** The Argus lock model over [Lock_*] events, per labeled heap: no grant
-    overlaps an incompatible holder (own-read upgrade exempt), and — when
-    the ring has not wrapped — no direct grant barges past another action's
-    queued write-waiter. *)
+    overlaps an incompatible holder (own-read upgrade exempt), and no
+    direct grant barges past another action's queued write-waiter.
+    [Crash {gid}] and [Heap_label] forget the heap's locks. *)
 
 val handle_liveness : unit -> violation list
 (** Every [Handle_submit] is eventually matched by a [Handle_resolve].
@@ -47,8 +48,10 @@ val snapshot_legal : unit -> violation list
 (** MVCC snapshot-read legality over [Version_install]/[Snap_read] events,
     per labeled heap: every snapshot read returns the newest version
     installed at or before its stamp — no future versions, no skipped
-    installs. [Crash {gid}] forgives (stamps are volatile; the replacement
-    heap restarts its commit sequence). *)
+    installs. [Crash {gid}] and [Heap_label] forgive (stamps are volatile;
+    a fresh heap restarts its commit sequence). Reads are assumed to come
+    from open snapshots: installs at or below the oldest open snapshot are
+    kept only as the newest one. *)
 
 val commit_implies_durable_on : Trace.record list -> violation list
 val repl_ship_order_on : Trace.record list -> violation list
@@ -58,11 +61,12 @@ val lock_legal_on : Trace.record list -> violation list
 val handle_liveness_on : Trace.record list -> violation list
 
 val snapshot_legal_on : Trace.record list -> violation list
-(** The [_on] variants run over an explicit record list instead of the
-    ring — for unit tests over synthetic traces. *)
+(** The [_on] variants run the same fold, fresh, over an explicit record
+    list — for unit tests over synthetic traces and recorded rings. *)
 
 val check : unit -> violation list
-(** All monitors over the current ring, in order. *)
+(** Every monitor's verdict on the events since the last {!Trace.clear},
+    in order. Reads the live folds without changing them. *)
 
 val assert_ok : where:string -> unit -> unit
 (** Run {!check} and [failwith] a formatted report if anything fired. *)

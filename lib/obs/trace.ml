@@ -22,6 +22,7 @@ type event =
   | Lock_wait of { heap : string; aid : string; holder : string; addr : int; write : bool }
   | Lock_timeout of { heap : string; aid : string; addr : int }
   | Lock_cancel of { heap : string; aid : string; addr : int }
+  | Heap_label of { heap : string }
   | Snap_open of { heap : string; stamp : int }
   | Snap_close of { heap : string; stamp : int }
   | Snap_read of { heap : string; addr : int; stamp : int; vstamp : int }
@@ -47,25 +48,32 @@ type event =
 
 type record = { seq : int; time : float; event : event }
 
-(* The ring. A [None] cell was never written; once the buffer wraps, the
-   oldest cells are overwritten in place. *)
+(* The ring, when one is kept: [[||]] keeps none. Once the buffer wraps,
+   the oldest cells are overwritten in place; [vacant] marks a cell never
+   written. [subscriber] is fed every emitted event; [reset] runs on
+   {!clear}. *)
 type state = {
-  mutable ring : record option array;
+  mutable ring : record array;
   mutable next_seq : int;
   mutable clock : unit -> float;
   mutable enabled : bool;
   mutable echo : bool;
+  mutable subscriber : int -> event -> unit;
+  mutable reset : unit -> unit;
 }
 
+let vacant = { seq = -1; time = 0.0; event = Note "" }
 let zero_clock () = 0.0
 
 let st =
   {
-    ring = Array.make 8192 None;
+    ring = [||];
     next_seq = 0;
     clock = zero_clock;
     enabled = true;
     echo = Sys.getenv_opt "RS_TRACE" <> None;
+    subscriber = (fun _ _ -> ());
+    reset = ignore;
   }
 
 let set_clock f = st.clock <- f
@@ -73,12 +81,19 @@ let clear_clock () = st.clock <- zero_clock
 let now () = st.clock ()
 
 let set_capacity n =
-  if n <= 0 then invalid_arg "Trace.set_capacity: capacity must be positive";
-  st.ring <- Array.make n None
+  if n < 0 then invalid_arg "Trace.set_capacity: capacity must not be negative";
+  st.ring <- Array.make n vacant
 
+let capacity () = Array.length st.ring
 let set_enabled b = st.enabled <- b
 let enabled () = st.enabled
 let set_echo b = st.echo <- b
+let recording () = st.enabled && (st.echo || Array.length st.ring > 0)
+let skip () = if st.enabled then st.next_seq <- st.next_seq + 1
+
+let subscribe ~on_event ~on_clear =
+  st.subscriber <- on_event;
+  st.reset <- on_clear
 
 let pp_lock_kind fmt = function
   | Read -> Format.pp_print_string fmt "read"
@@ -121,6 +136,7 @@ let pp_event fmt = function
       Format.fprintf fmt "lock_timeout{heap=%s aid=%s addr=%d}" heap aid addr
   | Lock_cancel { heap; aid; addr } ->
       Format.fprintf fmt "lock_cancel{heap=%s aid=%s addr=%d}" heap aid addr
+  | Heap_label { heap } -> Format.fprintf fmt "heap_label{heap=%s}" heap
   | Snap_open { heap; stamp } -> Format.fprintf fmt "snap_open{heap=%s stamp=%d}" heap stamp
   | Snap_close { heap; stamp } -> Format.fprintf fmt "snap_close{heap=%s stamp=%d}" heap stamp
   | Snap_read { heap; addr; stamp; vstamp } ->
@@ -161,26 +177,34 @@ let pp_record fmt r = Format.fprintf fmt "#%-6d t=%-12g %a" r.seq r.time pp_even
 
 let emit ev =
   if st.enabled then begin
-    let r = { seq = st.next_seq; time = st.clock (); event = ev } in
-    st.next_seq <- st.next_seq + 1;
-    st.ring.(r.seq mod Array.length st.ring) <- Some r;
-    if st.echo then Format.eprintf "[trace] %a@." pp_record r
+    let seq = st.next_seq in
+    st.next_seq <- seq + 1;
+    st.subscriber seq ev;
+    let cap = Array.length st.ring in
+    if cap > 0 || st.echo then begin
+      let r = { seq; time = st.clock (); event = ev } in
+      if cap > 0 then st.ring.(seq mod cap) <- r;
+      if st.echo then Format.eprintf "[trace] %a@." pp_record r
+    end
   end
 
 let total () = st.next_seq
 
 let events () =
   let cap = Array.length st.ring in
+  if cap = 0 then invalid_arg "Trace.events: no ring is kept (see Trace.set_capacity)";
   let first = max 0 (st.next_seq - cap) in
   let acc = ref [] in
   for seq = st.next_seq - 1 downto first do
-    match st.ring.(seq mod cap) with Some r when r.seq = seq -> acc := r :: !acc | _ -> ()
+    let r = st.ring.(seq mod cap) in
+    if r.seq = seq then acc := r :: !acc
   done;
   !acc
 
 let clear () =
-  Array.fill st.ring 0 (Array.length st.ring) None;
-  st.next_seq <- 0
+  Array.fill st.ring 0 (Array.length st.ring) vacant;
+  st.next_seq <- 0;
+  st.reset ()
 
 let to_string () =
   let buf = Buffer.create 4096 in

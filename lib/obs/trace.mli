@@ -1,15 +1,24 @@
 (** Structured, deterministic event tracing.
 
-    A bounded ring buffer of typed events, each stamped with a sequence
-    number and the current {e virtual} time. The clock is injected (the
-    guardian system installs [Sim.now]); wall-clock time is never consulted,
-    so two runs of the same seeded scenario serialize to byte-identical
-    traces — the "tracking in order to recover" discipline: recovery cost
-    claims are argued from the trace of what recovery actually touched.
+    Every event is stamped with a sequence number and the current
+    {e virtual} time. The clock is injected (the guardian system installs
+    [Sim.now]); wall-clock time is never consulted, so two runs of the
+    same seeded scenario produce byte-identical traces — the "tracking in
+    order to recover" discipline: recovery cost claims are argued from the
+    trace of what recovery actually touched.
 
-    Setting the [RS_TRACE] environment variable additionally echoes every
-    event to stderr as it is emitted (the switch the ad-hoc prints this
-    module replaced used). *)
+    {!emit} feeds each event, with its sequence number, to the spec
+    monitors ({!Monitor} subscribes at start-up), which fold it into
+    state bounded by live things. Records are kept only on request: a
+    bounded ring, opt-in through {!set_capacity}, buffers the newest
+    events for {!events} and {!to_string}. Setting the [RS_TRACE]
+    environment variable echoes every event to stderr as it is emitted.
+
+    Events no monitor reads (page I/O, 2PC messages, routing, uid
+    minting, segment churn) are built at their call sites only while
+    {!recording} holds; otherwise the site calls {!skip}, which advances
+    the sequence counter all the same. {!total} and every [seq] are
+    therefore the same with the ring on or off. *)
 
 type lock_kind = Read | Write
 
@@ -59,6 +68,10 @@ type event =
   | Lock_cancel of { heap : string; aid : string; addr : int }
       (** the waiter left the queue without a grant (timeout or crash
           cleanup) — emitted before successors are served *)
+  | Heap_label of { heap : string }
+      (** a heap took the label [heap]: a fresh heap (new guardian, crash
+          replacement, recovery image) whose commit stamps restart at 0.
+          The lock and snapshot monitors forget the label's history. *)
   | Snap_open of { heap : string; stamp : int }
       (** an MVCC snapshot opened at the heap's current commit stamp *)
   | Snap_close of { heap : string; stamp : int }
@@ -119,34 +132,54 @@ val now : unit -> float
 (** Current virtual time as the trace sees it. *)
 
 val set_capacity : int -> unit
-(** Resize the ring (default 8192 events); drops all buffered events. *)
+(** Keep a ring of the newest [n] events ([n > 0]), or none ([n = 0],
+    the default). Drops all buffered events. *)
+
+val capacity : unit -> int
+(** The ring's size; 0 when none is kept. *)
 
 val set_enabled : bool -> unit
-(** Master switch; emission is a no-op when disabled (default enabled). *)
+(** Master switch; emission (monitors included) is a no-op when disabled
+    (default enabled). *)
 
 val enabled : unit -> bool
 (** Guard for call sites whose event {e construction} is itself costly
     (string formatting on hot paths). *)
 
+val recording : unit -> bool
+(** Enabled, and a ring or the echo is on: someone other than the
+    monitors will read the next event. Call sites of unmonitored events
+    build them only then, and otherwise call {!skip}. *)
+
+val skip : unit -> unit
+(** Count an event without building it: advances the sequence counter
+    exactly as {!emit} would (nothing when disabled). *)
+
 val set_echo : bool -> unit
 (** Force stderr echo on/off (initialized from [RS_TRACE]). *)
+
+val subscribe : on_event:(int -> event -> unit) -> on_clear:(unit -> unit) -> unit
+(** Install the one subscriber: [on_event seq ev] runs on every emitted
+    event, [on_clear] on every {!clear}. {!Monitor} installs itself. *)
 
 val emit : event -> unit
 
 val events : unit -> record list
 (** Buffered events, oldest first (at most capacity; earlier events are
-    overwritten once the ring wraps). *)
+    overwritten once the ring wraps).
+    @raise Invalid_argument when no ring is kept. *)
 
 val total : unit -> int
-(** Events emitted since the last {!clear} (including overwritten ones). *)
+(** Events emitted or skipped since the last {!clear}. *)
 
 val clear : unit -> unit
-(** Empty the ring and reset the sequence counter — run before each
-    determinism comparison. *)
+(** Empty the ring, reset the sequence counter and the subscriber's
+    state — run before each determinism comparison and each judged run. *)
 
 val pp_event : Format.formatter -> event -> unit
 val pp_record : Format.formatter -> record -> unit
 
 val to_string : unit -> string
 (** The whole buffered trace, one record per line. Deterministic for
-    deterministic runs. *)
+    deterministic runs.
+    @raise Invalid_argument when no ring is kept. *)

@@ -142,7 +142,7 @@ let open_ t =
         (fun id ->
           pool_release pool id;
           Metrics.incr m_swept;
-          Trace.emit (Trace.Segment_retire { id }))
+          if Trace.recording () then Trace.emit (Trace.Segment_retire { id }) else Trace.skip ())
         (List.sort compare orphans));
   Stable_log.set_label cur_log t.label;
   {

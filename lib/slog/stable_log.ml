@@ -497,7 +497,8 @@ let ensure_page_store t p =
           in
           Store.put store 0 (encode_segment_header hdr);
           s.table <- List.merge compare s.table [ (idx, id) ];
-          Trace.emit (Trace.Segment_alloc { id; index = idx });
+          if Trace.recording () then Trace.emit (Trace.Segment_alloc { id; index = idx })
+          else Trace.skip ();
           seg_event (Seg_alloc id);
           (store, store_page, true))
 
@@ -576,7 +577,7 @@ let force_write t entry =
    segment unreachable first). *)
 let release_segment s id =
   s.provider.release id;
-  Trace.emit (Trace.Segment_retire { id });
+  if Trace.recording () then Trace.emit (Trace.Segment_retire { id }) else Trace.skip ();
   seg_event (Seg_retire id)
 
 (* Online space reclamation: raise the low-water mark to [addr] (clamped

@@ -87,8 +87,12 @@ let read t p =
       match t.pages.(p) with Good data -> Some data | Bad -> None
     end
   in
-  Trace.emit (Trace.Page_read { page = p; ok = result <> None });
+  if Trace.recording () then Trace.emit (Trace.Page_read { page = p; ok = result <> None })
+  else Trace.skip ();
   result
+
+let trace_write p =
+  if Trace.recording () then Trace.emit (Trace.Page_write { page = p }) else Trace.skip ()
 
 let write t p data =
   check_nonneg p "write";
@@ -107,10 +111,10 @@ let write t p data =
   | Some n ->
       t.crash_in <- Some (n - 1);
       t.pages.(p) <- Good data;
-      Trace.emit (Trace.Page_write { page = p })
+      trace_write p
   | None ->
       t.pages.(p) <- Good data;
-      Trace.emit (Trace.Page_write { page = p })
+      trace_write p
 
 let decay t p =
   check_nonneg p "decay";

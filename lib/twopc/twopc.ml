@@ -114,19 +114,21 @@ let gid t = t.gid
    promotion) must reply under that name, or the peer's per-gid waiting
    sets never recognise the ack. *)
 let send_as t ~self ~dst msg =
-  if Trace.enabled () then
+  if Trace.recording () then
     Trace.emit
       (Trace.Twopc_send
-         { src = Gid.to_string self; dst = Gid.to_string dst; msg = msg_to_string msg });
+         { src = Gid.to_string self; dst = Gid.to_string dst; msg = msg_to_string msg })
+  else Trace.skip ();
   t.send ~src:self ~dst msg
 
 let send_msg t ~dst msg = send_as t ~self:t.gid ~dst msg
 
 let note_recv t ~src msg =
-  if Trace.enabled () then
+  if Trace.recording () then
     Trace.emit
       (Trace.Twopc_recv
          { src = Gid.to_string src; dst = Gid.to_string t.gid; msg = msg_to_string msg })
+  else Trace.skip ()
 
 let stop t =
   t.stopped <- true;

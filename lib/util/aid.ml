@@ -14,8 +14,28 @@ let compare a b =
   | c -> c
 
 let hash t = (Gid.hash t.coordinator * 1000003) + t.seq
+(* Rendered on every traced lock, commit and handle event, so built in one
+   allocation rather than through [string_of_int]'s format interpreter. *)
 let to_string t =
-  String.concat "" [ "T"; string_of_int (Gid.to_int t.coordinator); "."; string_of_int t.seq ]
+  let digits n =
+    let rec go n d = if n < 10 then d else go (n / 10) (d + 1) in
+    go n 1
+  in
+  let put b last n =
+    let rec go i n =
+      Bytes.unsafe_set b i (Char.unsafe_chr (48 + (n mod 10)));
+      if n >= 10 then go (i - 1) (n / 10)
+    in
+    go last n
+  in
+  let g = Gid.to_int t.coordinator in
+  let dg = digits g and ds = digits t.seq in
+  let b = Bytes.create (dg + ds + 2) in
+  Bytes.unsafe_set b 0 'T';
+  put b dg g;
+  Bytes.unsafe_set b (dg + 1) '.';
+  put b (dg + ds + 1) t.seq;
+  Bytes.unsafe_to_string b
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

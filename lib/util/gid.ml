@@ -8,7 +8,9 @@ let to_int t = t
 let equal = Int.equal
 let compare = Int.compare
 let hash t = t
-let to_string t = "G" ^ string_of_int t
+(* Trace payloads carry a gid on every event; render the common ones once. *)
+let names = Array.init 64 (fun i -> "G" ^ string_of_int i)
+let to_string t = if t < Array.length names then names.(t) else "G" ^ string_of_int t
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Ord = struct

@@ -63,3 +63,37 @@ let check_mutex heap u expected label = Alcotest.check value_testable label expe
 
 let check_absent heap u label =
   Alcotest.(check bool) label true (Heap.addr_of_uid heap u = None)
+
+(* --- hand-built traces for the spec monitors --- *)
+
+module Trace = Rs_obs.Trace
+module Monitor = Rs_obs.Monitor
+
+let record i event = { Trace.seq = i; time = float_of_int i; event }
+let details vs = List.map (fun v -> Format.asprintf "%a" Monitor.pp_violation v) vs
+let fires monitor vs = List.exists (fun v -> v.Monitor.monitor = monitor) vs
+
+let all_on records =
+  List.concat_map
+    (fun on -> on records)
+    Monitor.
+      [
+        commit_implies_durable_on;
+        repl_ship_order_on;
+        log_monotonic_on;
+        lock_legal_on;
+        handle_liveness_on;
+        snapshot_legal_on;
+      ]
+
+(* A hand-built trace, also streamed through [Trace.emit]: the live folds
+   behind [Monitor.check] must reach exactly the verdict the [_on] folds
+   reach over the list. *)
+let recs evs =
+  let records = List.mapi record evs in
+  Trace.clear ();
+  List.iter (fun (r : Trace.record) -> Trace.emit r.event) records;
+  let streamed = details (Monitor.check ()) in
+  Trace.clear ();
+  Alcotest.(check (list string)) "streamed = folded" (details (all_on records)) streamed;
+  records

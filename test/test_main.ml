@@ -1,6 +1,6 @@
 (* The spec monitors are asserted at the end of every test, literally:
-   each case starts from an empty trace ring and must leave the monitors
-   clean over whatever it traced. *)
+   each case starts from a cleared trace and must leave the monitors
+   clean over every event it emitted. *)
 let monitored (name, speed, f) =
   ( name,
     speed,

@@ -300,9 +300,8 @@ let prop_snapshot_serial =
 
 (* --- snapshot-legality monitor units ------------------------------------ *)
 
-let record i event = { Trace.seq = i; time = float_of_int i; event }
-let recs evs = List.mapi record evs
-let fires monitor vs = List.exists (fun v -> v.Monitor.monitor = monitor) vs
+let recs = Helpers.recs
+let fires = Helpers.fires
 let inst addr stamp = Trace.Version_install { heap = "G0"; aid = "a"; addr; stamp }
 let sread addr stamp vstamp = Trace.Snap_read { heap = "G0"; addr; stamp; vstamp }
 
@@ -328,6 +327,20 @@ let test_snapshot_legal_unit () =
   let crashed = recs [ inst 1 5; Trace.Crash { gid = "G0" }; inst 1 1; sread 1 1 1 ] in
   Alcotest.(check int) "crash resets the heap's installs" 0
     (List.length (Monitor.snapshot_legal_on crashed));
+  (* So does a fresh heap taking the label, even with a snapshot open
+     below the old install. *)
+  let relabeled =
+    recs
+      [
+        inst 1 2;
+        Trace.Heap_label { heap = "G0" };
+        Trace.Snap_open { heap = "G0"; stamp = 0 };
+        inst 1 1;
+        sread 1 2 1;
+      ]
+  in
+  Alcotest.(check int) "a fresh heap resets the label's installs" 0
+    (List.length (Monitor.snapshot_legal_on relabeled));
   (* ...but only that heap's. *)
   let other_heap =
     recs
@@ -340,6 +353,39 @@ let test_snapshot_legal_unit () =
   in
   Alcotest.(check bool) "other heap's crash does not forgive" true
     (fires "snapshot-legality" (Monitor.snapshot_legal_on other_heap))
+
+(* Two one-guardian systems back to back in one trace, as e15 runs its
+   rows: the second system's fresh heap reuses label G0 and restarts its
+   commit stamps at 0, so one of the first system's installs on x falls
+   between the version the second system's read returns and the read's
+   stamp. Each system is clean judged alone; the monitor must judge each
+   heap by its own history. A snapshot pinned at stamp 0 keeps every
+   install in the monitor's window. *)
+let test_fresh_heap_forgets_label () =
+  let g0 = Gid.of_int 0 in
+  let run ~updates =
+    let sys = System.create ~n:1 () in
+    let heap = Guardian.heap (System.guardian sys g0) in
+    let pin = Heap.snapshot heap in
+    for i = 0 to updates do
+      commit sys ~steps:[ (g0, set_var "x" i) ]
+    done;
+    commit sys ~steps:[ (g0, set_var "y" 0) ];
+    commit sys ~steps:[ (g0, set_var "y" 1) ];
+    let x =
+      System.read_only sys g0 (fun ro ->
+          match System.ro_var ro "x" with
+          | Some (Value.Ref a) -> int_of (System.ro_read ro a)
+          | Some _ | None -> Alcotest.fail "x missing")
+    in
+    Alcotest.(check int) "reads the last update" updates x;
+    Heap.release_snapshot heap pin
+  in
+  Trace.clear ();
+  run ~updates:3;
+  run ~updates:1;
+  Alcotest.(check (list string)) "each heap judged by its own history" []
+    (List.map (fun v -> v.Monitor.detail) (Monitor.snapshot_legal ()))
 
 let suite =
   [
@@ -354,4 +400,6 @@ let suite =
     Alcotest.test_case "read-only abort and down" `Quick test_read_only_abort_and_down;
     QCheck_alcotest.to_alcotest prop_snapshot_serial;
     Alcotest.test_case "snapshot-legality unit" `Quick test_snapshot_legal_unit;
+    Alcotest.test_case "fresh heap forgets its label's history" `Quick
+      test_fresh_heap_forgets_label;
   ]

@@ -1,7 +1,8 @@
 (* The nemesis under load: seeded fault composition over every workload
    profile, the three lock/log/handle spec monitors (unit-tested against
    hand-built violating traces), determinism of the whole run, and the
-   ring-wraparound insensitivity of the monitors. *)
+   streaming monitors: they agree with their list folds, and they judge
+   every event since the last clear, however long the run. *)
 
 module Nemesis = Rs_explore.Nemesis
 module Load = Rs_load.Load
@@ -110,16 +111,16 @@ let test_same_seed_byte_identical () =
   let o2 = Nemesis.run cfg in
   Alcotest.(check bool) "same stats" true (o1.Nemesis.stats = o2.Nemesis.stats);
   Alcotest.(check bool) "same fired events" true (o1.fired = o2.fired);
+  Alcotest.(check bool) "trace is not empty" true (o1.trace <> "");
   Alcotest.(check string) "byte-identical trace" o1.trace o2.trace;
   let o3 = Nemesis.run { cfg with seed = 8 } in
   Alcotest.(check bool) "different seed differs" true (o1.trace <> o3.Nemesis.trace)
 
 (* --- monitor unit tests over hand-built traces ------------------------- *)
 
-let record i event = { Trace.seq = i; time = float_of_int i; event }
-let recs evs = List.mapi record evs
-
-let fires monitor vs = List.exists (fun v -> v.Monitor.monitor = monitor) vs
+let recs = Helpers.recs
+let fires = Helpers.fires
+let details = Helpers.details
 
 let lw log addr = Trace.Log_write { log; addr; bytes = 8 }
 
@@ -172,14 +173,14 @@ let test_lock_legal_unit () =
   in
   Alcotest.(check bool) "barging caught" true
     (fires "lock-legality" (Monitor.lock_legal_on barged));
-  (* The same grant with the wait truncated out of the ring (first seq > 0)
-     must NOT be reported: the queue history is incomplete. *)
-  let wrapped = List.mapi (fun i e -> record (i + 3) e) [ acq "a" 1 Trace.Read; acq "c" 1 Trace.Read ] in
-  Alcotest.(check int) "wrapped ring abstains from barging" 0
-    (List.length (Monitor.lock_legal_on wrapped));
-  (* A crash clears the heap's lock state. *)
+  (* A crash clears the heap's lock state, and so does a fresh heap
+     taking the label. *)
   let crashed = recs [ acq "a" 1 Trace.Write; Trace.Crash { gid = "G0" }; acq "b" 1 Trace.Write ] in
-  Alcotest.(check int) "crash clears holders" 0 (List.length (Monitor.lock_legal_on crashed))
+  Alcotest.(check int) "crash clears holders" 0 (List.length (Monitor.lock_legal_on crashed));
+  let relabeled =
+    recs [ acq "a" 1 Trace.Write; Trace.Heap_label { heap = "G0" }; acq "b" 1 Trace.Write ]
+  in
+  Alcotest.(check int) "fresh heap clears holders" 0 (List.length (Monitor.lock_legal_on relabeled))
 
 let submit aid = Trace.Handle_submit { gid = "G0"; aid }
 let resolve aid c = Trace.Handle_resolve { gid = "G0"; aid; committed = c }
@@ -220,35 +221,47 @@ let test_handle_liveness_unit () =
   Alcotest.(check bool) "promotion re-arms the check" true
     (fires "handle-liveness" (Monitor.handle_liveness_on promoted))
 
-(* --- ring-wraparound insensitivity ------------------------------------- *)
+(* --- streaming: every event since the last clear ----------------------- *)
 
-(* Dropping any prefix of a clean run's trace (exactly what ring overwrite
-   does — the ring always holds a contiguous suffix) must not conjure a
-   violation out of any monitor. *)
-let prop_monitors_truncation_sound =
-  let records =
-    lazy
-      (let o =
-         Nemesis.run { base with seed = 11; profile = Load.Bank; duration = 40.0; events = 4 }
-       in
-       if o.Nemesis.violations <> [] then
-         failwith ("wraparound fixture run not clean: " ^ String.concat "; " o.violations);
-       Trace.events ())
-  in
-  QCheck.Test.make ~name:"monitors insensitive to ring truncation" ~count:60
-    QCheck.(int_bound 10_000)
-    (fun cut ->
-      let records = Lazy.force records in
-      let cut = cut mod (List.length records + 1) in
-      let suffix = List.filteri (fun i _ -> i >= cut) records in
-      let vs =
-        Monitor.commit_implies_durable_on suffix
-        @ Monitor.repl_ship_order_on suffix
-        @ Monitor.log_monotonic_on suffix
-        @ Monitor.lock_legal_on suffix
-        @ Monitor.handle_liveness_on suffix
-      in
-      vs = [])
+(* A violation at event 1 must still be reported after a run far longer
+   than any ring: the monitors fold every event as it is emitted. *)
+let test_early_violation_caught () =
+  Trace.clear ();
+  Trace.emit (lw "probe" 64);
+  Trace.emit (lw "probe" 0);
+  let t = Load.create { Load.default with seed = 3 } in
+  Load.start t;
+  ignore (Load.drain t);
+  let total = Trace.total () in
+  let vs = details (Monitor.check ()) in
+  Trace.clear ();
+  Alcotest.(check bool) "the run outlasts an 8192-event ring" true (total > 8192);
+  Alcotest.(check (list string)) "the event-1 violation, and nothing else"
+    [ "[log-monotonicity] log probe address went backward 64 -> 0 (seq 1)" ]
+    vs
+
+(* On a whole recorded nemesis run, clean and with the read-barging bug
+   seeded, the live folds and the [_on] folds over the ring agree. *)
+let test_stream_matches_fold () =
+  let capacity = 1 lsl 17 in
+  Fun.protect ~finally:(fun () ->
+      Heap.set_allow_read_barging false;
+      Trace.set_capacity 0;
+      Trace.clear ())
+  @@ fun () ->
+  Trace.set_capacity capacity;
+  List.iter
+    (fun barging ->
+      Heap.set_allow_read_barging barging;
+      ignore (Nemesis.run { base with seed = 5; profile = Load.Bank; clients = 8 });
+      Alcotest.(check bool) "the ring holds the whole run" true (Trace.total () <= capacity);
+      let streamed = details (Monitor.check ()) in
+      Alcotest.(check (list string))
+        "streamed = folded"
+        (details (Helpers.all_on (Trace.events ())))
+        streamed;
+      Alcotest.(check bool) "violations iff the bug is seeded" barging (streamed <> []))
+    [ false; true ]
 
 (* --- the deliberate bug: pre-wait-queue read barging -------------------- *)
 
@@ -270,11 +283,7 @@ let test_barging_mutation_caught () =
     }
   in
   let lock_violations mutated =
-    Fun.protect ~finally:(fun () ->
-        Heap.set_allow_read_barging false;
-        Trace.set_capacity 8192)
-    @@ fun () ->
-    Trace.set_capacity 65536;
+    Fun.protect ~finally:(fun () -> Heap.set_allow_read_barging false) @@ fun () ->
     Trace.clear ();
     Heap.set_allow_read_barging mutated;
     let t = Load.create cfg in
@@ -288,8 +297,8 @@ let test_barging_mutation_caught () =
   Alcotest.(check bool) "barging mutation caught by lock-legality" true (vs <> []);
   Trace.clear ()
 
-(* The always-on monitors read directly over a nemesis run's ring, not
-   through its verdict (every case starts from an empty ring). *)
+(* The always-on monitors read directly after a nemesis run, not through
+   its verdict (every case starts from a cleared trace). *)
 let test_monitors_clean () =
   ignore (Nemesis.run { base with seed = 2; profile = Load.Bank });
   match Monitor.check () with
@@ -313,7 +322,8 @@ let suite =
     Alcotest.test_case "log-monotonicity unit" `Quick test_log_monotonic_unit;
     Alcotest.test_case "lock-legality unit" `Quick test_lock_legal_unit;
     Alcotest.test_case "handle-liveness unit" `Quick test_handle_liveness_unit;
-    QCheck_alcotest.to_alcotest prop_monitors_truncation_sound;
+    Alcotest.test_case "violation at event 1 caught" `Quick test_early_violation_caught;
+    Alcotest.test_case "streamed monitors match list folds" `Quick test_stream_matches_fold;
     Alcotest.test_case "barging mutation caught" `Quick test_barging_mutation_caught;
     Alcotest.test_case "spec monitors clean" `Quick test_monitors_clean;
   ]

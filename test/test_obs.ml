@@ -144,9 +144,8 @@ let set_var name v : System.work =
 
 (* One full run of a seeded scenario: two local actions, then a
    distributed transfer interrupted by a participant crash mid-protocol,
-   restart, and quiesce. Returns the serialized trace and registry. *)
-let scenario seed =
-  Metrics.reset Metrics.default;
+   restart, and quiesce. [finish] runs on the quiesced system. *)
+let run_scenario ?(finish = ignore) seed =
   Trace.clear ();
   let sys = System.create ~seed ~jitter:0.5 ~n:2 () in
   ignore
@@ -162,10 +161,17 @@ let scenario seed =
   System.crash sys (g 1);
   ignore (System.restart sys (g 1));
   System.quiesce sys;
-  let trace = Trace.to_string () in
-  let metrics = Metrics.to_json Metrics.default in
-  Trace.clear_clock ();
-  (trace, metrics)
+  finish sys;
+  Trace.clear_clock ()
+
+(* The scenario with a ring kept: its serialized trace and registry. *)
+let scenario seed =
+  Metrics.reset Metrics.default;
+  Trace.set_capacity 8192;
+  Fun.protect ~finally:(fun () -> Trace.set_capacity 0) @@ fun () ->
+  run_scenario seed;
+  Alcotest.(check bool) "the ring held the whole run" true (Trace.total () <= 8192);
+  (Trace.to_string (), Metrics.to_json Metrics.default)
 
 let test_trace_determinism () =
   let trace1, metrics1 = scenario 42 in
@@ -191,7 +197,6 @@ let test_different_seed_differs () =
    threshold, not a one-shot flag --- *)
 
 let test_repl_monitor_reset_window () =
-  let record i event = { Trace.seq = i; time = float_of_int i; event } in
   let ship base = Trace.Repl_ship { src = "G0"; dst = "G1"; epoch = 1; base; entries = 1; bytes = 10 } in
   let apply watermark = Trace.Repl_apply { gid = "G1"; epoch = 1; watermark; entries = 1 } in
   (* A reset ship re-seeds the replica from base 0: the replay may run
@@ -200,15 +205,14 @@ let test_repl_monitor_reset_window () =
      longer. Here w=4 then w=3 are both legitimate replay, w=11 re-passes
      the old mark 10, so the later w=5 is a real regression. *)
   let trace =
-    List.mapi record
-      [ apply 10; ship 0; apply 4; apply 3; apply 11; apply 5 ]
+    Helpers.recs [ apply 10; ship 0; apply 4; apply 3; apply 11; apply 5 ]
   in
   let violations = Rs_obs.Monitor.repl_ship_order_on trace in
   Alcotest.(check int) "exactly one violation" 1 (List.length violations);
   Alcotest.(check bool) "it is the post-replay regression" true
     (contains (List.hd violations).Rs_obs.Monitor.detail "11 -> 5");
   (* Control: the same trace without the reset flags both dips. *)
-  let no_reset = List.mapi record [ apply 10; apply 4; apply 3; apply 11; apply 5 ] in
+  let no_reset = Helpers.recs [ apply 10; apply 4; apply 3; apply 11; apply 5 ] in
   Alcotest.(check int) "without a reset every dip is a violation" 3
     (List.length (Rs_obs.Monitor.repl_ship_order_on no_reset))
 
@@ -221,8 +225,33 @@ let test_ring_overwrites_oldest () =
   let seqs = List.map (fun r -> r.Trace.seq) (Trace.events ()) in
   Alcotest.(check (list int)) "last 4 survive, oldest first" [ 6; 7; 8; 9 ] seqs;
   Alcotest.(check int) "total counts overwritten too" 10 (Trace.total ());
-  Trace.set_capacity 8192;
-  Trace.clear ()
+  Trace.set_capacity 0;
+  Trace.clear ();
+  match Trace.events () with
+  | _ -> Alcotest.fail "no ring kept, yet events were returned"
+  | exception Invalid_argument _ -> ()
+
+(* Events no monitor reads are built only while a ring or the echo is on,
+   and counted either way: the same scenario, ended by one submitted
+   action left in flight, gives the same total and the same monitor
+   report — sequence numbers included — with the ring on and off. *)
+let test_seq_independent_of_ring () =
+  let report capacity =
+    Trace.set_capacity capacity;
+    Fun.protect ~finally:(fun () -> Trace.set_capacity 0) @@ fun () ->
+    run_scenario 42 ~finish:(fun sys ->
+        ignore
+          (System.submit sys ~coordinator:(g 0)
+             ~steps:[ (g 0, set_var "x" 3); (g 1, set_var "y" 3) ]));
+    let r = (Trace.total (), List.map (fun v -> v.Rs_obs.Monitor.detail) (Rs_obs.Monitor.check ())) in
+    Trace.clear ();
+    r
+  in
+  let total_on, report_on = report 8192 in
+  let total_off, report_off = report 0 in
+  Alcotest.(check bool) "the in-flight handle is reported" true (report_on <> []);
+  Alcotest.(check int) "same total" total_on total_off;
+  Alcotest.(check (list string)) "same report, same seqs" report_on report_off
 
 let suite =
   [
@@ -234,6 +263,7 @@ let suite =
     Alcotest.test_case "to_json and reset" `Quick test_to_json_and_reset;
     Alcotest.test_case "export skips untouched metrics" `Quick test_export_skips_untouched;
     Alcotest.test_case "trace ring overwrites oldest" `Quick test_ring_overwrites_oldest;
+    Alcotest.test_case "seq numbers independent of the ring" `Quick test_seq_independent_of_ring;
     Alcotest.test_case "repl monitor: reset forgiveness is a threshold" `Quick
       test_repl_monitor_reset_window;
     Alcotest.test_case "seeded scenario is deterministic" `Quick test_trace_determinism;

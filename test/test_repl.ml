@@ -404,9 +404,10 @@ let test_directory_retargets_on_failover () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "uid uniqueness after failover: %s" e
 
-(* The always-on spec monitors run over whatever the trace ring still
-   holds after the whole suite — commit-implies-durable and the
-   replication shipping order must hold across every test above. *)
+(* The always-on spec monitors, read directly. The test_main wrapper
+   clears the trace before every case and checks the monitors after it,
+   so commit-implies-durable and the replication shipping order hold
+   across every test above. *)
 let test_monitors_clean () =
   match Monitor.check () with
   | [] -> ()
