@@ -5,6 +5,17 @@
 # mutation must be caught — and the crash-schedule exploration gates —
 # every recovery scheme must survive a bounded exploration with zero
 # oracle violations, and the seeded broken-force mutation must be caught.
+#
+# The bench smokes never rewrite the committed BENCH_*.json artifacts:
+# each runs its experiments into a temporary file, compares it key by key
+# with the committed file and fails with the list of keys that differ
+# (the runs are seeded, so any difference is drift). Only the wall-clock
+# gauges e12.*.us and e13.*_us may differ. The smoke's own gates then run
+# on the fresh file. To change a BENCH file on purpose, regenerate it
+# with the experiments its section names, e.g.
+#   dune exec bench/main.exe -- e13 --metrics-json BENCH_8.json
+# and commit the result. Without python3 the drift check is skipped (and
+# says so) and the gates fall back to grep.
 set -e
 
 cd "$(dirname "$0")"
@@ -42,13 +53,47 @@ echo "metrics ok: $(echo "$NAMES" | wc -l | tr -d ' ') default-registry names, e
 echo "== dune runtest =="
 dune runtest
 
-echo "== bench smoke: e1 --metrics-json -> BENCH_2.json =="
-# Committed artifact: e1 is seeded, so the JSON is deterministic and any
-# drift shows up as a diff.
-dune exec bench/main.exe -- e1 --metrics-json BENCH_2.json >/dev/null
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+
+# bench_fresh N EXPERIMENT...: run the experiments into $FRESH and check
+# it against the committed BENCH_N.json.
+bench_fresh() {
+  n=$1
+  shift
+  FRESH="$WORK/BENCH_$n.json"
+  dune exec bench/main.exe -- "$@" --metrics-json "$FRESH" >/dev/null
+  if command -v python3 >/dev/null 2>&1; then
+    python3 - "BENCH_$n.json" "$FRESH" "$@" <<'EOF'
+import json, re, sys
+committed, fresh = (json.load(open(p)) for p in sys.argv[1:3])
+wall = re.compile(r"e12\..*\.us|e13\..*_us")
+def flat(d):
+    return {(sec, k): v for sec, m in d.items() for k, v in m.items()
+            if not (sec == "gauges" and wall.fullmatch(k))}
+old, new = flat(committed), flat(fresh)
+drift = [f"  {sec} {k}: committed {old.get((sec, k), '(absent)')}, "
+         f"fresh {new.get((sec, k), '(absent)')}"
+         for sec, k in sorted(old.keys() | new.keys()) if old.get((sec, k)) != new.get((sec, k))]
+if drift:
+    print(f"{sys.argv[1]} drifted in {len(drift)} key(s):")
+    print("\n".join(drift))
+    print(f"to change it on purpose: dune exec bench/main.exe -- "
+          f"{' '.join(sys.argv[3:])} --metrics-json {sys.argv[1]}")
+    sys.exit(1)
+print(f"{sys.argv[1]}: no drift ({len(new)} keys)")
+EOF
+  else
+    echo "drift check skipped for BENCH_$n.json (python3 unavailable)"
+  fi
+}
+
+echo "== bench smoke: e1 against BENCH_2.json =="
+# Committed artifact: e1 is seeded, so the JSON is deterministic.
+bench_fresh 2 e1
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_2.json <<'EOF'
+  python3 - "$FRESH" <<'EOF'
 import json, sys
 c = json.load(open(sys.argv[1]))["counters"]
 pw = c["stable_store.physical_writes"]
@@ -67,19 +112,19 @@ print(f"metrics ok: physical_writes={pw} over {wr} rounds, "
 EOF
 else
   # No python3: at least require the key with a nonzero value.
-  grep -q '"stable_store.physical_writes": [1-9]' BENCH_2.json ||
+  grep -q '"stable_store.physical_writes": [1-9]' "$FRESH" ||
     { echo "stable_store.physical_writes missing or zero"; exit 1; }
   echo "metrics ok (python3 unavailable; key presence checked only)"
 fi
 
-echo "== bench smoke: e7 e8 --metrics-json -> BENCH_3.json =="
+echo "== bench smoke: e7 e8 against BENCH_3.json =="
 # Committed artifact: e7 exercises the 2PC/guardian counters (all zero in
 # BENCH_2.json, whose dump runs before e7) and e8 measures group commit;
 # both are seeded and run on virtual time, so the JSON is deterministic.
-dune exec bench/main.exe -- e7 e8 --metrics-json BENCH_3.json >/dev/null
+bench_fresh 3 e7 e8
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_3.json <<'EOF'
+  python3 - "$FRESH" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
 c, g = m["counters"], m["gauges"]
@@ -100,23 +145,23 @@ print(f"metrics ok: guardian.prepares={c['guardian.prepares']}, "
       f"group_commits={c['slog.group_commits']}")
 EOF
 else
-  grep -q '"slog.group_commits": [1-9]' BENCH_3.json ||
+  grep -q '"slog.group_commits": [1-9]' "$FRESH" ||
     { echo "slog.group_commits missing or zero"; exit 1; }
-  grep -q '"guardian.commits": [1-9]' BENCH_3.json ||
+  grep -q '"guardian.commits": [1-9]' "$FRESH" ||
     { echo "guardian.commits missing or zero"; exit 1; }
   echo "metrics ok (python3 unavailable; key presence checked only)"
 fi
 
-echo "== bench smoke: e9 --metrics-json -> BENCH_4.json =="
+echo "== bench smoke: e9 against BENCH_4.json =="
 # Committed artifact: e9 measures log footprint and recovery cost versus
 # history length for the segmented log. Seeded and deterministic. The
 # gates pin the reclamation bound (a bounded number of live segments no
 # matter how many housekeeping cycles ran) and history-independent
 # recovery, against a no-housekeeping control that grows in both.
-dune exec bench/main.exe -- e9 --metrics-json BENCH_4.json >/dev/null
+bench_fresh 4 e9
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_4.json <<'EOF'
+  python3 - "$FRESH" <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 def seg(c, k): return g[f"e9.seg.c{c}.{k}"]
@@ -145,21 +190,21 @@ print(f"reclamation ok: live_segments={seg(10, 'live_segments')} (<=2), "
       f"(control: {nohk(10, 'recovery_entries')})")
 EOF
 else
-  grep -q '"e9.seg.c10.live_segments": [12]\b' BENCH_4.json ||
+  grep -q '"e9.seg.c10.live_segments": [12]\b' "$FRESH" ||
     { echo "e9.seg.c10.live_segments missing or > 2"; exit 1; }
   echo "reclamation ok (python3 unavailable; key presence checked only)"
 fi
 
-echo "== bench smoke: e10 --metrics-json -> BENCH_5.json =="
+echo "== bench smoke: e10 against BENCH_5.json =="
 # Committed artifact: e10 drives the Rs_load generator over virtual time
 # (closed-loop concurrency/conflict/drop sweeps, open-loop admission
 # sweep); seeded, so the JSON is deterministic. The gates pin the
 # wait-queue claims: throughput scales with concurrency at 10% conflict,
 # tail latency stays bounded, and open-loop overload shows shedding.
-dune exec bench/main.exe -- e10 --metrics-json BENCH_5.json >/dev/null
+bench_fresh 5 e10
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_5.json <<'EOF'
+  python3 - "$FRESH" <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 thr32 = g["e10.conc32.throughput_x1000"]
@@ -175,21 +220,21 @@ print(f"load ok: conc1->32 committed {c1}->{c32}, "
       f"sheds {g['e10.open80.sheds']}")
 EOF
 else
-  grep -q '"e10.conc32.throughput_x1000": [1-9]' BENCH_5.json ||
+  grep -q '"e10.conc32.throughput_x1000": [1-9]' "$FRESH" ||
     { echo "e10.conc32.throughput_x1000 missing or zero"; exit 1; }
   echo "load ok (python3 unavailable; key presence checked only)"
 fi
 
-echo "== bench smoke: e11 --metrics-json -> BENCH_6.json =="
+echo "== bench smoke: e11 against BENCH_6.json =="
 # Committed artifact: e11 sweeps the Rs_dir placement directory over
 # shard count x cross-shard ratio at fixed per-shard load (3 closed-loop
 # clients per shard); seeded, so the JSON is deterministic. The gates pin
 # the sharding claim: committed work rises monotonically with the shard
 # count, with and without a 10% cross-shard 2PC mix.
-dune exec bench/main.exe -- e11 --metrics-json BENCH_6.json >/dev/null
+bench_fresh 6 e11
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_6.json <<'EOF'
+  python3 - "$FRESH" <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 for cross in (0, 10):
@@ -199,22 +244,22 @@ for cross in (0, 10):
     print(f"shards ok at {cross}% cross: committed 1->2->4->8 shards = {series}")
 EOF
 else
-  grep -q '"e11.s8.x10.committed": [1-9]' BENCH_6.json ||
+  grep -q '"e11.s8.x10.committed": [1-9]' "$FRESH" ||
     { echo "e11.s8.x10.committed missing or zero"; exit 1; }
   echo "shards ok (python3 unavailable; key presence checked only)"
 fi
 
-echo "== bench smoke: e12 --metrics-json -> BENCH_7.json =="
+echo "== bench smoke: e12 against BENCH_7.json =="
 # Committed artifact: e12 measures the replication pair — ship overhead
 # on the commit path, then failover vs cold restart over an identical
 # history. Counters (ship bytes, applies, failovers) are seeded and
 # deterministic; the us gauges are wall-clock and drift run to run, but
 # the gate they carry — promoting the warm standby strictly beats
 # replaying the log — holds with a wide margin at this history length.
-dune exec bench/main.exe -- e12 --metrics-json BENCH_7.json >/dev/null
+bench_fresh 7 e12
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_7.json <<'EOF'
+  python3 - "$FRESH" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 g, c = d["gauges"], d["counters"]
@@ -229,20 +274,20 @@ print(f"repl ok: {g['e12.ship_bytes']} bytes shipped, failover {fo}us < "
       f"cold {cold}us over {g['e12.cold.entries']} replayed entries")
 EOF
 else
-  grep -q '"repl.ship_bytes": [1-9]' BENCH_7.json ||
+  grep -q '"repl.ship_bytes": [1-9]' "$FRESH" ||
     { echo "repl.ship_bytes missing or zero"; exit 1; }
   echo "repl ok (python3 unavailable; key presence checked only)"
 fi
 
-echo "== bench smoke: e13 --metrics-json -> BENCH_8.json =="
+echo "== bench smoke: e13 against BENCH_8.json =="
 # Committed artifact: e13 measures bounded restart. Entry and read-op
 # counts are deterministic; the us gauges drift run to run, so the
 # wall-clock gates carry generous constant factors while the flatness
 # and read-operation gates are exact.
-dune exec bench/main.exe -- e13 --metrics-json BENCH_8.json >/dev/null
+bench_fresh 8 e13
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_8.json <<'EOF'
+  python3 - "$FRESH" <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 # Incremental checkpointing bounds the live log: entries visited and log
@@ -269,24 +314,24 @@ print(f"bounded restart ok: inc flat at {g['e13.inc.c10.entries']} entries while
       f"serial {ser} ({pus}us vs {sus}us)")
 EOF
 else
-  grep -q '"e13.inc.c10.entries": ' BENCH_8.json ||
+  grep -q '"e13.inc.c10.entries": ' "$FRESH" ||
     { echo "e13 gauges missing"; exit 1; }
-  [ "$(grep -o '"e13.inc.c10.entries": [0-9]*' BENCH_8.json | grep -o '[0-9]*$')" = \
-    "$(grep -o '"e13.inc.c2.entries": [0-9]*' BENCH_8.json | grep -o '[0-9]*$')" ] ||
+  [ "$(grep -o '"e13.inc.c10.entries": [0-9]*' "$FRESH" | grep -o '[0-9]*$')" = \
+    "$(grep -o '"e13.inc.c2.entries": [0-9]*' "$FRESH" | grep -o '[0-9]*$')" ] ||
     { echo "inc recovery entries not flat across cycles"; exit 1; }
   echo "bounded restart ok (python3 unavailable; flatness checked only)"
 fi
 
-echo "== bench smoke: e14 --metrics-json -> BENCH_9.json =="
+echo "== bench smoke: e14 against BENCH_9.json =="
 # Committed artifact: e14 runs the nemesis — seeded fault schedules
 # (decay + partition + crash, plus a promoting failover on the repl row)
 # under every load profile. Virtual time end to end, so the JSON is
 # deterministic. The gate is absolute: every row commits real work and
 # reports zero oracle/monitor violations, and the repl row promoted.
-dune exec bench/main.exe -- e14 --metrics-json BENCH_9.json >/dev/null
+bench_fresh 9 e14
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_9.json <<'EOF'
+  python3 - "$FRESH" <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 for p in ("synthetic", "bank", "reservation", "queue", "saga", "repl"):
@@ -302,13 +347,13 @@ print("nemesis ok: all 6 profiles clean under fault schedules, "
 EOF
 else
   for p in synthetic bank reservation queue saga repl; do
-    grep -q "\"e14.$p.violations\": 0" BENCH_9.json ||
+    grep -q "\"e14.$p.violations\": 0" "$FRESH" ||
       { echo "e14.$p.violations missing or nonzero"; exit 1; }
   done
   echo "nemesis ok (python3 unavailable; zero-violation keys checked only)"
 fi
 
-echo "== bench smoke: e15 --metrics-json -> BENCH_10.json =="
+echo "== bench smoke: e15 against BENCH_10.json =="
 # Committed artifact: e15 sweeps a 90/10 read-mostly closed loop over
 # concurrency, locked-read baseline vs MVCC snapshot reads. Virtual time
 # end to end, so the JSON is deterministic. The gates are the MVCC
@@ -316,10 +361,10 @@ echo "== bench smoke: e15 --metrics-json -> BENCH_10.json =="
 # every concurrency (a reader wait-timeout would surface as a read
 # abort), and at conc 32 the snapshot-read p99 beats both the paired
 # locked row and the e10 all-update locked baseline (p99 48.7).
-dune exec bench/main.exe -- e15 --metrics-json BENCH_10.json >/dev/null
+bench_fresh 10 e15
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_10.json <<'EOF'
+  python3 - "$FRESH" <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 for c in (1, 4, 8, 16, 32):
@@ -346,12 +391,12 @@ print(f"mvcc ok: zero read locks & zero read aborts at every concurrency, "
 EOF
 else
   for c in 1 4 8 16 32; do
-    grep -q "\"e15.mvcc.c$c.read_locks\": 0" BENCH_10.json ||
+    grep -q "\"e15.mvcc.c$c.read_locks\": 0" "$FRESH" ||
       { echo "e15.mvcc.c$c.read_locks missing or nonzero"; exit 1; }
-    grep -q "\"e15.mvcc.c$c.reads_aborted\": 0" BENCH_10.json ||
+    grep -q "\"e15.mvcc.c$c.reads_aborted\": 0" "$FRESH" ||
       { echo "e15.mvcc.c$c.reads_aborted missing or nonzero"; exit 1; }
   done
-  grep -q '"e15.mvcc.c32.reads_committed": [1-9]' BENCH_10.json ||
+  grep -q '"e15.mvcc.c32.reads_committed": [1-9]' "$FRESH" ||
     { echo "e15.mvcc.c32.reads_committed missing or zero"; exit 1; }
   echo "mvcc ok (python3 unavailable; zero-lock/zero-abort keys checked only)"
 fi
@@ -395,8 +440,8 @@ case "$LAST" in
 esac
 
 echo "== trace gate: argusctl trace is non-empty and deterministic =="
-TRACE_DIR=$(mktemp -d)
-trap 'rm -rf "$TRACE_DIR"' EXIT
+TRACE_DIR="$WORK/trace"
+mkdir "$TRACE_DIR"
 dune exec bin/argusctl.exe -- trace --seed 7 > "$TRACE_DIR/a"
 dune exec bin/argusctl.exe -- trace --seed 7 > "$TRACE_DIR/b"
 [ -s "$TRACE_DIR/a" ] || { echo "argusctl trace printed nothing"; exit 1; }

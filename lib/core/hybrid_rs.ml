@@ -110,14 +110,12 @@ let write_entry t aid mos =
   if not (Fsched.batched t.sched) then Log.force t.log;
   leftovers
 
-let pairs_of t aid =
+let pending_pairs t aid =
   match Aid.Tbl.find_opt t.pending aid with
   | None -> []
   | Some tbl ->
       Uid.Tbl.fold (fun u a acc -> (u, a) :: acc) tbl []
       |> List.sort (fun (a, _) (b, _) -> Uid.compare a b)
-
-let pending_pairs = pairs_of
 
 (* Table updates happen before the forced append: with a zero window the
    durability callback runs inside [append_outcome], and it must observe
@@ -125,7 +123,7 @@ let pending_pairs = pairs_of
    [on_durable]). *)
 let prepare ?on_durable t aid mos =
   ignore (write_mos t aid mos);
-  let pairs = pairs_of t aid in
+  let pairs = pending_pairs t aid in
   Aid.Tbl.remove t.pending aid;
   Aid.Tbl.replace t.pat aid ();
   ignore
@@ -163,15 +161,6 @@ let mutex_table t =
 
 let last_outcome_addr t = t.last_outcome
 
-(* Reading data entries referenced by pairs. *)
-let fetch_data log a =
-  match Log_entry.decode (Log.read log a) with
-  | Log_entry.Data { otype; version; _ } -> (otype, version)
-  | Log_entry.Prepared _ | Log_entry.Committed _ | Log_entry.Aborted _
-  | Log_entry.Committing _ | Log_entry.Done _ | Log_entry.Base_committed _
-  | Log_entry.Prepared_data _ | Log_entry.Committed_ss _ ->
-      failwith "Hybrid_rs: pair points at a non-data entry"
-
 (* Recovery (§4.3.3): walk the backward chain of outcome entries. *)
 
 (* Feed one outcome entry to the restore tables. Both recovery paths —
@@ -185,7 +174,7 @@ let replay_outcome ctx log entry =
         (List.iter (fun (uid, daddr) ->
              Restore.on_data ctx ~uid ~aid:(Some aid) ~src:daddr ~fetch:(fun () ->
                  ctx.Restore.processed <- ctx.Restore.processed + 1;
-                 fetch_data log daddr)))
+                 Log_entry.read_data log daddr)))
         pairs
   | Log_entry.Committed { aid; _ } -> Restore.on_committed ctx aid
   | Log_entry.Aborted { aid; _ } -> Restore.on_aborted ctx aid
@@ -197,42 +186,38 @@ let replay_outcome ctx log entry =
   | Log_entry.Committed_ss { cssl; _ } ->
       Restore.on_committed_ss ctx ~pairs:cssl ~fetch:(fun daddr ->
           ctx.Restore.processed <- ctx.Restore.processed + 1;
-          fetch_data log daddr)
+          Log_entry.read_data log daddr)
   | Log_entry.Data _ -> failwith "Hybrid_rs.recover: data entry on the outcome chain"
 
-(* Common recovery epilogue: finish the restore tables, rebuild the MT
-   (§5.2) and duty tables, and wrap it all in a fresh recovery system. *)
-let assemble ~heap ~dir ~log ~ctx ~head =
+(* Promotion (warm failover) and both recovery paths end here: a recovery
+   system around a restored heap, with the MT (§5.2) and the PAT and CT
+   duty tables. Appends chain onto [last_outcome]. *)
+let adopt ~heap ~dir ~last_outcome ~info ~mutexes =
+  let acc = Uid.Set.add Uid.stable_vars (Heap.reachable_uids heap) in
+  let t = { (create heap dir) with acc; last_outcome } in
+  List.iter (fun (uid, src) -> Uid.Tbl.replace t.mt uid src) mutexes;
+  List.iter (fun aid -> Aid.Tbl.replace t.pat aid ()) (Tables.Recovery_info.prepared_actions info);
+  List.iter
+    (fun (aid, gids) -> Aid.Tbl.replace t.committing_active aid gids)
+    (Tables.Recovery_info.committing_actions info);
+  t
+
+(* Common recovery epilogue: finish the restore tables and read the MT
+   off the object table. *)
+let assemble ~heap ~dir ~ctx ~head =
   let ot_entries = Tables.Ot.to_list ctx.Restore.ot in
   let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) ~aid_gen:None in
   Metrics.incr ~by:info.Tables.Recovery_info.entries_processed m_recovery_entries;
   Trace.emit
     (Trace.Recovery_scan
        { system = "hybrid"; entries = info.Tables.Recovery_info.entries_processed });
-  let t =
-    {
-      heap;
-      dir;
-      log;
-      sched = Fsched.create log;
-      acc = Uid.Set.add Uid.stable_vars (Heap.reachable_uids heap);
-      pat = Aid.Tbl.create 8;
-      pending = Aid.Tbl.create 8;
-      mt = Uid.Tbl.create 16;
-      committing_active = Aid.Tbl.create 4;
-      last_outcome = head;
-      oel = None;
-    }
+  let mutexes =
+    List.filter_map
+      (fun (uid, (e : Tables.Ot.entry)) ->
+        if e.src >= 0 && Heap.kind_of heap e.vm = Heap.Mutex then Some (uid, e.src) else None)
+      ot_entries
   in
-  List.iter
-    (fun (uid, (e : Tables.Ot.entry)) ->
-      if e.src >= 0 && Heap.kind_of heap e.vm = Heap.Mutex then Uid.Tbl.replace t.mt uid e.src)
-    ot_entries;
-  List.iter (fun aid -> Aid.Tbl.replace t.pat aid ()) (Tables.Recovery_info.prepared_actions info);
-  List.iter
-    (fun (aid, gids) -> Aid.Tbl.replace t.committing_active aid gids)
-    (Tables.Recovery_info.committing_actions info);
-  (t, info)
+  (adopt ~heap ~dir ~last_outcome:head ~info ~mutexes, info)
 
 let recover source_dir =
   let dir = Log_dir.open_ source_dir in
@@ -262,7 +247,7 @@ let recover source_dir =
         walk (Log_entry.prev entry)
   in
   walk !head;
-  assemble ~heap ~dir ~log ~ctx ~head:!head
+  assemble ~heap ~dir ~ctx ~head:!head
 
 (* Segment-parallel recovery: instead of random-access chain chasing,
    partitioned readers bulk-scan the live segments forward (every page
@@ -293,38 +278,7 @@ let recover_parallel ?stats source_dir =
   in
   Option.iter (fun r -> r := scans) stats;
   List.iter (fun entry -> replay_outcome ctx log entry) !outcomes;
-  assemble ~heap ~dir ~log ~ctx ~head:!head
-
-(* Promotion (warm failover): build a recovery system around a heap that a
-   standby restored from its continuously applied warm image, skipping the
-   backward log walk entirely — the caller already fed [Restore] and holds
-   the finished [info]. [dir] is the standby's replica directory, whose
-   current log is byte-identical to the shipped prefix of the dead
-   primary's; appends chain onto [last_outcome] exactly as they would have
-   on the primary. *)
-let adopt ~heap ~dir ~last_outcome ~info ~mutexes =
-  let log = Log_dir.current dir in
-  let t =
-    {
-      heap;
-      dir;
-      log;
-      sched = Fsched.create log;
-      acc = Uid.Set.add Uid.stable_vars (Heap.reachable_uids heap);
-      pat = Aid.Tbl.create 8;
-      pending = Aid.Tbl.create 8;
-      mt = Uid.Tbl.create 16;
-      committing_active = Aid.Tbl.create 4;
-      last_outcome;
-      oel = None;
-    }
-  in
-  List.iter (fun (uid, src) -> Uid.Tbl.replace t.mt uid src) mutexes;
-  List.iter (fun aid -> Aid.Tbl.replace t.pat aid ()) (Tables.Recovery_info.prepared_actions info);
-  List.iter
-    (fun (aid, gids) -> Aid.Tbl.replace t.committing_active aid gids)
-    (Tables.Recovery_info.committing_actions info);
-  t
+  assemble ~heap ~dir ~ctx ~head:!head
 
 (* Housekeeping (Chapter 5). *)
 
@@ -448,14 +402,14 @@ let compaction_entry job a =
       | Tables.Pt.Committed ->
           List.iter
             (fun (uid, oaddr) ->
-              match fetch_data job.old_log oaddr with
+              match Log_entry.read_data job.old_log oaddr with
               | Log_entry.Atomic, version -> atomic_committed job ~uid version
               | Log_entry.Mutex, version -> copy_mutex_if_latest job ~uid ~oaddr version)
             pairs
       | Tables.Pt.Aborted ->
           List.iter
             (fun (uid, oaddr) ->
-              match fetch_data job.old_log oaddr with
+              match Log_entry.read_data job.old_log oaddr with
               | Log_entry.Atomic, _ -> ()
               | Log_entry.Mutex, version -> copy_mutex_if_latest job ~uid ~oaddr version)
             pairs
@@ -465,7 +419,7 @@ let compaction_entry job a =
           let newlist =
             List.filter_map
               (fun (uid, oaddr) ->
-                match fetch_data job.old_log oaddr with
+                match Log_entry.read_data job.old_log oaddr with
                 | Log_entry.Atomic, version ->
                     (match Uid.Tbl.find_opt job.hk_ot uid with
                     | Some _ -> None (* a later entry for this action's object won *)
@@ -484,63 +438,46 @@ let compaction_entry job a =
   | Log_entry.Committed_ss { cssl; _ } ->
       List.iter
         (fun (uid, oaddr) ->
-          match fetch_data job.old_log oaddr with
+          match Log_entry.read_data job.old_log oaddr with
           | Log_entry.Atomic, version -> atomic_committed job ~uid version
           | Log_entry.Mutex, version -> copy_mutex_if_latest job ~uid ~oaddr version)
         cssl
   | Log_entry.Data _ -> failwith "Hybrid_rs.compaction: data entry on the outcome chain");
   Log_entry.prev entry
 
-(* Stage one of the stable-state snapshot (§5.2): traverse the stable
-   state in volatile memory. *)
-let snapshot_stage1 t job new_as =
-  let seen = Hashtbl.create 64 in
+(* Stage one of the stable-state snapshot (§5.2): copy the stable state
+   from volatile memory. *)
+let snapshot_stage1 t job =
+  let new_as = ref (Uid.Set.singleton Uid.stable_vars) in
   let flatten v = Flatten.flatten t.heap v in
-  let rec go_value v =
-    match v with
-    | Rs_objstore.Value.Unit | Rs_objstore.Value.Bool _ | Rs_objstore.Value.Int _
-    | Rs_objstore.Value.Str _ ->
-        ()
-    | Rs_objstore.Value.Tup vs -> Array.iter go_value vs
-    | Rs_objstore.Value.Ref a -> go_addr a
-  and go_addr a =
-    if not (Hashtbl.mem seen a) then begin
-      Hashtbl.add seen a ();
+  Heap.iter_reachable t.heap (fun a ->
       match Heap.kind_of t.heap a with
-      | Heap.Regular ->
-          go_value (Heap.regular_value t.heap a)
-      | Heap.Placeholder -> ()
+      | Heap.Regular | Heap.Placeholder -> ()
       | Heap.Atomic -> (
           let uid = Option.get (Heap.uid_of t.heap a) in
           new_as := Uid.Set.add uid !new_as;
           let view = Heap.atomic_view t.heap a in
           ignore (copy_committed job ~uid ~otype:Log_entry.Atomic (flatten view.base));
           Uid.Tbl.replace job.hk_ot uid { hstate = `Restored; old_src = -1 };
-          (match (view.lock, view.cur) with
+          match (view.lock, view.cur) with
           | Heap.Write w, Some cur when Aid.Tbl.mem t.pat w ->
               job.chained <-
                 Log_entry.Prepared_data { uid; version = flatten cur; aid = w; prev = None }
                 :: job.chained
-          | (Heap.Write _ | Heap.Read _ | Heap.Free), _ -> ());
-          go_value view.base;
-          Option.iter go_value view.cur)
+          | (Heap.Write _ | Heap.Read _ | Heap.Free), _ -> ())
       | Heap.Mutex -> (
           let uid = Option.get (Heap.uid_of t.heap a) in
           new_as := Uid.Set.add uid !new_as;
-          (match Uid.Tbl.find_opt t.mt uid with
-          | Some oaddr ->
-              let otype, version = fetch_data job.old_log oaddr in
-              (match otype with
-              | Log_entry.Mutex -> copy_mutex_if_latest job ~uid ~oaddr version
-              | Log_entry.Atomic -> failwith "Hybrid_rs.snapshot: MT points at an atomic entry")
+          match Uid.Tbl.find_opt t.mt uid with
+          | Some oaddr -> (
+              match Log_entry.read_data job.old_log oaddr with
+              | Log_entry.Mutex, version -> copy_mutex_if_latest job ~uid ~oaddr version
+              | Log_entry.Atomic, _ -> failwith "Hybrid_rs.snapshot: MT points at an atomic entry")
           | None ->
               (* Newly accessible, still being prepared: its state reaches
                  the new log via stage two (§5.2). *)
-              ());
-          go_value (Heap.mutex_value t.heap a))
-    end
-  in
-  go_addr (Heap.root_addr t.heap);
+              ()));
+  job.new_as <- Some !new_as;
   (* PT status of prepared actions and CT status of committing
      coordinators is invisible to the heap traversal; emit it explicitly
      (an oversight in §5.2 that compaction does not share). *)
@@ -579,7 +516,7 @@ let carry_one (job : job) oaddr =
       let newlist =
         List.filter_map
           (fun (uid, oa) ->
-            match fetch_data job.old_log oa with
+            match Log_entry.read_data job.old_log oa with
             | Log_entry.Atomic, version ->
                 Some (uid, wdata job ~otype:Log_entry.Atomic version)
             | Log_entry.Mutex, version ->
@@ -672,7 +609,7 @@ let hk_finalize (t : t) (job : job) =
       in
       List.iter
         (fun (uid, oa) ->
-          let otype, version = fetch_data job.old_log oa in
+          let otype, version = Log_entry.read_data job.old_log oa in
           let a = wdata job ~otype version in
           Uid.Tbl.replace tbl uid a;
           if otype = Log_entry.Mutex then Uid.Tbl.replace job.new_mt uid a)
@@ -711,9 +648,7 @@ let hk_step (t : t) (job : job) ~budget =
       | Snapshot ->
           (* The heap traversal reads live volatile state, so it cannot
              be sliced against concurrent mutation: one atomic step. *)
-          let new_as = ref (Uid.Set.singleton Uid.stable_vars) in
-          snapshot_stage1 t job new_as;
-          job.new_as <- Some !new_as;
+          snapshot_stage1 t job;
           close_stage1 job;
           job.stage <- Carry
       | Compaction ->

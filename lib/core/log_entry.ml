@@ -189,6 +189,13 @@ let decode_at s ~off ~len =
 
 let decode s = decode_at s ~off:0 ~len:(String.length s)
 
+let read_data log a =
+  match decode (Rs_slog.Stable_log.read log a) with
+  | Data { otype; version; _ } -> (otype, version)
+  | Prepared _ | Committed _ | Aborted _ | Committing _ | Done _ | Base_committed _
+  | Prepared_data _ | Committed_ss _ ->
+      failwith (Printf.sprintf "Log_entry.read_data: no data entry at %d" a)
+
 let pp_prev fmt = function
   | None -> Format.pp_print_string fmt "nil"
   | Some a -> Format.fprintf fmt "L%d" a

@@ -72,5 +72,10 @@ val encode : t -> string
 val decode : string -> t
 (** Raises {!Rs_util.Codec.Error} on malformed input. *)
 
+val read_data : Rs_slog.Stable_log.t -> addr -> otype * Rs_objstore.Fvalue.t
+(** The object type and version of the data entry at [addr] — what a
+    ⟨uid, address⟩ pair, a CSSL, the MT or a shadow map points at. Raises
+    [Failure] if the entry there is not a data entry. *)
+
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -231,14 +231,6 @@ let prepared_actions t = Aid.Tbl.fold (fun a () acc -> a :: acc) t.pat []
 let accessible t u = Uid.Set.mem u t.acc
 let map_size t = Uid.Tbl.length t.map
 
-let fetch_data log a =
-  match Log_entry.decode (Log.read log a) with
-  | Log_entry.Data { otype; version; _ } -> (otype, version)
-  | Log_entry.Prepared _ | Log_entry.Committed _ | Log_entry.Aborted _
-  | Log_entry.Committing _ | Log_entry.Done _ | Log_entry.Base_committed _
-  | Log_entry.Prepared_data _ | Log_entry.Committed_ss _ ->
-      failwith "Shadow_rs: map points at a non-data entry"
-
 let recover old =
   let stores = old.stores in
   Store.recover stores.root;
@@ -259,7 +251,7 @@ let recover old =
   in
   let fetch daddr () =
     ctx.Restore.processed <- ctx.Restore.processed + 1;
-    fetch_data vlog daddr
+    Log_entry.read_data vlog daddr
   in
   (* Pairs of in-flight prepared records, remembered so that the map and
      the pending sets can be rebuilt once final action states are known. *)
@@ -327,7 +319,7 @@ let recover old =
      - mutex pairs survive even for aborted actions (§2.4.2);
      - pairs of still-prepared actions are re-installed as pending, so a
        commit after recovery installs them in the map. *)
-  let otype_of daddr = fst (fetch_data vlog daddr) in
+  let otype_of daddr = fst (Log_entry.read_data vlog daddr) in
   let stale = ref false in
   let install u entry =
     match Uid.Tbl.find_opt t.map u with

@@ -11,6 +11,18 @@ module Trace = Rs_obs.Trace
 
 let m_recovery_entries = Metrics.counter "simple_rs.recovery_entries"
 
+(* A snapshot checkpoint in flight: the first slice walks the heap into
+   the spare log, the final slice copies post-marker entries and
+   switches. *)
+type job = {
+  old_log : Log.t;
+  new_log : Log.t;
+  marker : Log.addr;
+  new_mt : Log.addr Uid.Tbl.t;
+  mutable new_as : Uid.Set.t;
+  mutable walked : bool;
+}
+
 type t = {
   heap : Heap.t;
   dir : Log_dir.t;
@@ -20,6 +32,7 @@ type t = {
   pat : unit Aid.Tbl.t; (* prepared actions table *)
   mt : Log.addr Uid.Tbl.t; (* latest mutex data entry, for snapshots *)
   committing_active : Gid.t list Aid.Tbl.t;
+  mutable job : job option; (* the checkpoint in progress *)
 }
 
 let heap t = t.heap
@@ -39,6 +52,7 @@ let create heap dir =
     pat = Aid.Tbl.create 8;
     mt = Uid.Tbl.create 16;
     committing_active = Aid.Tbl.create 4;
+    job = None;
   }
 
 let append t entry =
@@ -104,14 +118,6 @@ let trim_accessibility_set t =
   let reachable = Heap.reachable_uids t.heap in
   t.acc <- Uid.Set.inter t.acc (Uid.Set.add Uid.stable_vars reachable)
 
-let fetch_data log a =
-  match Log_entry.decode (Log.read log a) with
-  | Log_entry.Data { otype; version; _ } -> (otype, version)
-  | Log_entry.Prepared _ | Log_entry.Committed _ | Log_entry.Aborted _
-  | Log_entry.Committing _ | Log_entry.Done _ | Log_entry.Base_committed _
-  | Log_entry.Prepared_data _ | Log_entry.Committed_ss _ ->
-      failwith "Simple_rs: CSSL points at a non-data entry"
-
 let recover dir =
   let dir = Log_dir.open_ dir in
   let log = Log_dir.current dir in
@@ -141,7 +147,7 @@ let recover dir =
           | Log_entry.Committed_ss { cssl; _ } ->
               Restore.on_committed_ss ctx ~pairs:cssl ~fetch:(fun a ->
                   ctx.Restore.processed <- ctx.Restore.processed + 1;
-                  fetch_data log a))
+                  Log_entry.read_data log a))
         (Log.read_backward log top));
   let ot_entries = Tables.Ot.to_list ctx.Restore.ot in
   let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) ~aid_gen:None in
@@ -149,18 +155,8 @@ let recover dir =
   Trace.emit
     (Trace.Recovery_scan
        { system = "simple"; entries = info.Tables.Recovery_info.entries_processed });
-  let t =
-    {
-      heap;
-      dir;
-      log;
-      sched = Fsched.create log;
-      acc = Uid.Set.add Uid.stable_vars (Heap.reachable_uids heap);
-      pat = Aid.Tbl.create 8;
-      mt = Uid.Tbl.create 16;
-      committing_active = Aid.Tbl.create 4;
-    }
-  in
+  let acc = Uid.Set.add Uid.stable_vars (Heap.reachable_uids heap) in
+  let t = { (create heap dir) with acc } in
   List.iter
     (fun (uid, (e : Tables.Ot.entry)) ->
       if e.src >= 0 && Heap.kind_of heap e.vm = Heap.Mutex then Uid.Tbl.replace t.mt uid e.src)
@@ -172,93 +168,84 @@ let recover dir =
   (t, info)
 
 (* Snapshot checkpointing: the Ch. 5 stable-state snapshot transplanted to
-   the simple log. Data entries written here carry no action id, so plain
-   backward recovery ignores them; the committed_ss CSSL is the only path
-   to them — exactly the semantics of a checkpoint. *)
+   the simple log, as the same slice machine as the hybrid log's. Data
+   entries written here carry no action id, so plain backward recovery
+   ignores them; the committed_ss CSSL is the only path to them — exactly
+   the semantics of a checkpoint. *)
 
-type job = {
-  old_log : Log.t;
-  new_log : Log.t;
-  marker : Log.addr;
-  new_mt : Log.addr Uid.Tbl.t;
-  new_as : Uid.Set.t;
-}
+let housekeeping_active t = Option.is_some t.job
 
-let begin_snapshot t =
-  let old_log = t.log in
-  let marker = Log.end_addr old_log in
+let hk_start t =
+  if housekeeping_active t then invalid_arg "Simple_rs.hk_start: already in progress";
+  let marker = Log.end_addr t.log in
   let new_log = Log_dir.begin_new t.dir in
-  let new_mt = Uid.Tbl.create 16 in
+  let job =
+    {
+      old_log = t.log;
+      new_log;
+      marker;
+      new_mt = Uid.Tbl.create 16;
+      new_as = Uid.Set.singleton Uid.stable_vars;
+      walked = false;
+    }
+  in
+  t.job <- Some job;
+  job
+
+(* Stage one: copy the stable state from volatile memory into the spare
+   log (data entries + [committed_ss] + entries for prepared actions and
+   committing coordinators). It reads live volatile state, so it is one
+   atomic slice. *)
+let walk t job =
   let cssl = ref [] in
   let pds = ref [] in
-  let new_as = ref (Uid.Set.singleton Uid.stable_vars) in
-  let seen = Hashtbl.create 64 in
+  let write entry = Log.write job.new_log (Log_entry.encode entry) in
   let wdata ~uid ~otype version =
-    Log.write new_log
-      (Log_entry.encode (Log_entry.Data { uid = Some uid; otype; aid = None; version }))
+    write (Log_entry.Data { uid = Some uid; otype; aid = None; version })
   in
   let flatten v = Flatten.flatten t.heap v in
-  let rec go_value v =
-    match v with
-    | Rs_objstore.Value.Unit | Rs_objstore.Value.Bool _ | Rs_objstore.Value.Int _
-    | Rs_objstore.Value.Str _ ->
-        ()
-    | Rs_objstore.Value.Tup vs -> Array.iter go_value vs
-    | Rs_objstore.Value.Ref a -> go_addr a
-  and go_addr a =
-    if not (Hashtbl.mem seen a) then begin
-      Hashtbl.add seen a ();
+  Heap.iter_reachable t.heap (fun a ->
       match Heap.kind_of t.heap a with
-      | Heap.Regular -> go_value (Heap.regular_value t.heap a)
-      | Heap.Placeholder -> ()
+      | Heap.Regular | Heap.Placeholder -> ()
       | Heap.Atomic -> (
           let uid = Option.get (Heap.uid_of t.heap a) in
-          new_as := Uid.Set.add uid !new_as;
+          job.new_as <- Uid.Set.add uid job.new_as;
           let view = Heap.atomic_view t.heap a in
           cssl := (uid, wdata ~uid ~otype:Log_entry.Atomic (flatten view.base)) :: !cssl;
-          (match (view.lock, view.cur) with
+          match (view.lock, view.cur) with
           | Heap.Write w, Some cur when Aid.Tbl.mem t.pat w ->
               pds :=
                 Log_entry.Prepared_data { uid; version = flatten cur; aid = w; prev = None }
                 :: !pds
-          | (Heap.Write _ | Heap.Read _ | Heap.Free), _ -> ());
-          go_value view.base;
-          Option.iter go_value view.cur)
+          | (Heap.Write _ | Heap.Read _ | Heap.Free), _ -> ())
       | Heap.Mutex -> (
           let uid = Option.get (Heap.uid_of t.heap a) in
-          new_as := Uid.Set.add uid !new_as;
-          (match Uid.Tbl.find_opt t.mt uid with
+          job.new_as <- Uid.Set.add uid job.new_as;
+          match Uid.Tbl.find_opt t.mt uid with
           | Some oaddr -> (
-              match fetch_data old_log oaddr with
+              match Log_entry.read_data job.old_log oaddr with
               | Log_entry.Mutex, version ->
                   let na = wdata ~uid ~otype:Log_entry.Mutex version in
                   cssl := (uid, na) :: !cssl;
-                  Uid.Tbl.replace new_mt uid na
+                  Uid.Tbl.replace job.new_mt uid na
               | Log_entry.Atomic, _ -> failwith "Simple_rs.snapshot: MT points at atomic entry")
           | None ->
               (* Newly accessible, still being prepared: its state reaches
                  the new log via stage two. *)
-              ());
-          go_value (Heap.mutex_value t.heap a))
-    end
-  in
-  go_addr (Heap.root_addr t.heap);
-  ignore (Log.write new_log (Log_entry.encode (Log_entry.Committed_ss { cssl = List.rev !cssl; prev = None })));
-  List.iter (fun pd -> ignore (Log.write new_log (Log_entry.encode pd))) (List.rev !pds);
+              ()));
+  ignore (write (Log_entry.Committed_ss { cssl = List.rev !cssl; prev = None }));
+  List.iter (fun pd -> ignore (write pd)) (List.rev !pds);
   Aid.Tbl.iter
-    (fun aid () ->
-      ignore (Log.write new_log (Log_entry.encode (Log_entry.Prepared { aid; pairs = None; prev = None }))))
+    (fun aid () -> ignore (write (Log_entry.Prepared { aid; pairs = None; prev = None })))
     t.pat;
   Aid.Tbl.iter
-    (fun aid gids ->
-      ignore (Log.write new_log (Log_entry.encode (Log_entry.Committing { aid; gids; prev = None }))))
-    t.committing_active;
-  { old_log; new_log; marker; new_mt; new_as = !new_as }
+    (fun aid gids -> ignore (write (Log_entry.Committing { aid; gids; prev = None })))
+    t.committing_active
 
-let finish_snapshot t job =
-  if t.log != job.old_log then invalid_arg "Simple_rs.finish_snapshot: stale job";
-  (* Stage two: simple-log entries are self-contained; copy them
-     verbatim, tracking mutex data entries for the new MT. *)
+(* Stage two: simple-log entries are self-contained; copy the post-marker
+   ones verbatim, tracking mutex data entries for the new MT, then force
+   and switch logs atomically. *)
+let finalize t job =
   Seq.iter
     (fun (_, raw) ->
       let a = Log.write job.new_log raw in
@@ -275,6 +262,7 @@ let finish_snapshot t job =
      the switch retires every old segment below its end. *)
   Log_dir.switch ~low_water:(Log.end_addr job.old_log) t.dir;
   t.log <- Log_dir.current t.dir;
+  t.job <- None;
   Fsched.set_log t.sched t.log;
   Uid.Tbl.reset t.mt;
   Uid.Tbl.iter (fun u a -> Uid.Tbl.replace t.mt u a) job.new_mt;
@@ -282,10 +270,24 @@ let finish_snapshot t job =
   (* Tokens awaiting a force were carried by the snapshot (their effects
      are in the heap traversal or the post-marker copy) and the new log
      was just forced: settle them now. *)
-  Fsched.flush t.sched
-
-let housekeep t =
-  let job = begin_snapshot t in
-  finish_snapshot t job;
+  Fsched.flush t.sched;
   let entries = Log.entry_count t.log in
   Trace.emit (Trace.Checkpoint { system = "simple"; technique = "snapshot"; entries })
+
+(* Two slices whatever the budget: the walk, then the copy and switch. *)
+let hk_step t job ~budget:_ =
+  (match t.job with
+  | Some j when j == job -> ()
+  | Some _ | None -> invalid_arg "Simple_rs.hk_step: stale job");
+  if job.walked then finalize t job
+  else begin
+    walk t job;
+    job.walked <- true
+  end;
+  not (housekeeping_active t)
+
+let housekeep t =
+  let job = hk_start t in
+  while not (hk_step t job ~budget:max_int) do
+    ()
+  done

@@ -65,19 +65,31 @@ val recover : Rs_slog.Log_dir.t -> t * Tables.Recovery_info.t
     treatment: its recovery algorithm already understands [committed_ss]
     entries. Benchmarks use this to separate the two benefits of the
     hybrid design — checkpointing (shared here) from chain-following
-    (hybrid only). *)
+    (hybrid only). The checkpoint runs on the same slice machine as
+    {!Hybrid_rs.hk_start}/{!Hybrid_rs.hk_step}, with the same guards. *)
 
 type job
 
-val begin_snapshot : t -> job
-(** Stage one: copy the stable state from volatile memory into the spare
-    log slot (data entries + [committed_ss] + entries for prepared
-    actions and committing coordinators). Normal operation may continue
-    before {!finish_snapshot}. *)
+val hk_start : t -> job
+(** Begin a snapshot checkpoint: set the marker at the end of the current
+    log and allocate the spare log. Raises [Invalid_argument] if a
+    checkpoint is already in progress. *)
 
-val finish_snapshot : t -> job -> unit
-(** Stage two: copy post-marker entries verbatim (simple-log entries are
-    self-contained) and switch logs atomically. *)
+val hk_step : t -> job -> budget:int -> bool
+(** Run the next slice; returns [true] once the checkpoint has completed.
+    There are two slices whatever [budget] is. The first copies the
+    stable state from volatile memory into the spare log (data entries,
+    [committed_ss], and entries for prepared actions and committing
+    coordinators); it reads live state, so it is atomic. Normal operation
+    may continue before the second, which copies the post-marker entries
+    verbatim (simple-log entries are self-contained), forces, switches
+    logs atomically and emits the [Checkpoint] trace event. A crash
+    between the slices abandons the spare log; recovery reads the old
+    one. Raises [Invalid_argument] on a job that is not in progress. *)
+
+val housekeeping_active : t -> bool
+(** Whether a checkpoint is in progress. *)
 
 val housekeep : t -> unit
-(** [begin_snapshot] immediately followed by [finish_snapshot]. *)
+(** A whole checkpoint at once: {!hk_start}, then {!hk_step} until it
+    completes. *)

@@ -432,9 +432,8 @@ let run_scheme_schedule cfg name ops sched =
       match (op, List.find_opt (fun s -> s.Fault.op = j) sched) with
       | Housekeep tech, Some { Fault.point = Fault.Hk_boundary; _ } -> (
           (* stage one only: the half-built spare log must vanish *)
-          match Scheme.begin_housekeep (Synth.scheme !t) tech with
-          | None -> ()
-          | Some _abandoned -> recover ~allowed:[ !expected ])
+          Scheme.housekeep_first_slice (Synth.scheme !t) tech;
+          recover ~allowed:[ !expected ])
       | _, Some { Fault.point; _ } ->
           let stores = Scheme.stable_stores (Synth.scheme !t) in
           if inject stores point (fun () -> exec_plain !t op) then

@@ -29,8 +29,9 @@ type t = {
   mutable crashes : int;
   mutable known : Aid.Set.t; (* volatile: actions that executed here *)
   mutable decided : Aid.Set.t; (* coordinated actions whose committing record exists *)
-  mutable auto_hk : (int * Hybrid_rs.technique) option; (* threshold bytes, technique *)
-  mutable hk_slice : (int * float) option; (* incremental mode: entries/slice, delay between *)
+  mutable auto_hk : (int * Hybrid_rs.technique * (int * float)) option;
+      (* threshold bytes, technique, (entries per slice, delay between) *)
+  mutable hk_job : Hybrid_rs.job option; (* the background checkpoint in flight *)
   mutable hk_runs : int;
   (* MOS leftovers of early-prepared actions, consumed at prepare (§4.4). *)
   early : Rs_objstore.Value.addr list Aid.Tbl.t;
@@ -46,38 +47,36 @@ let note_participation t aid = t.known <- Aid.Set.add aid t.known
 let participated t aid = Aid.Set.mem aid t.known
 let crashes t = t.crashes
 
-(* One slice of an incremental checkpoint, self-rescheduling over the
-   simulator's virtual clock until the job completes. The fiber captures
-   the recovery system it was started for: a crash (or promotion) swaps
-   [t.rs], turning any still-queued slice into a no-op — the abandoned
-   spare log is orphan-swept at the next recovery. *)
-let rec hk_slice_fiber t rs job ~budget ~delay () =
-  if t.up && t.rs == rs then
-    if Hybrid_rs.hk_step rs job ~budget then begin
-      t.hk_runs <- t.hk_runs + 1;
-      Metrics.incr m_hk_runs
-    end
-    else Sim.schedule t.sim ~delay (hk_slice_fiber t rs job ~budget ~delay)
+let hk_done t =
+  t.hk_job <- None;
+  t.hk_runs <- t.hk_runs + 1;
+  Metrics.incr m_hk_runs
+
+(* One slice of a background checkpoint, self-rescheduling over the
+   simulator's virtual clock until the job completes. A slice runs only
+   while its job is still [t.hk_job]: a crash, or a {!housekeep} that
+   finished the job itself, turns any still-queued slice into a no-op — a
+   spare log abandoned by a crash is orphan-swept at the next recovery. *)
+let rec hk_slice_fiber t job ~budget ~delay () =
+  match t.hk_job with
+  | Some j when j == job ->
+      if Hybrid_rs.hk_step t.rs job ~budget then hk_done t
+      else Sim.schedule t.sim ~delay (hk_slice_fiber t job ~budget ~delay)
+  | Some _ | None -> ()
 
 (* §2.3 operation 7: reorganize stable storage once enough log has
    accumulated. Triggered after outcome records, the quiet points of the
-   recovery system's sequential operation. In incremental mode the pass
-   runs as a background fiber in bounded slices interleaved with live
-   commits; while one is in flight, further triggers are ignored. *)
+   recovery system's sequential operation. The pass runs as a background
+   fiber in bounded slices interleaved with live commits; while one is in
+   flight, further triggers are ignored. *)
 let maybe_housekeep t =
   match t.auto_hk with
-  | Some (threshold, technique)
+  | Some (threshold, technique, (budget, delay))
     when (not (Hybrid_rs.housekeeping_active t.rs))
-         && Rs_slog.Stable_log.stream_bytes (Hybrid_rs.log t.rs) > threshold -> (
-      match t.hk_slice with
-      | Some (budget, delay) ->
-          let rs = t.rs in
-          let job = Hybrid_rs.hk_start rs technique in
-          Sim.schedule t.sim ~delay (hk_slice_fiber t rs job ~budget ~delay)
-      | None ->
-          Hybrid_rs.housekeep t.rs technique;
-          t.hk_runs <- t.hk_runs + 1;
-          Metrics.incr m_hk_runs)
+         && Rs_slog.Stable_log.stream_bytes (Hybrid_rs.log t.rs) > threshold ->
+      let job = Hybrid_rs.hk_start t.rs technique in
+      t.hk_job <- Some job;
+      Sim.schedule t.sim ~delay (hk_slice_fiber t job ~budget ~delay)
   | Some _ | None -> ()
 
 let twopc t =
@@ -185,7 +184,7 @@ let create ~gid ~sim ~net ?(page_size = 1024) ?(force_window = 0.0) ?prepare_tim
       known = Aid.Set.empty;
       decided = Aid.Set.empty;
       auto_hk = None;
-      hk_slice = None;
+      hk_job = None;
       hk_runs = 0;
       early = Aid.Tbl.create 8;
     }
@@ -218,6 +217,7 @@ let crash t =
     t.known <- Aid.Set.empty;
     t.decided <- Aid.Set.empty;
     Aid.Tbl.reset t.early;
+    t.hk_job <- None;
     (* Volatile memory is gone. The dying heap lingers in closures the
        runtime is still abandoning (waiter cancellations can serve queued
        grants on it); orphan its trace stream so those post-mortem events
@@ -289,11 +289,20 @@ let take_over_address t ~gid:old =
   Net.register t.net old (fun ~src msg -> if t.up then Twopc.handle ~self:old (twopc t) ~src msg);
   Net.set_up t.net old true
 
-let housekeep t technique = Hybrid_rs.housekeep t.rs technique
+(* The recovery system runs one checkpoint at a time: finish the
+   background one first (its queued slice then finds nothing to do). *)
+let housekeep t technique =
+  Option.iter
+    (fun job ->
+      while not (Hybrid_rs.hk_step t.rs job ~budget:max_int) do
+        ()
+      done;
+      hk_done t)
+    t.hk_job;
+  Hybrid_rs.housekeep t.rs technique
 
-let set_auto_housekeeping t ?(threshold_bytes = 65536) ?slice technique =
-  t.auto_hk <- Option.map (fun tech -> (threshold_bytes, tech)) technique;
-  t.hk_slice <- slice
+let set_auto_housekeeping t ?(threshold_bytes = 65536) ~slice technique =
+  t.auto_hk <- Option.map (fun tech -> (threshold_bytes, tech, slice)) technique
 
 let housekeeping_runs t = t.hk_runs
 let checkpoint_active t = Hybrid_rs.housekeeping_active t.rs

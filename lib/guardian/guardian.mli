@@ -88,22 +88,24 @@ val take_over_address : t -> gid:Rs_util.Gid.t -> unit
     crash/restart cycles and goes quiet while it is down. *)
 
 val housekeep : t -> Core.Hybrid_rs.technique -> unit
+(** A whole checkpoint now ({!Core.Hybrid_rs.housekeep}). If a background
+    checkpoint is in flight, it is finished first (and counted in
+    {!housekeeping_runs}); its queued slice then does nothing. *)
 
 val set_auto_housekeeping :
-  t -> ?threshold_bytes:int -> ?slice:int * float -> Core.Hybrid_rs.technique option -> unit
+  t -> ?threshold_bytes:int -> slice:int * float -> Core.Hybrid_rs.technique option -> unit
 (** §2.3 operation 7: let the guardian decide when "enough old information
-    has accumulated". With [Some technique], a housekeeping pass runs
-    after any commit/abort that leaves the log beyond [threshold_bytes]
-    (default 64 KiB). [None] disables. The setting survives restarts.
+    has accumulated". With [Some technique], a checkpoint starts after any
+    commit/abort that leaves the log beyond [threshold_bytes] (default
+    64 KiB). [None] disables. The setting survives restarts.
 
-    [slice = (budget, delay)] switches the pass to an {e incremental
-    background checkpoint}: instead of a stop-the-world rewrite inside
-    the triggering commit, a fiber over the simulator's virtual clock
-    runs {!Core.Hybrid_rs.hk_step} slices of at most [budget] entries,
-    [delay] time units apart, interleaved with live commits; the final
-    slice performs the force-and-switch atomically. A crash mid-
-    checkpoint abandons the spare log (orphan-swept at recovery) and
-    recovers from the old log unchanged. *)
+    The checkpoint runs in the background: a fiber over the simulator's
+    virtual clock runs {!Core.Hybrid_rs.hk_step} slices of at most
+    [budget] entries, [delay] time units apart ([slice = (budget,
+    delay)]), interleaved with live commits; the final slice performs the
+    force-and-switch atomically. While one is in flight, further triggers
+    are ignored. A crash mid-checkpoint abandons the spare log
+    (orphan-swept at recovery) and recovers from the old log unchanged. *)
 
 val housekeeping_runs : t -> int
 (** Automatic housekeeping passes performed so far. *)

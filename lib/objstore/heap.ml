@@ -987,20 +987,20 @@ let patch_placeholders t =
       | B_placeholder _ -> ())
     t.objs
 
-let reachable_uids t =
-  let seen_addr = Hashtbl.create 64 in
-  let uids = ref Uid.Set.empty in
-  let rec go_value v =
-    match v with
+(* Preorder over the stable state: an object is visited before what its
+   versions reference, an atomic object's base before its current
+   version, each object once. *)
+let iter_reachable t f =
+  let seen = Hashtbl.create 64 in
+  let rec go_value = function
     | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ -> ()
     | Value.Tup vs -> Array.iter go_value vs
     | Value.Ref a -> go_addr a
   and go_addr a =
-    if not (Hashtbl.mem seen_addr a) then begin
-      Hashtbl.add seen_addr a ();
-      let o = obj t a in
-      (match o.uid with Some u -> uids := Uid.Set.add u !uids | None -> ());
-      match o.body with
+    if not (Hashtbl.mem seen a) then begin
+      Hashtbl.add seen a ();
+      f a;
+      match (obj t a).body with
       | B_atomic b ->
           go_value b.a_base;
           Option.iter go_value b.a_cur
@@ -1009,5 +1009,9 @@ let reachable_uids t =
       | B_placeholder _ -> ()
     end
   in
-  go_addr t.root;
+  go_addr t.root
+
+let reachable_uids t =
+  let uids = ref Uid.Set.empty in
+  iter_reachable t (fun a -> Option.iter (fun u -> uids := Uid.Set.add u !uids) (obj t a).uid);
   !uids

@@ -297,6 +297,14 @@ val patch_placeholders : t -> unit
     placeholder's uid was never installed (a dangling stable reference —
     log corruption). *)
 
+val iter_reachable : t -> (addr -> unit) -> unit
+(** Visit every object reachable from the stable-variables root once, in
+    preorder: an object before what its versions reference, an atomic
+    object's base version before its current one. Placeholders are
+    visited but lead nowhere. The one traversal of the stable state:
+    {!reachable_uids} and both logs' stable-state snapshots (§5.2) are
+    built on it. [f] must not change the heap. *)
+
 val reachable_uids : t -> Rs_util.Uid.Set.t
 (** Uids of recoverable objects reachable from the stable-variables root,
     traversing base and current versions — used to rebuild the AS after

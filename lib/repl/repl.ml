@@ -84,11 +84,6 @@ module Replica = struct
   let applied_entries t = t.applied_entries
   let diverged t = t.diverged
 
-  let fetch_data log a =
-    match Log_entry.decode (Log.read log a) with
-    | Log_entry.Data { otype; version; _ } -> (otype, version)
-    | _ -> failwith "Repl.Replica: pair points at a non-data entry"
-
   let note_mutex t uid a =
     match Uid.Tbl.find_opt t.mutexes uid with
     | Some prev when prev >= a -> ()
@@ -109,7 +104,7 @@ module Replica = struct
         let atomics =
           List.filter_map
             (fun (uid, da) ->
-              match fst (fetch_data t.log da) with
+              match fst (Log_entry.read_data t.log da) with
               | Log_entry.Atomic -> Some (uid, da)
               | Log_entry.Mutex ->
                   (* §4.4 mutex rule: greatest data-entry address wins,
@@ -144,7 +139,7 @@ module Replica = struct
     | Log_entry.Committed_ss { cssl; _ } ->
         List.iter
           (fun (uid, da) ->
-            match fst (fetch_data t.log da) with
+            match fst (Log_entry.read_data t.log da) with
             | Log_entry.Atomic -> Uid.Tbl.replace t.committed uid (Caddr da)
             | Log_entry.Mutex -> note_mutex t uid da)
           cssl
@@ -235,7 +230,7 @@ module Replica = struct
             List.iter
               (fun (uid, da) ->
                 Restore.on_data ctx ~uid ~aid:(Some aid) ~src:da ~fetch:(fun () ->
-                    fetch_data log da))
+                    Log_entry.read_data log da))
               l
         | None -> ());
         match Aid.Tbl.find_opt t.pinline aid with
@@ -255,7 +250,7 @@ module Replica = struct
       @ Uid.Tbl.fold (fun uid a acc -> (uid, a) :: acc) t.mutexes []
       |> List.sort (fun (a, _) (b, _) -> Uid.compare a b)
     in
-    Restore.on_committed_ss ctx ~pairs:css ~fetch:(fun da -> fetch_data log da);
+    Restore.on_committed_ss ctx ~pairs:css ~fetch:(Log_entry.read_data log);
     Uid.Tbl.fold
       (fun uid src acc -> match src with Cinline v -> (uid, v) :: acc | Caddr _ -> acc)
       t.committed []

@@ -67,31 +67,19 @@ let crash_recover t =
           let rs, info = Core.Shadow_rs.recover rs in
           (Shadow { heap = Core.Shadow_rs.heap rs; rs }, info))
 
-type hk_job =
-  | Hybrid_job of Core.Hybrid_rs.t * Core.Hybrid_rs.job
-  | Simple_job of Core.Simple_rs.t * Core.Simple_rs.job
+let housekeep t technique =
+  match (t, technique) with
+  | Hybrid { rs; _ }, tech -> Core.Hybrid_rs.housekeep rs tech
+  | Simple { rs; _ }, Snapshot -> Core.Simple_rs.housekeep rs
+  | Simple _, Compaction (* compaction needs the chain; not available *) | Shadow _, _ -> ()
 
-let begin_housekeep t technique =
+let housekeep_first_slice t technique =
   match (t, technique) with
   | Hybrid { rs; _ }, tech ->
-      let job = Core.Hybrid_rs.hk_start rs tech in
-      ignore (Core.Hybrid_rs.hk_step rs job ~budget:max_int);
-      Some (Hybrid_job (rs, job))
-  | Simple { rs; _ }, Snapshot -> Some (Simple_job (rs, Core.Simple_rs.begin_snapshot rs))
-  | Simple _, Compaction -> None (* compaction needs the chain; not available *)
-  | Shadow _, (Compaction | Snapshot) -> None
-
-let finish_housekeep _t = function
-  | Hybrid_job (rs, job) ->
-      while not (Core.Hybrid_rs.hk_step rs job ~budget:max_int) do
-        ()
-      done
-  | Simple_job (rs, job) -> Core.Simple_rs.finish_snapshot rs job
-
-let housekeep t technique =
-  match begin_housekeep t technique with
-  | Some job -> finish_housekeep t job
-  | None -> ()
+      ignore (Core.Hybrid_rs.hk_step rs (Core.Hybrid_rs.hk_start rs tech) ~budget:max_int)
+  | Simple { rs; _ }, Snapshot ->
+      ignore (Core.Simple_rs.hk_step rs (Core.Simple_rs.hk_start rs) ~budget:max_int)
+  | Simple _, Compaction | Shadow _, _ -> ()
 
 let supports_housekeeping = function Hybrid _ | Simple _ -> true | Shadow _ -> false
 

@@ -39,22 +39,16 @@ val housekeep : t -> technique -> unit
 (** Hybrid: the Ch. 5 algorithms. Simple: [Snapshot] runs the transplanted
     stable-state snapshot ({!Core.Simple_rs.housekeep}, an ablation this
     repo adds); [Compaction] is a no-op (it needs the outcome chain).
-    Shadow: no-op (its map is already a checkpoint). Equivalent to
-    {!begin_housekeep} immediately followed by {!finish_housekeep}. *)
+    Shadow: no-op (its map is already a checkpoint). *)
 
-type hk_job
-(** A housekeeping pass caught between its two stages. *)
-
-val begin_housekeep : t -> technique -> hk_job option
-(** Stage one of the two-stage housekeeping structure: set the marker and
-    build the new stable state in the spare slot. [None] where the
-    combination is a no-op (shadow, or simple+compaction). Normal
-    operation — and a crash, which simply discards the half-built log —
-    may come between the stages; that boundary is one of the fault
-    points [Rs_explore] enumerates. *)
-
-val finish_housekeep : t -> hk_job -> unit
-(** Stage two: carry post-marker entries over and switch logs atomically. *)
+val housekeep_first_slice : t -> technique -> unit
+(** Start {!housekeep}'s checkpoint and run only its first slice with an
+    unbounded budget: stage one of the two-stage structure, the new
+    stable state built in the spare log. For crash exploration: the
+    boundary between the stages is a fault point [Rs_explore]
+    enumerates, and the caller crashes the scheme there (recovery
+    discards the half-built log); the checkpoint is never finished. A
+    no-op where {!housekeep} is one. *)
 
 val supports_housekeeping : t -> bool
 

@@ -64,6 +64,47 @@ let check_mutex heap u expected label = Alcotest.check value_testable label expe
 let check_absent heap u label =
   Alcotest.(check bool) label true (Heap.addr_of_uid heap u = None)
 
+(* --- stable variables, bound and read as the tests' actions do --- *)
+
+(* A step that binds stable var [name] to [v]: a fresh atomic object the
+   first time, a new current version after. *)
+let set_var name v : Rs_guardian.System.work =
+ fun heap aid ->
+  match Heap.get_stable_var heap name with
+  | Some (Value.Ref a) -> Heap.set_current heap aid a (Value.Int v)
+  | Some _ -> failwith "stable var is not a ref"
+  | None ->
+      let a = Heap.alloc_atomic heap ~creator:aid (Value.Int v) in
+      Heap.set_stable_var heap aid name (Value.Ref a)
+
+(* Run [name := v] as action [seq] through a recovery system's prepare
+   and commit, then commit it in the heap. *)
+let commit_value ~prepare ~commit heap ~seq ~name ~v =
+  let t = aid seq in
+  set_var name v heap t;
+  prepare t (Heap.mos heap t);
+  commit t;
+  Heap.commit_action heap t
+
+(* The base version of stable var [name]: its committed int. *)
+let stable_int heap name =
+  match Heap.get_stable_var heap name with
+  | Some (Value.Ref a) -> (
+      match (Heap.atomic_view heap a).base with
+      | Value.Int v -> v
+      | v -> Alcotest.failf "not an int: %s" (Format.asprintf "%a" Value.pp v))
+  | Some v -> Alcotest.failf "not a ref: %s" (Format.asprintf "%a" Value.pp v)
+  | None -> Alcotest.failf "stable var %s unbound" name
+
+(* A guardian's committed int for [name], read through a snapshot. *)
+let committed_int gd name =
+  let heap = Rs_guardian.Guardian.heap gd in
+  Heap.with_snapshot heap (fun s ->
+      match Heap.snapshot_var heap s name with
+      | Some (Value.Ref a) -> (
+          match Heap.snapshot_read heap s a with Value.Int v -> Some v | _ -> None)
+      | Some _ | None -> None)
+
 (* --- hand-built traces for the spec monitors --- *)
 
 module Trace = Rs_obs.Trace

@@ -10,17 +10,7 @@ let fresh () =
   let dir = Log_dir.create ~page_size:256 () in
   (heap, dir, Rs.create heap dir)
 
-let commit_value heap rs ~seq ~name ~v =
-  let t = aid seq in
-  (match Heap.get_stable_var heap name with
-  | Some (Value.Ref a) -> Heap.set_current heap t a (Value.Int v)
-  | Some _ -> Alcotest.fail "stable var not a ref"
-  | None ->
-      let a = Heap.alloc_atomic heap ~creator:t (Value.Int v) in
-      Heap.set_stable_var heap t name (Value.Ref a));
-  Rs.prepare rs t (Heap.mos heap t);
-  Rs.commit rs t;
-  Heap.commit_action heap t
+let commit_value heap rs = commit_value ~prepare:(Rs.prepare rs) ~commit:(Rs.commit rs) heap
 
 (* The thesis's two stages as slices of the checkpoint machine: stage one
    is a single unbounded slice (the whole chain walk or heap traversal);
@@ -34,15 +24,6 @@ let stage_two rs job =
   while not (Rs.hk_step rs job ~budget:max_int) do
     ()
   done
-
-let stable_int heap name =
-  match Heap.get_stable_var heap name with
-  | Some (Value.Ref a) -> (
-      match (Heap.atomic_view heap a).base with
-      | Value.Int v -> v
-      | v -> Alcotest.failf "not an int: %s" (Format.asprintf "%a" Value.pp v))
-  | Some v -> Alcotest.failf "not a ref: %s" (Format.asprintf "%a" Value.pp v)
-  | None -> Alcotest.failf "stable var %s unbound" name
 
 (* Build 40 commits over 4 variables, housekeep, verify the new log is
    smaller and recovery agrees with the pre-housekeeping state. *)
@@ -434,17 +415,9 @@ let test_simple_snapshot_basic () =
   let heap = Heap.create () in
   let dir = Log_dir.create ~page_size:256 () in
   let rs = Core.Simple_rs.create heap dir in
-  let commit_value ~seq ~name ~v =
-    let t = aid seq in
-    (match Heap.get_stable_var heap name with
-    | Some (Value.Ref a) -> Heap.set_current heap t a (Value.Int v)
-    | Some _ -> Alcotest.fail "bad var"
-    | None ->
-        let a = Heap.alloc_atomic heap ~creator:t (Value.Int v) in
-        Heap.set_stable_var heap t name (Value.Ref a));
-    Core.Simple_rs.prepare rs t (Heap.mos heap t);
-    Core.Simple_rs.commit rs t;
-    Heap.commit_action heap t
+  let commit_value =
+    Helpers.commit_value ~prepare:(Core.Simple_rs.prepare rs) ~commit:(Core.Simple_rs.commit rs)
+      heap
   in
   for i = 0 to 39 do
     commit_value ~seq:i ~name:(Printf.sprintf "k%d" (i mod 4)) ~v:i
@@ -526,6 +499,54 @@ let test_simple_snapshot_mutex () =
   let rs', _ = Core.Simple_rs.recover dir in
   check_mutex (Core.Simple_rs.heap rs') um (Value.Int 2) "mutex latest across snapshot"
 
+(* The simple log's checkpoint as two slices with commits between them:
+   they land on the old log after the marker, the final slice copies
+   them over, and a crash after the switch recovers every commit. *)
+let test_simple_snapshot_sliced () =
+  let module S = Core.Simple_rs in
+  let heap = Heap.create () in
+  let dir = Log_dir.create ~page_size:256 () in
+  let rs = S.create heap dir in
+  let commit_value = Helpers.commit_value ~prepare:(S.prepare rs) ~commit:(S.commit rs) heap in
+  for i = 0 to 19 do
+    commit_value ~seq:i ~name:(Printf.sprintf "k%d" (i mod 4)) ~v:i
+  done;
+  let job = S.hk_start rs in
+  Alcotest.(check bool) "the walk is not the last slice" false (S.hk_step rs job ~budget:1);
+  commit_value ~seq:100 ~name:"k0" ~v:100;
+  commit_value ~seq:101 ~name:"k4" ~v:101;
+  Alcotest.(check bool) "in progress between the slices" true (S.housekeeping_active rs);
+  Alcotest.(check bool) "the copy and switch complete it" true (S.hk_step rs job ~budget:1);
+  Alcotest.(check bool) "done" false (S.housekeeping_active rs);
+  commit_value ~seq:102 ~name:"k1" ~v:102;
+  let rs', _ = S.recover dir in
+  List.iter
+    (fun (name, v) -> Alcotest.(check int) name v (stable_int (S.heap rs') name))
+    [ ("k0", 100); ("k1", 102); ("k2", 18); ("k3", 19); ("k4", 101) ]
+
+(* One checkpoint at a time, as on the hybrid log: a second start raises
+   instead of reformatting the spare log under the first, and a finished
+   job is stale. *)
+let test_simple_hk_guards () =
+  let module S = Core.Simple_rs in
+  let heap = Heap.create () in
+  let dir = Log_dir.create ~page_size:256 () in
+  let rs = S.create heap dir in
+  Helpers.commit_value ~prepare:(S.prepare rs) ~commit:(S.commit rs) heap ~seq:1 ~name:"x" ~v:7;
+  let job = S.hk_start rs in
+  let in_progress = Invalid_argument "Simple_rs.hk_start: already in progress" in
+  Alcotest.check_raises "second start" in_progress (fun () -> ignore (S.hk_start rs));
+  ignore (S.hk_step rs job ~budget:max_int);
+  Alcotest.check_raises "second start between slices" in_progress (fun () ->
+      ignore (S.hk_start rs));
+  Alcotest.check_raises "whole checkpoint between slices" in_progress (fun () -> S.housekeep rs);
+  Alcotest.(check bool) "first job completes" true (S.hk_step rs job ~budget:max_int);
+  Alcotest.check_raises "finished job is stale" (Invalid_argument "Simple_rs.hk_step: stale job")
+    (fun () -> ignore (S.hk_step rs job ~budget:1));
+  S.housekeep rs;
+  let rs', _ = S.recover dir in
+  Alcotest.(check int) "x" 7 (stable_int (S.heap rs') "x")
+
 let suite =
   with_technique "churn then housekeep" churn_then_housekeep
   @ with_technique "preserves prepared action" test_housekeep_preserves_prepared
@@ -549,4 +570,7 @@ let suite =
       Alcotest.test_case "simple-log snapshot keeps prepared" `Quick
         test_simple_snapshot_prepared_action;
       Alcotest.test_case "simple-log snapshot mutex rule" `Quick test_simple_snapshot_mutex;
+      Alcotest.test_case "simple-log snapshot: commits between slices" `Quick
+        test_simple_snapshot_sliced;
+      Alcotest.test_case "simple-log snapshot: one at a time" `Quick test_simple_hk_guards;
     ]

@@ -142,14 +142,7 @@ let test_ro_guard_refuses_mutation () =
 
 (* --- restart volatility ------------------------------------------------- *)
 
-let set_var name v : System.work =
- fun heap aid ->
-  match Heap.get_stable_var heap name with
-  | Some (Value.Ref a) -> Heap.set_current heap aid a (Value.Int v)
-  | Some _ -> failwith "stable var is not a ref"
-  | None ->
-      let a = Heap.alloc_atomic heap ~creator:aid (Value.Int v) in
-      Heap.set_stable_var heap aid name (Value.Ref a)
+let set_var = Helpers.set_var
 
 let commit sys ~steps =
   let h = System.submit sys ~coordinator:(Gid.of_int 0) ~steps in

@@ -133,14 +133,7 @@ let test_export_skips_untouched () =
 
 let g = Gid.of_int
 
-let set_var name v : System.work =
- fun heap aid ->
-  match Heap.get_stable_var heap name with
-  | Some (Value.Ref a) -> Heap.set_current heap aid a (Value.Int v)
-  | Some _ -> failwith "stable var is not a ref"
-  | None ->
-      let a = Heap.alloc_atomic heap ~creator:aid (Value.Int v) in
-      Heap.set_stable_var heap aid name (Value.Ref a)
+let set_var = Helpers.set_var
 
 (* One full run of a seeded scenario: two local actions, then a
    distributed transfer interrupted by a participant crash mid-protocol,

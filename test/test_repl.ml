@@ -26,22 +26,7 @@ module Uid = Rs_util.Uid
 
 let g = Gid.of_int
 
-let set_var name v : System.work =
- fun heap aid ->
-  match Heap.get_stable_var heap name with
-  | Some (Value.Ref a) -> Heap.set_current heap aid a (Value.Int v)
-  | Some _ -> failwith "stable var is not a ref"
-  | None ->
-      let a = Heap.alloc_atomic heap ~creator:aid (Value.Int v) in
-      Heap.set_stable_var heap aid name (Value.Ref a)
-
-let stable_int gd name =
-  let heap = Guardian.heap gd in
-  Heap.with_snapshot heap (fun s ->
-      match Heap.snapshot_var heap s name with
-      | Some (Value.Ref a) -> (
-          match Heap.snapshot_read heap s a with Value.Int v -> Some v | _ -> None)
-      | Some _ | None -> None)
+let set_var = Helpers.set_var
 
 let submit_and_wait sys ~coordinator ~steps =
   let h = System.submit sys ~coordinator ~steps in
@@ -291,7 +276,7 @@ let test_primary_cold_restart_reships () =
   Alcotest.(check int) "no failover happened" 0 (Pair.failovers p);
   check_prefix ~primary_log:(primary_log sys (g 0)) ~replica:(Option.get (Pair.replica p));
   Alcotest.(check (option int)) "state survived the restart" (Some 10)
-    (stable_int (System.guardian sys (g 0)) "x")
+    (Helpers.committed_int (System.guardian sys (g 0)) "x")
 
 (* --- failover ----------------------------------------------------------- *)
 
@@ -309,8 +294,8 @@ let test_promote_preserves_commits () =
   Alcotest.(check int) "one failover" 1 (Pair.failovers p);
   Alcotest.(check bool) "heir is the new primary" true (Gid.equal (Pair.primary p) (g 1));
   let heir = System.guardian sys (g 1) in
-  Alcotest.(check (option int)) "x survived failover" (Some 8) (stable_int heir "x");
-  Alcotest.(check (option int)) "y survived failover" (Some 80) (stable_int heir "y");
+  Alcotest.(check (option int)) "x survived failover" (Some 8) (Helpers.committed_int heir "x");
+  Alcotest.(check (option int)) "y survived failover" (Some 80) (Helpers.committed_int heir "y");
   (* Clients learn the new address through the Guardian_down path (the
      directory test covers re-routing by old name); traffic submitted to
      the heir commits against the adopted image. *)
@@ -320,7 +305,7 @@ let test_promote_preserves_commits () =
       Alcotest.(check int) "down error names the dead primary" 0 (Gid.to_int gid));
   let outcome = submit_and_wait sys ~coordinator:(g 1) ~steps:[ (g 1, set_var "x" 99) ] in
   Alcotest.(check bool) "post-failover commit" true (outcome = System.Committed);
-  Alcotest.(check (option int)) "new commit applied on heir" (Some 99) (stable_int heir "x");
+  Alcotest.(check (option int)) "new commit applied on heir" (Some 99) (Helpers.committed_int heir "x");
   (* Rejoin the old primary as the new standby and keep replicating. *)
   Pair.rejoin p;
   System.quiesce sys;
@@ -344,7 +329,7 @@ let test_promote_matches_cold_recovery () =
     System.crash sys (g 0);
     ignore (System.restart sys (g 0));
     System.quiesce sys;
-    stable_int (System.guardian sys (g 0)) "v"
+    Helpers.committed_int (System.guardian sys (g 0)) "v"
   in
   let run_failover () =
     let sys, p = mk_pair ~seed:17 () in
@@ -354,7 +339,7 @@ let test_promote_matches_cold_recovery () =
     Pair.crash p (g 0);
     System.quiesce sys;
     ignore (Pair.promote p);
-    stable_int (System.guardian sys (g 1)) "v"
+    Helpers.committed_int (System.guardian sys (g 1)) "v"
   in
   Alcotest.(check (option int)) "failover image = cold-recovery image" (run_cold ())
     (run_failover ())

@@ -8,26 +8,7 @@ let fresh () =
   let heap = Heap.create () in
   (heap, Rs.create heap ())
 
-let commit_value heap rs ~seq ~name ~v =
-  let t = aid seq in
-  (match Heap.get_stable_var heap name with
-  | Some (Value.Ref a) -> Heap.set_current heap t a (Value.Int v)
-  | Some _ -> Alcotest.fail "stable var not a ref"
-  | None ->
-      let a = Heap.alloc_atomic heap ~creator:t (Value.Int v) in
-      Heap.set_stable_var heap t name (Value.Ref a));
-  Rs.prepare rs t (Heap.mos heap t);
-  Rs.commit rs t;
-  Heap.commit_action heap t
-
-let stable_int heap name =
-  match Heap.get_stable_var heap name with
-  | Some (Value.Ref a) -> (
-      match (Heap.atomic_view heap a).base with
-      | Value.Int v -> v
-      | v -> Alcotest.failf "not an int: %s" (Format.asprintf "%a" Value.pp v))
-  | Some v -> Alcotest.failf "not a ref: %s" (Format.asprintf "%a" Value.pp v)
-  | None -> Alcotest.failf "stable var %s unbound" name
+let commit_value heap rs = commit_value ~prepare:(Rs.prepare rs) ~commit:(Rs.commit rs) heap
 
 let test_commit_crash_recover () =
   let heap, rs = fresh () in

@@ -18,15 +18,6 @@ let commit_one heap rs ~seq ~name ~v =
   Heap.commit_action heap t;
   a
 
-let stable_int heap name =
-  match Heap.get_stable_var heap name with
-  | Some (Value.Ref a) -> (
-      match (Heap.atomic_view heap a).base with
-      | Value.Int v -> v
-      | v -> Alcotest.failf "not an int: %s" (Format.asprintf "%a" Value.pp v))
-  | Some v -> Alcotest.failf "not a ref: %s" (Format.asprintf "%a" Value.pp v)
-  | None -> Alcotest.failf "stable var %s unbound" name
-
 let test_commit_survives_crash () =
   let heap, dir, rs = fresh () in
   ignore (commit_one heap rs ~seq:1 ~name:"x" ~v:42);

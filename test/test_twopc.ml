@@ -14,24 +14,7 @@ module Action = Rs_guardian.Action
 let g = Gid.of_int
 
 (* A step that binds stable var [name] at the target guardian to [v]. *)
-let set_var name v : System.work =
- fun heap aid ->
-  match Heap.get_stable_var heap name with
-  | Some (Value.Ref a) -> Heap.set_current heap aid a (Value.Int v)
-  | Some _ -> failwith "stable var is not a ref"
-  | None ->
-      let a = Heap.alloc_atomic heap ~creator:aid (Value.Int v) in
-      Heap.set_stable_var heap aid name (Value.Ref a)
-
-let stable_int gd name =
-  let heap = Guardian.heap gd in
-  Heap.with_snapshot heap (fun s ->
-      match Heap.snapshot_var heap s name with
-      | Some (Value.Ref a) -> (
-          match Heap.snapshot_read heap s a with
-          | Value.Int v -> Some v
-          | _ -> None)
-      | Some _ | None -> None)
+let set_var = Helpers.set_var
 
 let submit_and_wait sys ~coordinator ~steps =
   let h = System.submit sys ~coordinator ~steps in
@@ -46,9 +29,9 @@ let test_distributed_commit () =
       ~steps:[ (g 0, set_var "a" 1); (g 1, set_var "b" 2); (g 2, set_var "c" 3) ]
   in
   Alcotest.(check bool) "committed" true (outcome = System.Committed);
-  Alcotest.(check (option int)) "a@0" (Some 1) (stable_int (System.guardian sys (g 0)) "a");
-  Alcotest.(check (option int)) "b@1" (Some 2) (stable_int (System.guardian sys (g 1)) "b");
-  Alcotest.(check (option int)) "c@2" (Some 3) (stable_int (System.guardian sys (g 2)) "c")
+  Alcotest.(check (option int)) "a@0" (Some 1) (Helpers.committed_int (System.guardian sys (g 0)) "a");
+  Alcotest.(check (option int)) "b@1" (Some 2) (Helpers.committed_int (System.guardian sys (g 1)) "b");
+  Alcotest.(check (option int)) "c@2" (Some 3) (Helpers.committed_int (System.guardian sys (g 2)) "c")
 
 let test_commit_survives_all_crashes () =
   let sys = System.create ~n:2 () in
@@ -62,8 +45,8 @@ let test_commit_survives_all_crashes () =
   ignore (System.restart sys (g 0));
   ignore (System.restart sys (g 1));
   System.quiesce sys;
-  Alcotest.(check (option int)) "x recovered" (Some 10) (stable_int (System.guardian sys (g 0)) "x");
-  Alcotest.(check (option int)) "y recovered" (Some 20) (stable_int (System.guardian sys (g 1)) "y")
+  Alcotest.(check (option int)) "x recovered" (Some 10) (Helpers.committed_int (System.guardian sys (g 0)) "x");
+  Alcotest.(check (option int)) "y recovered" (Some 20) (Helpers.committed_int (System.guardian sys (g 1)) "y")
 
 let test_participant_down_aborts () =
   let sys = System.create ~n:2 () in
@@ -78,7 +61,7 @@ let test_participant_down_aborts () =
   Alcotest.(check bool) "aborted" true (outcome = System.Aborted);
   ignore (System.restart sys (g 1));
   System.quiesce sys;
-  Alcotest.(check (option int)) "y unchanged" (Some 1) (stable_int (System.guardian sys (g 1)) "y")
+  Alcotest.(check (option int)) "y unchanged" (Some 1) (Helpers.committed_int (System.guardian sys (g 1)) "y")
 
 let test_participant_crash_before_prepare_arrives () =
   (* The participant executes its step, then crashes before the prepare
@@ -96,7 +79,7 @@ let test_participant_crash_before_prepare_arrives () =
   ignore (System.restart sys (g 1));
   System.quiesce sys;
   Alcotest.(check bool) "aborted" true (!result = Some System.Aborted);
-  Alcotest.(check (option int)) "x rolled back" (Some 1) (stable_int (System.guardian sys (g 0)) "x")
+  Alcotest.(check (option int)) "x rolled back" (Some 1) (Helpers.committed_int (System.guardian sys (g 0)) "x")
 
 (* The §2.2.3 crash matrix, driven by event-count crash points: run the
    same two-guardian action, crashing guardian [victim] after [k] events;
@@ -122,8 +105,8 @@ let crash_matrix victim () =
     System.crash sys victim;
     ignore (System.restart sys victim);
     System.quiesce sys;
-    let x = stable_int (System.guardian sys (g 0)) "x" in
-    let y = stable_int (System.guardian sys (g 1)) "y" in
+    let x = Helpers.committed_int (System.guardian sys (g 0)) "x" in
+    let y = Helpers.committed_int (System.guardian sys (g 1)) "y" in
     (* All-or-nothing: both updated or both untouched. *)
     (match (x, y) with
     | Some 2, Some 2 | Some 1, Some 1 -> ()
@@ -163,7 +146,7 @@ let test_lock_wait_serializes () =
   let aborted = List.length (List.filter (( = ) System.Aborted) !outcomes) in
   Alcotest.(check (pair int int)) "both commit" (2, 0) (committed, aborted);
   Alcotest.(check (option int)) "x = 3 (FIFO order)" (Some 3)
-    (stable_int (System.guardian sys (g 0)) "x")
+    (Helpers.committed_int (System.guardian sys (g 0)) "x")
 
 let test_upgrade_deadlock_times_out () =
   (* Two actions hold read locks on x and both try to upgrade to write: a
@@ -216,7 +199,7 @@ let test_upgrade_deadlock_times_out () =
   Alcotest.(check (pair int int)) "one commits, one times out" (1, 1) (committed, aborted);
   Alcotest.(check bool) "timeout counted" true (after > before);
   Alcotest.(check (option int)) "x = 1 (exactly one increment)" (Some 1)
-    (stable_int (System.guardian sys (g 0)) "x")
+    (Helpers.committed_int (System.guardian sys (g 0)) "x")
 
 let test_crash_kills_lock_holder_mid_wait () =
   (* A holds x's write lock on g0 and parks waiting for y on g1; B waits
@@ -244,7 +227,7 @@ let test_crash_kills_lock_holder_mid_wait () =
   Alcotest.(check bool) "B committed after the transfer" true
     (System.outcome b = Some System.Committed);
   ignore blocker;
-  Alcotest.(check (option int)) "x = 4" (Some 4) (stable_int (System.guardian sys (g 0)) "x")
+  Alcotest.(check (option int)) "x = 4" (Some 4) (Helpers.committed_int (System.guardian sys (g 0)) "x")
 
 let test_message_loss_tolerated () =
   (* 20% message loss: retries and queries must still drive every action
@@ -265,8 +248,8 @@ let test_message_loss_tolerated () =
   Alcotest.(check int) "all actions resolved" 10 !done_count;
   (* Consistency: for each i, x and y at the two guardians agree. *)
   for i = 1 to 10 do
-    let x = stable_int (System.guardian sys (g 0)) (Printf.sprintf "x%d" i) in
-    let y = stable_int (System.guardian sys (g 1)) (Printf.sprintf "y%d" i) in
+    let x = Helpers.committed_int (System.guardian sys (g 0)) (Printf.sprintf "x%d" i) in
+    let y = Helpers.committed_int (System.guardian sys (g 1)) (Printf.sprintf "y%d" i) in
     Alcotest.(check bool) (Printf.sprintf "action %d atomic" i) true (x = y)
   done
 
@@ -297,8 +280,8 @@ let test_query_during_preparing () =
   System.crash sys (g 1);
   ignore (System.restart sys (g 1));
   System.quiesce sys;
-  let x = stable_int (System.guardian sys (g 0)) "x" in
-  let y = stable_int (System.guardian sys (g 1)) "y" in
+  let x = Helpers.committed_int (System.guardian sys (g 0)) "x" in
+  let y = Helpers.committed_int (System.guardian sys (g 1)) "y" in
   Alcotest.(check bool) (Printf.sprintf "atomic (x=%s y=%s)"
     (Option.fold ~none:"-" ~some:string_of_int x)
     (Option.fold ~none:"-" ~some:string_of_int y))
@@ -334,7 +317,7 @@ let test_housekeeping_under_traffic () =
   ignore (System.restart sys (g 0));
   System.quiesce sys;
   Alcotest.(check (option int)) "x after housekeeping+crash" (Some 10)
-    (stable_int (System.guardian sys (g 0)) "x")
+    (Helpers.committed_int (System.guardian sys (g 0)) "x")
 
 let test_early_prepare_distributed () =
   (* With early prepare on, the same commits/recoveries hold, and crash
@@ -348,7 +331,7 @@ let test_early_prepare_distributed () =
   System.crash sys (g 1);
   ignore (System.restart sys (g 1));
   System.quiesce sys;
-  Alcotest.(check (option int)) "y recovered" (Some 20) (stable_int (System.guardian sys (g 1)) "y")
+  Alcotest.(check (option int)) "y recovered" (Some 20) (Helpers.committed_int (System.guardian sys (g 1)) "y")
 
 let crash_matrix_early victim () =
   for crash_after = 1 to 25 do
@@ -364,7 +347,7 @@ let crash_matrix_early victim () =
     ignore (System.restart sys victim);
     System.quiesce sys;
     match
-      (stable_int (System.guardian sys (g 0)) "x", stable_int (System.guardian sys (g 1)) "y")
+      (Helpers.committed_int (System.guardian sys (g 0)) "x", Helpers.committed_int (System.guardian sys (g 1)) "y")
     with
     | Some 2, Some 2 | Some 1, Some 1 -> ()
     | x, y ->
@@ -401,7 +384,7 @@ let test_multi_action_crash_fuzz () =
     let total () =
       List.fold_left
         (fun acc gd ->
-          match stable_int gd "v" with Some v -> acc + v | None -> acc)
+          match Helpers.committed_int gd "v" with Some v -> acc + v | None -> acc)
         0 (System.guardians sys)
     in
     for round = 0 to 5 do
@@ -451,7 +434,7 @@ let test_partition_blocks_then_heals () =
   (* Run a long time: the coordinator keeps retrying, g1 keeps waiting. *)
   ignore (System.run ~until:(Sim.now (System.sim sys) +. 100.0) sys);
   Alcotest.(check (option int)) "y unchanged while partitioned" (Some 1)
-    (stable_int (System.guardian sys (g 1)) "y");
+    (Helpers.committed_int (System.guardian sys (g 1)) "y");
   Alcotest.(check bool) "g1 still prepared (blocked, not aborted)" true
     (Core.Hybrid_rs.prepared_actions (Guardian.rs (System.guardian sys (g 1))) <> []);
   (* Heal: retries drive the commit through. *)
@@ -459,12 +442,14 @@ let test_partition_blocks_then_heals () =
   System.quiesce sys;
   Alcotest.(check bool) "verdict committed" true (!verdict = Some System.Committed);
   Alcotest.(check (option int)) "y applied after heal" (Some 2)
-    (stable_int (System.guardian sys (g 1)) "y")
+    (Helpers.committed_int (System.guardian sys (g 1)) "y")
 
 let test_auto_housekeeping () =
   let sys = System.create ~n:2 () in
   List.iter
-    (fun gd -> Guardian.set_auto_housekeeping gd ~threshold_bytes:4096 (Some Core.Hybrid_rs.Snapshot))
+    (fun gd ->
+      Guardian.set_auto_housekeeping gd ~threshold_bytes:4096 ~slice:(16, 0.05)
+        (Some Core.Hybrid_rs.Snapshot))
     (System.guardians sys);
   for i = 1 to 120 do
     let _ =
@@ -481,7 +466,7 @@ let test_auto_housekeeping () =
   System.crash sys (g 0);
   ignore (System.restart sys (g 0));
   System.quiesce sys;
-  Alcotest.(check (option int)) "state intact" (Some 120) (stable_int (System.guardian sys (g 0)) "x")
+  Alcotest.(check (option int)) "state intact" (Some 120) (Helpers.committed_int (System.guardian sys (g 0)) "x")
 
 (* The incremental flavour: checkpoints run as background fibers over
    virtual time, slices interleaving with live 2PC traffic, and a crash
@@ -527,7 +512,34 @@ let test_incremental_auto_housekeeping () =
   ignore (System.restart sys (g 0));
   System.quiesce sys;
   Alcotest.(check (option int)) "state intact" (Some 120)
-    (stable_int (System.guardian sys (g 0)) "x")
+    (Helpers.committed_int (System.guardian sys (g 0)) "x")
+
+(* A whole checkpoint requested while a background one is in flight (as
+   Repl.Pair.rejoin does on a primary with auto-housekeeping): the
+   guardian finishes the running job first, then runs its own, and the
+   job's still-queued slice does nothing. *)
+let test_housekeep_during_checkpoint () =
+  let sys = System.create ~n:1 () in
+  let gd = System.guardian sys (g 0) in
+  Guardian.set_auto_housekeeping gd ~threshold_bytes:2048 ~slice:(1, 5.0)
+    (Some Core.Hybrid_rs.Compaction);
+  let n = ref 0 in
+  while !n < 200 && not (Guardian.checkpoint_active gd) do
+    incr n;
+    ignore
+      (System.await sys (System.submit sys ~coordinator:(g 0) ~steps:[ (g 0, set_var "x" !n) ]))
+  done;
+  Alcotest.(check bool) "a background checkpoint is in flight" true (Guardian.checkpoint_active gd);
+  Guardian.housekeep gd Core.Hybrid_rs.Snapshot;
+  Alcotest.(check bool) "none in flight after" false (Guardian.checkpoint_active gd);
+  Alcotest.(check int) "the background pass completed" 1 (Guardian.housekeeping_runs gd);
+  System.quiesce sys;
+  Alcotest.(check int) "its queued slice did nothing" 1 (Guardian.housekeeping_runs gd);
+  System.crash sys (g 0);
+  ignore (System.restart sys (g 0));
+  System.quiesce sys;
+  Alcotest.(check (option int)) "state intact" (Some !n)
+    (Helpers.committed_int (System.guardian sys (g 0)) "x")
 
 let suite =
   [
@@ -546,6 +558,8 @@ let suite =
     Alcotest.test_case "bank sweep over seeds" `Slow test_bank_many_seeds;
     Alcotest.test_case "housekeeping under traffic" `Quick test_housekeeping_under_traffic;
     Alcotest.test_case "automatic housekeeping policy" `Quick test_auto_housekeeping;
+    Alcotest.test_case "housekeep during a background checkpoint" `Quick
+      test_housekeep_during_checkpoint;
     Alcotest.test_case "incremental background checkpointing" `Quick
       test_incremental_auto_housekeeping;
     Alcotest.test_case "early prepare distributed" `Quick test_early_prepare_distributed;
