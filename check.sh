@@ -427,6 +427,26 @@ print(f"{w}: correct, {attempted} attempted, 0 failed")
   fi
 done
 
+echo "== allocation gate: crash-restart builds log pages in place =="
+# The write path frames each entry straight into the page-sized chunks the
+# store keeps, and restart reads each live page once, so the seeded
+# crash-restart run allocates well under what copying each byte through
+# intermediate buffers did. --seconds 0 runs a fixed operation count, so
+# the runtime's allocation total (OCAMLRUNPARAM=v=0x400 prints it at exit)
+# is deterministic to a few hundred words. Before pages were built in
+# place the run allocated 783,402,329 words; with them, 298,684,332. The
+# gate fails above 60% of the former. The binary runs directly so dune's
+# own exit statistics stay out of the figure.
+ALLOC=$(OCAMLRUNPARAM=v=0x400 ./_build/default/bench/standing/standing.exe \
+          --workload crash-restart --seed 1 --seconds 0 2>&1 >/dev/null |
+        sed -n 's/^allocated_words: //p')
+ALLOC_MAX=470041397
+if [ -z "$ALLOC" ] || [ "$ALLOC" -gt "$ALLOC_MAX" ]; then
+  echo "crash-restart allocated ${ALLOC:-?} words, above the $ALLOC_MAX gate"
+  exit 1
+fi
+echo "crash-restart allocated $ALLOC words (gate $ALLOC_MAX)"
+
 echo "== standing bench smoke: the traced repetition sees every event =="
 # With --trace 1 the benchmark sizes a ring from the previous repetition's
 # Trace.total () and fails its "trace ring wrapped" gate if the traced

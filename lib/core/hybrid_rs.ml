@@ -57,8 +57,7 @@ let create heap dir =
 let append_outcome ?(force = false) ?on_durable t entry =
   Metrics.incr m_entries_written;
   let entry = Log_entry.with_prev entry t.last_outcome in
-  let raw = Log_entry.encode entry in
-  let a = Log.write t.log raw in
+  let a = Log_entry.write t.log entry in
   t.last_outcome <- Some a;
   (match t.oel with Some v -> Vec.push v a | None -> ());
   if force then Fsched.enqueue t.sched ?on_durable ()
@@ -76,7 +75,7 @@ let pending_tbl t aid =
 let write_data t aid ~uid ~otype version =
   Metrics.incr m_entries_written;
   let a =
-    Log.write t.log (Log_entry.encode (Log_entry.Data { uid = None; otype; aid = None; version }))
+    Log_entry.write t.log (Log_entry.Data { uid = None; otype; aid = None; version })
   in
   Uid.Tbl.replace (pending_tbl t aid) uid a;
   if otype = Log_entry.Mutex then Uid.Tbl.replace t.mt uid a;
@@ -166,7 +165,7 @@ let last_outcome_addr t = t.last_outcome
 (* Feed one outcome entry to the restore tables. Both recovery paths —
    the serial chain walk and the segment-parallel scan — dispatch through
    here, in newest-first order, so first-wins semantics are identical. *)
-let replay_outcome ctx log entry =
+let replay_outcome ctx ~read_data entry =
   match entry with
   | Log_entry.Prepared { aid; pairs; _ } ->
       Restore.on_prepared ctx aid;
@@ -174,7 +173,7 @@ let replay_outcome ctx log entry =
         (List.iter (fun (uid, daddr) ->
              Restore.on_data ctx ~uid ~aid:(Some aid) ~src:daddr ~fetch:(fun () ->
                  ctx.Restore.processed <- ctx.Restore.processed + 1;
-                 Log_entry.read_data log daddr)))
+                 read_data daddr)))
         pairs
   | Log_entry.Committed { aid; _ } -> Restore.on_committed ctx aid
   | Log_entry.Aborted { aid; _ } -> Restore.on_aborted ctx aid
@@ -186,7 +185,7 @@ let replay_outcome ctx log entry =
   | Log_entry.Committed_ss { cssl; _ } ->
       Restore.on_committed_ss ctx ~pairs:cssl ~fetch:(fun daddr ->
           ctx.Restore.processed <- ctx.Restore.processed + 1;
-          Log_entry.read_data log daddr)
+          read_data daddr)
   | Log_entry.Data _ -> failwith "Hybrid_rs.recover: data entry on the outcome chain"
 
 (* Promotion (warm failover) and both recovery paths end here: a recovery
@@ -243,7 +242,7 @@ let recover source_dir =
     | Some a ->
         let entry = Log_entry.decode (Log.read log a) in
         if a <> Option.get !head then ctx.Restore.processed <- ctx.Restore.processed + 1;
-        replay_outcome ctx log entry;
+        replay_outcome ctx ~read_data:(Log_entry.read_data log) entry;
         walk (Log_entry.prev entry)
   in
   walk !head;
@@ -256,9 +255,10 @@ let recover source_dir =
    outcome entry in the live log is on the backward chain and the chain
    runs in address order, replaying the collected outcomes newest-first
    is exactly the serial chain walk — the readers never need to stitch
-   [prev] pointers across partitions. Cost is one sequential pass over
-   live bytes plus the fetched data entries, so restart time is bounded
-   by live data, not history. *)
+   [prev] pointers across partitions. The data entries the outcomes name
+   are answered from the readers' buffers, located during the same scan,
+   so each live page is read once. Cost is one sequential pass over live
+   bytes, so restart time is bounded by live data, not history. *)
 let recover_parallel ?stats source_dir =
   let dir = Log_dir.open_ source_dir in
   let log = Log_dir.current dir in
@@ -266,6 +266,7 @@ let recover_parallel ?stats source_dir =
   let ctx = Restore.create_ctx heap in
   let outcomes = ref [] in
   let head = ref None in
+  let data = Hashtbl.create 256 in
   (* delivered ascending; consed, so the list ends up newest-first and the
      last outcome address seen is the chain head *)
   let scans =
@@ -274,10 +275,16 @@ let recover_parallel ?stats source_dir =
         if Log_entry.is_outcome_at buf ~off ~len then begin
           outcomes := Log_entry.decode_at buf ~off ~len :: !outcomes;
           head := Some a
-        end)
+        end
+        else Hashtbl.replace data a (buf, off, len))
   in
   Option.iter (fun r -> r := scans) stats;
-  List.iter (fun entry -> replay_outcome ctx log entry) !outcomes;
+  let read_data a =
+    Hashtbl.find_opt data a
+    |> Option.map (fun (buf, off, len) -> Log_entry.decode_at buf ~off ~len)
+    |> Log_entry.data_of a
+  in
+  List.iter (replay_outcome ctx ~read_data) !outcomes;
   assemble ~heap ~dir ~ctx ~head:!head
 
 (* Housekeeping (Chapter 5). *)
@@ -315,8 +322,7 @@ type job = {
 }
 
 let wdata job ~otype version =
-  Log.write job.new_log
-    (Log_entry.encode (Log_entry.Data { uid = None; otype; aid = None; version }))
+  Log_entry.write job.new_log (Log_entry.Data { uid = None; otype; aid = None; version })
 
 (* Copy a committed version to the new log and record it in the CSSL. *)
 let copy_committed job ~uid ~otype version =
@@ -494,11 +500,11 @@ let snapshot_stage1 t job =
    recovery order. *)
 let close_stage1 job =
   let css = Log_entry.Committed_ss { cssl = List.rev job.cssl; prev = None } in
-  let head = ref (Log.write job.new_log (Log_entry.encode css)) in
+  let head = ref (Log_entry.write job.new_log css) in
   List.iter
     (fun entry ->
       let entry = Log_entry.with_prev entry (Some !head) in
-      head := Log.write job.new_log (Log_entry.encode entry))
+      head := Log_entry.write job.new_log entry)
     (List.rev job.chained);
   job.new_head <- Some !head;
   job.carry_head <- Some !head
@@ -508,7 +514,7 @@ let close_stage1 job =
 let carry_one (job : job) oaddr =
   let emit entry =
     let entry = Log_entry.with_prev entry job.carry_head in
-    job.carry_head <- Some (Log.write job.new_log (Log_entry.encode entry))
+    job.carry_head <- Some (Log_entry.write job.new_log entry)
   in
   match Log_entry.decode (Log.read job.old_log oaddr) with
   | Log_entry.Prepared { aid; pairs; _ } ->

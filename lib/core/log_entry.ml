@@ -87,9 +87,8 @@ let dec_otype d =
 let enc_pairs e ps = Codec.Enc.list (Codec.Enc.pair enc_uid enc_addr) e ps
 let dec_pairs d = Codec.Dec.list (Codec.Dec.pair dec_uid dec_addr) d
 
-let encode t =
-  let e = Codec.Enc.create () in
-  (match t with
+let encode_into e t =
+  match t with
   | Data { uid; otype; aid; version } ->
       Codec.Enc.u8 e 0;
       Codec.Enc.option enc_uid e uid;
@@ -132,8 +131,14 @@ let encode t =
   | Committed_ss { cssl; prev } ->
       Codec.Enc.u8 e 8;
       enc_pairs e cssl;
-      enc_prev e prev);
+      enc_prev e prev
+
+let encode t =
+  let e = Codec.Enc.create () in
+  encode_into e t;
   Codec.Enc.contents e
+
+let write log t = Rs_slog.Stable_log.write_with log (fun e -> encode_into e t)
 
 let decode_at s ~off ~len =
   let d = Codec.Dec.of_string ~off ~len s in
@@ -189,12 +194,15 @@ let decode_at s ~off ~len =
 
 let decode s = decode_at s ~off:0 ~len:(String.length s)
 
-let read_data log a =
-  match decode (Rs_slog.Stable_log.read log a) with
-  | Data { otype; version; _ } -> (otype, version)
-  | Prepared _ | Committed _ | Aborted _ | Committing _ | Done _ | Base_committed _
-  | Prepared_data _ | Committed_ss _ ->
+let data_of a = function
+  | Some (Data { otype; version; _ }) -> (otype, version)
+  | Some
+      ( Prepared _ | Committed _ | Aborted _ | Committing _ | Done _ | Base_committed _
+      | Prepared_data _ | Committed_ss _ )
+  | None ->
       failwith (Printf.sprintf "Log_entry.read_data: no data entry at %d" a)
+
+let read_data log a = data_of a (Some (decode (Rs_slog.Stable_log.read log a)))
 
 let pp_prev fmt = function
   | None -> Format.pp_print_string fmt "nil"

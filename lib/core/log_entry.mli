@@ -72,10 +72,22 @@ val encode : t -> string
 val decode : string -> t
 (** Raises {!Rs_util.Codec.Error} on malformed input. *)
 
+val encode_into : Rs_util.Codec.Enc.t -> t -> unit
+(** {!encode} into an existing encoder. *)
+
+val write : Rs_slog.Stable_log.t -> t -> addr
+(** Append the entry to the log (buffered), encoding it straight into the
+    log's pending pages through {!Rs_slog.Stable_log.write_with}: no
+    per-entry string. Returns its address. *)
+
 val read_data : Rs_slog.Stable_log.t -> addr -> otype * Rs_objstore.Fvalue.t
 (** The object type and version of the data entry at [addr] — what a
     ⟨uid, address⟩ pair, a CSSL, the MT or a shadow map points at. Raises
     [Failure] if the entry there is not a data entry. *)
+
+val data_of : addr -> t option -> otype * Rs_objstore.Fvalue.t
+(** {!read_data} on the entry already decoded from [addr], or on [None]
+    when the caller knows no entry there: same result, same [Failure]. *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

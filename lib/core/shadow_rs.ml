@@ -123,8 +123,7 @@ let pending_tbl t aid =
       tbl
 
 let write_version t ~uid ~otype ~aid version =
-  Log.write t.vlog
-    (Log_entry.encode (Log_entry.Data { uid = Some uid; otype; aid; version }))
+  Log_entry.write t.vlog (Log_entry.Data { uid = Some uid; otype; aid; version })
 
 let sink_for t aid : Write_objects.sink =
   {
@@ -141,8 +140,7 @@ let sink_for t aid : Write_objects.sink =
         let a = write_version t ~uid ~otype:Log_entry.Atomic ~aid:None version in
         Uid.Tbl.replace t.map uid (a, Log_entry.Atomic);
         ignore
-          (Log.write t.ilog
-             (Log_entry.encode (Log_entry.Committed_ss { cssl = [ (uid, a) ]; prev = None }))));
+          (Log_entry.write t.ilog (Log_entry.Committed_ss { cssl = [ (uid, a) ]; prev = None })));
     prepared_data =
       (fun ~uid ~aid version ->
         (* Current version of a newly accessible object held by another
@@ -152,9 +150,8 @@ let sink_for t aid : Write_objects.sink =
         let a = write_version t ~uid ~otype:Log_entry.Atomic ~aid:(Some aid) version in
         Uid.Tbl.replace (pending_tbl t aid) uid (a, Log_entry.Atomic);
         ignore
-          (Log.write t.ilog
-             (Log_entry.encode
-                (Log_entry.Prepared { aid; pairs = Some [ (uid, a) ]; prev = None }))));
+          (Log_entry.write t.ilog
+             (Log_entry.Prepared { aid; pairs = Some [ (uid, a) ]; prev = None })));
   }
 
 let prepare t aid mos =

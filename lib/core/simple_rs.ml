@@ -56,18 +56,17 @@ let create heap dir =
   }
 
 let append t entry =
-  ignore (Log.write t.log (Log_entry.encode entry))
+  ignore (Log_entry.write t.log entry)
 
 (* A forced outcome entry's durability token rides the group-commit
    scheduler (synchronous unless a batching window is configured). *)
 let force_append ?on_durable t entry =
-  ignore (Log.write t.log (Log_entry.encode entry));
+  ignore (Log_entry.write t.log entry);
   Fsched.enqueue t.sched ?on_durable ()
 
 let write_data t aid ~uid ~otype version =
   let a =
-    Log.write t.log
-      (Log_entry.encode (Log_entry.Data { uid = Some uid; otype; aid = Some aid; version }))
+    Log_entry.write t.log (Log_entry.Data { uid = Some uid; otype; aid = Some aid; version })
   in
   if otype = Log_entry.Mutex then Uid.Tbl.replace t.mt uid a
 
@@ -199,7 +198,7 @@ let hk_start t =
 let walk t job =
   let cssl = ref [] in
   let pds = ref [] in
-  let write entry = Log.write job.new_log (Log_entry.encode entry) in
+  let write entry = Log_entry.write job.new_log entry in
   let wdata ~uid ~otype version =
     write (Log_entry.Data { uid = Some uid; otype; aid = None; version })
   in

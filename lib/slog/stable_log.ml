@@ -105,13 +105,13 @@ type t = {
   mutable low_water : int; (* addresses below are retired: unreadable, unchained *)
   mutable forced_entries : int;
   mutable last_offset : int; (* address of the last forced entry; -1 if none *)
-  pending : (addr * string) Vec.t; (* buffered entries with assigned addresses *)
-  pending_idx : (addr, string * addr option) Hashtbl.t;
-      (* address -> (entry, predecessor address); mirrors [pending] so
-         lookups over the unforced region are O(1) instead of a scan —
-         group commit can grow this region to many entries per force. *)
-  mutable last_pending : addr option; (* newest pending entry, if any *)
+  pending : addr Vec.t; (* addresses of the buffered entries, ascending *)
+  chunks : Bytes.t Vec.t;
+      (* The pending region, framed in place: chunk [i] is stream page
+         [forced_len / page_size + i]. Chunk 0 leaves room for the stable
+         prefix of the partial last page, which [force] copies in. *)
   mutable pending_bytes : int;
+  enc : Codec.Enc.t; (* the one encoder every write frames from *)
   pages : (int, string) Lru.t; (* bounded volatile page cache, page -> data *)
   mutable forces : int;
   mutable entry_reads : int;
@@ -173,9 +173,9 @@ let mk ~store ~page_size ~seg ~cache_pages ~forced_len ~low_water ~forced_entrie
     forced_entries;
     last_offset;
     pending = Vec.create ();
-    pending_idx = Hashtbl.create 64;
-    last_pending = None;
+    chunks = Vec.create ();
     pending_bytes = 0;
+    enc = Codec.Enc.create ~size:page_size ();
     pages = Lru.create ~capacity:cache_pages ();
     forces = 0;
     entry_reads = 0;
@@ -297,20 +297,52 @@ let u32_of s off =
   lor (Char.code s.[off + 2] lsl 16)
   lor (Char.code s.[off + 3] lsl 24)
 
-let u32_to v =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr (v land 0xFF));
-  Bytes.set b 1 (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b 2 (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b 3 (Char.chr ((v lsr 24) land 0xFF));
-  Bytes.unsafe_to_string b
+(* The pending region. Stream byte [a >= forced_len] lives in chunk
+   [(a - chunk_base) / page_size]; chunks are page-sized, so a full one
+   is handed to the store as it stands. *)
 
-let frame entry = u32_to (String.length entry) ^ entry ^ u32_to (String.length entry)
+let chunk_base t = t.forced_len - (t.forced_len mod t.page_size)
 
+(* The chunk holding chunk offset [pos]; a write crossing into a new page
+   adds it. *)
+let chunk t pos =
+  let i = pos / t.page_size in
+  if i = Vec.length t.chunks then Vec.push t.chunks (Bytes.create t.page_size);
+  Vec.get t.chunks i
+
+(* [v] as a little-endian length word at chunk offset [pos]. *)
+let put_u32 t pos v =
+  for k = 0 to 3 do
+    Bytes.set (chunk t (pos + k)) ((pos + k) mod t.page_size) (Char.chr ((v lsr (8 * k)) land 0xFF))
+  done
+
+(* Read [len] pending stream bytes at stream address [a] out of the
+   chunks. *)
+let chunk_read t a len =
+  let buf = Bytes.create len in
+  let at = a - chunk_base t in
+  let copied = ref 0 in
+  while !copied < len do
+    let pos = at + !copied in
+    let o = pos mod t.page_size in
+    let n = min (len - !copied) (t.page_size - o) in
+    Bytes.blit (Vec.get t.chunks (pos / t.page_size)) o buf !copied n;
+    copied := !copied + n
+  done;
+  Bytes.unsafe_to_string buf
+
+let pending_payload t a = chunk_read t (a + 4) (u32_of (chunk_read t a 4) 0)
+
+(* Index of pending entry [a]: the pending addresses are ascending. *)
 let find_pending t a =
-  match Hashtbl.find_opt t.pending_idx a with
-  | Some (e, _) -> Some e
-  | None -> None
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let m = Vec.get t.pending mid in
+      if m = a then Some mid else if m < a then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Vec.length t.pending)
 
 let read t a =
   check_alive t;
@@ -326,7 +358,7 @@ let read t a =
     end
     else
       match find_pending t a with
-      | Some e -> e
+      | Some _ -> pending_payload t a
       | None -> invalid_arg "Stable_log.read: not an entry boundary"
   in
   t.entry_reads <- t.entry_reads + 1;
@@ -336,7 +368,7 @@ let read t a =
 (* Address of the entry preceding the one at [a], if any. The backward
    chain terminates at the low-water mark: everything below was retired
    by housekeeping. *)
-let rec prev_addr t a =
+let prev_addr t a =
   if a <= t.low_water then None
   else if a <= t.forced_len then begin
     if a < 4 then invalid_arg "Stable_log.prev_addr: not an entry boundary";
@@ -349,16 +381,17 @@ let rec prev_addr t a =
     Some p
   end
   else
-    (* [a] is in the pending region; use the index. *)
-    match Hashtbl.find_opt t.pending_idx a with
-    | Some (_, prev) -> prev
+    (* [a] is in the pending region: its predecessor is the pending entry
+       before it, or for the oldest one the last forced entry. *)
+    let before i =
+      if i > 0 then Some (Vec.get t.pending (i - 1))
+      else if t.last_offset >= t.low_water then Some t.last_offset
+      else None
+    in
+    match find_pending t a with
+    | Some i -> before i
     | None ->
-        if a = t.forced_len + t.pending_bytes then
-          (* One past the newest entry: the predecessor is the newest
-             pending entry, or the last forced one. *)
-          match t.last_pending with
-          | Some pa -> Some pa
-          | None -> if t.forced_len > t.low_water then prev_addr t t.forced_len else None
+        if a = t.forced_len + t.pending_bytes then before (Vec.length t.pending)
         else invalid_arg "Stable_log.prev_addr: not an entry boundary"
 
 let read_backward t a =
@@ -452,20 +485,31 @@ let scan_segments t f =
     ranges;
   List.rev !stats
 
-let write t entry =
+(* Frame the encoder's contents straight into the chunks:
+   [u32 length ++ payload ++ u32 length]. *)
+let write_with t f =
   check_alive t;
+  Codec.Enc.clear t.enc;
+  f t.enc;
+  let len = Codec.Enc.length t.enc in
   let a = t.forced_len + t.pending_bytes in
-  let prev =
-    match t.last_pending with
-    | Some _ as p -> p
-    | None -> if t.last_offset >= t.low_water then Some t.last_offset else None
-  in
-  Vec.push t.pending (a, entry);
-  Hashtbl.replace t.pending_idx a (entry, prev);
-  t.last_pending <- Some a;
-  t.pending_bytes <- t.pending_bytes + frame_overhead + String.length entry;
-  Trace.emit (Trace.Log_write { log = t.label; addr = a; bytes = String.length entry });
+  let at = a - chunk_base t in
+  put_u32 t at len;
+  let copied = ref 0 in
+  while !copied < len do
+    let pos = at + 4 + !copied in
+    let o = pos mod t.page_size in
+    let n = min (len - !copied) (t.page_size - o) in
+    Codec.Enc.blit t.enc !copied (chunk t pos) o n;
+    copied := !copied + n
+  done;
+  put_u32 t (at + 4 + len) len;
+  Vec.push t.pending a;
+  t.pending_bytes <- t.pending_bytes + frame_overhead + len;
+  Trace.emit (Trace.Log_write { log = t.label; addr = a; bytes = len });
   a
+
+let write t entry = write_with t (fun enc -> Codec.Enc.raw enc entry)
 
 (* The store (and the store page within it) backing stream page [p],
    allocating and formatting a fresh segment when the stream grows past
@@ -502,51 +546,48 @@ let ensure_page_store t p =
           seg_event (Seg_alloc id);
           (store, store_page, true))
 
-(* Flush the pending entries: extend the stream, rewrite the dirty pages
-   (read-modify-write of the partial last page via the cache), then commit
-   by writing the header. The header write is also what links any segments
-   allocated for the new pages into the chain — one atomic step commits
-   both the bytes and the segment table. *)
+(* Flush the pending entries: hand each chunk to the page cache and the
+   store (only a partial last page is cut to length; full chunks go as
+   they stand and are never written again), then commit by writing the
+   header. The header write is also what links any segments allocated for
+   the new pages into the chain — one atomic step commits both the bytes
+   and the segment table. *)
 let force t =
   check_alive t;
   if not (Vec.is_empty t.pending) then begin
     let start = t.forced_len in
-    let buf = Buffer.create (t.pending_bytes + t.page_size) in
-    (* Prefix of the first dirty page that is already stable. *)
     let first_page = start / t.page_size in
     let prefix_len = start mod t.page_size in
-    if prefix_len > 0 then Buffer.add_string buf (String.sub (page_data t first_page) 0 prefix_len);
-    Vec.iter (fun (_, e) -> Buffer.add_string buf (frame e)) t.pending;
-    let data = Buffer.contents buf in
-    let npages = (String.length data + t.page_size - 1) / t.page_size in
+    (* Prefix of the first dirty page that is already stable. *)
+    if prefix_len > 0 then
+      Bytes.blit_string (page_data t first_page) 0 (Vec.get t.chunks 0) 0 prefix_len;
+    let total = prefix_len + t.pending_bytes in
     let linked = ref false in
-    for i = 0 to npages - 1 do
-      let off = i * t.page_size in
-      let len = min t.page_size (String.length data - off) in
-      let page = String.sub data off len in
-      let store, store_page, fresh = ensure_page_store t (first_page + i) in
-      if fresh then linked := true;
-      ignore (Lru.put t.pages (first_page + i) page);
-      Store.put store store_page page
-    done;
+    Vec.iteri
+      (fun i bytes ->
+        let len = min t.page_size (total - (i * t.page_size)) in
+        let page =
+          if len = t.page_size then Bytes.unsafe_to_string bytes else Bytes.sub_string bytes 0 len
+        in
+        let store, store_page, fresh = ensure_page_store t (first_page + i) in
+        if fresh then linked := true;
+        ignore (Lru.put t.pages (first_page + i) page);
+        Store.put store store_page page)
+      t.chunks;
     let count = Vec.length t.pending in
-    let last, _ = Vec.last t.pending in
+    let last = Vec.last t.pending in
     (* Capture the covered batch before clearing — the ship observer gets
        exactly the entries this force made durable. *)
     let batch =
       match t.on_force with
-      | None -> None
-      | Some _ ->
-          let entries = ref [] in
-          Vec.iter (fun e -> entries := e :: !entries) t.pending;
-          Some (List.rev !entries)
+      | None -> []
+      | Some _ -> List.map (fun a -> (a, pending_payload t a)) (Vec.to_list t.pending)
     in
     t.forced_len <- start + t.pending_bytes;
     t.forced_entries <- t.forced_entries + count;
     t.last_offset <- last;
     Vec.clear t.pending;
-    Hashtbl.reset t.pending_idx;
-    t.last_pending <- None;
+    Vec.clear t.chunks;
     t.pending_bytes <- 0;
     if not !skip_header_write then write_header t;
     if !linked then seg_event Seg_link;
@@ -554,16 +595,16 @@ let force t =
     Metrics.incr m_forces;
     Metrics.observe h_force_bytes (t.forced_len - start);
     Trace.emit (Trace.Log_force { log = t.label; entries = count; stream_bytes = t.forced_len });
-    (match (t.on_force, batch) with
-    | Some f, Some entries ->
+    Option.iter
+      (fun f ->
         f
           {
             fb_base = start;
-            fb_entries = entries;
+            fb_entries = batch;
             fb_table = (match t.seg with None -> [] | Some s -> s.table);
             fb_low_water = t.low_water;
-          }
-    | _ -> ());
+          })
+      t.on_force;
     match !force_hook with Some f -> f () | None -> ()
   end
 

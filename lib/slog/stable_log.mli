@@ -32,6 +32,16 @@
     header write before returning their pages — online space reclamation
     with the header as the single commit point throughout.
 
+    {b The pending region.} Buffered entries are framed straight into
+    page-sized byte chunks as they are written: chunk [i] is stream page
+    [stream_bytes / page_size + i], and the first one leaves room for the
+    stable prefix of the partial last page, copied in by {!force}. A force
+    hands every full chunk to the page cache and the store as it stands
+    (only a partial last page is cut to length), so an entry's bytes are
+    copied once from the encoder into the page that stores them. A chunk
+    is never written again once forced: the next force starts fresh
+    chunks. Reads of buffered addresses are served from the chunks.
+
     Reads fetch pages {e on demand} through a bounded LRU page cache, so
     recovery pays I/O only for the entries it actually visits — the cost
     difference between the simple log (visits everything) and the hybrid
@@ -95,7 +105,7 @@ type force_batch = {
 }
 (** Exactly what one {!force} made durable, plus the segment-framing
     control state the header write committed alongside it — the unit of
-    replication shipping. *)
+    replication shipping. Built only when an observer is installed. *)
 
 val set_on_force : t -> (force_batch -> unit) option -> unit
 (** Install (or clear) this log's per-instance force observer, called after
@@ -132,8 +142,16 @@ val open_ : ?cache_pages:int -> ?provider:provider -> Rs_storage.Stable_store.t 
     valid log header, or if the header says the log is segmented and no
     [provider] is given. *)
 
+val write_with : t -> (Rs_util.Codec.Enc.t -> unit) -> addr
+(** [write_with t f] appends one entry (buffered; not yet stable) whose
+    payload is what [f] encodes into the log's encoder, and returns its
+    address. The log owns the encoder and empties it before calling [f];
+    the bytes are framed straight into the pending pages. [f] must not
+    write to the same log. *)
+
 val write : t -> string -> addr
-(** Append an entry (buffered; not yet stable). Returns its address. *)
+(** [write t s] appends [s] verbatim: {!write_with} for a payload that is
+    already a string (a replicated entry). *)
 
 val force_write : t -> string -> addr
 (** Append an entry and force it — and all earlier buffered entries — to

@@ -12,13 +12,25 @@ let m_write_rounds = Metrics.counter "stable_store.write_rounds"
 
 (* Values are framed with a CRC so a torn physical page that the disk model
    happens to keep readable would still be rejected; with our disk model
-   torn pages already read as Bad, so the CRC guards decode bugs. *)
+   torn pages already read as Bad, so the CRC guards decode bugs. The
+   frame is the codec's [u32 crc ++ string data] (a zig-zag LEB128 length,
+   then the bytes), built in one exact-size allocation. *)
 let frame data =
-  let crc = Rs_util.Crc32.string data in
-  let enc = Rs_util.Codec.Enc.create ~size:(String.length data + 8) () in
-  Rs_util.Codec.Enc.u32 enc crc;
-  Rs_util.Codec.Enc.string enc data;
-  Rs_util.Codec.Enc.contents enc
+  let n = String.length data in
+  let rec varint_len z = if z < 0x80 then 1 else 1 + varint_len (z lsr 7) in
+  let vlen = varint_len (n lsl 1) in
+  let b = Bytes.create (4 + vlen + n) in
+  Bytes.set_int32_le b 0 (Rs_util.Crc32.string data);
+  let rec put_varint i z =
+    if z < 0x80 then Bytes.set b i (Char.chr z)
+    else begin
+      Bytes.set b i (Char.chr (0x80 lor (z land 0x7F)));
+      put_varint (i + 1) (z lsr 7)
+    end
+  in
+  put_varint 4 (n lsl 1);
+  Bytes.blit_string data 0 b (4 + vlen) n;
+  Bytes.unsafe_to_string b
 
 let unframe s =
   match

@@ -8,6 +8,9 @@ module Enc = struct
   let create ?(size = 256) () = Buffer.create size
   let length = Buffer.length
   let contents = Buffer.contents
+  let clear = Buffer.clear
+  let blit = Buffer.blit
+  let raw = Buffer.add_string
 
   let u8 t v =
     if v < 0 || v > 255 then invalid_arg "Codec.Enc.u8: out of range";
@@ -22,17 +25,16 @@ module Enc = struct
     Buffer.add_char t
       (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 24) 0xFFl)))
 
-  (* Zig-zag then LEB128 so negative ints stay short. *)
-  let varint t v =
-    let z = (v lsl 1) lxor (v asr (Sys.int_size - 1)) in
-    let rec go z =
-      if z land lnot 0x7F = 0 then Buffer.add_char t (Char.chr z)
-      else begin
-        Buffer.add_char t (Char.chr (0x80 lor (z land 0x7F)));
-        go (z lsr 7)
-      end
-    in
-    go z
+  let rec leb128 t z =
+    if z land lnot 0x7F = 0 then Buffer.add_char t (Char.chr z)
+    else begin
+      Buffer.add_char t (Char.chr (0x80 lor (z land 0x7F)));
+      leb128 t (z lsr 7)
+    end
+
+  (* Zig-zag then LEB128 so negative ints stay short. [leb128] is a
+     top-level loop, not a closure, so encoding allocates nothing. *)
+  let varint t v = leb128 t ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
 
   let bool t b = u8 t (if b then 1 else 0)
 
@@ -90,14 +92,14 @@ module Dec = struct
       (Int32.of_int (b0 lor (b1 lsl 8) lor (b2 lsl 16)))
       (Int32.shift_left (Int32.of_int b3) 24)
 
+  let rec leb128 t shift acc =
+    if shift > Sys.int_size then error "varint too long";
+    let b = byte t in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then acc else leb128 t (shift + 7) acc
+
   let varint t =
-    let rec go shift acc =
-      if shift > Sys.int_size then error "varint too long";
-      let b = byte t in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    let z = go 0 0 in
+    let z = leb128 t 0 0 in
     (z lsr 1) lxor (-(z land 1))
 
   let bool t =

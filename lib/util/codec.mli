@@ -16,6 +16,16 @@ module Enc : sig
   val length : t -> int
   val contents : t -> string
 
+  val clear : t -> unit
+  (** Empty the encoder, keeping its storage for reuse. *)
+
+  val blit : t -> int -> bytes -> int -> int -> unit
+  (** [blit t src_off dst dst_off len] copies encoded bytes into [dst]
+      without materializing them as a string. *)
+
+  val raw : t -> string -> unit
+  (** Append bytes verbatim, with no length prefix. *)
+
   val u8 : t -> int -> unit
   (** Raises [Invalid_argument] if not in [0, 255]. *)
 

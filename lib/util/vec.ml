@@ -1,7 +1,9 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
 (* [data] starts empty and is grown on first push; [capacity] is only a
-   hint. [len] tracks the used prefix. *)
+   hint. [len] tracks the used prefix. A slot past [len] never holds a
+   dropped element: shrinking refills the vacated slots with the element
+   at index 0 (still held), or drops the array when nothing is left. *)
 let create ?capacity:(_ = 8) () = { data = [||]; len = 0 }
 
 let length t = t.len
@@ -30,17 +32,22 @@ let push t v =
   t.data.(t.len) <- v;
   t.len <- t.len + 1
 
+let shrink_to t n =
+  if n = 0 then t.data <- [||] else Array.fill t.data n (t.len - n) t.data.(0);
+  t.len <- n
+
 let pop t =
   if t.len = 0 then invalid_arg "Vec.pop: empty";
-  t.len <- t.len - 1;
-  t.data.(t.len)
+  let v = t.data.(t.len - 1) in
+  shrink_to t (t.len - 1);
+  v
 
 let last t =
   if t.len = 0 then invalid_arg "Vec.last: empty";
   t.data.(t.len - 1)
 
-let truncate t n = if n < t.len then t.len <- max n 0
-let clear t = t.len <- 0
+let truncate t n = if n < t.len then shrink_to t (max n 0)
+let clear t = shrink_to t 0
 
 let iter f t =
   for i = 0 to t.len - 1 do

@@ -1,4 +1,7 @@
-(** Growable arrays, used for in-memory log indexes and event queues. *)
+(** Growable arrays, used for in-memory log indexes and event queues.
+
+    Dropping elements ([pop], [truncate], [clear]) leaves none of them
+    reachable from the vector; [clear] also releases the storage. *)
 
 type 'a t
 

@@ -484,6 +484,97 @@ let prop_forced_prefix =
       in
       survived = !forced)
 
+(* Property: the write path frames every entry straight into the pages it
+   is stored on. A random script of [write]/[write_with] (payloads of 0 to
+   3 pages) and [force] runs against a reference stream of frames; after
+   every step the stored pages are that stream cut into pages, every
+   address reads back (forward and backward) whether forced or pending,
+   and each force ships exactly the entries written since the last one. *)
+let prop_write_path =
+  let frame p =
+    let w = Bytes.create 4 in
+    Bytes.set_int32_le w 0 (Int32.of_int (String.length p));
+    Bytes.to_string w ^ p ^ Bytes.to_string w
+  in
+  QCheck.Test.make ~name:"pages = framed stream, pending or forced" ~count:150
+    QCheck.(
+      triple (int_range 16 48) bool (list_of_size Gen.(0 -- 24) (pair (int_range 0 5) small_nat)))
+    (fun (page_size, segmented, script) ->
+      let provider, registry, _ = mk_provider () in
+      let anchor = Store.create ~pages:1 () in
+      let l =
+        if segmented then Log.create ~page_size ~segment_pages:2 ~provider anchor
+        else Log.create ~page_size anchor
+      in
+      let stream = Buffer.create 256 in
+      let entries = ref [] (* (addr, payload), newest first *) in
+      let forced_len = ref 0 in
+      let since_force = ref [] in
+      let shipped = ref None in
+      Log.set_on_force l (Some (fun b -> shipped := Some b));
+      let stored_page p =
+        if segmented then
+          let id = List.assoc (p / 2) (Log.segment_table l) in
+          Store.get (Hashtbl.find registry id) (1 + (p mod 2))
+        else Store.get anchor (1 + p)
+      in
+      let check () =
+        let pages = (!forced_len + page_size - 1) / page_size in
+        for p = 0 to pages - 1 do
+          let off = p * page_size in
+          let expect = Buffer.sub stream off (min page_size (!forced_len - off)) in
+          if stored_page p <> Some expect then QCheck.Test.fail_reportf "stored page %d differs" p
+        done;
+        let oldest_first = List.rev !entries in
+        List.iteri
+          (fun i (a, payload) ->
+            if Log.read l a <> payload then QCheck.Test.fail_reportf "read %d differs" a;
+            let back = List.of_seq (Log.read_backward l a) in
+            if back <> List.rev (List.filteri (fun j _ -> j <= i) oldest_first) then
+              QCheck.Test.fail_reportf "read_backward %d differs" a;
+            if List.of_seq (Log.read_forward l a) <> List.filteri (fun j _ -> j >= i) oldest_first
+            then QCheck.Test.fail_reportf "read_forward %d differs" a)
+          oldest_first;
+        Log.end_addr l = Buffer.length stream
+      in
+      List.for_all
+        (fun (op, n) ->
+          let len = n * 7 mod ((3 * page_size) + 1) in
+          let payload = String.init len (fun i -> Char.chr ((i + len) land 0xFF)) in
+          (match op with
+          | 0 | 1 ->
+              let a = Log.write l payload in
+              entries := (a, payload) :: !entries;
+              since_force := (a, payload) :: !since_force;
+              Buffer.add_string stream (frame payload)
+          | 2 | 3 ->
+              (* The encoder is reused: each entry must hold only its own
+                 bytes. *)
+              let a =
+                Log.write_with l (fun enc ->
+                    Rs_util.Codec.Enc.varint enc len;
+                    Rs_util.Codec.Enc.raw enc payload)
+              in
+              let e = Rs_util.Codec.Enc.create () in
+              Rs_util.Codec.Enc.varint e len;
+              let payload = Rs_util.Codec.Enc.contents e ^ payload in
+              entries := (a, payload) :: !entries;
+              since_force := (a, payload) :: !since_force;
+              Buffer.add_string stream (frame payload)
+          | _ ->
+              let base = !forced_len in
+              shipped := None;
+              Log.force l;
+              forced_len := Buffer.length stream;
+              (match !shipped with
+              | None -> if !since_force <> [] then QCheck.Test.fail_report "force shipped nothing"
+              | Some b ->
+                  if b.Log.fb_base <> base || b.Log.fb_entries <> List.rev !since_force then
+                    QCheck.Test.fail_report "shipped batch differs");
+              since_force := []);
+          check ())
+        script)
+
 let suite =
   [
     Alcotest.test_case "write and read" `Quick test_write_read;
@@ -505,4 +596,5 @@ let suite =
     Alcotest.test_case "page cache hits and eviction" `Quick test_lru_cache_metrics;
     Alcotest.test_case "framing fuzz (550 cases)" `Quick test_framing_fuzz;
     QCheck_alcotest.to_alcotest prop_forced_prefix;
+    QCheck_alcotest.to_alcotest prop_write_path;
   ]

@@ -146,6 +146,34 @@ let test_vec () =
   Alcotest.check_raises "oob" (Invalid_argument "Vec.get: index 10 out of bounds (len 10)")
     (fun () -> ignore (Vec.get v 10))
 
+(* Dropping elements must not leave them reachable from the vector's
+   spare slots: a cleared pending buffer once kept a whole batch alive. *)
+let test_vec_drops_elements () =
+  let tracked = Weak.create 4 in
+  let[@inline never] push v i =
+    let x = ref i in
+    Weak.set tracked i (Some x);
+    Vec.push v x
+  in
+  let popped = Vec.create () and truncated = Vec.create () and cleared = Vec.create () in
+  Vec.push popped (ref (-1));
+  push popped 0;
+  ignore (Vec.pop popped);
+  Vec.push truncated (ref (-1));
+  push truncated 1;
+  push truncated 2;
+  Vec.truncate truncated 1;
+  push cleared 3;
+  Vec.clear cleared;
+  Gc.full_major ();
+  List.iteri
+    (fun i op -> Alcotest.(check bool) (op ^ " drops the element") false (Weak.check tracked i))
+    [ "pop"; "truncate"; "truncate"; "clear" ];
+  Alcotest.(check (list int)) "kept elements survive" [ -1; -1 ]
+    (List.map ( ! ) (Vec.to_list popped @ Vec.to_list truncated));
+  Vec.push cleared (ref 4);
+  Alcotest.(check int) "a cleared vector grows again" 1 (Vec.length cleared)
+
 let test_rng_determinism () =
   let a = Rng.create 7 and b = Rng.create 7 in
   for _ = 1 to 100 do
@@ -293,6 +321,7 @@ let suite =
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_known;
     Alcotest.test_case "crc32 strides" `Quick test_crc32_strides;
     Alcotest.test_case "vec operations" `Quick test_vec;
+    Alcotest.test_case "vec drops elements" `Quick test_vec_drops_elements;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "uid generator" `Quick test_uid_gen;
