@@ -130,12 +130,38 @@ let e2 () =
    accessible objects; compaction must additionally process every
    outcome entry in the log, so it grows with history. *)
 
-let hk_time ~objects ~history technique =
-  let t =
-    Synth.create ~seed:11 ~scheme:(Scheme.hybrid ()) ~n_objects:objects ~payload_bytes:64 ()
+(* One checkpoint of a seeded history: its wall time, plus deterministic
+   gauges for what §5.3 compares — the new log's entries and stream bytes,
+   and the old-log entries the checkpoint read. The reads are counted on
+   a second run of the same history stopped after stage one, while its
+   old log is still open; nothing runs between the slices here, so stage
+   one does all of the checkpoint's reading. *)
+let hk_run ~sweep ~objects ~history technique =
+  let build () =
+    let t =
+      Synth.create ~seed:11 ~scheme:(Scheme.hybrid ()) ~n_objects:objects ~payload_bytes:64 ()
+    in
+    Synth.run_random_actions t ~n:history ~objects_per_action:2 ~abort_rate:0.1 ();
+    Synth.scheme t
   in
-  Synth.run_random_actions t ~n:history ~objects_per_action:2 ~abort_rate:0.1 ();
-  let _, dt = time_it (fun () -> Scheme.housekeep (Synth.scheme t) technique) in
+  let scheme = build () in
+  let _, dt = time_it (fun () -> Scheme.housekeep scheme technique) in
+  let log = Option.get (Scheme.current_log scheme) in
+  let staged = build () in
+  let old = Option.get (Scheme.current_log staged) in
+  let reads0 = Rs_slog.Stable_log.entry_reads old in
+  Scheme.housekeep_first_slice staged technique;
+  let gauge metric v =
+    Rs_obs.Metrics.set
+      (Rs_obs.Metrics.gauge
+         (Printf.sprintf "e3.%s.%s.%s" sweep
+            (match technique with Scheme.Compaction -> "compaction" | Scheme.Snapshot -> "snapshot")
+            metric))
+      v
+  in
+  gauge "new_entries" (Rs_slog.Stable_log.entry_count log);
+  gauge "new_bytes" (Rs_slog.Stable_log.stream_bytes log);
+  gauge "old_reads" (Rs_slog.Stable_log.entry_reads old - reads0);
   dt *. 1e6
 
 let e3 () =
@@ -144,21 +170,20 @@ let e3 () =
   row "%10s %16s %16s\n" "actions" "compaction us" "snapshot us";
   List.iter
     (fun history ->
-      row "%10d %16.1f %16.1f\n" history
-        (hk_time ~objects:64 ~history Scheme.Compaction)
-        (hk_time ~objects:64 ~history Scheme.Snapshot))
+      let run = hk_run ~sweep:(Printf.sprintf "a.h%d" history) ~objects:64 ~history in
+      row "%10d %16.1f %16.1f\n" history (run Scheme.Compaction) (run Scheme.Snapshot))
     [ 100; 400; 1600 ];
   row "sweep B: objects grow, 200 actions fixed\n";
   row "%10s %16s %16s\n" "objects" "compaction us" "snapshot us";
   List.iter
     (fun objects ->
-      row "%10d %16.1f %16.1f\n" objects
-        (hk_time ~objects ~history:200 Scheme.Compaction)
-        (hk_time ~objects ~history:200 Scheme.Snapshot))
+      let run = hk_run ~sweep:(Printf.sprintf "b.n%d" objects) ~objects ~history:200 in
+      row "%10d %16.1f %16.1f\n" objects (run Scheme.Compaction) (run Scheme.Snapshot))
     [ 16; 64; 256; 1024 ];
   print_endline
     "shape: compaction grows with history (sweep A) and state (sweep B);\n\
-     snapshot tracks only the state size — the thesis's argument for snapshots."
+     snapshot tracks only the state size — the thesis's argument for snapshots.\n\
+     gauges e3.<sweep>.<technique>.{new_entries,new_bytes,old_reads} carry the counts."
 
 (* ------------------------------------------------------------------ *)
 (* e4 — recovery cost with vs without a checkpoint. *)

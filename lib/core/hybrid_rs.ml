@@ -3,7 +3,6 @@ module Aid = Rs_util.Aid
 module Gid = Rs_util.Gid
 module Vec = Rs_util.Vec
 module Heap = Rs_objstore.Heap
-module Flatten = Rs_objstore.Flatten
 module Log = Rs_slog.Stable_log
 module Log_dir = Rs_slog.Log_dir
 module Fsched = Rs_slog.Force_scheduler
@@ -22,8 +21,8 @@ type t = {
   sched : Fsched.t; (* group-commit scheduler covering outcome forces *)
   mutable acc : Uid.Set.t; (* accessibility set (AS) *)
   pat : unit Aid.Tbl.t; (* prepared actions table *)
-  pending : addr Uid.Tbl.t Aid.Tbl.t; (* per unprepared action: uid -> data-entry addr *)
-  mt : addr Uid.Tbl.t; (* mutex table: uid -> latest data-entry addr (§5.2) *)
+  pending : (addr * Log_entry.otype) Uid.Tbl.t Aid.Tbl.t; (* per unprepared action: uid -> data entry *)
+  mt : addr Uid.Tbl.t; (* mutex table: uid -> latest prepared data-entry addr (§5.2) *)
   committing_active : Gid.t list Aid.Tbl.t; (* coordinator actions in phase two *)
   mutable last_outcome : addr option; (* head of the backward outcome chain *)
   mutable oel : addr Vec.t option; (* outcome entries list while housekeeping *)
@@ -77,8 +76,7 @@ let write_data t aid ~uid ~otype version =
   let a =
     Log_entry.write t.log (Log_entry.Data { uid = None; otype; aid = None; version })
   in
-  Uid.Tbl.replace (pending_tbl t aid) uid a;
-  if otype = Log_entry.Mutex then Uid.Tbl.replace t.mt uid a;
+  Uid.Tbl.replace (pending_tbl t aid) uid (a, otype);
   a
 
 let sink_for t aid : Write_objects.sink =
@@ -113,7 +111,7 @@ let pending_pairs t aid =
   match Aid.Tbl.find_opt t.pending aid with
   | None -> []
   | Some tbl ->
-      Uid.Tbl.fold (fun u a acc -> (u, a) :: acc) tbl []
+      Uid.Tbl.fold (fun u (a, _) acc -> (u, a) :: acc) tbl []
       |> List.sort (fun (a, _) (b, _) -> Uid.compare a b)
 
 (* Table updates happen before the forced append: with a zero window the
@@ -123,6 +121,17 @@ let pending_pairs t aid =
 let prepare ?on_durable t aid mos =
   ignore (write_mos t aid mos);
   let pairs = pending_pairs t aid in
+  (* The MT names only versions recovery would restore: a mutex version
+     counts once its action prepares, and the larger address wins (§4.4),
+     so an early-prepared version of an action that never prepares cannot
+     reach a snapshot. *)
+  Option.iter
+    (Uid.Tbl.iter (fun uid (a, otype) ->
+         if otype = Log_entry.Mutex then
+           match Uid.Tbl.find_opt t.mt uid with
+           | Some b when b > a -> ()
+           | Some _ | None -> Uid.Tbl.replace t.mt uid a))
+    (Aid.Tbl.find_opt t.pending aid);
   Aid.Tbl.remove t.pending aid;
   Aid.Tbl.replace t.pat aid ();
   ignore
@@ -162,32 +171,6 @@ let last_outcome_addr t = t.last_outcome
 
 (* Recovery (§4.3.3): walk the backward chain of outcome entries. *)
 
-(* Feed one outcome entry to the restore tables. Both recovery paths —
-   the serial chain walk and the segment-parallel scan — dispatch through
-   here, in newest-first order, so first-wins semantics are identical. *)
-let replay_outcome ctx ~read_data entry =
-  match entry with
-  | Log_entry.Prepared { aid; pairs; _ } ->
-      Restore.on_prepared ctx aid;
-      Option.iter
-        (List.iter (fun (uid, daddr) ->
-             Restore.on_data ctx ~uid ~aid:(Some aid) ~src:daddr ~fetch:(fun () ->
-                 ctx.Restore.processed <- ctx.Restore.processed + 1;
-                 read_data daddr)))
-        pairs
-  | Log_entry.Committed { aid; _ } -> Restore.on_committed ctx aid
-  | Log_entry.Aborted { aid; _ } -> Restore.on_aborted ctx aid
-  | Log_entry.Committing { aid; gids; _ } -> Restore.on_committing ctx aid gids
-  | Log_entry.Done { aid; _ } -> Restore.on_done ctx aid
-  | Log_entry.Base_committed { uid; version; _ } -> Restore.on_base_committed ctx ~uid version
-  | Log_entry.Prepared_data { uid; version; aid; _ } ->
-      Restore.on_prepared_data ctx ~uid ~aid version
-  | Log_entry.Committed_ss { cssl; _ } ->
-      Restore.on_committed_ss ctx ~pairs:cssl ~fetch:(fun daddr ->
-          ctx.Restore.processed <- ctx.Restore.processed + 1;
-          read_data daddr)
-  | Log_entry.Data _ -> failwith "Hybrid_rs.recover: data entry on the outcome chain"
-
 (* Promotion (warm failover) and both recovery paths end here: a recovery
    system around a restored heap, with the MT (§5.2) and the PAT and CT
    duty tables. Appends chain onto [last_outcome]. *)
@@ -204,19 +187,12 @@ let adopt ~heap ~dir ~last_outcome ~info ~mutexes =
 (* Common recovery epilogue: finish the restore tables and read the MT
    off the object table. *)
 let assemble ~heap ~dir ~ctx ~head =
-  let ot_entries = Tables.Ot.to_list ctx.Restore.ot in
-  let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) ~aid_gen:None in
+  let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) in
   Metrics.incr ~by:info.Tables.Recovery_info.entries_processed m_recovery_entries;
   Trace.emit
     (Trace.Recovery_scan
        { system = "hybrid"; entries = info.Tables.Recovery_info.entries_processed });
-  let mutexes =
-    List.filter_map
-      (fun (uid, (e : Tables.Ot.entry)) ->
-        if e.src >= 0 && Heap.kind_of heap e.vm = Heap.Mutex then Some (uid, e.src) else None)
-      ot_entries
-  in
-  (adopt ~heap ~dir ~last_outcome:head ~info ~mutexes, info)
+  (adopt ~heap ~dir ~last_outcome:head ~info ~mutexes:(Tables.Ot.mutexes ctx.Restore.ot), info)
 
 let recover source_dir =
   let dir = Log_dir.open_ source_dir in
@@ -242,7 +218,9 @@ let recover source_dir =
     | Some a ->
         let entry = Log_entry.decode (Log.read log a) in
         if a <> Option.get !head then ctx.Restore.processed <- ctx.Restore.processed + 1;
-        replay_outcome ctx ~read_data:(Log_entry.read_data log) entry;
+        (match entry with
+        | Log_entry.Data _ -> failwith "Hybrid_rs.recover: data entry on the outcome chain"
+        | _ -> Restore.replay ctx ~read_data:(Log_entry.read_data log) a entry);
         walk (Log_entry.prev entry)
   in
   walk !head;
@@ -273,7 +251,7 @@ let recover_parallel ?stats source_dir =
     Log.scan_segments log (fun a buf ~off ~len ->
         ctx.Restore.processed <- ctx.Restore.processed + 1;
         if Log_entry.is_outcome_at buf ~off ~len then begin
-          outcomes := Log_entry.decode_at buf ~off ~len :: !outcomes;
+          outcomes := (a, Log_entry.decode_at buf ~off ~len) :: !outcomes;
           head := Some a
         end
         else Hashtbl.replace data a (buf, off, len))
@@ -284,17 +262,12 @@ let recover_parallel ?stats source_dir =
     |> Option.map (fun (buf, off, len) -> Log_entry.decode_at buf ~off ~len)
     |> Log_entry.data_of a
   in
-  List.iter (replay_outcome ctx ~read_data) !outcomes;
+  List.iter (fun (a, entry) -> Restore.replay ctx ~read_data a entry) !outcomes;
   assemble ~heap ~dir ~ctx ~head:!head
 
 (* Housekeeping (Chapter 5). *)
 
 type technique = Compaction | Snapshot
-
-(* Stage-one object table: tracks which objects already reached the new
-   log, and — for mutex objects — the OLD-log address of the version
-   copied, for the latest-version comparisons of §5.1.1/§5.2. *)
-type hk_ot_entry = { mutable hstate : [ `Prepared | `Restored ]; mutable old_src : addr }
 
 (* Checkpoints run as a resumable slice machine so a background fiber can
    interleave them with live commits: [Walk] consumes the old outcome
@@ -307,13 +280,13 @@ type job = {
   old_log : Log.t;
   new_log : Log.t;
   oel : addr Vec.t;
-  hk_ot : hk_ot_entry Uid.Tbl.t;
-  new_mt : addr Uid.Tbl.t;
-  pt : Tables.Pt.t; (* compaction walk state, persists across slices *)
-  ct : Tables.Ct.t;
-  mutable cssl : (Uid.t * addr) list; (* reversed accumulation *)
-  mutable chained : Log_entry.t list; (* discovery order: newest first; prev filled later *)
-  mutable new_head : addr option;
+  ctx : Restore.ctx;
+      (* compaction's replay, persisting across slices; for both
+         techniques its OT holds each mutex copied to the new log, with its
+         old-log source (which the carry compares against) and new-log
+         address (the new MT) *)
+  cssl : (Uid.t * addr) Vec.t; (* compaction's CSSL, in write order *)
+  chained : Log_entry.t Vec.t; (* compaction's outcome entries, in write order; prev filled later *)
   mutable new_as : Uid.Set.t option; (* snapshot only *)
   mutable cursor : addr option; (* next old-chain entry the walk will visit *)
   mutable stage : stage;
@@ -321,192 +294,100 @@ type job = {
   mutable carry_head : addr option; (* prev-chain head threaded through stage two *)
 }
 
-let wdata job ~otype version =
-  Log_entry.write job.new_log (Log_entry.Data { uid = None; otype; aid = None; version })
+let wdata log ~otype version =
+  Log_entry.write log (Log_entry.Data { uid = None; otype; aid = None; version })
 
-(* Copy a committed version to the new log and record it in the CSSL. *)
-let copy_committed job ~uid ~otype version =
-  let a = wdata job ~otype version in
-  job.cssl <- (uid, a) :: job.cssl;
-  a
+(* Compaction's output: stage one rebuilds the stable state as recovery
+   would, writing it to the new log instead of volatile memory (§5.1.1).
+   A committed version becomes a data entry the CSSL names; a
+   still-prepared action's version named by a pair becomes a data entry
+   its rebuilt prepared entry names; a [Prepared_data] version is chained
+   as it is. *)
+let new_log_output ~new_log ~cssl ~chained : Restore.output =
+  let committed ~uid otype version =
+    let a = wdata new_log ~otype version in
+    Vec.push cssl (uid, a);
+    a
+  in
+  {
+    committed;
+    owed_base = (fun ~uid ~vm:_ version -> ignore (committed ~uid Log_entry.Atomic version));
+    current = (fun ~uid:_ ~aid:_ version -> wdata new_log ~otype:Log_entry.Atomic version);
+    prepared_data =
+      (fun ~uid ~aid version ->
+        Vec.push chained (Log_entry.Prepared_data { uid; version; aid; prev = None });
+        -1 (* no data entry of its own *));
+    settle = ignore;
+  }
 
-(* Mutex latest-version rule against OLD-log addresses; returns true and
-   updates the trackers when [oaddr] wins. *)
-let mutex_is_latest job ~uid ~oaddr =
-  match Uid.Tbl.find_opt job.hk_ot uid with
-  | Some e when oaddr <= e.old_src -> false
-  | Some e ->
-      e.old_src <- oaddr;
-      true
-  | None ->
-      Uid.Tbl.replace job.hk_ot uid { hstate = `Restored; old_src = oaddr };
-      true
-
-let copy_mutex_if_latest job ~uid ~oaddr version =
-  if mutex_is_latest job ~uid ~oaddr then begin
-    let a = copy_committed job ~uid ~otype:Log_entry.Mutex version in
-    Uid.Tbl.replace job.new_mt uid a
-  end
-
-(* Atomic-object dedup for committed versions: the first (newest) version
-   seen wins; a pending `Prepared state means only the base is still owed. *)
-let atomic_committed job ~uid version =
-  match Uid.Tbl.find_opt job.hk_ot uid with
-  | Some { hstate = `Restored; _ } -> ()
-  | Some ({ hstate = `Prepared; _ } as e) ->
-      e.hstate <- `Restored;
-      ignore (copy_committed job ~uid ~otype:Log_entry.Atomic version)
-  | None ->
-      Uid.Tbl.replace job.hk_ot uid { hstate = `Restored; old_src = -1 };
-      ignore (copy_committed job ~uid ~otype:Log_entry.Atomic version)
-
-let atomic_mark_prepared job ~uid =
-  if not (Uid.Tbl.mem job.hk_ot uid) then
-    Uid.Tbl.replace job.hk_ot uid { hstate = `Prepared; old_src = -1 }
-
-(* One step of log compaction's stage one (§5.1.1): rebuild the stable
-   state by reading the old chain, as recovery would, but writing entries
-   to the new log instead of objects to volatile memory. Processes the
-   entry at [a] and returns the next (older) chain address. The chain
-   below the starting head is immutable, and the walk reads no volatile
-   tables, so slicing it against live commits is safe: concurrent
-   appends land above the head and reach the new log via the OEL. *)
+(* One step of log compaction's stage one: replay the entry at [a] into
+   the new log and return the next (older) chain address. The replay
+   decides what recovery would; what stays here is the chaining only
+   compaction does — a coordinator's first outcome, if [Committing], and
+   a still-prepared action's prepared entry, rebuilt with pairs naming
+   the versions this replay wrote. The chain below the starting head is
+   immutable, and the walk reads no volatile tables, so slicing it
+   against live commits is safe: concurrent appends land above the head
+   and reach the new log via the OEL. *)
 let compaction_entry job a =
-  let pt = job.pt and ct = job.ct in
+  let ctx = job.ctx in
   let entry = Log_entry.decode (Log.read job.old_log a) in
+  let chain e = Vec.push job.chained (Log_entry.with_prev e None) in
+  let unplaced =
+    match entry with
+    | Log_entry.Data _ -> failwith "Hybrid_rs.compaction: data entry on the outcome chain"
+    | Log_entry.Committing { aid; _ } ->
+        if Tables.Ct.find ctx.ct aid = None then chain entry;
+        []
+    | Log_entry.Prepared { pairs = Some pairs; _ } ->
+        List.filter (fun (uid, _) -> Tables.Ot.find ctx.ot uid = None) pairs
+    | _ -> []
+  in
+  Restore.replay ctx ~read_data:(Log_entry.read_data job.old_log) a entry;
   (match entry with
-  | Log_entry.Committed { aid; _ } -> Tables.Pt.add_if_absent pt aid Tables.Pt.Committed
-  | Log_entry.Aborted { aid; _ } -> Tables.Pt.add_if_absent pt aid Tables.Pt.Aborted
-  | Log_entry.Done { aid; _ } -> Tables.Ct.add_if_absent ct aid Tables.Ct.Done
-  | Log_entry.Committing { aid; gids; _ } ->
-      if Tables.Ct.find ct aid = None then begin
-        Tables.Ct.add_if_absent ct aid (Tables.Ct.Committing gids);
-        job.chained <-
-          Log_entry.Committing { aid; gids; prev = None } :: job.chained
-      end
-  | Log_entry.Base_committed { uid; version; _ } -> atomic_committed job ~uid version
-  | Log_entry.Prepared_data { uid; version; aid; _ } -> (
-      match Tables.Pt.find pt aid with
-      | Some Tables.Pt.Aborted -> ()
-      | Some Tables.Pt.Committed -> atomic_committed job ~uid version
-      | Some Tables.Pt.Prepared | None ->
-          Tables.Pt.add_if_absent pt aid Tables.Pt.Prepared;
-          if not (Uid.Tbl.mem job.hk_ot uid) then begin
-            atomic_mark_prepared job ~uid;
-            job.chained <-
-              Log_entry.Prepared_data { uid; version; aid; prev = None } :: job.chained
-          end)
-  | Log_entry.Prepared { aid; pairs; _ } -> (
-      let pairs = Option.value pairs ~default:[] in
-      match
-        match Tables.Pt.find pt aid with
-        | Some s -> s
-        | None ->
-            Tables.Pt.add_if_absent pt aid Tables.Pt.Prepared;
-            Tables.Pt.Prepared
-      with
-      | Tables.Pt.Committed ->
-          List.iter
-            (fun (uid, oaddr) ->
-              match Log_entry.read_data job.old_log oaddr with
-              | Log_entry.Atomic, version -> atomic_committed job ~uid version
-              | Log_entry.Mutex, version -> copy_mutex_if_latest job ~uid ~oaddr version)
-            pairs
-      | Tables.Pt.Aborted ->
-          List.iter
-            (fun (uid, oaddr) ->
-              match Log_entry.read_data job.old_log oaddr with
-              | Log_entry.Atomic, _ -> ()
-              | Log_entry.Mutex, version -> copy_mutex_if_latest job ~uid ~oaddr version)
-            pairs
-      | Tables.Pt.Prepared ->
-          (* Outcome unknown: rebuild the prepared entry with pairs
-             pointing into the new log. *)
-          let newlist =
-            List.filter_map
-              (fun (uid, oaddr) ->
-                match Log_entry.read_data job.old_log oaddr with
-                | Log_entry.Atomic, version ->
-                    (match Uid.Tbl.find_opt job.hk_ot uid with
-                    | Some _ -> None (* a later entry for this action's object won *)
-                    | None ->
-                        atomic_mark_prepared job ~uid;
-                        Some (uid, wdata job ~otype:Log_entry.Atomic version))
-                | Log_entry.Mutex, version ->
-                    copy_mutex_if_latest job ~uid ~oaddr version;
-                    None)
-              pairs
-          in
-          (* Unlike §5.1.1 we keep even an empty prepared entry, so a
-             mutex-only prepared action keeps its PT status after a
-             crash. *)
-          job.chained <- Log_entry.Prepared { aid; pairs = Some newlist; prev = None } :: job.chained)
-  | Log_entry.Committed_ss { cssl; _ } ->
-      List.iter
-        (fun (uid, oaddr) ->
-          match Log_entry.read_data job.old_log oaddr with
-          | Log_entry.Atomic, version -> atomic_committed job ~uid version
-          | Log_entry.Mutex, version -> copy_mutex_if_latest job ~uid ~oaddr version)
-        cssl
-  | Log_entry.Data _ -> failwith "Hybrid_rs.compaction: data entry on the outcome chain");
+  | Log_entry.Prepared { aid; _ } when Tables.Pt.find ctx.pt aid = Some Tables.Pt.Prepared ->
+      (* Unlike §5.1.1 we keep even an empty prepared entry, so a
+         mutex-only prepared action keeps its PT status after a crash. *)
+      let pairs =
+        List.filter_map
+          (fun (uid, _) ->
+            match Tables.Ot.find ctx.ot uid with
+            | Some { state = Tables.Ot.Prepared; vm; _ } -> Some (uid, vm)
+            | Some { state = Tables.Ot.Restored; _ } | None -> None)
+          unplaced
+      in
+      chain (Log_entry.Prepared { aid; pairs = Some pairs; prev = None })
+  | _ -> ());
   Log_entry.prev entry
 
-(* Stage one of the stable-state snapshot (§5.2): copy the stable state
-   from volatile memory. *)
+(* Stage one of the stable-state snapshot (§5.2): the walk of the stable
+   state in volatile memory. Each copied mutex's old-log source enters the
+   job's OT for the carry's comparisons. *)
 let snapshot_stage1 t job =
-  let new_as = ref (Uid.Set.singleton Uid.stable_vars) in
-  let flatten v = Flatten.flatten t.heap v in
-  Heap.iter_reachable t.heap (fun a ->
-      match Heap.kind_of t.heap a with
-      | Heap.Regular | Heap.Placeholder -> ()
-      | Heap.Atomic -> (
-          let uid = Option.get (Heap.uid_of t.heap a) in
-          new_as := Uid.Set.add uid !new_as;
-          let view = Heap.atomic_view t.heap a in
-          ignore (copy_committed job ~uid ~otype:Log_entry.Atomic (flatten view.base));
-          Uid.Tbl.replace job.hk_ot uid { hstate = `Restored; old_src = -1 };
-          match (view.lock, view.cur) with
-          | Heap.Write w, Some cur when Aid.Tbl.mem t.pat w ->
-              job.chained <-
-                Log_entry.Prepared_data { uid; version = flatten cur; aid = w; prev = None }
-                :: job.chained
-          | (Heap.Write _ | Heap.Read _ | Heap.Free), _ -> ())
-      | Heap.Mutex -> (
-          let uid = Option.get (Heap.uid_of t.heap a) in
-          new_as := Uid.Set.add uid !new_as;
-          match Uid.Tbl.find_opt t.mt uid with
-          | Some oaddr -> (
-              match Log_entry.read_data job.old_log oaddr with
-              | Log_entry.Mutex, version -> copy_mutex_if_latest job ~uid ~oaddr version
-              | Log_entry.Atomic, _ -> failwith "Hybrid_rs.snapshot: MT points at an atomic entry")
-          | None ->
-              (* Newly accessible, still being prepared: its state reaches
-                 the new log via stage two (§5.2). *)
-              ()));
-  job.new_as <- Some !new_as;
-  (* PT status of prepared actions and CT status of committing
-     coordinators is invisible to the heap traversal; emit it explicitly
-     (an oversight in §5.2 that compaction does not share). *)
-  Aid.Tbl.iter
-    (fun aid () -> job.chained <- Log_entry.Prepared { aid; pairs = Some []; prev = None } :: job.chained)
-    t.pat;
-  Aid.Tbl.iter
-    (fun aid gids -> job.chained <- Log_entry.Committing { aid; gids; prev = None } :: job.chained)
-    t.committing_active
+  let s =
+    Write_objects.snapshot ~heap:t.heap ~old_log:job.old_log ~mt:t.mt ~pat:t.pat
+      ~committing:t.committing_active ~prepared_pairs:(Some []) ~write_data:(fun ~uid:_ ~otype ->
+        wdata job.new_log ~otype)
+  in
+  List.iter
+    (fun (uid, a) ->
+      Tables.Ot.add job.ctx.ot uid Tables.Ot.Restored ~kind:Log_entry.Mutex ~vm:a
+        ~src:(Uid.Tbl.find t.mt uid))
+    s.new_mt;
+  job.new_as <- Some s.new_as;
+  (s.cssl, s.in_doubt)
 
 (* Close stage one: the committed_ss goes at the TAIL of the chain (so
    recovery processes it last) and the collected outcome entries are
-   written oldest-first on top of it, preserving backward (newest-first)
-   recovery order. *)
-let close_stage1 job =
-  let css = Log_entry.Committed_ss { cssl = List.rev job.cssl; prev = None } in
+   written on top of it in order. *)
+let close_stage1 job (cssl, chained) =
+  let css = Log_entry.Committed_ss { cssl; prev = None } in
   let head = ref (Log_entry.write job.new_log css) in
   List.iter
     (fun entry ->
       let entry = Log_entry.with_prev entry (Some !head) in
       head := Log_entry.write job.new_log entry)
-    (List.rev job.chained);
-  job.new_head <- Some !head;
+    chained;
   job.carry_head <- Some !head
 
 (* Stage two (§5.1.1, shared by both techniques): carry one post-marker
@@ -524,37 +405,32 @@ let carry_one (job : job) oaddr =
           (fun (uid, oa) ->
             match Log_entry.read_data job.old_log oa with
             | Log_entry.Atomic, version ->
-                Some (uid, wdata job ~otype:Log_entry.Atomic version)
-            | Log_entry.Mutex, version ->
-                if
-                  match Uid.Tbl.find_opt job.hk_ot uid with
-                  | Some e when oa < e.old_src -> false
-                  | Some e ->
-                      e.old_src <- oa;
-                      true
-                  | None ->
-                      Uid.Tbl.replace job.hk_ot uid { hstate = `Restored; old_src = oa };
-                      true
-                then begin
-                  let a = wdata job ~otype:Log_entry.Mutex version in
-                  Uid.Tbl.replace job.new_mt uid a;
-                  Some (uid, a)
-                end
-                else None)
+                Some (uid, wdata job.new_log ~otype:Log_entry.Atomic version)
+            | Log_entry.Mutex, version -> (
+                match Tables.Ot.find job.ctx.ot uid with
+                | Some e when oa < e.src -> None
+                | Some _ | None ->
+                    let a = wdata job.new_log ~otype:Log_entry.Mutex version in
+                    Tables.Ot.add job.ctx.ot uid Tables.Ot.Restored ~kind:Log_entry.Mutex ~vm:a
+                      ~src:oa;
+                    Some (uid, a)))
           pairs
       in
       emit (Log_entry.Prepared { aid; pairs = Some newlist; prev = None })
-  | Log_entry.Committed { aid; _ } -> emit (Log_entry.Committed { aid; prev = None })
-  | Log_entry.Aborted { aid; _ } -> emit (Log_entry.Aborted { aid; prev = None })
-  | Log_entry.Committing { aid; gids; _ } ->
-      emit (Log_entry.Committing { aid; gids; prev = None })
-  | Log_entry.Done { aid; _ } -> emit (Log_entry.Done { aid; prev = None })
-  | Log_entry.Base_committed { uid; version; _ } ->
-      emit (Log_entry.Base_committed { uid; version; prev = None })
-  | Log_entry.Prepared_data { uid; version; aid; _ } ->
-      emit (Log_entry.Prepared_data { uid; version; aid; prev = None })
+  | ( Log_entry.Committed _ | Log_entry.Aborted _ | Log_entry.Committing _ | Log_entry.Done _
+    | Log_entry.Base_committed _ | Log_entry.Prepared_data _ ) as entry ->
+      emit entry
   | Log_entry.Committed_ss _ -> failwith "Hybrid_rs: committed_ss in the OEL"
   | Log_entry.Data _ -> failwith "Hybrid_rs: data entry in the OEL"
+
+(* Carry up to [n] more OEL entries to the new log. *)
+let carry job n =
+  let k = ref 0 in
+  while !k < n && job.carried < Vec.length job.oel do
+    carry_one job (Vec.get job.oel job.carried);
+    job.carried <- job.carried + 1;
+    incr k
+  done
 
 let technique_name = function Compaction -> "compaction" | Snapshot -> "snapshot"
 
@@ -563,19 +439,17 @@ let housekeeping_active (t : t) = t.oel <> None
 let hk_start (t : t) technique =
   if t.oel <> None then invalid_arg "Hybrid_rs.hk_start: already in progress";
   let oel = Vec.create () in
+  let new_log = Log_dir.begin_new t.dir in
+  let cssl = Vec.create () and chained = Vec.create () in
   let job =
     {
       technique;
       old_log = t.log;
-      new_log = Log_dir.begin_new t.dir;
+      new_log;
       oel;
-      hk_ot = Uid.Tbl.create 64;
-      new_mt = Uid.Tbl.create 16;
-      pt = Tables.Pt.create ();
-      ct = Tables.Ct.create ();
-      cssl = [];
-      chained = [];
-      new_head = None;
+      ctx = Restore.create (new_log_output ~new_log ~cssl ~chained);
+      cssl;
+      chained;
       new_as = None;
       cursor = t.last_outcome;
       stage = Walk;
@@ -585,11 +459,6 @@ let hk_start (t : t) technique =
   in
   t.oel <- Some oel;
   job
-
-let check_current fn (t : t) (job : job) =
-  match t.oel with
-  | Some v when v == job.oel -> ()
-  | Some _ | None -> invalid_arg ("Hybrid_rs." ^ fn ^ ": stale job")
 
 (* Close out the checkpoint: settle the force scheduler against the old
    log, drain the OEL tail, rewrite in-flight data entries, then force
@@ -601,26 +470,22 @@ let hk_finalize (t : t) (job : job) =
      durability callbacks may start fresh work; it still lands on the old
      log — t.log is untouched until the switch — and is drained below. *)
   Fsched.set_log t.sched job.new_log;
-  while job.carried < Vec.length job.oel do
-    carry_one job (Vec.get job.oel job.carried);
-    job.carried <- job.carried + 1
-  done;
+  carry job max_int;
   (* Data entries of in-flight, still-unprepared actions are not lost:
-     rewrite them to the new log (§5.1.1, last paragraph). *)
-  Aid.Tbl.iter
-    (fun _aid tbl ->
-      let rewrites =
-        Uid.Tbl.fold (fun uid oa acc -> (uid, oa) :: acc) tbl []
-        |> List.sort (fun (_, a) (_, b) -> compare a b)
-      in
-      List.iter
-        (fun (uid, oa) ->
-          let otype, version = Log_entry.read_data job.old_log oa in
-          let a = wdata job ~otype version in
-          Uid.Tbl.replace tbl uid a;
-          if otype = Log_entry.Mutex then Uid.Tbl.replace job.new_mt uid a)
-        rewrites)
-    t.pending;
+     rewrite them to the new log (§5.1.1, last paragraph), oldest first
+     across actions, so rewritten mutex versions keep their address order.
+     A mutex version older than the MT's prepared one can never win
+     recovery; it is dropped instead of rewritten above it. *)
+  Aid.Tbl.fold
+    (fun _aid tbl acc -> Uid.Tbl.fold (fun uid (oa, otype) acc -> (oa, otype, uid, tbl) :: acc) tbl acc)
+    t.pending []
+  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
+  |> List.iter (fun (oa, otype, uid, tbl) ->
+         match (otype, Uid.Tbl.find_opt t.mt uid) with
+         | Log_entry.Mutex, Some b when b > oa -> Uid.Tbl.remove tbl uid
+         | (Log_entry.Mutex | Log_entry.Atomic), _ ->
+                let _, version = Log_entry.read_data job.old_log oa in
+             Uid.Tbl.replace tbl uid (wdata job.new_log ~otype version, otype));
   Log.force job.new_log;
   (* The checkpoint supersedes the whole old stream: everything below its
      end is dead to recovery, so the switch can retire every old segment. *)
@@ -629,7 +494,9 @@ let hk_finalize (t : t) (job : job) =
   t.last_outcome <- job.carry_head;
   t.oel <- None;
   Uid.Tbl.reset t.mt;
-  Uid.Tbl.iter (fun u a -> Uid.Tbl.replace t.mt u a) job.new_mt;
+  List.iter
+    (fun (u, (e : Tables.Ot.entry)) -> if e.kind = Log_entry.Mutex then Uid.Tbl.replace t.mt u e.vm)
+    (Tables.Ot.to_list job.ctx.ot);
   (match job.new_as with
   | Some new_as -> t.acc <- Uid.Set.inter t.acc new_as
   | None -> ());
@@ -646,7 +513,9 @@ let hk_finalize (t : t) (job : job) =
    walked or OEL entries carried. Returns [true] once the checkpoint has
    completed (the log switch happened inside the final slice). *)
 let hk_step (t : t) (job : job) ~budget =
-  check_current "hk_step" t job;
+  (match t.oel with
+  | Some v when v == job.oel -> ()
+  | Some _ | None -> invalid_arg "Hybrid_rs.hk_step: stale job");
   let budget = max 1 budget in
   (match job.stage with
   | Walk -> (
@@ -654,8 +523,7 @@ let hk_step (t : t) (job : job) ~budget =
       | Snapshot ->
           (* The heap traversal reads live volatile state, so it cannot
              be sliced against concurrent mutation: one atomic step. *)
-          snapshot_stage1 t job;
-          close_stage1 job;
+          close_stage1 job (snapshot_stage1 t job);
           job.stage <- Carry
       | Compaction ->
           let n = ref 0 in
@@ -664,16 +532,11 @@ let hk_step (t : t) (job : job) ~budget =
             incr n
           done;
           if job.cursor = None then begin
-            close_stage1 job;
+            close_stage1 job (Vec.to_list job.cssl, Vec.to_list job.chained);
             job.stage <- Carry
           end)
   | Carry ->
-      let n = ref 0 in
-      while !n < budget && job.carried < Vec.length job.oel do
-        carry_one job (Vec.get job.oel job.carried);
-        job.carried <- job.carried + 1;
-        incr n
-      done;
+      carry job budget;
       if job.carried >= Vec.length job.oel then hk_finalize t job
   | Finished -> ());
   job.stage = Finished

@@ -246,10 +246,7 @@ let recover old =
     | None -> failwith "Shadow_rs.recover: empty map area"
     | Some a -> decode_map (Log.read mlog a)
   in
-  let fetch daddr () =
-    ctx.Restore.processed <- ctx.Restore.processed + 1;
-    Log_entry.read_data vlog daddr
-  in
+  let read_data = Log_entry.read_data vlog in
   (* Pairs of in-flight prepared records, remembered so that the map and
      the pending sets can be rebuilt once final action states are known. *)
   let seen_prepared : (Aid.t * (Uid.t * addr) list) list ref = ref [] in
@@ -260,32 +257,22 @@ let recover old =
   | None -> ()
   | Some top ->
       Seq.iter
-        (fun (_, raw) ->
+        (fun (a, raw) ->
           ctx.Restore.processed <- ctx.Restore.processed + 1;
-          match Log_entry.decode raw with
+          let entry = Log_entry.decode raw in
+          (match entry with
           | Log_entry.Prepared { aid; pairs; _ } ->
-              Restore.on_prepared ctx aid;
-              let pairs = Option.value pairs ~default:[] in
-              seen_prepared := (aid, pairs) :: !seen_prepared;
-              List.iter
-                (fun (uid, daddr) ->
-                  Restore.on_data ctx ~uid ~aid:(Some aid) ~src:daddr ~fetch:(fetch daddr))
-                pairs
-          | Log_entry.Committed { aid; _ } -> Restore.on_committed ctx aid
-          | Log_entry.Aborted { aid; _ } -> Restore.on_aborted ctx aid
-          | Log_entry.Committing { aid; gids; _ } -> Restore.on_committing ctx aid gids
-          | Log_entry.Done { aid; _ } -> Restore.on_done ctx aid
-          | Log_entry.Committed_ss { cssl; _ } ->
-              seen_bc := cssl @ !seen_bc;
-              Restore.on_committed_ss ctx ~pairs:cssl ~fetch:(fun daddr -> fetch daddr ())
+              seen_prepared := (aid, Option.value pairs ~default:[]) :: !seen_prepared
+          | Log_entry.Committed_ss { cssl; _ } -> seen_bc := cssl @ !seen_bc
+          | Log_entry.Committed _ | Log_entry.Aborted _ | Log_entry.Committing _ | Log_entry.Done _ -> ()
           | Log_entry.Base_committed _ | Log_entry.Prepared_data _ | Log_entry.Data _ ->
-              failwith "Shadow_rs.recover: unexpected entry in the in-flight log")
+              failwith "Shadow_rs.recover: unexpected entry in the in-flight log");
+          Restore.replay ctx ~read_data a entry)
         (Log.read_backward ilog top));
-  (* Then the map: the committed stable state, like a committed_ss. *)
-  Restore.on_committed_ss ctx
-    ~pairs:(List.map (fun (u, a, _) -> (u, a)) map_entries)
-    ~fetch:(fun daddr -> fetch daddr ());
-  let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) ~aid_gen:None in
+  (* Then the map: the committed stable state, replayed as a committed_ss. *)
+  Restore.replay ctx ~read_data (-1)
+    (Log_entry.Committed_ss { cssl = List.map (fun (u, a, _) -> (u, a)) map_entries; prev = None });
+  let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) in
   Trace.emit
     (Trace.Recovery_scan
        { system = "shadow"; entries = info.Tables.Recovery_info.entries_processed });
@@ -316,7 +303,7 @@ let recover old =
      - mutex pairs survive even for aborted actions (§2.4.2);
      - pairs of still-prepared actions are re-installed as pending, so a
        commit after recovery installs them in the map. *)
-  let otype_of daddr = fst (Log_entry.read_data vlog daddr) in
+  let otype_of daddr = fst (read_data daddr) in
   let stale = ref false in
   let install u entry =
     match Uid.Tbl.find_opt t.map u with

@@ -2,7 +2,6 @@ module Uid = Rs_util.Uid
 module Aid = Rs_util.Aid
 module Gid = Rs_util.Gid
 module Heap = Rs_objstore.Heap
-module Flatten = Rs_objstore.Flatten
 module Log = Rs_slog.Stable_log
 module Log_dir = Rs_slog.Log_dir
 module Fsched = Rs_slog.Force_scheduler
@@ -18,9 +17,7 @@ type job = {
   old_log : Log.t;
   new_log : Log.t;
   marker : Log.addr;
-  new_mt : Log.addr Uid.Tbl.t;
-  mutable new_as : Uid.Set.t;
-  mutable walked : bool;
+  mutable walked : Write_objects.snapshot option;
 }
 
 type t = {
@@ -83,14 +80,12 @@ let sink_for t aid : Write_objects.sink =
 (* Table updates precede the forced append so a synchronous [on_durable]
    callback observes the action's state transition. *)
 let prepare ?on_durable t aid mos =
-  let leftovers =
-    Write_objects.write_mos ~heap:t.heap
-      ~accessible:(fun u -> Uid.Set.mem u t.acc)
-      ~add_accessible:(fun u -> t.acc <- Uid.Set.add u t.acc)
-      ~prepared:(fun a -> Aid.Tbl.mem t.pat a)
-      ~aid ~mos ~sink:(sink_for t aid)
-  in
-  ignore leftovers;
+  ignore
+    (Write_objects.write_mos ~heap:t.heap
+       ~accessible:(fun u -> Uid.Set.mem u t.acc)
+       ~add_accessible:(fun u -> t.acc <- Uid.Set.add u t.acc)
+       ~prepared:(fun a -> Aid.Tbl.mem t.pat a)
+       ~aid ~mos ~sink:(sink_for t aid));
   Aid.Tbl.replace t.pat aid ();
   force_append ?on_durable t (Log_entry.Prepared { aid; pairs = None; prev = None })
 
@@ -128,38 +123,16 @@ let recover dir =
       Seq.iter
         (fun (addr, raw) ->
           ctx.Restore.processed <- ctx.Restore.processed + 1;
-          match Log_entry.decode raw with
-          | Log_entry.Prepared { aid; _ } -> Restore.on_prepared ctx aid
-          | Log_entry.Committed { aid; _ } -> Restore.on_committed ctx aid
-          | Log_entry.Aborted { aid; _ } -> Restore.on_aborted ctx aid
-          | Log_entry.Committing { aid; gids; _ } -> Restore.on_committing ctx aid gids
-          | Log_entry.Done { aid; _ } -> Restore.on_done ctx aid
-          | Log_entry.Base_committed { uid; version; _ } ->
-              Restore.on_base_committed ctx ~uid version
-          | Log_entry.Prepared_data { uid; version; aid; _ } ->
-              Restore.on_prepared_data ctx ~uid ~aid version
-          | Log_entry.Data { uid; otype; aid; version } -> (
-              match uid with
-              | None -> () (* snapshot data entry: reachable through the CSSL *)
-              | Some uid ->
-                  Restore.on_data ctx ~uid ~aid ~src:addr ~fetch:(fun () -> (otype, version)))
-          | Log_entry.Committed_ss { cssl; _ } ->
-              Restore.on_committed_ss ctx ~pairs:cssl ~fetch:(fun a ->
-                  ctx.Restore.processed <- ctx.Restore.processed + 1;
-                  Log_entry.read_data log a))
+          Restore.replay ctx ~read_data:(Log_entry.read_data log) addr (Log_entry.decode raw))
         (Log.read_backward log top));
-  let ot_entries = Tables.Ot.to_list ctx.Restore.ot in
-  let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) ~aid_gen:None in
+  let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) in
   Metrics.incr ~by:info.Tables.Recovery_info.entries_processed m_recovery_entries;
   Trace.emit
     (Trace.Recovery_scan
        { system = "simple"; entries = info.Tables.Recovery_info.entries_processed });
   let acc = Uid.Set.add Uid.stable_vars (Heap.reachable_uids heap) in
   let t = { (create heap dir) with acc } in
-  List.iter
-    (fun (uid, (e : Tables.Ot.entry)) ->
-      if e.src >= 0 && Heap.kind_of heap e.vm = Heap.Mutex then Uid.Tbl.replace t.mt uid e.src)
-    ot_entries;
+  List.iter (fun (uid, a) -> Uid.Tbl.replace t.mt uid a) (Tables.Ot.mutexes ctx.Restore.ot);
   List.iter (fun aid -> Aid.Tbl.replace t.pat aid ()) (Tables.Recovery_info.prepared_actions info);
   List.iter
     (fun (aid, gids) -> Aid.Tbl.replace t.committing_active aid gids)
@@ -178,83 +151,42 @@ let hk_start t =
   if housekeeping_active t then invalid_arg "Simple_rs.hk_start: already in progress";
   let marker = Log.end_addr t.log in
   let new_log = Log_dir.begin_new t.dir in
-  let job =
-    {
-      old_log = t.log;
-      new_log;
-      marker;
-      new_mt = Uid.Tbl.create 16;
-      new_as = Uid.Set.singleton Uid.stable_vars;
-      walked = false;
-    }
-  in
+  let job = { old_log = t.log; new_log; marker; walked = None } in
   t.job <- Some job;
   job
 
-(* Stage one: copy the stable state from volatile memory into the spare
-   log (data entries + [committed_ss] + entries for prepared actions and
-   committing coordinators). It reads live volatile state, so it is one
-   atomic slice. *)
+(* Stage one: the stable-state walk into the spare log — data entries,
+   [committed_ss], and entries for prepared actions and committing
+   coordinators. It reads live volatile state, so it is one atomic
+   slice. *)
 let walk t job =
-  let cssl = ref [] in
-  let pds = ref [] in
-  let write entry = Log_entry.write job.new_log entry in
-  let wdata ~uid ~otype version =
-    write (Log_entry.Data { uid = Some uid; otype; aid = None; version })
+  let write entry = ignore (Log_entry.write job.new_log entry) in
+  let s =
+    Write_objects.snapshot ~heap:t.heap ~old_log:job.old_log ~mt:t.mt ~pat:t.pat
+      ~committing:t.committing_active ~prepared_pairs:None ~write_data:(fun ~uid ~otype version ->
+        Log_entry.write job.new_log (Log_entry.Data { uid = Some uid; otype; aid = None; version }))
   in
-  let flatten v = Flatten.flatten t.heap v in
-  Heap.iter_reachable t.heap (fun a ->
-      match Heap.kind_of t.heap a with
-      | Heap.Regular | Heap.Placeholder -> ()
-      | Heap.Atomic -> (
-          let uid = Option.get (Heap.uid_of t.heap a) in
-          job.new_as <- Uid.Set.add uid job.new_as;
-          let view = Heap.atomic_view t.heap a in
-          cssl := (uid, wdata ~uid ~otype:Log_entry.Atomic (flatten view.base)) :: !cssl;
-          match (view.lock, view.cur) with
-          | Heap.Write w, Some cur when Aid.Tbl.mem t.pat w ->
-              pds :=
-                Log_entry.Prepared_data { uid; version = flatten cur; aid = w; prev = None }
-                :: !pds
-          | (Heap.Write _ | Heap.Read _ | Heap.Free), _ -> ())
-      | Heap.Mutex -> (
-          let uid = Option.get (Heap.uid_of t.heap a) in
-          job.new_as <- Uid.Set.add uid job.new_as;
-          match Uid.Tbl.find_opt t.mt uid with
-          | Some oaddr -> (
-              match Log_entry.read_data job.old_log oaddr with
-              | Log_entry.Mutex, version ->
-                  let na = wdata ~uid ~otype:Log_entry.Mutex version in
-                  cssl := (uid, na) :: !cssl;
-                  Uid.Tbl.replace job.new_mt uid na
-              | Log_entry.Atomic, _ -> failwith "Simple_rs.snapshot: MT points at atomic entry")
-          | None ->
-              (* Newly accessible, still being prepared: its state reaches
-                 the new log via stage two. *)
-              ()));
-  ignore (write (Log_entry.Committed_ss { cssl = List.rev !cssl; prev = None }));
-  List.iter (fun pd -> ignore (write pd)) (List.rev !pds);
-  Aid.Tbl.iter
-    (fun aid () -> ignore (write (Log_entry.Prepared { aid; pairs = None; prev = None })))
-    t.pat;
-  Aid.Tbl.iter
-    (fun aid gids -> ignore (write (Log_entry.Committing { aid; gids; prev = None })))
-    t.committing_active
+  write (Log_entry.Committed_ss { cssl = s.cssl; prev = None });
+  List.iter write s.in_doubt;
+  job.walked <- Some s
 
 (* Stage two: simple-log entries are self-contained; copy the post-marker
    ones verbatim, tracking mutex data entries for the new MT, then force
    and switch logs atomically. *)
-let finalize t job =
+let finalize t job (s : Write_objects.snapshot) =
+  (* Settle tokens awaiting a force of the OLD log before the switch
+     retires it ([set_log] flushes them against it). Their callbacks may
+     write fresh entries; they land on the old log, past the marker, and
+     are copied below. *)
+  Fsched.set_log t.sched job.new_log;
+  Uid.Tbl.reset t.mt;
+  List.iter (fun (uid, a) -> Uid.Tbl.replace t.mt uid a) s.new_mt;
   Seq.iter
     (fun (_, raw) ->
       let a = Log.write job.new_log raw in
       match Log_entry.decode raw with
-      | Log_entry.Data { uid = Some uid; otype = Log_entry.Mutex; _ } ->
-          Uid.Tbl.replace job.new_mt uid a
-      | Log_entry.Data _ | Log_entry.Prepared _ | Log_entry.Committed _
-      | Log_entry.Aborted _ | Log_entry.Committing _ | Log_entry.Done _
-      | Log_entry.Base_committed _ | Log_entry.Prepared_data _ | Log_entry.Committed_ss _ ->
-          ())
+      | Log_entry.Data { uid = Some uid; otype = Log_entry.Mutex; _ } -> Uid.Tbl.replace t.mt uid a
+      | _ -> ())
     (Log.read_forward job.old_log job.marker);
   Log.force job.new_log;
   (* The snapshot plus the post-marker copy supersede the old stream:
@@ -262,13 +194,9 @@ let finalize t job =
   Log_dir.switch ~low_water:(Log.end_addr job.old_log) t.dir;
   t.log <- Log_dir.current t.dir;
   t.job <- None;
-  Fsched.set_log t.sched t.log;
-  Uid.Tbl.reset t.mt;
-  Uid.Tbl.iter (fun u a -> Uid.Tbl.replace t.mt u a) job.new_mt;
-  t.acc <- Uid.Set.inter t.acc job.new_as;
-  (* Tokens awaiting a force were carried by the snapshot (their effects
-     are in the heap traversal or the post-marker copy) and the new log
-     was just forced: settle them now. *)
+  t.acc <- Uid.Set.inter t.acc s.new_as;
+  (* Settle tokens enqueued by the settle-callbacks above: their entries
+     were copied and the new log forced. *)
   Fsched.flush t.sched;
   let entries = Log.entry_count t.log in
   Trace.emit (Trace.Checkpoint { system = "simple"; technique = "snapshot"; entries })
@@ -278,11 +206,7 @@ let hk_step t job ~budget:_ =
   (match t.job with
   | Some j when j == job -> ()
   | Some _ | None -> invalid_arg "Simple_rs.hk_step: stale job");
-  if job.walked then finalize t job
-  else begin
-    walk t job;
-    job.walked <- true
-  end;
+  (match job.walked with Some s -> finalize t job s | None -> walk t job);
   not (housekeeping_active t)
 
 let housekeep t =

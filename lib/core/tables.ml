@@ -43,16 +43,25 @@ end
 module Ot = struct
   type state = Prepared | Restored
 
-  type entry = { mutable state : state; mutable vm : Rs_objstore.Value.addr; mutable src : int }
+  type entry = {
+    mutable state : state;
+    kind : Log_entry.otype;
+    mutable vm : Rs_objstore.Value.addr;
+    mutable src : int;
+  }
+
   type t = entry Uid.Tbl.t
 
   let create () = Uid.Tbl.create 64
   let find t uid = Uid.Tbl.find_opt t uid
-  let add t uid state ~vm ~src = Uid.Tbl.replace t uid { state; vm; src }
+  let add t uid state ~kind ~vm ~src = Uid.Tbl.replace t uid { state; kind; vm; src }
 
   let to_list t =
     Uid.Tbl.fold (fun uid e acc -> (uid, e) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> Uid.compare a b)
+
+  let mutexes t =
+    List.filter_map (fun (uid, e) -> if e.kind = Log_entry.Mutex then Some (uid, e.src) else None) (to_list t)
 
   let max_uid t =
     Uid.Tbl.fold (fun uid _ acc -> if Uid.compare uid acc > 0 then uid else acc) t

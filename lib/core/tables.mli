@@ -29,18 +29,19 @@ module Ct : sig
   val pp_state : Format.formatter -> state -> unit
 end
 
-(** Object table: uid → object state + volatile-memory address. [Prepared]
-    means the current version of a still-prepared action has been copied
-    and the latest committed (base) version is still owed; [Restored] means
-    the object is complete (§3.4.2 scenario 1). For mutex objects [src]
-    holds the log address of the data entry last copied, implementing the
-    early-prepare latest-version rule (§4.4). *)
+(** Object table: uid → object state, kind and where the replay put it.
+    [Prepared] means the current version of a still-prepared action has
+    been copied and the latest committed (base) version is still owed;
+    [Restored] means the object is complete (§3.4.2 scenario 1). For mutex
+    objects [src] holds the log address of the data entry last copied,
+    implementing the early-prepare latest-version rule (§4.4). *)
 module Ot : sig
   type state = Prepared | Restored
 
   type entry = {
     mutable state : state;
-    mutable vm : Rs_objstore.Value.addr;
+    kind : Log_entry.otype;
+    mutable vm : Rs_objstore.Value.addr;  (** the {!Restore.output}'s handle *)
     mutable src : int;  (** log address the version came from; -1 if n/a *)
   }
 
@@ -48,8 +49,15 @@ module Ot : sig
 
   val create : unit -> t
   val find : t -> Rs_util.Uid.t -> entry option
-  val add : t -> Rs_util.Uid.t -> state -> vm:Rs_objstore.Value.addr -> src:int -> unit
+
+  val add :
+    t -> Rs_util.Uid.t -> state -> kind:Log_entry.otype -> vm:Rs_objstore.Value.addr -> src:int -> unit
+
   val to_list : t -> (Rs_util.Uid.t * entry) list
+
+  val mutexes : t -> (Rs_util.Uid.t * int) list
+  (** The MT (§5.2) a replay rebuilt: each mutex object's [src], by uid. *)
+
   val max_uid : t -> Rs_util.Uid.t
   (** Largest uid present ({!Rs_util.Uid.stable_vars} if empty) — the reset
       point for the stable counter (§3.4.4 step 3). *)

@@ -98,3 +98,54 @@ let write_mos ~heap ~accessible ~add_accessible ~prepared ~aid ~mos ~sink =
     (fun a ->
       match Heap.uid_of heap a with None -> false | Some u -> not (accessible u))
     skipped
+
+type snapshot = {
+  cssl : Log_entry.pairs;
+  in_doubt : Log_entry.t list;
+  new_as : Uid.Set.t;
+  new_mt : Log_entry.pairs;
+}
+
+let snapshot ~heap ~old_log ~mt ~pat ~committing ~prepared_pairs ~write_data =
+  let cssl = ref [] and in_doubt = ref [] and new_mt = ref [] in
+  let new_as = ref (Uid.Set.singleton Uid.stable_vars) in
+  let copy ~uid otype version =
+    let a = write_data ~uid ~otype version in
+    cssl := (uid, a) :: !cssl;
+    a
+  in
+  let flatten v = Flatten.flatten heap v in
+  Heap.iter_reachable heap (fun a ->
+      match Heap.kind_of heap a with
+      | Heap.Regular | Heap.Placeholder -> ()
+      | Heap.Atomic -> (
+          let uid = Option.get (Heap.uid_of heap a) in
+          new_as := Uid.Set.add uid !new_as;
+          let view = Heap.atomic_view heap a in
+          ignore (copy ~uid Log_entry.Atomic (flatten view.base));
+          match (view.lock, view.cur) with
+          | Heap.Write w, Some cur when Aid.Tbl.mem pat w ->
+              in_doubt :=
+                Log_entry.Prepared_data { uid; version = flatten cur; aid = w; prev = None }
+                :: !in_doubt
+          | (Heap.Write _ | Heap.Read _ | Heap.Free), _ -> ())
+      | Heap.Mutex -> (
+          let uid = Option.get (Heap.uid_of heap a) in
+          new_as := Uid.Set.add uid !new_as;
+          match Uid.Tbl.find_opt mt uid with
+          | Some oaddr -> (
+              match Log_entry.read_data old_log oaddr with
+              | Log_entry.Mutex, version ->
+                  new_mt := (uid, copy ~uid Log_entry.Mutex version) :: !new_mt
+              | Log_entry.Atomic, _ -> failwith "Write_objects.snapshot: MT points at an atomic entry")
+          | None -> () (* newly accessible and still being prepared: carried after the marker *)));
+  (* PT status of prepared actions and CT status of committing
+     coordinators is invisible to the heap traversal; emit it explicitly
+     (an oversight in §5.2 that compaction does not share). *)
+  Aid.Tbl.iter
+    (fun aid () -> in_doubt := Log_entry.Prepared { aid; pairs = prepared_pairs; prev = None } :: !in_doubt)
+    pat;
+  Aid.Tbl.iter
+    (fun aid gids -> in_doubt := Log_entry.Committing { aid; gids; prev = None } :: !in_doubt)
+    committing;
+  { cssl = List.rev !cssl; in_doubt = List.rev !in_doubt; new_as = !new_as; new_mt = List.rev !new_mt }

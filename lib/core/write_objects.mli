@@ -38,3 +38,29 @@ val write_mos :
   Rs_objstore.Value.addr list
 (** Returns the MOS members that were inaccessible and therefore not
     written (empty when called at prepare time on a consistent state). *)
+
+(** {1 The stable-state snapshot walk (§5.2)} *)
+
+type snapshot = {
+  cssl : Log_entry.pairs;  (** every copied version, in write order *)
+  in_doubt : Log_entry.t list;
+      (** [Prepared_data], [Prepared] and [Committing] entries to write
+          after the [committed_ss], in order *)
+  new_as : Rs_util.Uid.Set.t;
+  new_mt : Log_entry.pairs;  (** each copied mutex's new data entry *)
+}
+
+val snapshot :
+  heap:Rs_objstore.Heap.t ->
+  old_log:Rs_slog.Stable_log.t ->
+  mt:Log_entry.addr Rs_util.Uid.Tbl.t ->
+  pat:unit Rs_util.Aid.Tbl.t ->
+  committing:Rs_util.Gid.t list Rs_util.Aid.Tbl.t ->
+  prepared_pairs:Log_entry.pairs option ->
+  write_data:(uid:Rs_util.Uid.t -> otype:Log_entry.otype -> Rs_objstore.Fvalue.t -> Log_entry.addr) ->
+  snapshot
+(** The one walk both logs snapshot with: each reachable atomic object's
+    base, and each reachable mutex's version at its [mt] address in
+    [old_log], written through the log's own [write_data]. [pat] and
+    [committing] are the prepared actions and committing coordinators;
+    [prepared_pairs] fills the log's [Prepared] entries. *)

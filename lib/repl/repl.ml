@@ -256,7 +256,7 @@ module Replica = struct
       t.committed []
     |> List.sort (fun (a, _) (b, _) -> Uid.compare a b)
     |> List.iter (fun (uid, v) -> Restore.on_base_committed ctx ~uid v);
-    let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) ~aid_gen:None in
+    let info = Restore.finish ctx ~uid_gen:(Heap.uid_gen heap) in
     let mutexes =
       Uid.Tbl.fold (fun u a acc -> (u, a) :: acc) t.mutexes []
       |> List.sort (fun (a, _) (b, _) -> Uid.compare a b)

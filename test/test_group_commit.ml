@@ -216,6 +216,24 @@ let test_crash_before_flush () =
   Alcotest.(check (array int)) "acknowledged effects survive" [| 1; 1 |]
     (Synth.counters t'')
 
+(* A checkpoint taken while group-commit tokens are outstanding settles
+   them against the old log before the switch retires it, on both logs:
+   the action is acknowledged and its effects survive a crash. *)
+let test_snapshot_settles_tokens make () =
+  let scheme = make () in
+  let t = Synth.create ~seed:5 ~scheme ~n_objects:4 () in
+  let sched = Option.get (Scheme.scheduler scheme) in
+  Fsched.configure sched ~window:10.0 ~timer:(Some (fun ~delay:_ _ -> ()));
+  let done_ = ref false in
+  Synth.run_action_async t ~indices:[ 0; 1 ] ~outcome:`Commit
+    ~on_done:(fun () -> done_ := true);
+  Alcotest.(check int) "one token pending" 1 (Fsched.pending sched);
+  Scheme.housekeep scheme Scheme.Snapshot;
+  Alcotest.(check bool) "acknowledged by the checkpoint" true !done_;
+  Alcotest.(check int) "nothing pending" 0 (Fsched.pending sched);
+  let t', _ = Synth.crash_recover t in
+  Alcotest.(check (array int)) "effects survive" [| 1; 1; 0; 0 |] (Synth.counters t')
+
 let suite =
   [
     Alcotest.test_case "batch coalescing: N writers, one force" `Quick test_coalescing;
@@ -230,4 +248,8 @@ let suite =
     Alcotest.test_case "hybrid: concurrent actions share forces" `Quick
       test_hybrid_batches_actions;
     Alcotest.test_case "crash before flush: presumed abort" `Quick test_crash_before_flush;
+    Alcotest.test_case "simple: snapshot settles outstanding tokens" `Quick
+      (test_snapshot_settles_tokens (fun () -> Scheme.simple ()));
+    Alcotest.test_case "hybrid: snapshot settles outstanding tokens" `Quick
+      (test_snapshot_settles_tokens (fun () -> Scheme.hybrid ()));
   ]

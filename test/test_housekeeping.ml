@@ -613,6 +613,393 @@ let test_simple_hk_guards () =
   let rs', _ = S.recover dir in
   Alcotest.(check int) "x" 7 (stable_int (S.heap rs') "x")
 
+(* --- Checkpoint histories: one script over either log --------------- *)
+
+(* The recovery-system operations a history drives, over either log. The
+   simple log has no early prepare: [early] writes nothing and hands the
+   whole MOS back for the eventual prepare. *)
+type system = {
+  heap : Heap.t;
+  prepare : Aid.t -> Value.addr list -> unit;
+  early : Aid.t -> Value.addr list -> Value.addr list;
+  commit : Aid.t -> unit;
+  abort : Aid.t -> unit;
+  committing : Aid.t -> Gid.t list -> unit;
+  done_ : Aid.t -> unit;
+  checkpoint : unit -> int -> bool;  (** start one; the result runs a slice of [budget] *)
+  log : unit -> Log.t;
+  recover : unit -> Heap.t * Core.Tables.Recovery_info.t;
+}
+
+type log_kind = Hybrid of Rs.technique | Simple
+
+let system kind =
+  let heap = Heap.create () in
+  let dir = Log_dir.create ~page_size:256 () in
+  match kind with
+  | Hybrid technique ->
+      let rs = Rs.create heap dir in
+      {
+        heap;
+        prepare = Rs.prepare rs;
+        early = Rs.write_entry rs;
+        commit = Rs.commit rs;
+        abort = Rs.abort rs;
+        committing = Rs.committing rs;
+        done_ = Rs.done_ rs;
+        checkpoint =
+          (fun () ->
+            let job = Rs.hk_start rs technique in
+            fun budget -> Rs.hk_step rs job ~budget);
+        log = (fun () -> Rs.log rs);
+        recover =
+          (fun () ->
+            let rs, info = Rs.recover dir in
+            (Rs.heap rs, info));
+      }
+  | Simple ->
+      let module S = Core.Simple_rs in
+      let rs = S.create heap dir in
+      {
+        heap;
+        prepare = S.prepare rs;
+        early = (fun _ mos -> mos);
+        commit = S.commit rs;
+        abort = S.abort rs;
+        committing = S.committing rs;
+        done_ = S.done_ rs;
+        checkpoint =
+          (fun () ->
+            let job = S.hk_start rs in
+            fun budget -> S.hk_step rs job ~budget);
+        log = (fun () -> S.log rs);
+        recover =
+          (fun () ->
+            let rs, info = S.recover dir in
+            (S.heap rs, info));
+      }
+
+(* Writes name stable variables by index: atomic "a0".."a3" and mutex
+   "m0", "m1". Writes to an atomic object another open action holds are
+   skipped, so no history blocks. *)
+type op =
+  | Commit of int list * int list  (** atomic and mutex writes; prepare; commit *)
+  | Abort of int list * int list  (** prepare, then abort *)
+  | Early of int list * int list  (** early prepare (§4.4); the action stays open *)
+  | Finish of bool  (** prepare the oldest open early action; commit if true, else abort *)
+  | In_doubt of int list * int list  (** prepare and never decide *)
+  | Committing  (** a coordinator enters phase two *)
+  | Done  (** the oldest committing coordinator finishes *)
+  | Adopt
+      (** a prepared action's version of an inaccessible object becomes
+          accessible: a [Base_committed] and a [Prepared_data] entry *)
+
+let pp_ints = Fmt.(brackets (list ~sep:semi int))
+
+let pp_op ppf = function
+  | Commit (a, m) -> Fmt.pf ppf "Commit (%a, %a)" pp_ints a pp_ints m
+  | Abort (a, m) -> Fmt.pf ppf "Abort (%a, %a)" pp_ints a pp_ints m
+  | Early (a, m) -> Fmt.pf ppf "Early (%a, %a)" pp_ints a pp_ints m
+  | Finish c -> Fmt.pf ppf "Finish %b" c
+  | In_doubt (a, m) -> Fmt.pf ppf "In_doubt (%a, %a)" pp_ints a pp_ints m
+  | Committing -> Fmt.string ppf "Committing"
+  | Done -> Fmt.string ppf "Done"
+  | Adopt -> Fmt.string ppf "Adopt"
+
+type run = {
+  sys : system;
+  mutable seq : int;  (** next action number; also the next value written *)
+  atomics : Value.addr array;
+  mutexes : Value.addr array;
+  mutable open_ : (Aid.t * Value.addr list) list;  (** early actions, oldest first, with MOS′ *)
+  mutable coords : Aid.t list;  (** committing coordinators, oldest first *)
+  mutable adopted : int;
+}
+
+let fresh_aid r =
+  r.seq <- r.seq + 1;
+  aid r.seq
+
+let write r t (atomics, mutexes) =
+  let heap = r.sys.heap in
+  List.iter
+    (fun i ->
+      let a = r.atomics.(i) in
+      match Heap.writer_of heap a with
+      | Some w when not (Aid.equal w t) -> ()
+      | Some _ | None -> Heap.set_current heap t a (Value.Int r.seq))
+    atomics;
+  List.iter
+    (fun i ->
+      let m = r.mutexes.(i) in
+      ignore (Heap.seize heap t m);
+      Heap.set_mutex heap t m (Value.Int r.seq);
+      Heap.release heap t m)
+    mutexes
+
+let decide r t commit =
+  if commit then begin
+    r.sys.commit t;
+    Heap.commit_action r.sys.heap t
+  end
+  else begin
+    r.sys.abort t;
+    Heap.abort_action r.sys.heap t
+  end
+
+let start kind =
+  let sys = system kind in
+  let heap = sys.heap in
+  let t = aid 1 in
+  let atomics =
+    Array.init 4 (fun i ->
+        let a = Heap.alloc_atomic heap ~creator:t (Value.Int i) in
+        Heap.set_stable_var heap t (Printf.sprintf "a%d" i) (Value.Ref a);
+        a)
+  in
+  let mutexes =
+    Array.init 2 (fun i ->
+        let m = Heap.alloc_mutex heap (Value.Int (10 + i)) in
+        Heap.set_stable_var heap t (Printf.sprintf "m%d" i) (Value.Ref m);
+        m)
+  in
+  sys.prepare t (Heap.mos heap t);
+  sys.commit t;
+  Heap.commit_action heap t;
+  { sys; seq = 1; atomics; mutexes; open_ = []; coords = []; adopted = 0 }
+
+let apply r op =
+  let heap = r.sys.heap in
+  match op with
+  | Commit (a, m) | Abort (a, m) ->
+      let t = fresh_aid r in
+      write r t (a, m);
+      r.sys.prepare t (Heap.mos heap t);
+      decide r t (match op with Commit _ -> true | _ -> false)
+  | Early (a, m) ->
+      let t = fresh_aid r in
+      write r t (a, m);
+      r.open_ <- r.open_ @ [ (t, r.sys.early t (Heap.mos heap t)) ]
+  | Finish commit -> (
+      match r.open_ with
+      | [] -> ()
+      | (t, leftovers) :: rest ->
+          r.open_ <- rest;
+          r.sys.prepare t leftovers;
+          decide r t commit)
+  | In_doubt (a, m) ->
+      let t = fresh_aid r in
+      write r t (a, m);
+      r.sys.prepare t (Heap.mos heap t)
+  | Committing ->
+      let t = fresh_aid r in
+      r.sys.committing t [ Gid.of_int 1; Gid.of_int 2 ];
+      r.coords <- r.coords @ [ t ]
+  | Done -> (
+      match r.coords with
+      | [] -> ()
+      | t :: rest ->
+          r.coords <- rest;
+          r.sys.done_ t)
+  | Adopt ->
+      (* C creates an object nothing references; P prepares a new version
+         of it (skipped: inaccessible); Q links it and commits. *)
+      let c = fresh_aid r in
+      let o = Heap.alloc_atomic heap ~creator:c (Value.Int r.seq) in
+      Heap.commit_action heap c;
+      let p = fresh_aid r in
+      Heap.set_current heap p o (Value.Int r.seq);
+      r.sys.prepare p (Heap.mos heap p);
+      let q = fresh_aid r in
+      Heap.set_stable_var heap q (Printf.sprintf "h%d" r.adopted) (Value.Ref o);
+      r.adopted <- r.adopted + 1;
+      r.sys.prepare q (Heap.mos heap q);
+      decide r q true
+
+(* The [k]th commit run between two checkpoint slices. *)
+let between k = Commit ([ k mod 4 ], [ k mod 2 ])
+
+(* Checkpoint with slices of [budget], committing between the first few
+   slices (each commit adds two entries to carry, so with no cap a budget
+   of 1 never catches up); returns how many commits ran between them. *)
+let checkpoint r ~budget =
+  let step = r.sys.checkpoint () in
+  let n = ref 0 in
+  while not (step budget) do
+    if !n < 3 then begin
+      apply r (between !n);
+      incr n
+    end
+  done;
+  !n
+
+(* What recovery rebuilt: every stable variable's object (base, current
+   version and its writer; or mutex value), the prepared actions and the
+   committing coordinators. *)
+let image (heap, info) =
+  let show v = Fmt.str "%a" Value.pp v in
+  let obj name =
+    match Heap.get_stable_var heap name with
+    | Some (Value.Ref a) -> (
+        match Heap.kind_of heap a with
+        | Heap.Mutex -> Fmt.str "%s=mutex %s" name (show (Heap.mutex_value heap a))
+        | Heap.Atomic | Heap.Regular | Heap.Placeholder ->
+            let v = Heap.atomic_view heap a in
+            Fmt.str "%s=%s cur=%s by %s" name (show v.base)
+              (Option.fold ~none:"-" ~some:show v.cur)
+              (Option.fold ~none:"-" ~some:(Fmt.str "%a" Aid.pp) (Heap.writer_of heap a)))
+    | Some v -> Fmt.str "%s=%s" name (show v)
+    | None -> name ^ " unbound"
+  in
+  List.map obj (List.sort compare (Heap.stable_var_names heap))
+  @ List.map (Fmt.str "prepared %a" Aid.pp) (Core.Tables.Recovery_info.prepared_actions info)
+  @ List.map
+      (fun (a, gids) -> Fmt.str "committing %a %a" Aid.pp a Fmt.(list Gid.pp) gids)
+      (Core.Tables.Recovery_info.committing_actions info)
+
+(* A fixed history with every entry kind a checkpoint rewrites: atomic and
+   mutex objects, early prepares whose data entries precede newer mutex
+   versions, an abort, a prepared version adopted through a
+   [Prepared_data] entry, an in-doubt action, committing coordinators (one
+   done), and an early action still open across the checkpoint. *)
+let golden_history =
+  [
+    Commit ([ 0; 1 ], [ 0 ]);
+    Commit ([ 2 ], [ 1 ]);
+    Commit ([ 0; 3 ], []);
+    Early ([ 1 ], [ 0 ]);
+    Early ([ 2 ], [ 0; 1 ]);
+    Commit ([ 0 ], [ 0 ]);
+    Finish true;
+    Finish true;
+    Abort ([ 3 ], [ 1 ]);
+    Adopt;
+    In_doubt ([ 0 ], [ 1 ]);
+    Committing;
+    Committing;
+    Done;
+    Early ([ 3 ], []);
+    Commit ([ 1 ], []);
+  ]
+
+(* The golden history plus an early action still open across the
+   checkpoint with two mutex versions: one a later commit supersedes, one
+   still the newest. *)
+let golden_open_mutex = golden_history @ [ Early ([ 2 ], [ 0; 1 ]); Commit ([], [ 0 ]) ]
+
+(* The new log's forced stream after each checkpoint, pinned: entry count
+   and the CRC-32 of every entry's address and bytes. The checkpoints'
+   output is part of the on-disk contract, so a refactor of the replay or
+   the snapshot walk must reproduce it byte for byte. On the open-mutex
+   history the hybrid log drops the superseded in-flight mutex version
+   and its snapshot copies only prepared mutex versions. *)
+let test_checkpoint_bytes_pinned () =
+  let digest history kind ~budget =
+    let r = start kind in
+    List.iter (apply r) history;
+    let between = checkpoint r ~budget in
+    let log = r.sys.log () in
+    let buf = Buffer.create 4096 in
+    Seq.iter
+      (fun (a, raw) ->
+        Buffer.add_string buf (string_of_int a);
+        Buffer.add_string buf raw)
+      (Log.read_forward log (Log.low_water log));
+    Fmt.str "%d between, %d entries, crc %08lx" between (Log.entry_count log)
+      (Rs_util.Crc32.string (Buffer.contents buf))
+  in
+  List.iter
+    (fun (label, history, kind, budget, want) ->
+      Alcotest.(check string) label want (digest history kind ~budget))
+    [
+      ("hybrid compaction", golden_history, Hybrid Rs.Compaction, max_int, "1 between, 19 entries, crc 72d2317b");
+      ("hybrid compaction, budget 2", golden_history, Hybrid Rs.Compaction, 2, "3 between, 27 entries, crc 8f65d460");
+      ("hybrid snapshot", golden_history, Hybrid Rs.Snapshot, max_int, "1 between, 18 entries, crc 0b4760b6");
+      ("simple snapshot", golden_history, Simple, max_int, "1 between, 17 entries, crc 5ebf3283");
+      ("open mutex: hybrid compaction", golden_open_mutex, Hybrid Rs.Compaction, max_int, "1 between, 20 entries, crc 98376ba1");
+      ("open mutex: hybrid compaction, budget 2", golden_open_mutex, Hybrid Rs.Compaction, 2, "3 between, 26 entries, crc 6802c401");
+      ("open mutex: hybrid snapshot", golden_open_mutex, Hybrid Rs.Snapshot, max_int, "1 between, 20 entries, crc b2ecd49d");
+      ("open mutex: simple snapshot", golden_open_mutex, Simple, max_int, "1 between, 17 entries, crc 818ecbd0");
+    ]
+
+(* An early-prepared mutex version of an action still open at the
+   checkpoint is not yet stable state: a snapshot must not copy it, and
+   once a later commit supersedes it, the in-flight rewrite must not give
+   it an address above the newer version. *)
+let test_open_early_mutex technique () =
+  let m0_after history ~finish =
+    let r = start (Hybrid technique) in
+    List.iter (apply r) history;
+    let step = r.sys.checkpoint () in
+    while not (step max_int) do
+      ()
+    done;
+    if finish then apply r (Finish true);
+    let heap, _ = r.sys.recover () in
+    match Heap.get_stable_var heap "m0" with
+    | Some (Value.Ref m) -> Heap.mutex_value heap m
+    | Some _ | None -> Alcotest.fail "m0 unbound"
+  in
+  Alcotest.check value_testable "never prepared: the initial value" (Value.Int 10)
+    (m0_after [ Early ([], [ 0 ]) ] ~finish:false);
+  Alcotest.check value_testable "superseded early version loses" (Value.Int 3)
+    (m0_after [ Early ([], [ 0 ]); Commit ([], [ 0 ]) ] ~finish:true)
+
+(* A checkpoint does not change what recovery rebuilds: a random history
+   recovered after a checkpoint (with commits between its slices) matches
+   the same history recovered with those commits and no checkpoint. *)
+let gen_history =
+  QCheck.Gen.(
+    let idx n = list_size (int_bound 2) (int_bound (n - 1)) in
+    let op =
+      frequency
+        [
+          (5, map2 (fun a m -> Commit (a, m)) (idx 4) (idx 2));
+          (2, map2 (fun a m -> Abort (a, m)) (idx 4) (idx 2));
+          (2, map2 (fun a m -> Early (a, m)) (idx 4) (idx 2));
+          (2, map (fun c -> Finish c) bool);
+          (1, map2 (fun a m -> In_doubt (a, m)) (idx 4) (idx 2));
+          (1, return Committing);
+          (1, return Done);
+          (1, return Adopt);
+        ]
+    in
+    let kind =
+      oneofl [ Hybrid Rs.Compaction; Hybrid Rs.Snapshot; Simple ]
+    in
+    quad kind (oneofl [ 1; 2; 3; max_int ]) (list_size (int_bound 20) op)
+      (list_size (int_bound 8) op))
+
+let print_history (kind, budget, before, after) =
+  Fmt.str "%s, budget %d: %a | checkpoint | %a"
+    (match kind with
+    | Hybrid Rs.Compaction -> "hybrid compaction"
+    | Hybrid Rs.Snapshot -> "hybrid snapshot"
+    | Simple -> "simple snapshot")
+    budget
+    Fmt.(list ~sep:semi pp_op)
+    before
+    Fmt.(list ~sep:semi pp_op)
+    after
+
+let prop_checkpoint_preserves_recovery =
+  QCheck.Test.make ~name:"a checkpoint does not change what recovery rebuilds" ~count:150
+    (QCheck.make ~print:print_history gen_history)
+    (fun (kind, budget, before, after) ->
+      let with_ckpt = start kind in
+      List.iter (apply with_ckpt) before;
+      let n = checkpoint with_ckpt ~budget in
+      List.iter (apply with_ckpt) after;
+      let without = start kind in
+      List.iter (apply without) before;
+      List.iter (apply without) (List.init n between);
+      List.iter (apply without) after;
+      let want = image (without.sys.recover ()) and got = image (with_ckpt.sys.recover ()) in
+      if want <> got then
+        QCheck.Test.fail_reportf "recovered without a checkpoint:@.%a@.with one:@.%a"
+          Fmt.(list string) want Fmt.(list string) got;
+      true)
+
 let suite =
   with_technique "churn then housekeep" churn_then_housekeep
   @ with_technique "preserves prepared action" test_housekeep_preserves_prepared
@@ -624,6 +1011,7 @@ let suite =
   @ with_technique "crash at segment retirement" test_crash_at_segment_retirement
   @ with_technique "incremental checkpoint slices" test_incremental_slices
   @ with_technique "crash between checkpoint slices" test_incremental_crash_between_slices
+  @ with_technique "open early mutex version across a checkpoint" test_open_early_mutex
   @ [
       Alcotest.test_case "parallel recovery equivalence" `Quick
         test_parallel_recovery_equivalence;
@@ -641,4 +1029,6 @@ let suite =
       Alcotest.test_case "simple-log snapshot: commits between slices" `Quick
         test_simple_snapshot_sliced;
       Alcotest.test_case "simple-log snapshot: one at a time" `Quick test_simple_hk_guards;
+      Alcotest.test_case "checkpoint bytes pinned" `Quick test_checkpoint_bytes_pinned;
+      QCheck_alcotest.to_alcotest prop_checkpoint_preserves_recovery;
     ]

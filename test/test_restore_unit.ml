@@ -124,7 +124,7 @@ let test_finish_resets_counters () =
   Restore.on_committed ctx t1;
   Restore.on_data ctx ~uid:(uid 41) ~aid:(Some t1) ~src:1 ~fetch:(fetch Le.Atomic 1);
   let gen = Heap.uid_gen heap in
-  let info = Restore.finish ctx ~uid_gen:gen ~aid_gen:None in
+  let info = Restore.finish ctx ~uid_gen:gen in
   Alcotest.(check bool) "uid counter past max" true
     (Uid.to_int (Uid.Gen.fresh gen) > 41);
   Alcotest.(check int) "one object reported" 1
