@@ -227,9 +227,17 @@ let crash t =
     Heap.set_label t.heap (Gid.to_string t.gid)
   end
 
-(* Common tail of [restart] and [adopt]: wire the (already rebuilt) rs back
-   into the protocol and resume in-flight 2PC duties from the tables. *)
+(* Common tail of [restart] and [adopt]: announce the guardian back, wire
+   the (already rebuilt) rs into the protocol and resume in-flight 2PC
+   duties from the tables. *)
 let resume_duties t info =
+  Trace.emit
+    (Trace.Restart
+       {
+         gid = Gid.to_string t.gid;
+         prepared = List.length (Core.Tables.Recovery_info.prepared_actions info);
+         committing = List.length (Core.Tables.Recovery_info.committing_actions info);
+       });
   t.heap <- Hybrid_rs.heap t.rs;
   Heap.set_label t.heap (Gid.to_string t.gid);
   configure_scheduler t; (* the rebuilt rs starts with a sync scheduler *)
@@ -264,13 +272,6 @@ let restart t =
   in
   let info = report.Core.Tables.Recovery_report.info in
   t.rs <- rs;
-  Trace.emit
-    (Trace.Restart
-       {
-         gid = Gid.to_string t.gid;
-         prepared = List.length (Core.Tables.Recovery_info.prepared_actions info);
-         committing = List.length (Core.Tables.Recovery_info.committing_actions info);
-       });
   resume_duties t info;
   report
 

@@ -77,7 +77,8 @@ val adopt :
     primary's log — and [info] drives the same duty resumption as
     {!restart}: committing coordinators resume phase two, prepared
     participants chase verdicts, aid generation skips past everything in
-    the tables. Raises [Invalid_argument] if the guardian is up. *)
+    the tables; the same [Restart] trace event announces the guardian
+    back. Raises [Invalid_argument] if the guardian is up. *)
 
 val take_over_address : t -> gid:Rs_util.Gid.t -> unit
 (** Point [gid]'s network address at this (up) guardian's 2PC endpoint and

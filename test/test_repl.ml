@@ -344,6 +344,21 @@ let test_promote_matches_cold_recovery () =
   Alcotest.(check (option int)) "failover image = cold-recovery image" (run_cold ())
     (run_failover ())
 
+(* Promotion brings the heir back up: the monitor that abstains while a
+   crashed guardian stays down must judge again afterwards, so a handle
+   submitted after the failover and never resolved is reported. *)
+let test_promote_keeps_liveness_judged () =
+  let sys, p = mk_pair () in
+  ignore (submit_and_wait sys ~coordinator:(g 0) ~steps:[ (g 0, set_var "x" 1) ]);
+  Pair.crash p (g 0);
+  System.quiesce sys;
+  ignore (Pair.promote p);
+  Rs_obs.Trace.emit (Rs_obs.Trace.Handle_submit { gid = "G1"; aid = "T1.99" });
+  let dangling = Monitor.handle_liveness () in
+  (* The dangling handle is this test's own; leave the wrapper's check clean. *)
+  Rs_obs.Trace.clear ();
+  Alcotest.(check int) "the unresolved handle is reported" 1 (List.length dangling)
+
 let test_directory_retargets_on_failover () =
   (* Placement over shards G0/G1 with G2 as the warm standby for G0; a
      failover re-points G0's keys at the heir and traffic keeps flowing
@@ -413,6 +428,8 @@ let suite =
     Alcotest.test_case "primary cold restart re-ships" `Quick test_primary_cold_restart_reships;
     Alcotest.test_case "promotion preserves commits" `Quick test_promote_preserves_commits;
     Alcotest.test_case "promotion matches cold recovery" `Quick test_promote_matches_cold_recovery;
+    Alcotest.test_case "handle liveness judged after promotion" `Quick
+      test_promote_keeps_liveness_judged;
     Alcotest.test_case "directory retargets on failover" `Quick
       test_directory_retargets_on_failover;
     Alcotest.test_case "spec monitors clean" `Quick test_monitors_clean;
