@@ -275,20 +275,15 @@ let trace_cmd =
 
 (* explore: systematic crash-schedule exploration with invariant oracles *)
 
+let explore_names = List.map fst Rs_explore.Explore.targets
+
 let explore seed scheme_name budget max_depth break_force =
   let targets =
     match scheme_name with
-    | "all" ->
-        [
-          "simple"; "hybrid"; "shadow"; "segments"; "twopc"; "group"; "load"; "shards"; "repl";
-          "ckpt"; "mvcc";
-        ]
-    | ( "simple" | "hybrid" | "shadow" | "segments" | "twopc" | "group" | "load" | "shards"
-      | "repl" | "ckpt" | "mvcc" ) as s -> [ s ]
+    | "all" -> explore_names
+    | s when List.mem s explore_names -> [ s ]
     | s ->
-        Printf.eprintf
-          "unknown target %s (simple|hybrid|shadow|segments|twopc|group|load|shards|repl|ckpt|mvcc|all)\n"
-          s;
+        Printf.eprintf "unknown target %s (%s|all)\n" s (String.concat "|" explore_names);
         exit 2
   in
   let config = { Rs_explore.Explore.seed; budget; max_depth } in
@@ -314,7 +309,7 @@ let explore_cmd =
     Arg.(value
          & opt string "all"
          & info [ "scheme" ]
-             ~doc:"simple|hybrid|shadow|segments|twopc|group|load|shards|repl|ckpt|mvcc|all.")
+             ~doc:(String.concat "|" explore_names ^ "|all."))
   in
   let budget =
     Arg.(value & opt int 200 & info [ "budget" ] ~docv:"N" ~doc:"Maximum crash schedules per target.")

@@ -16,8 +16,6 @@ module Net = Rs_sim.Net
 module Trace = Rs_obs.Trace
 module Monitor = Rs_obs.Monitor
 module Gid = Rs_util.Gid
-module Rng = Rs_util.Rng
-
 
 type config = { seed : int; budget : int; max_depth : int }
 
@@ -33,6 +31,11 @@ type outcome = {
 }
 
 let violation oracle fmt = Printf.ksprintf (fun detail -> { Oracle.oracle; detail }) fmt
+
+(* No violation when [ok], else the one [violation oracle fmt ...]. *)
+let expect ok oracle fmt =
+  Printf.ksprintf (fun detail -> if ok then [] else [ { Oracle.oracle; detail } ]) fmt
+
 let opt_int = function Some v -> string_of_int v | None -> "-"
 
 (* ------------------------------------------------------------------ *)
@@ -105,9 +108,8 @@ let judge subject =
         in
         List.concat
           [
-            (if unresolved = 0 then []
-             else [ violation "liveness" "%d handles unresolved after the drain" unresolved ]);
-            (if committed > 0 then [] else [ violation "progress" "no action ever committed" ]);
+            expect (unresolved = 0) "liveness" "%d handles unresolved after the drain" unresolved;
+            expect (committed > 0) "progress" "no action ever committed";
             (match Option.map Load.check w.load with
             | Some (Error e) -> [ violation "consistency" "%s" e ]
             | Some (Ok ()) | None -> []);
@@ -125,23 +127,17 @@ let judge subject =
 (* ------------------------------------------------------------------ *)
 (* Generic driver: run schedules until a violation, then shrink it.   *)
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
 (* Greedy delta-debugging: drop any slot whose removal still fails,
    repeat until no single removal preserves the failure. *)
 let shrink run schedule v0 =
   let rec go sched v =
-    let n = List.length sched in
     let rec try_at i =
-      if i >= n then (sched, v)
+      if i >= List.length sched then (sched, v)
       else
         let cand = List.filteri (fun j _ -> j <> i) sched in
         match run cand with v' :: _ -> go cand v' | [] -> try_at (i + 1)
     in
-    if n = 0 then (sched, v) else try_at 0
+    try_at 0
   in
   go schedule v0
 
@@ -162,135 +158,92 @@ let enumerate cfg points =
                  points)
              points)
       in
-      Rng.shuffle (Rng.create (cfg.seed lxor 0x9e3779b9)) arr;
+      Rs_util.Rng.shuffle (Rs_util.Rng.create (cfg.seed lxor 0x9e3779b9)) arr;
       Array.to_list arr
     end
   in
-  take cfg.budget (([] : Fault.schedule) :: singles @ pairs)
+  List.filteri (fun i _ -> i < cfg.budget) (([] : Fault.schedule) :: singles @ pairs)
 
 (* A schedule body stops at its first violation by raising it. *)
 exception Found of Oracle.violation
 
 let fail_on = function [] -> () | v :: _ -> raise (Found v)
 
-(* Census the target's fault points, then run its enumerated schedules,
-   each in a fresh world on a freshly cleared trace, so the spec monitors
-   judge that run alone. Every world stamps the trace with its own
-   simulator's clock; the default clock is back when the driver returns. *)
-let drive cfg ~target ~census ~run =
-  Fun.protect ~finally:Trace.clear_clock @@ fun () ->
-  let points = census () in
-  let runs = ref 0 in
-  let run sched =
-    Trace.clear ();
-    Trace.emit (Trace.Explore_schedule { id = !runs; points = List.length sched });
-    incr runs;
-    match run sched with
-    | vs -> vs
-    | exception Found v -> [ v ]
-    | exception exn -> [ violation "exception" "%s" (Printexc.to_string exn) ]
-  in
-  let outcome schedules counterexample =
-    { target; points = List.length points; schedules; counterexample }
-  in
-  let rec go id = function
-    | [] -> outcome id None
-    | sched :: rest -> (
-        match run sched with
-        | [] -> go (id + 1) rest
-        | v :: _ ->
-            Trace.emit
-              (Trace.Explore_violation
-                 { oracle = v.Oracle.oracle; schedule = Fault.schedule_to_string sched });
-            let shrunk, v' = shrink run sched v in
-            Trace.emit
-              (Trace.Explore_shrunk
-                 { points = List.length shrunk; schedule = Fault.schedule_to_string shrunk });
-            outcome (id + 1) (Some { schedule = shrunk; violation = v' }))
-  in
-  go 0 (enumerate cfg points)
+(* A target's row: census its fault points, then run its enumerated
+   schedules, each in a fresh world on a freshly cleared trace, so the
+   spec monitors judge that run alone. Every world stamps the trace with
+   its own simulator's clock; the default clock is back when the row's
+   exploration returns. *)
+let row target ~census ~run =
+  ( target,
+    fun cfg ->
+      Fun.protect ~finally:Trace.clear_clock @@ fun () ->
+      let points = census cfg in
+      let runs = ref 0 in
+      let run sched =
+        Trace.clear ();
+        Trace.emit (Trace.Explore_schedule { id = !runs; points = List.length sched });
+        incr runs;
+        match run cfg sched with
+        | vs -> vs
+        | exception Found v -> [ v ]
+        | exception exn -> [ violation "exception" "%s" (Printexc.to_string exn) ]
+      in
+      let outcome schedules counterexample =
+        { target; points = List.length points; schedules; counterexample }
+      in
+      let rec go id = function
+        | [] -> outcome id None
+        | sched :: rest -> (
+            match run sched with
+            | [] -> go (id + 1) rest
+            | v :: _ ->
+                Trace.emit
+                  (Trace.Explore_violation
+                     { oracle = v.Oracle.oracle; schedule = Fault.schedule_to_string sched });
+                let shrunk, v' = shrink run sched v in
+                Trace.emit
+                  (Trace.Explore_shrunk
+                     { points = List.length shrunk; schedule = Fault.schedule_to_string shrunk });
+                outcome (id + 1) (Some { schedule = shrunk; violation = v' }))
+      in
+      go 0 (enumerate cfg points) )
 
 (* At most 20 event boundaries, evenly spread over [n] events. *)
 let spread n =
   let cap = min n 20 in
   List.init cap (fun i -> 1 + (i * n / cap)) |> List.sort_uniq compare
 
-let step_all sim =
+(* Run up to [upto] simulator events; returns how many ran. *)
+let step_all ?(upto = max_int) sim =
   let n = ref 0 in
-  while Sim.step sim do
+  while !n < upto && Sim.step sim do
     incr n
   done;
   !n
 
 (* ------------------------------------------------------------------ *)
-(* Single-guardian targets: a Synth workload over one Scheme.         *)
+(* Single-guardian targets: one phase loop over a Synth facade.       *)
 
-type op =
-  | Act of { indices : int list; outcome : [ `Commit | `Abort ] }
-  | Housekeep of Scheme.technique
+(* One phase of a single-guardian scenario. [run] does the phase's
+   synchronous work and returns the simulator whose events finish it, if
+   any; [slice] is a housekeeping phase's stage one alone, where a
+   [Hk_boundary] crash lands. *)
+type phase = { run : Synth.t -> Sim.t option; slice : (Synth.t -> unit) option }
 
-let base_acts =
-  [
-    Act { indices = [ 0; 3 ]; outcome = `Commit };
-    Act { indices = [ 1; 2 ]; outcome = `Abort };
-    Act { indices = [ 2; 4 ]; outcome = `Commit };
-  ]
+(* One fresh run of a single-guardian target: its seeded facade, its
+   phases, its oracle over recovered counters (which resyncs the target's
+   model to them), and the closing probe run before the final crash. *)
+type scenario = {
+  synth : Synth.t;
+  phases : phase list;
+  oracle : int array -> Oracle.violation list;
+  probe : Synth.t -> unit;
+}
 
-let tail_act = Act { indices = [ 0; 5 ]; outcome = `Commit }
-
-let ops_for = function
-  | "simple" -> base_acts @ [ Housekeep Scheme.Snapshot; tail_act ]
-  | "hybrid" ->
-      base_acts @ [ Housekeep Scheme.Compaction; tail_act; Housekeep Scheme.Snapshot ]
-  | "shadow" -> base_acts @ [ tail_act ]
-  | "segments" ->
-      (* Segment churn: tiny segments (two 128-byte pages) make every act
-         allocate and every housekeeping pass retire, so the census is
-         dense in Seg_alloc/Seg_link/Seg_retire boundaries. *)
-      base_acts
-      @ [
-          Housekeep Scheme.Compaction;
-          tail_act;
-          Act { indices = [ 1; 3 ]; outcome = `Commit };
-          Housekeep Scheme.Snapshot;
-          Act { indices = [ 2; 5 ]; outcome = `Commit };
-        ]
-  | s -> invalid_arg ("Explore.explore_scheme: unknown scheme " ^ s)
-
-let make_scheme = function
-  | "simple" -> Scheme.simple ()
-  | "hybrid" -> Scheme.hybrid ()
-  | "shadow" -> Scheme.shadow ()
-  | "segments" -> Scheme.hybrid ~page_size:128 ~segment_pages:2 ()
-  | s -> invalid_arg ("Explore.explore_scheme: unknown scheme " ^ s)
-
-let fresh_synth cfg name =
-  let t = Synth.create ~seed:cfg.seed ~scheme:(make_scheme name) ~n_objects:8 () in
-  Synth.run_random_actions t ~n:4 ~objects_per_action:2 ~abort_rate:0.25 ();
-  t
-
-let exec_plain t op =
-  match op with
-  | Act { indices; outcome } -> Synth.run_action t ~indices ~outcome
-  | Housekeep tech -> Scheme.housekeep (Synth.scheme t) tech
-
-(* The serial state after [op] completes, given the state before it. *)
-let post_state expected op =
-  match op with
-  | Act { indices; outcome = `Commit } ->
-      let a = Array.copy expected in
-      List.iter (fun i -> a.(i) <- a.(i) + 1) indices;
-      a
-  | Act { outcome = `Abort; _ } | Housekeep _ -> Array.copy expected
+let finish t phase = Option.iter (fun sim -> ignore (step_all sim)) (phase.run t)
 
 (* ---- census ------------------------------------------------------ *)
-
-type census = {
-  writes : int array array;
-  forces : int array;
-  segs : int array array;
-  events : int array;
-}
 
 let seg_stages = [| Fault.Seg_alloc; Fault.Seg_link; Fault.Seg_retire |]
 
@@ -299,16 +252,21 @@ let seg_stage_index : Slog.segment_event -> int = function
   | Slog.Seg_link -> 1
   | Slog.Seg_retire _ -> 2
 
-(* One clean run of [phases] over [t] with the process-wide census hooks
+(* One clean run of the scenario with the process-wide census hooks
    installed: per phase, how many physical page writes land on each
    stable store (both disk replicas counted together, matching what
    [Store.arm_crash ~after_writes] counts), how many log forces complete,
-   how many segment events of each stage fire, and the simulator events
-   the phase reports. Segments allocated mid-run are invisible to the
-   write census (their disks are not in the start-of-run store list) —
-   their crash windows are covered by the segment-boundary points. *)
-let take_census t phases =
-  let stores = Scheme.stable_stores (Synth.scheme t) in
+   how many segment events of each stage fire, and how many simulator
+   events it runs. Segments allocated mid-run are invisible to the write
+   census (their disks are not in the start-of-run store list) — their
+   crash windows are covered by the segment-boundary points.
+
+   Per-phase point order: housekeeping boundary, segment boundaries,
+   force boundaries, the store-write sweep, then event boundaries.
+   Rarer, structural boundaries come first so a modest budget's depth-1
+   prefix reaches them before the long tail of store writes. *)
+let census sc =
+  let stores = Scheme.stable_stores (Synth.scheme sc.synth) in
   let disk_of =
     List.concat
       (List.mapi
@@ -317,7 +275,7 @@ let take_census t phases =
            [ (a, i); (b, i) ])
          stores)
   in
-  let n = List.length phases in
+  let n = List.length sc.phases in
   let writes = Array.init n (fun _ -> Array.make (List.length stores) 0) in
   let forces = Array.make n 0 in
   let segs = Array.init n (fun _ -> Array.make (Array.length seg_stages) 0) in
@@ -346,34 +304,32 @@ let take_census t phases =
       List.iteri
         (fun j phase ->
           cur := j;
-          events.(j) <- phase ())
-        phases);
-  { writes; forces; segs; events }
-
-(* Per-phase point order: housekeeping boundary, segment boundaries,
-   force boundaries, the store-write sweep, then event boundaries.
-   Rarer, structural boundaries come first so a modest budget's depth-1
-   prefix reaches them before the long tail of store writes. *)
-let points_of_census ?(hk = fun _ -> false) c =
+          events.(j) <- Option.fold ~none:0 ~some:(fun sim -> step_all sim) (phase.run sc.synth))
+        sc.phases);
   List.concat
-    (List.init (Array.length c.forces) (fun j ->
+    (List.mapi
+       (fun j phase ->
          let at point = { Fault.op = j; point } in
          let per counts mk =
            List.concat (List.mapi (fun s n -> List.init n (mk s)) (Array.to_list counts))
          in
-         (if hk j then [ at Fault.Hk_boundary ] else [])
-         @ per c.segs.(j) (fun s k ->
+         (if phase.slice <> None then [ at Fault.Hk_boundary ] else [])
+         @ per segs.(j) (fun s k ->
                at (Fault.Segment_boundary { stage = seg_stages.(s); nth = k + 1 }))
-         @ List.init c.forces.(j) (fun k -> at (Fault.Force_boundary { nth = k + 1 }))
-         @ per c.writes.(j) (fun s k -> at (Fault.Store_write { store = s; after_writes = k }))
-         @ List.map (fun nth -> at (Fault.Event_boundary { nth })) (spread c.events.(j))))
+         @ List.init forces.(j) (fun k -> at (Fault.Force_boundary { nth = k + 1 }))
+         @ per writes.(j) (fun s k -> at (Fault.Store_write { store = s; after_writes = k }))
+         @ List.map (fun nth -> at (Fault.Event_boundary { nth })) (spread events.(j)))
+       sc.phases)
 
 (* ---- one schedule ------------------------------------------------ *)
 
-(* Arm [point] around [f]; true iff the crash fired. Event, message and
-   housekeeping points are the caller's to handle. *)
-let inject stores point f =
-  let crashed () = match f () with () -> false | exception Disk.Crash -> true in
+(* Run [phase] over [t] with [point] armed; true iff the crash fired. A
+   [Hk_boundary] always crashes, after the phase's first slice alone; an
+   [Event_boundary] crashes after that many of the phase's simulator
+   events, if it runs that many. *)
+let inject t phase point =
+  let crashed f = match f () with () -> false | exception Disk.Crash -> true in
+  let armed disarm = Fun.protect ~finally:disarm (fun () -> crashed (fun () -> finish t phase)) in
   let nth_hook nth =
     let count = ref 0 in
     fun () ->
@@ -381,93 +337,129 @@ let inject stores point f =
       if !count = nth then raise Disk.Crash
   in
   match point with
-  | Fault.Store_write { store; after_writes } -> (
-      match List.nth_opt stores store with
-      | None -> crashed ()
-      | Some s ->
-          Store.arm_crash s ~after_writes;
-          Fun.protect ~finally:(fun () -> List.iter Store.clear_crash stores) crashed)
+  | Fault.Store_write { store; after_writes } ->
+      let stores = Scheme.stable_stores (Synth.scheme t) in
+      Option.iter (fun s -> Store.arm_crash s ~after_writes) (List.nth_opt stores store);
+      armed (fun () -> List.iter Store.clear_crash stores)
   | Fault.Force_boundary { nth } ->
       Slog.set_force_hook (Some (nth_hook nth));
-      Fun.protect ~finally:(fun () -> Slog.set_force_hook None) crashed
+      armed (fun () -> Slog.set_force_hook None)
   | Fault.Segment_boundary { stage; nth } ->
       let hit = nth_hook nth in
       Slog.set_segment_hook
         (Some (fun ev -> if seg_stages.(seg_stage_index ev) = stage then hit ()));
-      Fun.protect ~finally:(fun () -> Slog.set_segment_hook None) crashed
-  | Fault.Hk_boundary | Fault.Event_boundary _ | Fault.Msg_crash _ | Fault.Msg_drop _
-  | Fault.Msg_delay _ ->
-      crashed ()
+      armed (fun () -> Slog.set_segment_hook None)
+  | Fault.Hk_boundary when phase.slice <> None ->
+      Option.get phase.slice t;
+      true
+  | Fault.Event_boundary { nth } ->
+      crashed (fun () ->
+          Option.iter
+            (fun sim -> if step_all ~upto:nth sim = nth then raise Disk.Crash)
+            (phase.run t))
+  | Fault.Hk_boundary | Fault.Msg_crash _ | Fault.Msg_drop _ | Fault.Msg_delay _ -> armed ignore
 
 (* Crash recovery plus in-doubt resolution (presumed abort, §2.2.3),
-   then [check] on the recovered counters and the judge. Returns the
-   recovered facade and its counters. *)
-let crash_recover t check =
+   then the scenario's oracle on the recovered counters and the judge. *)
+let crash_recover sc t =
   let t, info = Synth.crash_recover t in
   let scheme = Synth.scheme t in
   List.iter (Scheme.abort scheme) (Core.Tables.Recovery_report.prepared_actions info);
   match Synth.counters t with
   | actual ->
-      fail_on (check actual);
+      fail_on (sc.oracle actual);
       fail_on (judge (Single scheme));
-      (t, actual)
+      t
   | exception Failure msg ->
       (* objects vanished wholesale — committed state did not survive *)
       raise (Found (violation "durability" "recovered state incomplete: %s" msg))
 
-let run_scheme_schedule cfg name ops sched =
-  let t = ref (fresh_synth cfg name) in
-  let expected = ref (Synth.counters !t) in
-  (* [allowed] lists the serial states the recovered counters may land on. *)
-  let recover ~allowed =
-    let t', actual =
-      crash_recover !t (fun actual -> Oracle.check_counters ~oracle:"atomicity" ~allowed ~actual)
-    in
-    t := t';
-    expected := actual
-  in
+(* Phase [j] runs under the slot scheduled at [j], recovering when its
+   crash fires. The closing probe then commits once more and a crash
+   that interrupts nothing must keep it: this is what catches a force
+   that lies about stability (e.g. the seeded skip-header mutation). *)
+let run_phases sc sched =
+  let t = ref sc.synth in
   List.iteri
-    (fun j op ->
-      let post = post_state !expected op in
-      match (op, List.find_opt (fun s -> s.Fault.op = j) sched) with
-      | Housekeep tech, Some { Fault.point = Fault.Hk_boundary; _ } -> (
-          (* stage one only: the half-built spare log must vanish *)
-          Scheme.housekeep_first_slice (Synth.scheme !t) tech;
-          recover ~allowed:[ !expected ])
-      | _, Some { Fault.point; _ } ->
-          let stores = Scheme.stable_stores (Synth.scheme !t) in
-          if inject stores point (fun () -> exec_plain !t op) then
-            recover ~allowed:[ !expected; post ]
-          else expected := post
-      | _, None ->
-          exec_plain !t op;
-          expected := post)
-    ops;
-  (* Final durability probe: a cleanly committed action must survive a
-     crash that interrupts nothing — this is what catches a force that
-     lies about stability (e.g. the seeded skip-header mutation). *)
-  let indices = [ 1; 4 ] in
-  Synth.run_action !t ~indices ~outcome:`Commit;
-  recover ~allowed:[ post_state !expected (Act { indices; outcome = `Commit }) ];
+    (fun j phase ->
+      match List.find_opt (fun s -> s.Fault.op = j) sched with
+      | None -> finish !t phase
+      | Some { Fault.point; _ } -> if inject !t phase point then t := crash_recover sc !t)
+    sc.phases;
+  sc.probe !t;
+  ignore (crash_recover sc !t);
   []
 
-let explore_scheme ?(config = default_config) name =
-  let ops = ops_for name in
-  let census () =
-    let t = fresh_synth config name in
-    take_census t
-      (List.map
-         (fun op () ->
-           exec_plain t op;
-           0)
-         ops)
-    |> points_of_census ~hk:(fun j ->
-           match List.nth ops j with Housekeep _ -> true | Act _ -> false)
-  in
-  drive config ~target:name ~census ~run:(run_scheme_schedule config name ops)
+let single name scenario =
+  row name ~census:(fun cfg -> census (scenario cfg)) ~run:(fun cfg -> run_phases (scenario cfg))
 
-(* ------------------------------------------------------------------ *)
-(* Group-commit target: concurrent clients over a windowed hybrid.    *)
+(* ---- the schemes: a Synth workload of commits, aborts, housekeeping *)
+
+type op =
+  | Act of { indices : int list; outcome : [ `Commit | `Abort ] }
+  | Housekeep of Scheme.technique
+
+let base_acts =
+  [
+    Act { indices = [ 0; 3 ]; outcome = `Commit };
+    Act { indices = [ 1; 2 ]; outcome = `Abort };
+    Act { indices = [ 2; 4 ]; outcome = `Commit };
+  ]
+
+let tail_act = Act { indices = [ 0; 5 ]; outcome = `Commit }
+
+(* The serial state after [op] completes, given the state before it. *)
+let post_state expected op =
+  match op with
+  | Act { indices; outcome = `Commit } ->
+      let a = Array.copy expected in
+      List.iter (fun i -> a.(i) <- a.(i) + 1) indices;
+      a
+  | Act { outcome = `Abort; _ } | Housekeep _ -> Array.copy expected
+
+(* One phase per op over a seeded random history. The oracle: the
+   recovered counters sit on a serial state — [allowed] lists those a
+   crash may land on right now, [expected] is the state once the running
+   phase completes. *)
+let scheme make ops cfg =
+  let t = Synth.create ~seed:cfg.seed ~scheme:(make ()) ~n_objects:8 () in
+  Synth.run_random_actions t ~n:4 ~objects_per_action:2 ~abort_rate:0.25 ();
+  let expected = ref (Synth.counters t) and allowed = ref [] in
+  let phase op =
+    let run t =
+      let post = post_state !expected op in
+      allowed := [ !expected; post ];
+      (match op with
+      | Act { indices; outcome } -> Synth.run_action t ~indices ~outcome
+      | Housekeep tech -> Scheme.housekeep (Synth.scheme t) tech);
+      expected := post;
+      None
+    in
+    let slice =
+      match op with
+      | Housekeep tech ->
+          (* stage one only: the half-built spare log must vanish *)
+          Some
+            (fun t ->
+              allowed := [ !expected ];
+              Scheme.housekeep_first_slice (Synth.scheme t) tech)
+      | Act _ -> None
+    in
+    { run; slice }
+  in
+  let oracle actual =
+    let vs = Oracle.check_counters ~oracle:"atomicity" ~allowed:!allowed ~actual in
+    expected := actual;
+    vs
+  in
+  let probe t =
+    let indices = [ 1; 4 ] in
+    allowed := [ post_state !expected (Act { indices; outcome = `Commit }) ];
+    Synth.run_action t ~indices ~outcome:`Commit
+  in
+  { synth = t; phases = List.map phase ops; oracle; probe }
+
+(* ---- group: concurrent clients over a windowed hybrid ------------- *)
 
 (* Three clients, each owning an object pair (2c, 2c+1) incremented
    together, run chained actions on a virtual-time simulator while the
@@ -480,115 +472,70 @@ let explore_scheme ?(config = default_config) name =
    pair between the client's durably-acked floor and issued ceiling:
    below the floor a confirmed commit was lost, above the ceiling a
    phantom effect appeared, and a split pair breaks atomicity. *)
-let explore_group ?(config = default_config) () =
+let group cfg =
   let module Fsched = Rs_slog.Force_scheduler in
-  let n_clients = 3 in
-  let window = 2.0 in
+  let n_clients = 3 and window = 2.0 in
   (* Actions per client per phase; client 0's second action of phase 0
      aborts, so abort records ride the batches too. *)
   let plan = [| [| 2; 2; 2 |]; [| 1; 1; 1 |] |] in
   let aborts ~phase ~client ~k = phase = 0 && client = 0 && k = 1 in
-  let n_phases = Array.length plan in
-  let fresh () =
-    Synth.create ~seed:config.seed ~scheme:(Scheme.hybrid ()) ~n_objects:(2 * n_clients) ()
-  in
   let scheduler t = Option.get (Scheme.scheduler (Synth.scheme t)) in
+  let t = Synth.create ~seed:cfg.seed ~scheme:(Scheme.hybrid ()) ~n_objects:(2 * n_clients) () in
+  let issued = Array.make n_clients 0 and acked = Array.make n_clients 0 in
   (* Launch one phase's clients on a fresh simulator: chained actions,
      each next hop scheduled from the previous one's durability callback,
      client starts staggered so enqueues interleave inside the window. *)
-  let start_phase ~phase t issued acked =
-    let sim = Sim.create ~seed:(config.seed + phase) () in
-    Fsched.configure (scheduler t) ~window
-      ~timer:(Some (fun ~delay k -> Sim.schedule sim ~delay k));
-    for c = 0 to n_clients - 1 do
-      let rec act k =
-        if k < plan.(phase).(c) then begin
-          let outcome = if aborts ~phase ~client:c ~k then `Abort else `Commit in
-          if outcome = `Commit then issued.(c) <- issued.(c) + 1;
-          Synth.run_action_async t
-            ~indices:[ 2 * c; (2 * c) + 1 ]
-            ~outcome
-            ~on_done:(fun () ->
-              if outcome = `Commit then acked.(c) <- acked.(c) + 1;
-              Sim.schedule sim ~delay:0.5 (fun () -> act (k + 1)))
-        end
-      in
-      Sim.schedule sim ~delay:(0.3 *. float_of_int (c + 1)) (fun () -> act 0)
-    done;
-    sim
-  in
-  (* Drain [sim], optionally raising a crash right after its [crash_at]-th
-     event; returns the number of events run. *)
-  let drain ?crash_at sim =
-    let events = ref 0 in
-    while Sim.step sim do
-      incr events;
-      if Some !events = crash_at then raise Disk.Crash
-    done;
-    !events
-  in
-  let census () =
-    let t = fresh () in
-    let issued = Array.make n_clients 0 and acked = Array.make n_clients 0 in
-    take_census t
-      (List.init n_phases (fun phase () -> drain (start_phase ~phase t issued acked)))
-    |> points_of_census
-  in
-  let run sched =
-    let t = ref (fresh ()) in
-    let issued = Array.make n_clients 0 and acked = Array.make n_clients 0 in
-    let check actual =
-      List.concat
-        (List.init n_clients (fun c ->
-             let a = actual.(2 * c) and b = actual.((2 * c) + 1) in
-             if a <> b then
-               [ violation "atomicity" "client %d: pair split %d/%d after recovery" c a b ]
-             else begin
-               let floor = acked.(c) and ceiling = issued.(c) in
-               (* the crash resolved every in-flight action: resync *)
-               acked.(c) <- a;
-               issued.(c) <- a;
-               (if a < floor then
-                  [
-                    violation "durability" "client %d: %d commits durably acked, %d survived" c
-                      floor a;
-                  ]
-                else [])
-               @
-               if a > ceiling then
-                 [
-                   violation "durability" "client %d: %d effects recovered, only %d commits issued"
-                     c a ceiling;
-                 ]
-               else []
-             end))
+  let phase phase =
+    let run t =
+      let sim = Sim.create ~seed:(cfg.seed + phase) () in
+      Fsched.configure (scheduler t) ~window
+        ~timer:(Some (fun ~delay k -> Sim.schedule sim ~delay k));
+      for c = 0 to n_clients - 1 do
+        let rec act k =
+          if k < plan.(phase).(c) then begin
+            let outcome = if aborts ~phase ~client:c ~k then `Abort else `Commit in
+            if outcome = `Commit then issued.(c) <- issued.(c) + 1;
+            Synth.run_action_async t
+              ~indices:[ 2 * c; (2 * c) + 1 ]
+              ~outcome
+              ~on_done:(fun () ->
+                if outcome = `Commit then acked.(c) <- acked.(c) + 1;
+                Sim.schedule sim ~delay:0.5 (fun () -> act (k + 1)))
+          end
+        in
+        Sim.schedule sim ~delay:(0.3 *. float_of_int (c + 1)) (fun () -> act 0)
+      done;
+      Some sim
     in
-    let recover () = t := fst (crash_recover !t check) in
-    for phase = 0 to n_phases - 1 do
-      let sim = start_phase ~phase !t issued acked in
-      let crashed =
-        match List.find_opt (fun s -> s.Fault.op = phase) sched with
-        | None ->
-            ignore (drain sim);
-            false
-        | Some { Fault.point = Fault.Event_boundary { nth }; _ } -> (
-            match drain ~crash_at:nth sim with _ -> false | exception Disk.Crash -> true)
-        | Some { Fault.point; _ } ->
-            inject (Scheme.stable_stores (Synth.scheme !t)) point (fun () -> ignore (drain sim))
-      in
-      if crashed then recover ()
-    done;
-    (* Final probe: drop back to synchronous forces and commit once more —
-       a scheduler that acked tokens before their covering force was
-       stable fails the acked floor here. *)
-    Fsched.configure (scheduler !t) ~window:0.0 ~timer:None;
-    Synth.run_action !t ~indices:[ 0; 1 ] ~outcome:`Commit;
-    issued.(0) <- issued.(0) + 1;
-    acked.(0) <- acked.(0) + 1;
-    recover ();
-    []
+    { run; slice = None }
   in
-  drive config ~target:"group" ~census ~run
+  let oracle actual =
+    List.concat
+      (List.init n_clients (fun c ->
+           let a = actual.(2 * c) and b = actual.((2 * c) + 1) in
+           if a <> b then
+             [ violation "atomicity" "client %d: pair split %d/%d after recovery" c a b ]
+           else begin
+             let floor = acked.(c) and ceiling = issued.(c) in
+             (* the crash resolved every in-flight action: resync *)
+             acked.(c) <- a;
+             issued.(c) <- a;
+             expect (a >= floor) "durability" "client %d: %d commits durably acked, %d survived" c
+               floor a
+             @ expect (a <= ceiling) "durability"
+                 "client %d: %d effects recovered, only %d commits issued" c a ceiling
+           end))
+  in
+  (* Drop back to synchronous forces and commit once more: a scheduler
+     that acked tokens before their covering force was stable fails the
+     acked floor here. *)
+  let probe t =
+    Fsched.configure (scheduler t) ~window:0.0 ~timer:None;
+    Synth.run_action t ~indices:[ 0; 1 ] ~outcome:`Commit;
+    issued.(0) <- issued.(0) + 1;
+    acked.(0) <- acked.(0) + 1
+  in
+  { synth = t; phases = List.init (Array.length plan) phase; oracle; probe }
 
 (* ------------------------------------------------------------------ *)
 (* Guardian-system targets.                                           *)
@@ -640,13 +587,13 @@ let rec attempt w ~tries ~retry_aborts ~on_commit route () =
 
 (* ---- twopc: a two-guardian transfer under message faults ---------- *)
 
-let explore_twopc ?(config = default_config) () =
+let twopc =
   let once w coordinator steps =
     attempt w ~tries:1 ~retry_aborts:false ~on_commit:ignore (fun () -> (coordinator, steps)) ()
   in
   (* x on guardian 0, y on guardian 1, both committed to 1; the explored
      action is the distributed transfer writing both to 2. *)
-  let build () =
+  let build config =
     let w = world (System.create ~seed:config.seed ~n:2 ()) in
     once w (g 0) [ (g 0, set_var "x" 1) ];
     System.quiesce w.sys;
@@ -656,8 +603,8 @@ let explore_twopc ?(config = default_config) () =
   in
   let transfer w = once w (g 0) [ (g 0, set_var "x" 2); (g 1, set_var "y" 2) ] in
   (* census: one clean transfer, counting message deliveries and sends *)
-  let census () =
-    let w = build () in
+  let census config =
+    let w = build config in
     let net = System.net w.sys in
     let d0 = Net.messages_delivered net and s0 = Net.messages_sent net in
     transfer w;
@@ -675,25 +622,22 @@ let explore_twopc ?(config = default_config) () =
         List.init sends (fun k -> at (Fault.Msg_delay { nth = k + 1; by = 7.5 }));
       ]
   in
-  let run sched =
-    let w = build () in
+  let run config sched =
+    let w = build config in
     let net = System.net w.sys in
     let d0 = Net.messages_delivered net in
-    let send_fault =
-      match sched with
-      | { Fault.point = Fault.Msg_drop { nth }; _ } :: _ -> Some (nth, Net.Drop)
-      | { Fault.point = Fault.Msg_delay { nth; by }; _ } :: _ -> Some (nth, Net.Delay by)
-      | _ -> None
+    let fault_send nth fault =
+      let count = ref 0 in
+      Net.set_send_hook
+        (Some
+           (fun () ->
+             incr count;
+             if !count = nth then fault else Net.Deliver))
     in
-    Option.iter
-      (fun (nth, fault) ->
-        let count = ref 0 in
-        Net.set_send_hook
-          (Some
-             (fun () ->
-               incr count;
-               if !count = nth then fault else Net.Deliver)))
-      send_fault;
+    (match sched with
+    | { Fault.point = Fault.Msg_drop { nth }; _ } :: _ -> fault_send nth Net.Drop
+    | { Fault.point = Fault.Msg_delay { nth; by }; _ } :: _ -> fault_send nth (Net.Delay by)
+    | _ -> ());
     Fun.protect
       ~finally:(fun () -> Net.set_send_hook None)
       (fun () ->
@@ -715,25 +659,27 @@ let explore_twopc ?(config = default_config) () =
     | x, y -> [ violation "atomicity" "x=%s y=%s after recovery" (opt_int x) (opt_int y) ])
     @ judge (World w)
   in
-  drive config ~target:"twopc" ~census ~run
+  row "twopc" ~census ~run
 
 (* ---- event-boundary targets ---------------------------------------- *)
 
 type 's target = {
-  name : string;
   setup : config -> world * 's;
   victim : world -> 's -> i:int -> nth:int -> unit;
   extra_oracles : world -> 's -> Fault.schedule -> Oracle.violation list;
 }
 
-let explore_events ?(config = default_config) tgt =
-  let census () =
+(* Census the clean run's simulator events; crash at the scheduled
+   boundaries, drain, then the target's closing oracles — first, so
+   whatever probe they drive is judged with the rest of the run. *)
+let events name tgt =
+  let census config =
     let w, _ = tgt.setup config in
     spread (step_all (System.sim w.sys))
     (* one op ordinal per boundary so [enumerate] pairs distinct ones *)
     |> List.mapi (fun i nth -> { Fault.op = i; point = Fault.Event_boundary { nth } })
   in
-  let run sched =
+  let run config sched =
     let w, st = tgt.setup config in
     let sim = System.sim w.sys in
     let stepped = ref 0 in
@@ -742,25 +688,19 @@ let explore_events ?(config = default_config) tgt =
       sched
     |> List.sort_uniq compare
     |> List.iteri (fun i nth ->
-           while !stepped < nth && Sim.step sim do
-             incr stepped
-           done;
+           stepped := !stepped + step_all ~upto:(nth - !stepped) sim;
            tgt.victim w st ~i ~nth);
     (match w.load with Some l -> ignore (Load.drain l) | None -> ignore (step_all sim));
-    (* The target's closing oracles run first, so whatever probe they
-       drive is judged with the rest of the run. *)
     let extra = tgt.extra_oracles w st sched in
     extra @ judge (World w)
   in
-  drive config ~target:tgt.name ~census ~run
+  row name ~census ~run
 
 (* Crash guardian [(nth + i) mod n] and bring it straight back. *)
 let rotate w _ ~i ~nth =
   let victim = g ((nth + i) mod System.n_guardians w.sys) in
   down w victim;
   ignore (up w victim)
-
-let no_extra _ _ _ = []
 
 let load_world cfg =
   let t = Load.create cfg in
@@ -784,10 +724,9 @@ let contended seed =
 
 let load =
   {
-    name = "load";
     setup = (fun c -> (load_world (contended c.seed), ()));
     victim = rotate;
-    extra_oracles = no_extra;
+    extra_oracles = (fun _ () _ -> []);
   }
 
 (* Directory-mode traffic over three shards with a deliberately tiny uid
@@ -796,7 +735,6 @@ let load =
    inside reservations, routed submits and cross-shard 2PC alike. *)
 let shards =
   {
-    name = "shards";
     setup =
       (fun c ->
         let w =
@@ -830,8 +768,9 @@ let shards =
       (fun _ minted _ ->
         (* the scripted creates retry through crashes and must mint
            distinct uids *)
-        if List.length (List.sort_uniq Rs_util.Uid.compare !minted) = List.length !minted then []
-        else [ violation "uid-unique" "a create observed a reused uid" ]);
+        expect
+          (List.length (List.sort_uniq Rs_util.Uid.compare !minted) = List.length !minted)
+          "uid-unique" "a create observed a reused uid");
   }
 
 (* Half the operations are MVCC read-only actions pinning snapshots while
@@ -839,34 +778,30 @@ let shards =
    snapshots open and writers mid-2PC. *)
 let mvcc =
   {
-    name = "mvcc";
     setup = (fun c -> (load_world { (contended c.seed) with read_fraction = 0.5 }, ()));
     victim = rotate;
     extra_oracles =
       (fun w () _ ->
         let reads = (Load.stats (Option.get w.load)).Load.reads_committed in
-        (if reads > 0 then [] else [ violation "progress" "no snapshot read ever committed" ])
+        expect (reads > 0) "progress" "no snapshot read ever committed"
         (* No stale version survives the drain: with no snapshot left
            open, every chain must have pruned back to its base version. *)
         @ List.concat_map
             (fun gd ->
               let heap = Guardian.heap gd and gi = Gid.to_int (Guardian.gid gd) in
-              let vs = ref [] in
-              if Heap.active_snapshots heap <> 0 then
-                vs :=
-                  [
-                    violation "snapshot-leak" "G%d: %d snapshots still active after drain" gi
-                      (Heap.active_snapshots heap);
-                  ];
+              let active = Heap.active_snapshots heap in
+              let stale = ref [] in
               Heap.iter_objects heap (fun a kind ->
                   if kind = Heap.Atomic then
                     let len = Heap.chain_length heap a in
                     if len <> 1 then
-                      vs :=
+                      stale :=
                         violation "stale-version"
                           "G%d: object %d still holds %d versions after drain" gi a len
-                        :: !vs);
-              List.rev !vs)
+                        :: !stale);
+              expect (active = 0) "snapshot-leak" "G%d: %d snapshots still active after drain" gi
+                active
+              @ List.rev !stale)
             (System.guardians w.sys));
   }
 
@@ -885,11 +820,7 @@ let repl =
         | _ -> failwith "not an int")
     | Some _ | None -> failwith ("counter " ^ key ^ " not bootstrapped")
   in
-  let work : System.work =
-   fun heap aid ->
-    bump "x" heap aid;
-    bump "y" heap aid
-  in
+  let work : System.work = fun heap aid -> List.iter (fun key -> bump key heap aid) [ "x"; "y" ] in
   let fail_over w p =
     let dead = Pair.primary p in
     down w dead;
@@ -904,7 +835,6 @@ let repl =
     match up w dead with `Promoted -> Pair.rejoin p | `Restarted -> ()
   in
   {
-    name = "repl";
     setup =
       (fun c ->
         let sys = System.create ~seed:c.seed ~latency:1.0 ~n:2 () in
@@ -949,24 +879,12 @@ let repl =
         List.concat
           [
             Option.to_list (Option.map (violation "divergence" "%s") (Pair.diverged p));
-            (if x = y then []
-             else
-               [
-                 violation "consistency" "x and y split after failover: x=%s y=%s" (opt_int x)
-                   (opt_int y);
-               ]);
-            (if xv >= c.committed then []
-             else
-               [
-                 violation "commit-survival"
-                   "%d commits acked but only %d increments survived failover" c.committed xv;
-               ]);
-            (if xv <= c.issued then []
-             else
-               [
-                 violation "ceiling" "%d increments survived but only %d attempts were issued" xv
-                   c.issued;
-               ]);
+            expect (x = y) "consistency" "x and y split after failover: x=%s y=%s" (opt_int x)
+              (opt_int y);
+            expect (xv >= c.committed) "commit-survival"
+              "%d commits acked but only %d increments survived failover" c.committed xv;
+            expect (xv <= c.issued) "ceiling"
+              "%d increments survived but only %d attempts were issued" xv c.issued;
           ]);
   }
 
@@ -980,7 +898,6 @@ let repl =
    abandoned the spare log, so both paths see the old log unchanged. *)
 let ckpt =
   {
-    name = "ckpt";
     setup =
       (fun c ->
         let sys = System.create ~seed:c.seed ~latency:1.0 ~n:2 () in
@@ -1015,45 +932,61 @@ let ckpt =
           let vs = heap_int (Core.Hybrid_rs.heap rs_s) key in
           let vp = heap_int (Core.Hybrid_rs.heap rs_p) key in
           let prep i = List.sort compare (Core.Tables.Recovery_info.prepared_actions i) in
-          (if
-             vs = vp
-             && prep info_s = prep info_p
-             && Core.Hybrid_rs.last_outcome_addr rs_s = Core.Hybrid_rs.last_outcome_addr rs_p
-           then []
-           else
-             [
-               violation "image-divergence" "serial and parallel recovery disagree on G%d (%s=%s vs %s)"
-                 (Gid.to_int gid) key (opt_int vs) (opt_int vp);
-             ])
+          expect
+            (vs = vp
+            && prep info_s = prep info_p
+            && Core.Hybrid_rs.last_outcome_addr rs_s = Core.Hybrid_rs.last_outcome_addr rs_p)
+            "image-divergence" "serial and parallel recovery disagree on G%d (%s=%s vs %s)"
+            (Gid.to_int gid) key (opt_int vs) (opt_int vp)
           @ Oracle.check_log (Some (Core.Hybrid_rs.log rs_p))
           @ Oracle.check_stores (Log_dir.stores (Core.Hybrid_rs.dir rs_p))
         in
         List.concat
           [
-            (if sched <> [] || hk_runs > 0 then []
-             else [ violation "progress" "the clean run never completed an incremental checkpoint" ]);
-            (if x = y then []
-             else [ violation "consistency" "x and y split: x=%s y=%s" (opt_int x) (opt_int y) ]);
-            (if xv >= !acked_max then []
-             else
-               [
-                 violation "commit-survival" "commit of action %d was acked but x=%d survived"
-                   !acked_max xv;
-               ]);
+            expect (sched <> [] || hk_runs > 0) "progress"
+              "the clean run never completed an incremental checkpoint";
+            expect (x = y) "consistency" "x and y split: x=%s y=%s" (opt_int x) (opt_int y);
+            expect (xv >= !acked_max) "commit-survival"
+              "commit of action %d was acked but x=%d survived" !acked_max xv;
             (* Image-equivalence probe, once the judge-relevant state is read. *)
             List.concat_map image [ (g 0, "x"); (g 1, "y") ];
           ]);
   }
 
-let explore ?config = function
-  | "twopc" -> explore_twopc ?config ()
-  | "group" -> explore_group ?config ()
-  | "load" -> explore_events ?config load
-  | "shards" -> explore_events ?config shards
-  | "repl" -> explore_events ?config repl
-  | "ckpt" -> explore_events ?config ckpt
-  | "mvcc" -> explore_events ?config mvcc
-  | name -> explore_scheme ?config name
+let targets =
+  [
+    single "simple" (scheme Scheme.simple (base_acts @ [ Housekeep Scheme.Snapshot; tail_act ]));
+    single "hybrid"
+      (scheme Scheme.hybrid
+         (base_acts @ [ Housekeep Scheme.Compaction; tail_act; Housekeep Scheme.Snapshot ]));
+    single "shadow" (scheme Scheme.shadow (base_acts @ [ tail_act ]));
+    (* Segment churn: tiny segments (two 128-byte pages) make every act
+       allocate and every housekeeping pass retire, so the census is
+       dense in Seg_alloc/Seg_link/Seg_retire boundaries. *)
+    single "segments"
+      (scheme
+         (Scheme.hybrid ~page_size:128 ~segment_pages:2)
+         (base_acts
+         @ [
+             Housekeep Scheme.Compaction;
+             tail_act;
+             Act { indices = [ 1; 3 ]; outcome = `Commit };
+             Housekeep Scheme.Snapshot;
+             Act { indices = [ 2; 5 ]; outcome = `Commit };
+           ]));
+    twopc;
+    single "group" group;
+    events "load" load;
+    events "shards" shards;
+    events "repl" repl;
+    events "ckpt" ckpt;
+    events "mvcc" mvcc;
+  ]
+
+let explore ?(config = default_config) name =
+  match List.assoc_opt name targets with
+  | Some run -> run config
+  | None -> invalid_arg ("Explore.explore: unknown target " ^ name)
 
 (* ------------------------------------------------------------------ *)
 

@@ -85,7 +85,7 @@ let test_group_broken_force_caught () =
   let o =
     Fun.protect
       ~finally:(fun () -> Rs_slog.Stable_log.set_skip_header_write false)
-      (fun () -> Explore.explore_group ~config ())
+      (fun () -> Explore.explore ~config "group")
   in
   match o.Explore.counterexample with
   | None -> Alcotest.fail "broken force not detected by the group target"
@@ -100,7 +100,7 @@ let test_broken_force_caught () =
   let o =
     Fun.protect
       ~finally:(fun () -> Rs_slog.Stable_log.set_skip_header_write false)
-      (fun () -> Explore.explore_scheme ~config "hybrid")
+      (fun () -> Explore.explore ~config "hybrid")
   in
   match o.Explore.counterexample with
   | None -> Alcotest.fail "broken force not detected"
@@ -111,7 +111,7 @@ let test_broken_force_caught () =
 
 (* Depth-1-only exploration still works and stays within budget. *)
 let test_depth_one () =
-  let o = Explore.explore_scheme ~config:{ config with max_depth = 1 } "simple" in
+  let o = Explore.explore ~config:{ config with max_depth = 1 } "simple" in
   Alcotest.(check (option Alcotest.reject)) "no violation"
     None
     (Option.map (fun _ -> ()) o.Explore.counterexample);
