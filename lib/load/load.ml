@@ -106,6 +106,11 @@ let pp_stats fmt s =
     s.abandoned s.wait_timeouts s.reads_submitted s.reads_committed s.reads_aborted
     s.read_p50 s.read_p99 s.elapsed s.nemesis_downtime s.throughput s.p50 s.p99
 
+(* Which action of an operation is running: the whole of an ordinary
+   operation, or one action of a saga's chain — leg one on shard A, leg
+   two on shard B, or the compensation undoing leg one. *)
+type phase = Whole | Fwd1 | Fwd2 | Comp
+
 (* One logical operation: the retry loop resubmits the same targets, so
    an operation that eventually commits commits exactly once. [deliberate]
    is set by the step itself just before raising [Abort_action], which is
@@ -123,7 +128,12 @@ type op = {
   readings : (int * int * int) list ref;
       (* (guardian, object, value) observed by this attempt's read steps;
          checked against the per-object monotone floor at commit. *)
+  mutable phase : phase;
 }
+
+let mk_op ?(inject_abort = false) ?(read = false) ?(phase = Whole) ~client coord targets =
+  { coord = Gid.of_int coord; targets; inject_abort; deliberate = ref false; client; read;
+    readings = ref []; phase }
 
 type t = {
   cfg : config;
@@ -370,8 +380,7 @@ let gen_op_directory t ~client ~inject_abort =
   in
   let targets = sort_targets targets in
   let coord = match targets with (g, _, _) :: _ -> g | [] -> assert false in
-  { coord = Gid.of_int coord; targets; inject_abort; deliberate = ref false; client;
-    read = false; readings = ref [] }
+  mk_op ~inject_abort ~client coord targets
 
 (* A read-only operation: same target shape as an update (so the conflict
    knob applies symmetrically), delta 0, no injected aborts. Submitted as
@@ -390,8 +399,7 @@ let gen_read_op t ~client =
   in
   let targets = sort_targets targets in
   let coord = match targets with (g, _, _) :: _ -> g | [] -> assert false in
-  { coord = Gid.of_int coord; targets; inject_abort = false; deliberate = ref false;
-    client; read = true; readings = ref [] }
+  mk_op ~read:true ~client coord targets
 
 let gen_op t ~client =
   if t.cfg.read_fraction > 0.0 && Rng.bool t.rng t.cfg.read_fraction then
@@ -408,8 +416,7 @@ let gen_op t ~client =
             (g, o, 1))
       in
       let coord = match targets with (g, _, _) :: _ -> g | [] -> assert false in
-      { coord = Gid.of_int coord; targets = sort_targets targets; inject_abort;
-        deliberate = ref false; client; read = false; readings = ref [] }
+      mk_op ~inject_abort ~client coord (sort_targets targets)
   | Bank ->
       let src = pick_target t in
       let rec pick_dst () =
@@ -420,18 +427,15 @@ let gen_op t ~client =
       let targets =
         sort_targets [ (fst src, snd src, -1); (fst dst, snd dst, 1) ]
       in
-      { coord = Gid.of_int (fst src); targets; inject_abort; deliberate = ref false; client;
-        read = false; readings = ref [] }
+      mk_op ~inject_abort ~client (fst src) targets
   | Reservation ->
       let g, o = pick_target t in
-      { coord = Gid.of_int g; targets = [ (g, o, -1) ]; inject_abort;
-        deliberate = ref false; client; read = false; readings = ref [] }
+      mk_op ~inject_abort ~client g [ (g, o, -1) ]
   | Queue ->
       (* delta encodes the operation: +1 enqueue, -1 dequeue. *)
       let g, o = pick_target t in
       let delta = if Rng.bool t.rng 0.5 then 1 else -1 in
-      { coord = Gid.of_int g; targets = [ (g, o, delta) ]; inject_abort;
-        deliberate = ref false; client; read = false; readings = ref [] }
+      mk_op ~inject_abort ~client g [ (g, o, delta) ]
   | Saga ->
       (* Targets in *semantic* order (not lock order): leg one, then leg
          two on a distinct guardian — each leg is its own top action. *)
@@ -442,8 +446,7 @@ let gen_op t ~client =
       in
       let gB = other () in
       let oB = pick_obj t in
-      { coord = Gid.of_int gA; targets = [ (gA, oA, 1); (gB, oB, 1) ]; inject_abort;
-        deliberate = ref false; client; read = false; readings = ref [] }
+      mk_op ~inject_abort ~phase:Fwd1 ~client gA [ (gA, oA, 1); (gB, oB, 1) ]
 
 let target_addr heap o =
   match Heap.get_stable_var heap (obj_name o) with
@@ -496,12 +499,30 @@ let read_step op g o : System.work =
   | Value.Int v -> op.readings := (g, o, v) :: !(op.readings)
   | _ -> ()
 
+(* The (guardian, object, delta) the running saga action writes. *)
+let saga_leg op =
+  match (op.phase, op.targets) with
+  | Fwd1, (g, o, d) :: _ -> (g, o, d)
+  | Fwd2, _ :: (g, o, d) :: _ -> (g, o, d)
+  | Comp, (g, o, d) :: _ -> (g, o, -d)
+  | _ -> assert false
+
 let steps_of t op : (Gid.t * System.work) list =
   if op.read then
     List.map (fun (g, o, _) -> (Gid.of_int g, read_step op g o)) op.targets
   else
-  let body = List.map (fun (g, o, delta) -> (Gid.of_int g, step_work t op o delta)) op.targets in
-  if op.inject_abort then body @ [ (op.coord, abort_step op) ] else body
+    match op.phase with
+    | Whole ->
+        let body =
+          List.map (fun (g, o, delta) -> (Gid.of_int g, step_work t op o delta)) op.targets
+        in
+        if op.inject_abort then body @ [ (op.coord, abort_step op) ] else body
+    | Fwd1 | Fwd2 | Comp ->
+        (* Injected business aborts hit leg two only: the shape that forces
+           a compensation. *)
+        let g, o, delta = saga_leg op in
+        (Gid.of_int g, step_work t op o delta)
+        :: (if op.inject_abort && op.phase = Fwd2 then [ (Gid.of_int g, abort_step op) ] else [])
 
 (* Directory mode: steps name objects by key; the directory resolves them
    back to shards (and counts/traces the route). *)
@@ -530,7 +551,9 @@ let apply_model t op =
             if d > 0 then t.q_enq.(g).(o) <- t.q_enq.(g).(o) + 1
             else t.q_deq.(g).(o) <- t.q_deq.(g).(o) + 1)
           op.targets
-    | Saga -> () (* legs apply to the model individually, in saga_resolved *)
+    | Saga ->
+        let g, o, d = saga_leg op in
+        t.model.(g).(o) <- t.model.(g).(o) + d
 
 (* --- the client state machine ----------------------------------------- *)
 
@@ -599,7 +622,7 @@ and resolved t op ~tries h o =
       | Some l -> Metrics.observe t.hist (int_of_float (l *. 10.0))
       | None -> ());
       apply_model t op;
-      next_op t op
+      settle t op ~tries `Committed
   | Action.Aborted when op.read ->
       (* Only possible with [locked_reads]: a lock wait timed out. MVCC
          read-only actions structurally cannot abort. *)
@@ -607,132 +630,66 @@ and resolved t op ~tries h o =
       retry_or_finish t op ~tries
   | Action.Aborted when !(op.deliberate) ->
       t.s_deliberate <- t.s_deliberate + 1;
-      next_op t op
+      settle t op ~tries `Deliberate
   | Action.Aborted ->
       t.s_aborted <- t.s_aborted + 1;
       retry_or_finish t op ~tries
 
+(* Compensations retry without bound: a half-applied saga may never be
+   abandoned. The exponent is capped so an unbounded retry count keeps
+   a finite delay. *)
 and retry_or_finish t op ~tries =
-  if tries < t.cfg.max_retries then begin
+  if op.phase = Comp || tries < t.cfg.max_retries then begin
     t.s_retries <- t.s_retries + 1;
-    let d = min t.cfg.backoff_cap (t.cfg.backoff_base *. (2.0 ** float_of_int tries)) in
+    let d = min t.cfg.backoff_cap (t.cfg.backoff_base *. (2.0 ** float_of_int (min tries 30))) in
     let d = d *. (1.0 +. Rng.float t.rng 0.5) in
     Sim.schedule (System.sim t.system) ~delay:d (fun () -> attempt t op ~tries:(tries + 1))
   end
   else begin
     t.s_abandoned <- t.s_abandoned + 1;
-    next_op t op
+    settle t op ~tries `Exhausted
   end
+
+(* Where an operation goes once its action commits, aborts deliberately
+   or exhausts its retries. An ordinary operation is over. A saga is a
+   chain of top actions: leg one on shard A, leg two on shard B, and — if
+   leg two fails terminally — a compensation undoing leg one. Each
+   commits or aborts atomically on its own; the chain continues past
+   [stop_at], so a started saga always reaches [completed] or
+   [compensated] by quiescence. *)
+and settle t op ~tries ending =
+  let run phase =
+    op.phase <- phase;
+    attempt t op ~tries:0
+  in
+  match (op.phase, ending) with
+  | Fwd1, `Committed ->
+      Saga.start t.saga;
+      run Fwd2
+  | Fwd2, `Committed ->
+      Saga.complete t.saga;
+      next_op t op
+  | Comp, `Committed ->
+      Saga.compensate t.saga;
+      next_op t op
+  | Fwd2, (`Deliberate | `Exhausted) -> run Comp
+  | Comp, (`Deliberate | `Exhausted) -> retry_or_finish t op ~tries
+  | Whole, (`Committed | `Deliberate | `Exhausted) | Fwd1, (`Deliberate | `Exhausted) ->
+      next_op t op
 
 and next_op t op =
   if op.client then
     let sim = System.sim t.system in
     if Sim.now sim < t.stop_at then
       let think = match t.cfg.mode with Closed { think; _ } -> think | Open _ -> 0.0 in
-      Sim.schedule sim ~delay:think (fun () -> launch t (gen_op t ~client:true) ~tries:0)
-
-(* --- the saga client machine ------------------------------------------- *)
-
-(* A saga is a chain of top actions: leg one on shard A, leg two on shard
-   B, and — if leg two fails terminally (deliberate abort or retries
-   exhausted) — a compensation undoing leg one. Each phase commits or
-   aborts atomically on its own; the chain continues past [stop_at] so a
-   started saga always reaches [completed] or [compensated] by quiescence.
-   Compensations retry without bound: a half-applied saga may never be
-   abandoned. *)
-
-and saga_leg op phase =
-  match (phase, op.targets) with
-  | `Fwd1, (g, o, d) :: _ -> (g, o, d)
-  | `Fwd2, _ :: (g, o, d) :: _ -> (g, o, d)
-  | `Comp, (g, o, d) :: _ -> (g, o, -d)
-  | _ -> assert false
-
-and saga_attempt t op ~phase ~tries =
-  op.deliberate := false;
-  t.s_submitted <- t.s_submitted + 1;
-  let g, o, delta = saga_leg op phase in
-  let body = [ (Gid.of_int g, step_work t op o delta) ] in
-  let steps =
-    (* Injected business aborts hit leg two only: the shape that forces a
-       compensation. *)
-    if op.inject_abort && phase = `Fwd2 then body @ [ (Gid.of_int g, abort_step op) ]
-    else body
-  in
-  match System.submit t.system ~coordinator:op.coord ~steps with
-  | h ->
-      t.inflight <- t.inflight + 1;
-      Action.on_resolve h (fun h o_ -> saga_resolved t op ~phase ~tries h o_)
-  | exception System.Overloaded _ ->
-      t.s_sheds <- t.s_sheds + 1;
-      saga_retry t op ~phase ~tries
-  | exception System.Guardian_down _ ->
-      t.s_reroutes <- t.s_reroutes + 1;
-      if t.cfg.guardians > 1 then begin
-        let c = Gid.to_int op.coord in
-        op.coord <- Gid.of_int ((c + 1 + Rng.int t.rng (t.cfg.guardians - 1)) mod t.cfg.guardians)
-      end;
-      saga_retry t op ~phase ~tries
-
-and saga_resolved t op ~phase ~tries h o_ =
-  t.inflight <- t.inflight - 1;
-  match o_ with
-  | Action.Committed -> (
-      t.s_committed <- t.s_committed + 1;
-      (match Action.latency h with
-      | Some l -> Metrics.observe t.hist (int_of_float (l *. 10.0))
-      | None -> ());
-      let g, o, delta = saga_leg op phase in
-      t.model.(g).(o) <- t.model.(g).(o) + delta;
-      match phase with
-      | `Fwd1 ->
-          Saga.start t.saga;
-          saga_attempt t op ~phase:`Fwd2 ~tries:0
-      | `Fwd2 ->
-          Saga.complete t.saga;
-          next_op t op
-      | `Comp ->
-          Saga.compensate t.saga;
-          next_op t op)
-  | Action.Aborted when !(op.deliberate) -> (
-      t.s_deliberate <- t.s_deliberate + 1;
-      match phase with
-      | `Fwd2 -> saga_attempt t op ~phase:`Comp ~tries:0
-      | `Fwd1 -> next_op t op (* nothing applied yet *)
-      | `Comp -> saga_retry t op ~phase ~tries (* compensations never quit *))
-  | Action.Aborted ->
-      t.s_aborted <- t.s_aborted + 1;
-      saga_retry t op ~phase ~tries
-
-and saga_retry t op ~phase ~tries =
-  if phase = `Comp || tries < t.cfg.max_retries then begin
-    t.s_retries <- t.s_retries + 1;
-    let d = min t.cfg.backoff_cap (t.cfg.backoff_base *. (2.0 ** float_of_int (min tries 30))) in
-    let d = d *. (1.0 +. Rng.float t.rng 0.5) in
-    Sim.schedule (System.sim t.system) ~delay:d (fun () ->
-        saga_attempt t op ~phase ~tries:(tries + 1))
-  end
-  else
-    match phase with
-    | `Fwd1 ->
-        t.s_abandoned <- t.s_abandoned + 1;
-        next_op t op
-    | `Fwd2 ->
-        (* Forward exhausted with leg one applied: undo it. *)
-        t.s_abandoned <- t.s_abandoned + 1;
-        saga_attempt t op ~phase:`Comp ~tries:0
-    | `Comp -> assert false
-
-and launch t op ~tries =
-  if t.cfg.profile = Saga then saga_attempt t op ~phase:`Fwd1 ~tries
-  else attempt t op ~tries
+      Sim.schedule sim ~delay:think (fun () -> attempt t (gen_op t ~client:true) ~tries:0)
 
 let rec schedule_arrival t rate =
   let sim = System.sim t.system in
   let gap = -.log (1.0 -. Rng.float t.rng 1.0) /. rate in
   Sim.schedule sim ~delay:gap (fun () ->
       if Sim.now sim < t.stop_at then begin
-        launch t (gen_op t ~client:false) ~tries:0;
+        attempt t (gen_op t ~client:false) ~tries:0;
         schedule_arrival t rate
       end)
 
@@ -743,7 +700,7 @@ let start t =
   match t.cfg.mode with
   | Closed { clients; _ } ->
       for _ = 1 to clients do
-        Sim.schedule sim ~delay:0.0 (fun () -> launch t (gen_op t ~client:true) ~tries:0)
+        Sim.schedule sim ~delay:0.0 (fun () -> attempt t (gen_op t ~client:true) ~tries:0)
       done
   | Open { rate } -> schedule_arrival t rate
 
