@@ -6,6 +6,7 @@ module Rs = Core.Hybrid_rs
 module Pt = Core.Tables.Pt
 module Store = Rs_storage.Stable_store
 module Disk = Rs_storage.Disk
+module Replica = Rs_repl.Repl.Replica
 
 let fresh () =
   let heap = Heap.create () in
@@ -628,6 +629,7 @@ type system = {
   done_ : Aid.t -> unit;
   checkpoint : unit -> int -> bool;  (** start one; the result runs a slice of [budget] *)
   log : unit -> Log.t;
+  dir : Log_dir.t;
   recover : unit -> Heap.t * Core.Tables.Recovery_info.t;
 }
 
@@ -652,6 +654,7 @@ let system kind =
             let job = Rs.hk_start rs technique in
             fun budget -> Rs.hk_step rs job ~budget);
         log = (fun () -> Rs.log rs);
+        dir;
         recover =
           (fun () ->
             let rs, info = Rs.recover dir in
@@ -673,6 +676,7 @@ let system kind =
             let job = S.hk_start rs in
             fun budget -> S.hk_step rs job ~budget);
         log = (fun () -> S.log rs);
+        dir;
         recover =
           (fun () ->
             let rs, info = S.recover dir in
@@ -948,7 +952,7 @@ let test_open_early_mutex technique () =
 (* A checkpoint does not change what recovery rebuilds: a random history
    recovered after a checkpoint (with commits between its slices) matches
    the same history recovered with those commits and no checkpoint. *)
-let gen_history =
+let gen_history_of kinds =
   QCheck.Gen.(
     let idx n = list_size (int_bound 2) (int_bound (n - 1)) in
     let op =
@@ -964,11 +968,10 @@ let gen_history =
           (1, return Adopt);
         ]
     in
-    let kind =
-      oneofl [ Hybrid Rs.Compaction; Hybrid Rs.Snapshot; Simple ]
-    in
-    quad kind (oneofl [ 1; 2; 3; max_int ]) (list_size (int_bound 20) op)
+    quad (oneofl kinds) (oneofl [ 1; 2; 3; max_int ]) (list_size (int_bound 20) op)
       (list_size (int_bound 8) op))
+
+let gen_history = gen_history_of [ Hybrid Rs.Compaction; Hybrid Rs.Snapshot; Simple ]
 
 let print_history (kind, budget, before, after) =
   Fmt.str "%s, budget %d: %a | checkpoint | %a"
@@ -998,6 +1001,64 @@ let prop_checkpoint_preserves_recovery =
       if want <> got then
         QCheck.Test.fail_reportf "recovered without a checkpoint:@.%a@.with one:@.%a"
           Fmt.(list string) want Fmt.(list string) got;
+      true)
+
+(* A warm standby of [r]'s log, fed as a replicated pair feeds it: every
+   force ships its batch, and every generation switch (which restarts log
+   addresses) re-seeds a fresh replica with the new log's forced prefix. *)
+let standby r =
+  let dir = r.sys.dir in
+  let replica = ref None in
+  let ship r' ~base ~entries ~table ~low_water =
+    match Replica.apply r' ~base ~entries ~table ~low_water with
+    | Replica.Applied -> ()
+    | Replica.Gap a -> Alcotest.failf "ship left a gap at %d" a
+  in
+  let attach () =
+    let log = Log_dir.current dir in
+    let r' =
+      Replica.create ~page_size:(Log_dir.page_size dir)
+        ~segment_pages:(Log_dir.segment_pages dir) ()
+    in
+    replica := Some r';
+    let forced = Seq.filter (fun (a, _) -> Log.is_forced log a) (Log.read_forward log 0) in
+    ship r' ~base:0 ~entries:(List.of_seq forced) ~table:(Log.segment_table log)
+      ~low_water:(Log.low_water log);
+    Log.set_on_force log
+      (Some
+         (fun fb ->
+           ship r' ~base:fb.Log.fb_base ~entries:fb.Log.fb_entries ~table:fb.Log.fb_table
+             ~low_water:fb.Log.fb_low_water))
+  in
+  attach ();
+  Log_dir.set_on_switch dir (Some attach);
+  fun () -> Option.get !replica
+
+(* Promotion rebuilds what recovery rebuilds: a standby fed through a
+   random history, with a checkpoint (and its re-seed) mid-stream and
+   optionally a standby crash and reopen, promotes to the image that
+   recovery of the primary's own log directory yields. *)
+let prop_promotion_matches_recovery =
+  QCheck.Test.make ~name:"promotion rebuilds what recovery rebuilds" ~count:150
+    (QCheck.make
+       ~print:(fun (h, reopen) -> Fmt.str "%s, reopen %b" (print_history h) reopen)
+       QCheck.Gen.(pair (gen_history_of [ Hybrid Rs.Compaction; Hybrid Rs.Snapshot ]) bool))
+    (fun ((kind, budget, before, after), reopen) ->
+      let r = start kind in
+      let replica = standby r in
+      List.iter (apply r) before;
+      ignore (checkpoint r ~budget);
+      List.iter (apply r) after;
+      let replica = replica () in
+      if reopen then begin
+        Replica.invalidate replica;
+        Replica.reopen replica
+      end;
+      let rs, info = Replica.build_recovery replica in
+      let got = image (Rs.heap rs, info) and want = image (r.sys.recover ()) in
+      if want <> got then
+        QCheck.Test.fail_reportf "recovered:@.%a@.promoted:@.%a" Fmt.(list string) want
+          Fmt.(list string) got;
       true)
 
 let suite =
@@ -1031,4 +1092,5 @@ let suite =
       Alcotest.test_case "simple-log snapshot: one at a time" `Quick test_simple_hk_guards;
       Alcotest.test_case "checkpoint bytes pinned" `Quick test_checkpoint_bytes_pinned;
       QCheck_alcotest.to_alcotest prop_checkpoint_preserves_recovery;
+      QCheck_alcotest.to_alcotest prop_promotion_matches_recovery;
     ]
