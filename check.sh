@@ -540,14 +540,20 @@ case "$OUT" in
 esac
 
 echo "== exploration gate: every target survives 200 crash schedules =="
-for target in simple hybrid shadow segments twopc group load shards repl ckpt mvcc; do
-  OUT=$(dune exec bin/argusctl.exe -- explore --scheme "$target" --budget 200)
+# One run over the explorer's target table: each of the 11 targets prints
+# one summary line, and every line must report violations=0.
+if ! OUT=$(dune exec bin/argusctl.exe -- explore --scheme all --budget 200); then
   echo "$OUT"
-  case "$OUT" in
-    *"violations=0"*) ;;
-    *) echo "exploration found a violation for $target"; exit 1 ;;
-  esac
-done
+  echo "exploration found a violation"
+  exit 1
+fi
+echo "$OUT"
+TARGETS=$(echo "$OUT" | grep -c '^explore target=' || true)
+CLEAN=$(echo "$OUT" | grep -c '^explore target=.* violations=0$' || true)
+if [ "$TARGETS" -ne 11 ] || [ "$CLEAN" -ne 11 ]; then
+  echo "expected 11 explorer targets with violations=0, got $CLEAN clean of $TARGETS"
+  exit 1
+fi
 
 echo "== exploration self-test: seeded broken force must be caught =="
 if OUT=$(dune exec bin/argusctl.exe -- explore --scheme hybrid --budget 200 --break-force); then

@@ -324,9 +324,9 @@ let census sc =
 (* ---- one schedule ------------------------------------------------ *)
 
 (* Run [phase] over [t] with [point] armed; true iff the crash fired. A
-   [Hk_boundary] always crashes, after the phase's first slice alone; an
-   [Event_boundary] crashes after that many of the phase's simulator
-   events, if it runs that many. *)
+   [Hk_boundary] (censused only on a housekeeping phase) always crashes,
+   after the phase's first slice alone; an [Event_boundary] crashes after
+   that many of the phase's simulator events, if it runs that many. *)
 let inject t phase point =
   let crashed f = match f () with () -> false | exception Disk.Crash -> true in
   let armed disarm = Fun.protect ~finally:disarm (fun () -> crashed (fun () -> finish t phase)) in
@@ -349,7 +349,7 @@ let inject t phase point =
       Slog.set_segment_hook
         (Some (fun ev -> if seg_stages.(seg_stage_index ev) = stage then hit ()));
       armed (fun () -> Slog.set_segment_hook None)
-  | Fault.Hk_boundary when phase.slice <> None ->
+  | Fault.Hk_boundary ->
       Option.get phase.slice t;
       true
   | Fault.Event_boundary { nth } ->
@@ -357,7 +357,7 @@ let inject t phase point =
           Option.iter
             (fun sim -> if step_all ~upto:nth sim = nth then raise Disk.Crash)
             (phase.run t))
-  | Fault.Hk_boundary | Fault.Msg_crash _ | Fault.Msg_drop _ | Fault.Msg_delay _ -> armed ignore
+  | Fault.Msg_crash _ | Fault.Msg_drop _ | Fault.Msg_delay _ -> armed ignore
 
 (* Crash recovery plus in-doubt resolution (presumed abort, §2.2.3),
    then the scenario's oracle on the recovered counters and the judge. *)

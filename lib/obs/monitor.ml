@@ -203,7 +203,11 @@ let lock_legal_fold () =
    including presumed-abort orphan resolution after a coordinator restart.
    If any crashed guardian never came back (no later [Restart] and no
    [Repl_promote] naming it), its in-flight handles legitimately dangle and
-   the check abstains. State: the open handles and the guardians down. *)
+   the check abstains. A guardian comes back through a cold restart or by
+   adopting a promoted standby image; both emit [Restart], so the heir of
+   a promotion leaves the down set too. [Repl_promote]'s [for_] covers the
+   dead primary, whose address the heir took over. State: the open
+   handles and the guardians down. *)
 let handle_liveness_fold () =
   let pending : (string, string * int) Hashtbl.t = Hashtbl.create 64 in
   let down : (string, unit) Hashtbl.t = Hashtbl.create 8 in
