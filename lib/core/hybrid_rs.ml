@@ -118,7 +118,7 @@ let pending_pairs t aid =
    durability callback runs inside [append_outcome], and it must observe
    this action's state transition (e.g. a commit issued from a prepare's
    [on_durable]). *)
-let prepare ?on_durable t aid mos =
+let prepare ?(force = true) ?on_durable t aid mos =
   ignore (write_mos t aid mos);
   let pairs = pending_pairs t aid in
   (* The MT names only versions recovery would restore: a mutex version
@@ -135,7 +135,7 @@ let prepare ?on_durable t aid mos =
   Aid.Tbl.remove t.pending aid;
   Aid.Tbl.replace t.pat aid ();
   ignore
-    (append_outcome ~force:true ?on_durable t
+    (append_outcome ~force ?on_durable t
        (Log_entry.Prepared { aid; pairs = Some pairs; prev = None }))
 
 let commit ?on_durable t aid =
@@ -152,9 +152,11 @@ let committing ?on_durable t aid gids =
   ignore
     (append_outcome ~force:true ?on_durable t (Log_entry.Committing { aid; gids; prev = None }))
 
+(* Lazy: a lost done record only makes the recovered coordinator re-send
+   commit (§2.2.3), which the participants ack again. *)
 let done_ ?on_durable t aid =
   Aid.Tbl.remove t.committing_active aid;
-  ignore (append_outcome ~force:true ?on_durable t (Log_entry.Done { aid; prev = None }))
+  ignore (append_outcome ?on_durable t (Log_entry.Done { aid; prev = None }))
 
 let prepared_actions t = Aid.Tbl.fold (fun a () acc -> a :: acc) t.pat []
 let accessible t u = Uid.Set.mem u t.acc
@@ -524,6 +526,11 @@ let hk_step (t : t) (job : job) ~budget =
           (* The heap traversal reads live volatile state, so it cannot
              be sliced against concurrent mutation: one atomic step. *)
           close_stage1 job (snapshot_stage1 t job);
+          (* The walk read the committed state, the PAT and the
+             committing table after every outcome entry appended so far:
+             it already holds their effects, so carrying them too would
+             only copy them. *)
+          job.carried <- Vec.length job.oel;
           job.stage <- Carry
       | Compaction ->
           let n = ref 0 in

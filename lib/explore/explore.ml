@@ -906,6 +906,15 @@ let ckpt =
         Guardian.set_auto_housekeeping (System.guardian sys (g 1)) ~threshold_bytes:1200
           ~slice:(3, 0.07) (Some Core.Hybrid_rs.Snapshot);
         let w = world sys in
+        (* Bind x and y before the traffic, as the twopc target does:
+           [set_var] creates an absent variable, and the stable-variable
+           lookup is a lock-free committed read, so two actions could
+           each bind their own object and split x from y with no crash
+           involved. *)
+        attempt w ~tries:1 ~retry_aborts:false ~on_commit:ignore
+          (fun () -> (g 0, [ (g 0, set_var "x" 0); (g 1, set_var "y" 0) ]))
+          ();
+        System.quiesce sys;
         (* The value written is the action's index, so the surviving
            counter names the newest acked commit. *)
         let acked_max = ref 0 in

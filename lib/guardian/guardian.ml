@@ -84,10 +84,12 @@ let twopc t =
   | Some p -> p
   | None -> invalid_arg "Guardian: endpoint not initialized"
 
+let coordinating t = Twopc.coordinating (twopc t)
+
 let hooks_of t : Twopc.hooks =
   {
     on_prepare =
-      (fun aid ->
+      (fun ~force aid ->
         (* An action unknown here never ran, aborted locally, or was wiped
            out by a crash: refuse (§2.2.2). *)
         if not (Aid.Set.mem aid t.known) then begin
@@ -104,7 +106,7 @@ let hooks_of t : Twopc.hooks =
             | None -> Heap.mos t.heap aid
           in
           Aid.Tbl.remove t.early aid;
-          Hybrid_rs.prepare t.rs aid mos;
+          Hybrid_rs.prepare ~force t.rs aid mos;
           Metrics.incr m_prepares;
           if Trace.enabled () then
             Trace.emit
@@ -272,6 +274,7 @@ let restart t =
   in
   let info = report.Core.Tables.Recovery_report.info in
   t.rs <- rs;
+  t.dir <- Hybrid_rs.dir rs; (* recovery reopened the directory *)
   resume_duties t info;
   report
 

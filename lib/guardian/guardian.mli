@@ -34,6 +34,11 @@ val gid : t -> Rs_util.Gid.t
 val heap : t -> Rs_objstore.Heap.t
 val rs : t -> Core.Hybrid_rs.t
 val log_dir : t -> Rs_slog.Log_dir.t
+
+val coordinating : t -> int
+(** {!Rs_twopc.Twopc.coordinating} of the current endpoint: actions this
+    guardian coordinates that are not yet finished. *)
+
 val is_up : t -> bool
 val fresh_aid : t -> Rs_util.Aid.t
 

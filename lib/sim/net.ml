@@ -59,11 +59,13 @@ let send t ~src ~dst msg =
     else if t.drop_prob > 0.0 && Rs_util.Rng.bool rng t.drop_prob then
       t.dropped <- t.dropped + 1
     else begin
-      let delay =
-        t.latency
-        +. (if t.jitter > 0.0 then Rs_util.Rng.float rng t.jitter else 0.0)
-        +. (match verdict with Delay d -> d | Deliver | Drop -> 0.0)
+      (* A message to self never touches the wire: it arrives in the same
+         instant, after the event that sent it, and draws no jitter. *)
+      let wire =
+        if Gid.equal src dst then 0.0
+        else t.latency +. if t.jitter > 0.0 then Rs_util.Rng.float rng t.jitter else 0.0
       in
+      let delay = wire +. match verdict with Delay d -> d | Deliver | Drop -> 0.0 in
       Sim.schedule t.sim ~delay (fun () ->
           let n = node t dst "deliver" in
           if n.up then begin

@@ -1,8 +1,11 @@
 (** Simulated network between guardians: point-to-point messages with
     latency, optional jitter and loss, and node up/down state. Messages
     addressed to a node that is down on {e delivery} are silently dropped
-    — exactly the failure 2PC timeouts must cover. Self-sends are
-    delivered with the same latency model. *)
+    — exactly the failure 2PC timeouts must cover. A self-send
+    ([src = dst]) skips the wire: it is delivered at delay 0 (the same
+    instant, after the sending event) with no latency and no jitter draw,
+    but it still passes the send hook, the drop check and the up check and
+    counts as sent and delivered. *)
 
 type 'msg t
 

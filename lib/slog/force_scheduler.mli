@@ -54,7 +54,9 @@ val pending : t -> int
 val enqueue : t -> ?on_durable:(unit -> unit) -> unit -> unit
 (** Enqueue a durability token for everything written to the log so far.
     [on_durable] fires after the covering force (synchronously when not
-    batching). *)
+    batching). When no token is outstanding and every entry in the log is
+    already forced, the token is covered as it stands: [on_durable] runs
+    at once and nothing is flushed — no empty force, no batch. *)
 
 val flush : t -> unit
 (** Force now, covering all outstanding tokens; no-op when none. *)

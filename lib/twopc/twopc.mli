@@ -13,7 +13,24 @@
       committing record, §2.2.3);
     - a prepared participant that has heard nothing queries the
       coordinator, which answers from its stable state — an unknown action
-      means abort (§2.2.3). *)
+      means abort (§2.2.3).
+
+    Following the presumed-abort rules of R* (Mohan, Lindsay and
+    Obermarck), the coordinator's own share costs no force of its own:
+    - {e self-prepare}: a [Prepare] from the endpoint's own gid writes its
+      prepared record unforced and replies at once. The coordinator's
+      committing record goes into the same log later, and its covering
+      force covers the prepared record; a crash before it loses both and
+      presumed abort resolves the action;
+    - {e lazy done}: the done record is written unforced. If a crash loses
+      it, recovery finds the committing record alone, {!resume_coordinator}
+      re-sends commit, and the participants ack again;
+    - {e forgetting}: an action leaves the coordinator's volatile table
+      once it is finished (done record written, or aborts sent). A query
+      about it is then answered from stable state, as after a crash.
+
+    A participant's committed record, and every aborted record, stay
+    forced. *)
 
 type msg =
   | Prepare of Rs_util.Aid.t
@@ -35,13 +52,18 @@ val pp_msg : Format.formatter -> msg -> unit
     corresponds to a recovery-system operation of §2.3 (plus volatile
     lock-state updates). *)
 type hooks = {
-  on_prepare : Rs_util.Aid.t -> [ `Prepared | `Refused ];
-      (** write data entries + prepared record; [`Refused] if the action
-          is unknown here (§2.2.2) *)
-  on_commit : Rs_util.Aid.t -> unit;  (** committed record + install versions *)
+  on_prepare : force:bool -> Rs_util.Aid.t -> [ `Prepared | `Refused ];
+      (** write data entries + prepared record, forced when [force];
+          [`Refused] if the action is unknown here (§2.2.2). [force] is
+          [false] only for the coordinator's own share. *)
+  on_commit : Rs_util.Aid.t -> unit;
+      (** committed record + install versions. Called only for an action
+          prepared here: a re-sent commit for an action this endpoint no
+          longer holds prepared (it committed, then crashed) is acked
+          without it. *)
   on_abort : Rs_util.Aid.t -> unit;
   on_committing : Rs_util.Aid.t -> Rs_util.Gid.t list -> unit;  (** committing record *)
-  on_done : Rs_util.Aid.t -> unit;  (** done record *)
+  on_done : Rs_util.Aid.t -> unit;  (** done record; need not be forced *)
   coordinator_outcome : Rs_util.Aid.t -> [ `Commit | `Abort ];
       (** answer a participant query from stable state; unknown = abort *)
 }
@@ -75,6 +97,17 @@ val create :
     decision some participant already heard. *)
 
 val gid : t -> Rs_util.Gid.t
+
+val coordinating : t -> int
+(** Actions this endpoint coordinates that are not yet finished. 0 once a
+    crash-free system has quiesced. *)
+
+val set_lazy_prepare : bool -> unit
+(** Self-test mutation: make every prepare, remote ones included, write
+    its prepared record unforced and reply without waiting — the
+    coordinator's-own-share path applied where it is unsound. It exists
+    only so the exploration oracles can show they catch a participant
+    that promises a prepared record it has not made stable. *)
 
 val start_commit :
   t ->

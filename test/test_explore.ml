@@ -91,6 +91,21 @@ let test_group_broken_force_caught () =
   | None -> Alcotest.fail "broken force not detected by the group target"
   | Some _ -> ()
 
+(* A remote participant that answers prepared before its prepared record
+   is stable — the coordinator's-own-share shortcut applied where it is
+   unsound — must be caught: a crash in the gap loses the record, and the
+   commit it was promised lands on nothing. *)
+let test_lazy_prepare_caught () =
+  Rs_twopc.Twopc.set_lazy_prepare true;
+  let o =
+    Fun.protect
+      ~finally:(fun () -> Rs_twopc.Twopc.set_lazy_prepare false)
+      (fun () -> Explore.explore ~config "twopc")
+  in
+  match o.Explore.counterexample with
+  | None -> Alcotest.fail "lazily forced prepared record not detected by the twopc target"
+  | Some _ -> ()
+
 (* The self-test the subsystem ships with: break the force's atomic
    commit point (skip the header write) and the durability oracle must
    report a violation whose shrunk counterexample is tiny — the bug needs
@@ -167,6 +182,7 @@ let suite =
     Alcotest.test_case "seeded broken force is caught" `Quick test_broken_force_caught;
     Alcotest.test_case "group target catches broken force" `Quick
       test_group_broken_force_caught;
+    Alcotest.test_case "twopc target catches a lazy prepare" `Quick test_lazy_prepare_caught;
     Alcotest.test_case "depth-1 exploration" `Quick test_depth_one;
     Alcotest.test_case "census pinned for every target" `Quick test_census_pinned;
     Alcotest.test_case "judge reports the spec monitors" `Quick test_judge_reports_monitors;

@@ -92,6 +92,30 @@ let test_net_delivery () =
   Alcotest.(check (list (pair int string))) "delivered with latency" [ (1, "hello") ] !got;
   Alcotest.(check bool) "latency applied" true (Sim.now sim = 2.0)
 
+(* A message to self skips the wire: it lands in the same instant, but
+   only after the event that sent it has finished, and the send hook
+   still sees it. *)
+let test_net_self_delivery () =
+  let sim = Sim.create () in
+  let net = Net.create ~latency:2.0 ~jitter:1.0 sim () in
+  let g0 = Gid.of_int 0 in
+  let order = ref [] in
+  Net.register net g0 (fun ~src:_ msg -> order := (msg, Sim.now sim) :: !order);
+  let hooked = ref 0 in
+  Net.set_send_hook (Some (fun () -> incr hooked; Net.Deliver));
+  Fun.protect
+    ~finally:(fun () -> Net.set_send_hook None)
+    (fun () ->
+      Sim.schedule sim ~delay:3.0 (fun () ->
+          Net.send net ~src:g0 ~dst:g0 "self";
+          order := ("sender done", Sim.now sim) :: !order);
+      ignore (Sim.run sim));
+  Alcotest.(check (list (pair string (float 0.0))))
+    "same instant, after the sender" [ ("sender done", 3.0); ("self", 3.0) ] (List.rev !order);
+  Alcotest.(check int) "send hook consulted" 1 !hooked;
+  Alcotest.(check int) "counted sent" 1 (Net.messages_sent net);
+  Alcotest.(check int) "counted delivered" 1 (Net.messages_delivered net)
+
 let test_net_down_node_drops () =
   let sim = Sim.create () in
   let net = Net.create sim () in
@@ -143,6 +167,7 @@ let suite =
     Alcotest.test_case "negative delay rejected" `Quick test_negative_delay;
     Alcotest.test_case "popped thunks collectable" `Quick test_popped_thunk_collectable;
     Alcotest.test_case "net delivery with latency" `Quick test_net_delivery;
+    Alcotest.test_case "net self-delivery" `Quick test_net_self_delivery;
     Alcotest.test_case "net drops to down nodes" `Quick test_net_down_node_drops;
     Alcotest.test_case "net loss statistics" `Quick test_net_loss_statistics;
     Alcotest.test_case "net rejects unknown nodes" `Quick test_net_unregistered;

@@ -541,8 +541,80 @@ let test_housekeep_during_checkpoint () =
   Alcotest.(check (option int)) "state intact" (Some !n)
     (Helpers.committed_int (System.guardian sys (g 0)) "x")
 
+(* A finished action leaves its coordinator's volatile table: after a
+   crash-free run has drained, no guardian coordinates anything. *)
+let test_coordinators_forget () =
+  let sys = System.create ~n:2 () in
+  let _ = submit_and_wait sys ~coordinator:(g 0) ~steps:[ (g 0, set_var "x" 1) ] in
+  let _ = submit_and_wait sys ~coordinator:(g 1) ~steps:[ (g 0, set_var "x" 2); (g 1, set_var "y" 2) ] in
+  let _, aborted =
+    submit_and_wait sys ~coordinator:(g 0)
+      ~steps:[ (g 0, set_var "x" 3); (g 1, fun _ _ -> raise System.Abort_action) ]
+  in
+  Alcotest.(check bool) "third action aborted" true (aborted = System.Aborted);
+  List.iter
+    (fun gd -> Alcotest.(check int) "nothing coordinated" 0 (Guardian.coordinating gd))
+    (System.guardians sys)
+
+(* The done record is written unforced. A crash right after it loses it:
+   the recovered coordinator finds the committing record alone, resumes
+   phase two, and both participants — itself included, which committed
+   before the crash — ack again without applying the commit twice. *)
+let test_lost_done_resumes_phase_two () =
+  let sys = System.create ~n:2 () in
+  let _, outcome =
+    submit_and_wait sys ~coordinator:(g 0) ~steps:[ (g 0, set_var "x" 5); (g 1, set_var "y" 5) ]
+  in
+  Alcotest.(check bool) "committed" true (outcome = System.Committed);
+  let g0 = System.guardian sys (g 0) in
+  let log = Core.Hybrid_rs.log (Guardian.rs g0) in
+  Alcotest.(check bool) "done record still unforced" true
+    (Rs_slog.Stable_log.forced_count log < Rs_slog.Stable_log.entry_count log);
+  System.crash sys (g 0);
+  let report = System.restart sys (g 0) in
+  Alcotest.(check int) "phase two resumed" 1
+    (List.length
+       (Core.Tables.Recovery_info.committing_actions report.Core.Tables.Recovery_report.info));
+  System.quiesce sys;
+  Alcotest.(check int) "resumed action finished" 0 (Guardian.coordinating g0);
+  Alcotest.(check (option int)) "x committed" (Some 5) (Helpers.committed_int g0 "x");
+  Alcotest.(check (option int)) "y committed" (Some 5)
+    (Helpers.committed_int (System.guardian sys (g 1)) "y");
+  (* Push the resumed done record to the device, then check the log: one
+     committed record per action, done after committing. *)
+  Rs_slog.Stable_log.force (Core.Hybrid_rs.log (Guardian.rs g0));
+  Alcotest.(check int) "log well-formed" 0
+    (List.length (Core.Log_check.check_log (Core.Hybrid_rs.log (Guardian.rs g0))))
+
+(* Recovery reopens the guardian's log directory: the guardian must hand
+   out the reopened handle, or the fsck that the explorer, the nemesis
+   and the harness run reads a stale segment table. *)
+let test_restart_reopens_log_dir () =
+  let sys = System.create ~n:1 () in
+  let g0 = System.guardian sys (g 0) in
+  let _ = submit_and_wait sys ~coordinator:(g 0) ~steps:[ (g 0, set_var "x" 0) ] in
+  System.crash sys (g 0);
+  ignore (System.restart sys (g 0));
+  Alcotest.(check bool) "log_dir is the recovered dir" true
+    (Guardian.log_dir g0 == Core.Hybrid_rs.dir (Guardian.rs g0));
+  let segments () = List.length (Rs_slog.Log_dir.segment_ids (Guardian.log_dir g0)) in
+  let before = segments () in
+  let i = ref 0 in
+  while segments () = before && !i < 1000 do
+    incr i;
+    ignore (submit_and_wait sys ~coordinator:(g 0) ~steps:[ (g 0, set_var "x" !i) ])
+  done;
+  Alcotest.(check bool) "log grew a new segment" true (segments () > before);
+  Alcotest.(check (list string)) "segment fsck clean" []
+    (List.map (Format.asprintf "%a" Core.Log_check.pp_issue)
+       (Core.Log_check.check_segments (Guardian.log_dir g0)))
+
 let suite =
   [
+    Alcotest.test_case "coordinators forget finished actions" `Quick test_coordinators_forget;
+    Alcotest.test_case "lost done record resumes phase two" `Quick
+      test_lost_done_resumes_phase_two;
+    Alcotest.test_case "restart reopens the log directory" `Quick test_restart_reopens_log_dir;
     Alcotest.test_case "distributed commit" `Quick test_distributed_commit;
     Alcotest.test_case "commit survives all crashing" `Quick test_commit_survives_all_crashes;
     Alcotest.test_case "participant down aborts" `Quick test_participant_down_aborts;

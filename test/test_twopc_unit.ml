@@ -39,15 +39,16 @@ type probe = {
   sent : (Gid.t * Twopc.msg) list ref;
 }
 
-let probe ~gid ~sim ?(prepare_result = `Prepared) ?(outcome = `Abort) () =
+let probe ~gid ~sim ?(prepare_result = `Prepared) ?(outcome = `Abort) ?await_durable () =
   let events = ref [] in
   let sent = ref [] in
   let log fmt = Format.kasprintf (fun s -> events := s :: !events) fmt in
   let hooks : Twopc.hooks =
     {
       on_prepare =
-        (fun a ->
+        (fun ~force a ->
           log "prepare %a" Aid.pp a;
+          log "prepare %a force=%b" Aid.pp a force;
           prepare_result);
       on_commit = (fun a -> log "commit %a" Aid.pp a);
       on_abort = (fun a -> log "abort %a" Aid.pp a);
@@ -59,7 +60,7 @@ let probe ~gid ~sim ?(prepare_result = `Prepared) ?(outcome = `Abort) () =
   let endpoint =
     Twopc.create ~gid ~sim
       ~send:(fun ~src:_ ~dst msg -> sent := (dst, msg) :: !sent)
-      ~hooks ()
+      ~hooks ?await_durable ()
   in
   { endpoint; events; sent }
 
@@ -89,6 +90,68 @@ let test_participant_prepare_commit () =
   Twopc.handle p.endpoint ~src:(g 0) (Twopc.Commit a);
   Alcotest.(check int) "commit applied once" 1
     (List.length (List.filter (( = ) "commit T0.0") !(p.events)))
+
+(* A participant that is not prepared — it committed durably, crashed, and
+   its recovered coordinator re-sent the verdict — acks without applying
+   the commit a second time. *)
+let test_commit_unprepared_acked () =
+  let sim = Sim.create () in
+  let p = probe ~gid:(g 1) ~sim () in
+  Twopc.handle p.endpoint ~src:(g 0) (Twopc.Commit (aid 0));
+  (match pop_sent p with
+  | [ (dst, Twopc.Committed_ack _) ] ->
+      Alcotest.(check bool) "ack to coordinator" true (Gid.equal dst (g 0))
+  | _ -> Alcotest.fail "expected one committed ack");
+  Alcotest.(check bool) "on_commit not called" false (has_event p "commit T0.0")
+
+(* [await_durable] that holds every continuation until the test releases
+   it: a covering force that has not happened yet. *)
+let deferred () =
+  let q = Queue.create () in
+  ((fun k -> Queue.add k q), (fun () -> Queue.length q), fun () -> Queue.iter (fun k -> k ()) q)
+
+(* The coordinator's own share is written unforced and answered at once;
+   a remote participant forces and replies only once the force is stable. *)
+let test_self_prepare () =
+  let sim = Sim.create () in
+  let await_durable, waiting, _ = deferred () in
+  let c = probe ~gid:(g 0) ~sim ~await_durable () in
+  Twopc.handle c.endpoint ~src:(g 0) (Twopc.Prepare (aid 0));
+  Alcotest.(check bool) "self-prepare unforced" true (has_event c "prepare T0.0 force=false");
+  Alcotest.(check int) "no durability wait" 0 (waiting ());
+  (match pop_sent c with
+  | [ (dst, Twopc.Prepared_reply _) ] ->
+      Alcotest.(check bool) "reply to self" true (Gid.equal dst (g 0))
+  | _ -> Alcotest.fail "expected an immediate prepared reply");
+  let await_durable, waiting, release = deferred () in
+  let p = probe ~gid:(g 1) ~sim ~await_durable () in
+  Twopc.handle p.endpoint ~src:(g 0) (Twopc.Prepare (aid 0));
+  Alcotest.(check bool) "remote prepare forced" true (has_event p "prepare T0.0 force=true");
+  Alcotest.(check int) "reply waits for the force" 1 (waiting ());
+  Alcotest.(check int) "nothing sent before the force" 0 (List.length (pop_sent p));
+  release ();
+  match pop_sent p with
+  | [ (_, Twopc.Prepared_reply _) ] -> ()
+  | _ -> Alcotest.fail "expected the prepared reply after the force"
+
+(* A finished action leaves the coordinator's table, committed or aborted. *)
+let test_coordinator_forgets () =
+  let sim = Sim.create () in
+  let c = probe ~gid:(g 0) ~sim () in
+  let a = aid 0 and b = aid 1 in
+  Twopc.start_commit c.endpoint a ~participants:[ g 1 ] ~on_result:ignore;
+  Twopc.start_commit c.endpoint b ~participants:[ g 1 ] ~on_result:ignore;
+  Alcotest.(check int) "two in flight" 2 (Twopc.coordinating c.endpoint);
+  Twopc.handle c.endpoint ~src:(g 1) (Twopc.Prepared_reply a);
+  Twopc.handle c.endpoint ~src:(g 1) (Twopc.Committed_ack a);
+  Twopc.handle c.endpoint ~src:(g 1) (Twopc.Refused_reply b);
+  Alcotest.(check int) "both forgotten" 0 (Twopc.coordinating c.endpoint);
+  ignore (pop_sent c);
+  (* A forgotten action is answered from stable state. *)
+  Twopc.handle c.endpoint ~src:(g 1) (Twopc.Query b);
+  match pop_sent c with
+  | [ (_, Twopc.Abort _) ] -> ()
+  | _ -> Alcotest.fail "expected abort answer"
 
 let test_participant_refuses_unknown () =
   let sim = Sim.create () in
@@ -223,6 +286,9 @@ let suite =
   [
     Alcotest.test_case "participant prepare/commit" `Quick test_participant_prepare_commit;
     Alcotest.test_case "participant refuses unknown" `Quick test_participant_refuses_unknown;
+    Alcotest.test_case "unprepared commit acked, not applied" `Quick test_commit_unprepared_acked;
+    Alcotest.test_case "self-prepare unforced, remote waits" `Quick test_self_prepare;
+    Alcotest.test_case "coordinator forgets finished" `Quick test_coordinator_forgets;
     Alcotest.test_case "contradictory verdict detected" `Quick test_commit_after_abort_detected;
     Alcotest.test_case "coordinator happy path" `Quick test_coordinator_happy_path;
     Alcotest.test_case "coordinator aborts on refusal" `Quick test_coordinator_abort_on_refusal;
