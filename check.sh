@@ -432,27 +432,57 @@ echo "== standing bench smoke: every workload ends correct with no failed op =="
 # The standing benchmark (bench/standing, declared in BENCHMARK.json)
 # ends each run with one JSON line. A 1 s run per workload must pass the
 # benchmark's own correctness gates ("correct": true) and fail no
-# operation; the figures themselves are not gated here.
+# operation. One figure is gated: crash-restart's space_amp stays at or
+# below 1.29, so checkpointing less often may not buy its savings with
+# space (it reads 1.2676 at seed 1; 1.2557 with a checkpoint after every
+# commit that leaves the log over the threshold).
+SPACE_AMP_MAX=1.29
 for workload in mixed update-open crash-restart; do
   LAST=$(dune exec bench/standing/standing.exe -- --workload "$workload" \
            --seed 1 --seconds 1 --trace 0 | tail -1)
   if command -v python3 >/dev/null 2>&1; then
     echo "$LAST" | python3 -c '
 import json, sys
-w = sys.argv[1]
+w, amp_max = sys.argv[1], float(sys.argv[2])
 d = json.loads(sys.stdin.read())
 failed, attempted = d["failed"], d["attempted"]
 assert d["correct"] is True, f"{w}: standing run not correct"
 assert failed == 0, f"{w}: {failed} failed operations"
-print(f"{w}: correct, {attempted} attempted, 0 failed")
-' "$workload" || { echo "$LAST"; exit 1; }
+amp = d["metrics"]["space_amp"]["value"]
+assert w != "crash-restart" or amp <= amp_max, f"{w}: space_amp {amp} above {amp_max}"
+print(f"{w}: correct, {attempted} attempted, 0 failed, space_amp {amp:.4f}")
+' "$workload" "$SPACE_AMP_MAX" || { echo "$LAST"; exit 1; }
   else
     case "$LAST" in
       *'"correct": true,'*'"failed": 0,'*) echo "$workload: correct, 0 failed" ;;
       *) echo "$LAST"; echo "standing bench $workload failed its gates"; exit 1 ;;
     esac
+    if [ "$workload" = crash-restart ]; then
+      AMP=$(echo "$LAST" | sed -n 's/.*"space_amp": {"value": \([0-9.]*\).*/\1/p')
+      awk -v a="${AMP:-9}" -v m="$SPACE_AMP_MAX" 'BEGIN { exit !(a <= m) }' ||
+        { echo "crash-restart space_amp ${AMP:-?} above $SPACE_AMP_MAX"; exit 1; }
+      echo "crash-restart: space_amp $AMP"
+    fi
   fi
 done
+
+echo "== checkpoint gate: crash-restart checkpoints once a segment can come back =="
+# Each crash-restart shard holds about 135 KiB, more than the 64 KiB
+# housekeeping threshold, so a checkpoint's output alone passes it. A
+# checkpoint started after every commit that left the log over the
+# threshold: 580 per 1000 updates and 82,008 log bytes per update at
+# seed 1. A checkpoint now waits until the log runs past the end of the
+# segment the last output ended in: 249.2 and 36,661. The counts are
+# deterministic; the gate fails above 300 checkpoints per 1000 updates
+# or 45,000 log bytes per update.
+LAST=$(./_build/default/bench/standing/standing.exe --workload crash-restart \
+         --seed 1 --seconds 0 --trace 1 | tail -1)
+CKPT=$(echo "$LAST" | sed -n 's/.*"core.checkpoints_per_kupdate": {"value": \([0-9.]*\).*/\1/p')
+BYTES=$(echo "$LAST" | sed -n 's/.*"slog.bytes_per_update": {"value": \([0-9.]*\).*/\1/p')
+awk -v c="${CKPT:-1e9}" -v b="${BYTES:-1e9}" 'BEGIN { exit !(c <= 300 && b <= 45000) }' ||
+  { echo "crash-restart: ${CKPT:-?} checkpoints per 1000 updates (gate 300)," \
+         "${BYTES:-?} log bytes per update (gate 45,000)"; exit 1; }
+awk -v c="$CKPT" -v b="$BYTES" 'BEGIN { printf "crash-restart: %.1f checkpoints per 1000 updates (gate 300), %.0f log bytes per update (gate 45,000)\n", c, b }'
 
 echo "== allocation gate: crash-restart builds log pages in place =="
 # The write path frames each entry straight into the page-sized chunks the

@@ -26,6 +26,7 @@ type t = {
   committing_active : Gid.t list Aid.Tbl.t; (* coordinator actions in phase two *)
   mutable last_outcome : addr option; (* head of the backward outcome chain *)
   mutable oel : addr Vec.t option; (* outcome entries list while housekeeping *)
+  mutable base_bytes : int; (* stream bytes [log] held when it became current *)
 }
 
 let heap t = t.heap
@@ -46,6 +47,7 @@ let create heap dir =
     committing_active = Aid.Tbl.create 4;
     last_outcome = None;
     oel = None;
+    base_bytes = 0;
   }
 
 (* Outcome entries are chained through [prev] and, during housekeeping,
@@ -170,6 +172,7 @@ let mutex_table t =
   |> List.sort (fun (a, _) (b, _) -> Uid.compare a b)
 
 let last_outcome_addr t = t.last_outcome
+let base_bytes t = t.base_bytes
 
 (* Recovery (§4.3.3): walk the backward chain of outcome entries. *)
 
@@ -178,7 +181,8 @@ let last_outcome_addr t = t.last_outcome
    duty tables. Appends chain onto [last_outcome]. *)
 let adopt ~heap ~dir ~last_outcome ~info ~mutexes =
   let acc = Uid.Set.add Uid.stable_vars (Heap.reachable_uids heap) in
-  let t = { (create heap dir) with acc; last_outcome } in
+  let base_bytes = Log.stream_bytes (Log_dir.current dir) in
+  let t = { (create heap dir) with acc; last_outcome; base_bytes } in
   List.iter (fun (uid, src) -> Uid.Tbl.replace t.mt uid src) mutexes;
   List.iter (fun aid -> Aid.Tbl.replace t.pat aid ()) (Tables.Recovery_info.prepared_actions info);
   List.iter
@@ -488,11 +492,13 @@ let hk_finalize (t : t) (job : job) =
          | (Log_entry.Mutex | Log_entry.Atomic), _ ->
                 let _, version = Log_entry.read_data job.old_log oa in
              Uid.Tbl.replace tbl uid (wdata job.new_log ~otype version, otype));
-  Log.force job.new_log;
+  (* Nothing on the hot path reads the new generation's pages back. *)
+  Log.force ~write_around:true job.new_log;
   (* The checkpoint supersedes the whole old stream: everything below its
      end is dead to recovery, so the switch can retire every old segment. *)
   Log_dir.switch ~low_water:(Log.end_addr job.old_log) t.dir;
   t.log <- Log_dir.current t.dir;
+  t.base_bytes <- Log.stream_bytes t.log;
   t.last_outcome <- job.carry_head;
   t.oel <- None;
   Uid.Tbl.reset t.mt;

@@ -22,6 +22,15 @@ val heap : t -> Rs_objstore.Heap.t
 val log : t -> Rs_slog.Stable_log.t
 val dir : t -> Rs_slog.Log_dir.t
 
+val base_bytes : t -> int
+(** Stream bytes the current log held when it became current: 0 after
+    {!create}; the recovered log's size after {!recover},
+    {!recover_parallel} and {!adopt}; the new generation's size, as its
+    final force left it, after a checkpoint's switch. It is recorded where
+    the log is replaced, so automatic, explicit and promoted paths all
+    set it. [Guardian]'s automatic housekeeping reads it to tell a log
+    that grew from one that started large. *)
+
 val scheduler : t -> Rs_slog.Force_scheduler.t
 (** The group-commit scheduler covering the forced outcome appends. It is
     created synchronous (zero window) so every [prepare]/[commit]/[abort]

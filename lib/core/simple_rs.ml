@@ -188,7 +188,8 @@ let finalize t job (s : Write_objects.snapshot) =
       | Log_entry.Data { uid = Some uid; otype = Log_entry.Mutex; _ } -> Uid.Tbl.replace t.mt uid a
       | _ -> ())
     (Log.read_forward job.old_log job.marker);
-  Log.force job.new_log;
+  (* Nothing on the hot path reads the new generation's pages back. *)
+  Log.force ~write_around:true job.new_log;
   (* The snapshot plus the post-marker copy supersede the old stream:
      the switch retires every old segment below its end. *)
   Log_dir.switch ~low_water:(Log.end_addr job.old_log) t.dir;

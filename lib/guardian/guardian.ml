@@ -2,6 +2,7 @@ module Aid = Rs_util.Aid
 module Gid = Rs_util.Gid
 module Heap = Rs_objstore.Heap
 module Log_dir = Rs_slog.Log_dir
+module Stable_log = Rs_slog.Stable_log
 module Sim = Rs_sim.Sim
 module Net = Rs_sim.Net
 module Twopc = Rs_twopc.Twopc
@@ -64,6 +65,21 @@ let rec hk_slice_fiber t job ~budget ~delay () =
       else Sim.schedule t.sim ~delay (hk_slice_fiber t job ~budget ~delay)
   | Some _ | None -> ()
 
+(* Whether enough old information has accumulated (§2.3 operation 7).
+   While the log's starting size (the last checkpoint's output, or the
+   recovered log) fits under the threshold, that is the log passing the
+   threshold. A larger start passes it at once, and a checkpoint then
+   would only rewrite what it just wrote: a segmented log gives space
+   back a segment at a time, so wait until the log has run past the end
+   of the segment its start ended in — the first checkpoint that can
+   free one. *)
+let checkpoint_due t ~threshold =
+  let log = Hybrid_rs.log t.rs in
+  let base = Hybrid_rs.base_bytes t.rs in
+  let cap = Stable_log.segment_pages log * Stable_log.page_size log in
+  let limit = if base <= threshold || cap = 0 then threshold else ((base - 1) / cap + 1) * cap in
+  Stable_log.stream_bytes log > limit
+
 (* §2.3 operation 7: reorganize stable storage once enough log has
    accumulated. Triggered after outcome records, the quiet points of the
    recovery system's sequential operation. The pass runs as a background
@@ -72,8 +88,7 @@ let rec hk_slice_fiber t job ~budget ~delay () =
 let maybe_housekeep t =
   match t.auto_hk with
   | Some (threshold, technique, (budget, delay))
-    when (not (Hybrid_rs.housekeeping_active t.rs))
-         && Rs_slog.Stable_log.stream_bytes (Hybrid_rs.log t.rs) > threshold ->
+    when (not (Hybrid_rs.housekeeping_active t.rs)) && checkpoint_due t ~threshold ->
       let job = Hybrid_rs.hk_start t.rs technique in
       t.hk_job <- Some job;
       Sim.schedule t.sim ~delay (hk_slice_fiber t job ~budget ~delay)

@@ -102,8 +102,19 @@ val set_auto_housekeeping :
   t -> ?threshold_bytes:int -> slice:int * float -> Core.Hybrid_rs.technique option -> unit
 (** §2.3 operation 7: let the guardian decide when "enough old information
     has accumulated". With [Some technique], a checkpoint starts after any
-    commit/abort that leaves the log beyond [threshold_bytes] (default
-    64 KiB). [None] disables. The setting survives restarts.
+    commit/abort that leaves the log beyond a limit. [None] disables. The
+    setting survives restarts.
+
+    The limit is [threshold_bytes] (default 64 KiB) while the log's
+    starting size ({!Core.Hybrid_rs.base_bytes}: the last checkpoint's
+    output, or the recovered log) is at most the threshold, and always for
+    a monolithic log. A log that started larger — a state too big for the
+    threshold — would pass it at once, and each checkpoint would only
+    rewrite what the last one wrote. Such a log is left to run past the
+    end of the segment its starting size ended in (segment capacity is
+    [segment_pages × page_size]): the first point where a checkpoint can
+    give a segment back. The footprint between checkpoints then stays
+    within one segment of the last output.
 
     The checkpoint runs in the background: a fiber over the simulator's
     virtual clock runs {!Core.Hybrid_rs.hk_step} slices of at most

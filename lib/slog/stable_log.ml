@@ -551,8 +551,10 @@ let ensure_page_store t p =
    they stand and are never written again), then commit by writing the
    header. The header write is also what links any segments allocated for
    the new pages into the chain — one atomic step commits both the bytes
-   and the segment table. *)
-let force t =
+   and the segment table. [write_around] sends full pages to the store
+   only, dropping any cached copy; the partial tail page is cached either
+   way, since the next force reads it back for its stable prefix. *)
+let force ?(write_around = false) t =
   check_alive t;
   if not (Vec.is_empty t.pending) then begin
     let start = t.forced_len in
@@ -571,7 +573,8 @@ let force t =
         in
         let store, store_page, fresh = ensure_page_store t (first_page + i) in
         if fresh then linked := true;
-        ignore (Lru.put t.pages (first_page + i) page);
+        if write_around && len = t.page_size then Lru.remove t.pages (first_page + i)
+        else ignore (Lru.put t.pages (first_page + i) page);
         Store.put store store_page page)
       t.chunks;
     let count = Vec.length t.pending in

@@ -36,8 +36,9 @@
     page-sized byte chunks as they are written: chunk [i] is stream page
     [stream_bytes / page_size + i], and the first one leaves room for the
     stable prefix of the partial last page, copied in by {!force}. A force
-    hands every full chunk to the page cache and the store as it stands
-    (only a partial last page is cut to length), so an entry's bytes are
+    hands every full chunk to the page cache (unless it writes around it)
+    and the store as it stands (only a partial last page is cut to
+    length), so an entry's bytes are
     copied once from the encoder into the page that stores them. A chunk
     is never written again once forced: the next force starts fresh
     chunks. Reads of buffered addresses are served from the chunks.
@@ -157,8 +158,16 @@ val force_write : t -> string -> addr
 (** Append an entry and force it — and all earlier buffered entries — to
     stable storage before returning (§3.1 operation 2). *)
 
-val force : t -> unit
-(** Force all buffered entries without appending. *)
+val force : ?write_around:bool -> t -> unit
+(** Force all buffered entries without appending. With [~write_around:true]
+    (default [false]) the full pages of this force go to the store only,
+    and any cached copy of them is dropped; the partial tail page is
+    cached either way, because the next force reads it back for its stable
+    prefix. A checkpoint forces its new generation this way: nothing on
+    the hot path reads snapshot pages back (recovery opens a fresh log
+    with an empty cache), so caching them would only keep a second copy
+    of pages the store already holds. The choice is scoped to this one
+    call: a crash raised mid-force leaves no setting behind. *)
 
 val read : t -> addr -> string
 (** [read t a] is the entry at address [a] (forced or still buffered).

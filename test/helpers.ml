@@ -66,16 +66,18 @@ let check_absent heap u label =
 
 (* --- stable variables, bound and read as the tests' actions do --- *)
 
-(* A step that binds stable var [name] to [v]: a fresh atomic object the
-   first time, a new current version after. *)
-let set_var name v : Rs_guardian.System.work =
+(* A step that binds stable var [name] to [value]: a fresh atomic object
+   the first time, a new current version after. *)
+let set_value name value : Rs_guardian.System.work =
  fun heap aid ->
   match Heap.get_stable_var heap name with
-  | Some (Value.Ref a) -> Heap.set_current heap aid a (Value.Int v)
+  | Some (Value.Ref a) -> Heap.set_current heap aid a value
   | Some _ -> failwith "stable var is not a ref"
   | None ->
-      let a = Heap.alloc_atomic heap ~creator:aid (Value.Int v) in
+      let a = Heap.alloc_atomic heap ~creator:aid value in
       Heap.set_stable_var heap aid name (Value.Ref a)
+
+let set_var name v = set_value name (Value.Int v)
 
 (* Run [name := v] as action [seq] through a recovery system's prepare
    and commit, then commit it in the heap. *)
@@ -96,14 +98,16 @@ let stable_int heap name =
   | Some v -> Alcotest.failf "not a ref: %s" (Format.asprintf "%a" Value.pp v)
   | None -> Alcotest.failf "stable var %s unbound" name
 
-(* A guardian's committed int for [name], read through a snapshot. *)
-let committed_int gd name =
+(* A guardian's committed value for [name], read through a snapshot. *)
+let committed_value gd name =
   let heap = Rs_guardian.Guardian.heap gd in
   Heap.with_snapshot heap (fun s ->
       match Heap.snapshot_var heap s name with
-      | Some (Value.Ref a) -> (
-          match Heap.snapshot_read heap s a with Value.Int v -> Some v | _ -> None)
+      | Some (Value.Ref a) -> Some (Heap.snapshot_read heap s a)
       | Some _ | None -> None)
+
+let committed_int gd name =
+  match committed_value gd name with Some (Value.Int v) -> Some v | Some _ | None -> None
 
 (* --- hand-built traces for the spec monitors --- *)
 

@@ -468,6 +468,36 @@ let test_parallel_recovery_reads_once () =
   Alcotest.check_raises "serial" msg (fun () -> ignore (Rs.recover dir));
   Alcotest.check_raises "parallel" msg (fun () -> ignore (Rs.recover_parallel dir))
 
+(* A checkpoint writes its new generation around the page cache: its full
+   pages go to the store only, so the first read of one misses, while the
+   partial tail page stays cached for the next force's stable prefix. *)
+let test_checkpoint_writes_around_cache () =
+  let heap, dir, rs = fresh () in
+  for i = 0 to 11 do
+    let t = aid i in
+    set_value (Printf.sprintf "k%d" i) (Value.Str (String.make 200 (Char.chr (97 + i)))) heap t;
+    Rs.prepare rs t (Heap.mos heap t);
+    Rs.commit rs t;
+    Heap.commit_action heap t
+  done;
+  Rs.housekeep rs Rs.Snapshot;
+  let log = Rs.log rs in
+  Alcotest.(check bool) "the output spans several pages" true
+    (Log.stream_bytes log > 4 * Log.page_size log);
+  let misses () =
+    Option.value ~default:0 (Rs_obs.Metrics.find_counter Rs_obs.Metrics.default "slog.cache_misses")
+  in
+  let m0 = misses () in
+  ignore (Log.read log 0);
+  Alcotest.(check int) "the first page comes from the store" 1 (misses () - m0);
+  (* A careful put re-reads each page it writes; any read beyond those
+     fetched a page. *)
+  let fetched () = Log_dir.physical_reads dir - Log_dir.physical_writes dir in
+  let m1 = misses () and f1 = fetched () in
+  commit_value heap rs ~seq:12 ~name:"n" ~v:1;
+  Alcotest.(check int) "the next force misses no page" 0 (misses () - m1);
+  Alcotest.(check int) "and reads no page from the store" 0 (fetched () - f1)
+
 let with_technique name f =
   [
     Alcotest.test_case (name ^ " (compaction)") `Quick (f Rs.Compaction);
@@ -1091,6 +1121,8 @@ let suite =
         test_simple_snapshot_sliced;
       Alcotest.test_case "simple-log snapshot: one at a time" `Quick test_simple_hk_guards;
       Alcotest.test_case "checkpoint bytes pinned" `Quick test_checkpoint_bytes_pinned;
+      Alcotest.test_case "checkpoint writes around the page cache" `Quick
+        test_checkpoint_writes_around_cache;
       QCheck_alcotest.to_alcotest prop_checkpoint_preserves_recovery;
       QCheck_alcotest.to_alcotest prop_promotion_matches_recovery;
     ]

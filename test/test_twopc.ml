@@ -468,6 +468,211 @@ let test_auto_housekeeping () =
   System.quiesce sys;
   Alcotest.(check (option int)) "state intact" (Some 120) (Helpers.committed_int (System.guardian sys (g 0)) "x")
 
+(* --- Checkpoints of a state larger than the threshold: one snapshot of
+   24 objects of 512 B outgrows the 4 KiB threshold, so the byte threshold
+   alone would start a checkpoint after every commit. --- *)
+
+module Log = Rs_slog.Stable_log
+module Log_dir = Rs_slog.Log_dir
+
+let big_threshold = 4096
+let big_keys = 24
+let big_key k = Printf.sprintf "k%d" k
+let big_value i = Printf.sprintf "%06d" i ^ String.make 506 'v'
+
+let big_state_system () =
+  let sys = System.create ~n:1 () in
+  let gd = System.guardian sys (g 0) in
+  Guardian.set_auto_housekeeping gd ~threshold_bytes:big_threshold ~slice:(16, 0.05)
+    (Some Core.Hybrid_rs.Snapshot);
+  (sys, gd)
+
+(* Checkpoints seen starting, watched event by event. *)
+type ckpt_watch = { mutable active : bool; mutable starts : int }
+
+(* Segments the first [bytes] of a stream occupy. *)
+let segments_of log bytes =
+  let cap = Log.segment_pages log * Log.page_size log in
+  (bytes + cap - 1) / cap
+
+(* The log size past which a log that started at [base] bytes may
+   checkpoint. *)
+let ckpt_limit log base =
+  if base <= big_threshold then big_threshold
+  else segments_of log base * Log.segment_pages log * Log.page_size log
+
+(* Run after every simulator event. A checkpoint may start only once the
+   log has run past the end of the segment its start (the last output, or
+   the recovered log) ended in — or past the threshold, for a start that
+   fit under it. Outside a checkpoint, the directory holds at most one
+   segment more than that start. *)
+let check_ckpt_rule gd w =
+  let rs = Guardian.rs gd in
+  let log = Core.Hybrid_rs.log rs in
+  let base = Core.Hybrid_rs.base_bytes rs in
+  let limit = ckpt_limit log base in
+  let active = Guardian.checkpoint_active gd in
+  if active && not w.active then begin
+    w.starts <- w.starts + 1;
+    if Log.stream_bytes log <= limit then
+      Alcotest.failf "checkpoint %d started at %d log bytes: start %d, limit %d" w.starts
+        (Log.stream_bytes log) base limit
+  end;
+  w.active <- active;
+  let live = Log_dir.live_segments (Guardian.log_dir gd) in
+  if base > big_threshold && (not active) && live > segments_of log base + 1 then
+    Alcotest.failf "%d live segments after an output of %d bytes" live base
+
+(* Run one update of [key k] to [big_value i], checking the rule after
+   every simulator event; [expected] tracks each key's committed value. *)
+let big_update sys gd w expected ~on_event i k =
+  let v = big_value i in
+  let h =
+    System.submit sys ~coordinator:(g 0) ~steps:[ (g 0, Helpers.set_value (big_key k) (Str v)) ]
+  in
+  Action.on_resolve h (fun _ o -> if o = System.Committed then expected.(k) <- Some v);
+  (* A local update takes no virtual time; one arrives per time unit, so
+     the checkpoint slices (0.05 apart) run between updates. *)
+  let next = ref false in
+  Sim.schedule (System.sim sys) ~delay:1.0 (fun () -> next := true);
+  while not (Action.resolved h && !next) do
+    if not (Sim.step (System.sim sys)) then Alcotest.fail "simulator drained mid-action";
+    check_ckpt_rule gd w;
+    on_event ()
+  done
+
+let drain sys gd w =
+  while Sim.step (System.sim sys) do
+    check_ckpt_rule gd w
+  done
+
+let check_state gd expected label =
+  Array.iteri
+    (fun k v ->
+      let got =
+        match Helpers.committed_value gd (big_key k) with
+        | Some (Value.Str s) -> Some s
+        | Some _ | None -> None
+      in
+      if got <> v then Alcotest.failf "%s: %s lost its committed value" label (big_key k))
+    expected
+
+let check_logs gd label =
+  let rs = Guardian.rs gd in
+  let issues =
+    Core.Log_check.check_log (Core.Hybrid_rs.log rs)
+    @ Core.Log_check.check_segments (Guardian.log_dir gd)
+  in
+  Alcotest.(check (list string)) (label ^ ": log and segment fsck clean") []
+    (List.map (Format.asprintf "%a" Core.Log_check.pp_issue) issues)
+
+let test_large_state_checkpoint_trigger () =
+  let sys, gd = big_state_system () in
+  let w = { active = false; starts = 0 } in
+  let expected = Array.make big_keys None in
+  let update = big_update sys gd w expected ~on_event:ignore in
+  for k = 0 to big_keys - 1 do
+    update k k
+  done;
+  for i = 1 to 200 do
+    update (big_keys + i) (i mod big_keys)
+  done;
+  drain sys gd w;
+  let rs = Guardian.rs gd in
+  Alcotest.(check bool) "the output outgrows the threshold" true
+    (Core.Hybrid_rs.base_bytes rs > big_threshold);
+  Alcotest.(check int) "every start seen" (Guardian.housekeeping_runs gd) w.starts;
+  (* An output of about 13 KiB ends about 3 KiB short of its segment's
+     end, some 6 commits of 600 log bytes; the byte threshold alone would
+     checkpoint after nearly every commit. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d checkpoints in 200 commits" w.starts)
+    true
+    (w.starts >= 10 && w.starts <= 50);
+  System.crash sys (g 0);
+  ignore (System.restart sys (g 0));
+  System.quiesce sys;
+  check_state gd expected "after restart";
+  check_logs gd "after restart"
+
+(* The same large state, crashed at a spread of simulator event
+   boundaries, some of them between checkpoint slices. Each crash must
+   keep every committed value and leave a clean log; the restarted
+   guardian then holds its checkpoint until its log runs past the end of
+   the recovered log's last segment ([check_ckpt_rule] with the recovered
+   log as the start). *)
+let test_large_state_crash_sweep () =
+  let run ~crash_at =
+    let sys, gd = big_state_system () in
+    let w = { active = false; starts = 0 } in
+    let expected = Array.make big_keys None in
+    let events = ref 0 and between_slices = ref [] and starts_at_crash = ref 0 in
+    let recovered = ref false and recovered_limit = ref None in
+    let on_event () =
+      incr events;
+      let log = Core.Hybrid_rs.log (Guardian.rs gd) in
+      if Guardian.checkpoint_active gd then between_slices := !events :: !between_slices;
+      (* The first checkpoint after the restart starts on the recovered
+         log, once it has passed the recovered size's limit. *)
+      (match !recovered_limit with
+      | Some limit when w.starts > !starts_at_crash ->
+          recovered_limit := None;
+          if Log.stream_bytes log <= limit then
+            Alcotest.failf "crash at %d: checkpoint at %d log bytes, recovered limit %d" crash_at
+              (Log.stream_bytes log) limit
+      | Some _ | None -> ());
+      if !events = crash_at then begin
+        System.crash sys (g 0);
+        ignore (System.restart sys (g 0));
+        w.active <- false;
+        starts_at_crash := w.starts;
+        recovered := true;
+        let log = Core.Hybrid_rs.log (Guardian.rs gd) in
+        recovered_limit := Some (ckpt_limit log (Log.stream_bytes log));
+        Alcotest.(check int)
+          (Printf.sprintf "crash at %d: the start is the recovered log" crash_at)
+          (Log.stream_bytes log)
+          (Core.Hybrid_rs.base_bytes (Guardian.rs gd));
+        check_logs gd (Printf.sprintf "crash at %d" crash_at)
+      end
+    in
+    (* The update in flight at the crash is resolved from the recovered
+       log; a commit it owes lands once the update's time unit is over. *)
+    let update i k =
+      big_update sys gd w expected ~on_event i k;
+      if !recovered then begin
+        recovered := false;
+        check_state gd expected (Printf.sprintf "crash at %d" crash_at)
+      end
+    in
+    for k = 0 to big_keys - 1 do
+      update k k
+    done;
+    for i = 1 to 100 do
+      update (big_keys + i) (i mod big_keys)
+    done;
+    let total = !events in
+    (* 60 more updates, about 36 KB of log: the restarted guardian must
+       get to checkpoint again. *)
+    for i = 101 to 160 do
+      update (big_keys + i) (i mod big_keys)
+    done;
+    drain sys gd w;
+    if crash_at > 0 then begin
+      let label = Printf.sprintf "crash at %d, end" crash_at in
+      check_state gd expected label;
+      check_logs gd label;
+      Alcotest.(check bool) (label ^ ": checkpoints resumed") true (w.starts > !starts_at_crash)
+    end;
+    (total, List.rev !between_slices)
+  in
+  let total, between = run ~crash_at:0 in
+  let spread = List.init 8 (fun j -> (j + 1) * total / 9) in
+  let nb = List.length between in
+  let mid_checkpoint = List.init 4 (fun j -> List.nth between (j * nb / 4)) in
+  Alcotest.(check bool) "the sweep reaches checkpoint slices" true (nb >= 4);
+  List.iter (fun crash_at -> ignore (run ~crash_at)) (spread @ mid_checkpoint)
+
 (* The incremental flavour: checkpoints run as background fibers over
    virtual time, slices interleaving with live 2PC traffic, and a crash
    mid-checkpoint abandons the spare log without losing anything. *)
@@ -630,6 +835,10 @@ let suite =
     Alcotest.test_case "bank sweep over seeds" `Slow test_bank_many_seeds;
     Alcotest.test_case "housekeeping under traffic" `Quick test_housekeeping_under_traffic;
     Alcotest.test_case "automatic housekeeping policy" `Quick test_auto_housekeeping;
+    Alcotest.test_case "large state: checkpoint once a segment can come back" `Quick
+      test_large_state_checkpoint_trigger;
+    Alcotest.test_case "large state: crashes across checkpoints" `Quick
+      test_large_state_crash_sweep;
     Alcotest.test_case "housekeep during a background checkpoint" `Quick
       test_housekeep_during_checkpoint;
     Alcotest.test_case "incremental background checkpointing" `Quick
