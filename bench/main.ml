@@ -993,9 +993,12 @@ let bechamel_suite () =
         Synth.run_random_actions t ~n:20 ~objects_per_action:2 ();
         Scheme.housekeep (Synth.scheme t) technique)
   in
-  (* The page path: one checksum per careful put and per agreeing get. *)
+  (* The page path: one checksum per careful put and per agreeing get. A
+     16-byte input is the size of a key that [Placement.shard_of_key]
+     hashes on every routed operation. *)
   let page = String.init 1024 (fun i -> Char.chr (i land 0xFF)) in
-  let crc_kernel = Staged.stage (fun () -> ignore (Rs_util.Crc32.string page : int32)) in
+  let key = String.sub page 0 16 in
+  let crc_kernel s = Staged.stage (fun () -> ignore (Rs_util.Crc32.string s : int32)) in
   let store_kernel =
     let store = Rs_storage.Stable_store.create ~pages:1 () in
     Staged.stage (fun () ->
@@ -1039,7 +1042,8 @@ let bechamel_suite () =
           ];
         Test.make_grouped ~name:"page-path"
           [
-            Test.make ~name:"crc32-1KiB" crc_kernel;
+            Test.make ~name:"crc32-16B" (crc_kernel key);
+            Test.make ~name:"crc32-1KiB" (crc_kernel page);
             Test.make ~name:"store-put-get-1KiB" store_kernel;
           ];
         Test.make_grouped ~name:"stable-vars"

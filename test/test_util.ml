@@ -82,24 +82,47 @@ let crc32_reference ?(off = 0) ?len s =
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
 
-(* Every length from 0 to 17 at every offset within one 8-byte stride:
-   the block loop, the byte tail and their seam. *)
+(* Every length from 0 to 17 at every offset within one 8-byte stride,
+   then the seams of the folding kernel (64 bytes and up, in 16-byte
+   blocks, the rest through the table) at every offset within one block:
+   either side of 64, of a 64-byte round, of a 16-byte block, a page's
+   1030-byte frame and a multi-page run. *)
 let test_crc32_strides () =
-  let src = String.init 40 (fun i -> Char.chr (((i * 97) + 13) land 0xFF)) in
+  let src = String.init 4200 (fun i -> Char.chr (((i * 97) + 13 + (i lsr 8)) land 0xFF)) in
+  let check ~off ~len =
+    let expect = crc32_reference ~off ~len src in
+    Alcotest.(check int32)
+      (Printf.sprintf "off %d len %d" off len)
+      expect (Crc32.string ~off ~len src);
+    Alcotest.(check int32)
+      (Printf.sprintf "bytes off %d len %d" off len)
+      expect
+      (Crc32.bytes ~off ~len (Bytes.of_string src))
+  in
   for off = 0 to 8 do
     for len = 0 to 17 do
-      let expect = crc32_reference ~off ~len src in
-      Alcotest.(check int32)
-        (Printf.sprintf "off %d len %d" off len)
-        expect (Crc32.string ~off ~len src);
-      Alcotest.(check int32)
-        (Printf.sprintf "bytes off %d len %d" off len)
-        expect
-        (Crc32.bytes ~off ~len (Bytes.of_string src))
+      check ~off ~len
     done
   done;
-  Alcotest.check_raises "out of bounds" (Invalid_argument "Crc32.bytes: out of bounds") (fun () ->
-      ignore (Crc32.string ~off:3 ~len:38 src))
+  List.iter
+    (fun len ->
+      for off = 0 to 15 do
+        check ~off ~len
+      done)
+    [ 47; 48; 63; 64; 65; 79; 80; 81; 127; 128; 129; 1023; 1024; 1030; 4103 ];
+  (* 64 KiB from a fixed seed, pinned by the slicing-by-8 code in OCaml
+     that the C kernels replaced. *)
+  let rng = Rng.create 27 in
+  let big = Bytes.init 65536 (fun _ -> Char.chr (Rng.int rng 256)) in
+  Alcotest.(check int32) "64 KiB pinned" 0x5b15f15el (Crc32.bytes big);
+  let out_of_bounds = Invalid_argument "Crc32.bytes: out of bounds" in
+  Alcotest.check_raises "out of bounds" out_of_bounds (fun () ->
+      ignore (Crc32.string ~off:4190 ~len:11 src));
+  (* [off + len] wraps negative here; the range must still be refused. *)
+  Alcotest.check_raises "off + len wraps" out_of_bounds (fun () ->
+      ignore (Crc32.string ~off:1 ~len:max_int "abc"));
+  Alcotest.check_raises "off past the end" out_of_bounds (fun () ->
+      ignore (Crc32.string ~off:max_int ~len:1 "abc"))
 
 let prop_crc32_reference =
   QCheck.Test.make ~name:"crc32 equals bit-at-a-time reference" ~count:500
