@@ -50,6 +50,41 @@ if [ -n "$ORPHANS" ]; then
 fi
 echo "metrics ok: $(echo "$NAMES" | wc -l | tr -d ' ') default-registry names, each read somewhere"
 
+echo "== export lint: every library export is read outside its module =="
+# Each [val NAME] in a lib/ interface must appear as a word in some file
+# of lib/, bin/, bench/, test/ or examples/ other than its own module's
+# .ml and .mli: an export nothing else reads is interface to document and
+# keep working for no caller. A word match can miss an unread export with
+# a common name (another module's [create] counts as a reader), but it
+# never fails on a name some other file really reads.
+UNREAD=$(
+  {
+    find lib -name '*.mli' | sort | while read -r mli; do
+      sed -nE "s/^[[:space:]]*val[[:space:]]+([a-z_][A-Za-z0-9_']*)([[:space:]:]|$).*/\1/p" "$mli" |
+        sed "s|^|val $mli |"
+    done
+    grep -rIowE "[A-Za-z_][A-Za-z0-9_']*" lib bin bench test examples | sort -u | sed 's/^/word /'
+  } | awk '
+    $1 == "val" {
+      decl[$3] = decl[$3] " " $2; ml[$2] = substr($2, 1, length($2) - 1)
+      if (!(($2 " " $3) in seen)) { seen[$2 " " $3] = 1; vals[++n] = $2 " " $3 }
+      next
+    }
+    {
+      i = index($2, ":"); f = substr($2, 1, i - 1); w = substr($2, i + 1)
+      if (!(w in decl)) next
+      k = split(decl[w], ms, " ")
+      for (j = 1; j <= k; j++) if (f != ms[j] && f != ml[ms[j]]) read[ms[j] " " w] = 1
+    }
+    END { for (j = 1; j <= n; j++) if (!(vals[j] in read)) print "  " vals[j] }'
+)
+if [ -n "$UNREAD" ]; then
+  echo "exported but never read outside their module (interface, value):"
+  echo "$UNREAD"
+  exit 1
+fi
+echo "exports ok: $(grep -rhE --include='*.mli' '^[[:space:]]*val[[:space:]]' lib | wc -l | tr -d ' ') vals, each read outside its module"
+
 echo "== dune runtest =="
 dune runtest
 

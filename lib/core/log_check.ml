@@ -165,10 +165,6 @@ let check_log log =
   in
   List.rev issues
 
-let check_chain log =
-  let entries, issues = decode_all log in
-  List.rev (check_chain_structure log entries issues)
-
 (* Segment-chain fsck for a segmented log directory: the current log's
    segment table must tile exactly the live stream, every linked segment
    store must exist and carry a self-description agreeing with the table,
@@ -176,90 +172,87 @@ let check_chain log =
    windows [Log_dir.open_] sweeps). *)
 let check_segments dir =
   let seg_pages = Log_dir.segment_pages dir in
-  if seg_pages = 0 then []
-  else begin
-    let log = Log_dir.current dir in
-    let page_size = Log.page_size log in
-    let cap = seg_pages * page_size in
-    let table = Log.segment_table log in
-    let low_water = Log.low_water log in
-    let forced = Log.stream_bytes log in
-    let issues = ref [] in
-    let add ?addr fmt = Format.kasprintf (fun what -> issues := issue ?addr what :: !issues) fmt in
-    (* Table shape: strictly ascending indices (which also rules out
-       duplicates) and no id linked twice. *)
-    let rec shape = function
-      | (i1, _) :: ((i2, _) :: _ as rest) ->
-          if i2 <= i1 then add "segment table indices not ascending (%d then %d)" i1 i2;
-          shape rest
-      | [ _ ] | [] -> ()
-    in
-    shape table;
-    let ids = List.map snd table in
-    if List.length (List.sort_uniq compare ids) <> List.length ids then
-      add "segment table links some segment id twice";
-    (* Coverage: every stream page in the live region has a segment. *)
-    if forced > low_water then begin
-      let lo = low_water / cap and hi = (forced - 1) / cap in
-      for idx = lo to hi do
-        if not (List.mem_assoc idx table) then
-          add ~addr:(idx * cap) "live stream range has no segment for index %d" idx
-      done
-    end;
-    (* Retirement completeness: a wholly-dead segment stays linked only if
-       it is the tail (it still backs the next force's read-modify-write). *)
-    let max_idx = List.fold_left (fun m (i, _) -> max m i) (-1) table in
-    List.iter
-      (fun (idx, id) ->
-        if ((idx + 1) * cap) <= low_water && idx <> max_idx then
-          add ~addr:(idx * cap) "segment %d (index %d) wholly below low-water yet linked" id idx)
-      table;
-    (* Every linked segment resolves in the pool and describes itself
-       consistently with its table slot. *)
-    List.iter
-      (fun (idx, id) ->
-        match Log_dir.segment_store dir id with
-        | None -> add ~addr:(idx * cap) "table links segment %d but it is not in the pool" id
-        | Some store -> (
-            match Rs_storage.Stable_store.get store 0 with
-            | None -> add ~addr:(idx * cap) "segment %d has no header page" id
-            | Some raw -> (
-                match Log.decode_segment_header raw with
-                | exception Rs_util.Codec.Error msg ->
-                    add ~addr:(idx * cap) "segment %d header undecodable: %s" id msg
-                | h ->
-                    if h.Log.seg_id <> id then
-                      add ~addr:(idx * cap) "segment %d header claims id %d" id h.Log.seg_id;
-                    if h.Log.seg_index <> idx then
-                      add ~addr:(idx * cap) "segment %d header claims index %d, table says %d"
-                        id h.Log.seg_index idx;
-                    if h.Log.seg_base <> idx * cap then
-                      add ~addr:(idx * cap) "segment %d header base %d, expected %d" id
-                        h.Log.seg_base (idx * cap);
-                    if h.Log.seg_page_size <> page_size then
-                      add ~addr:(idx * cap) "segment %d page size %d, log uses %d" id
-                        h.Log.seg_page_size page_size;
-                    if h.Log.seg_pages <> seg_pages then
-                      add ~addr:(idx * cap) "segment %d sized %d pages, log uses %d" id
-                        h.Log.seg_pages seg_pages;
-                    (match (h.Log.seg_prev_id, List.assoc_opt (idx - 1) table) with
-                    | Some p, Some q when p <> q ->
-                        add ~addr:(idx * cap)
-                          "segment %d back link names %d, table names %d for index %d" id p q
-                          (idx - 1)
-                    | None, Some q ->
-                        add ~addr:(idx * cap)
-                          "segment %d has no back link but index %d is live as %d" id (idx - 1) q
-                    | (Some _ | None), _ -> ()))))
-      table;
-    (* Reachability: nothing in the pool registry outside the current
-       log's table and (mid-housekeeping) the pending log's. *)
-    let reachable =
-      ids @ (match Log_dir.pending_log dir with None -> [] | Some l -> List.map snd (Log.segment_table l))
-    in
-    List.iter
-      (fun id ->
-        if not (List.mem id reachable) then add "orphan segment %d in the pool registry" id)
-      (Log_dir.segment_ids dir);
-    List.rev !issues
-  end
+  let log = Log_dir.current dir in
+  let page_size = Log.page_size log in
+  let cap = seg_pages * page_size in
+  let table = Log.segment_table log in
+  let low_water = Log.low_water log in
+  let forced = Log.stream_bytes log in
+  let issues = ref [] in
+  let add ?addr fmt = Format.kasprintf (fun what -> issues := issue ?addr what :: !issues) fmt in
+  (* Table shape: strictly ascending indices (which also rules out
+     duplicates) and no id linked twice. *)
+  let rec shape = function
+    | (i1, _) :: ((i2, _) :: _ as rest) ->
+        if i2 <= i1 then add "segment table indices not ascending (%d then %d)" i1 i2;
+        shape rest
+    | [ _ ] | [] -> ()
+  in
+  shape table;
+  let ids = List.map snd table in
+  if List.length (List.sort_uniq compare ids) <> List.length ids then
+    add "segment table links some segment id twice";
+  (* Coverage: every stream page in the live region has a segment. *)
+  if forced > low_water then begin
+    let lo = low_water / cap and hi = (forced - 1) / cap in
+    for idx = lo to hi do
+      if not (List.mem_assoc idx table) then
+        add ~addr:(idx * cap) "live stream range has no segment for index %d" idx
+    done
+  end;
+  (* Retirement completeness: a wholly-dead segment stays linked only if
+     it is the tail (it still backs the next force's read-modify-write). *)
+  let max_idx = List.fold_left (fun m (i, _) -> max m i) (-1) table in
+  List.iter
+    (fun (idx, id) ->
+      if ((idx + 1) * cap) <= low_water && idx <> max_idx then
+        add ~addr:(idx * cap) "segment %d (index %d) wholly below low-water yet linked" id idx)
+    table;
+  (* Every linked segment resolves in the pool and describes itself
+     consistently with its table slot. *)
+  List.iter
+    (fun (idx, id) ->
+      match Log_dir.segment_store dir id with
+      | None -> add ~addr:(idx * cap) "table links segment %d but it is not in the pool" id
+      | Some store -> (
+          match Rs_storage.Stable_store.get store 0 with
+          | None -> add ~addr:(idx * cap) "segment %d has no header page" id
+          | Some raw -> (
+              match Log.decode_segment_header raw with
+              | exception Rs_util.Codec.Error msg ->
+                  add ~addr:(idx * cap) "segment %d header undecodable: %s" id msg
+              | h ->
+                  if h.Log.seg_id <> id then
+                    add ~addr:(idx * cap) "segment %d header claims id %d" id h.Log.seg_id;
+                  if h.Log.seg_index <> idx then
+                    add ~addr:(idx * cap) "segment %d header claims index %d, table says %d"
+                      id h.Log.seg_index idx;
+                  if h.Log.seg_base <> idx * cap then
+                    add ~addr:(idx * cap) "segment %d header base %d, expected %d" id
+                      h.Log.seg_base (idx * cap);
+                  if h.Log.seg_page_size <> page_size then
+                    add ~addr:(idx * cap) "segment %d page size %d, log uses %d" id
+                      h.Log.seg_page_size page_size;
+                  if h.Log.seg_pages <> seg_pages then
+                    add ~addr:(idx * cap) "segment %d sized %d pages, log uses %d" id
+                      h.Log.seg_pages seg_pages;
+                  (match (h.Log.seg_prev_id, List.assoc_opt (idx - 1) table) with
+                  | Some p, Some q when p <> q ->
+                      add ~addr:(idx * cap)
+                        "segment %d back link names %d, table names %d for index %d" id p q
+                        (idx - 1)
+                  | None, Some q ->
+                      add ~addr:(idx * cap)
+                        "segment %d has no back link but index %d is live as %d" id (idx - 1) q
+                  | (Some _ | None), _ -> ()))))
+    table;
+  (* Reachability: nothing in the pool registry outside the current
+     log's table and (mid-housekeeping) the pending log's. *)
+  let reachable =
+    ids @ (match Log_dir.pending_log dir with None -> [] | Some l -> List.map snd (Log.segment_table l))
+  in
+  List.iter
+    (fun id ->
+      if not (List.mem id reachable) then add "orphan segment %d in the pool registry" id)
+    (Log_dir.segment_ids dir);
+  List.rev !issues

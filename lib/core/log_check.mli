@@ -21,16 +21,11 @@ val pp_issue : Format.formatter -> issue -> unit
 val check_log : Rs_slog.Stable_log.t -> issue list
 (** Full scan of all forced entries (it is a checker; cost is fine). *)
 
-val check_chain : Rs_slog.Stable_log.t -> issue list
-(** Chain-only checks from the last outcome entry; subset of
-    {!check_log}. *)
-
 val check_segments : Rs_slog.Log_dir.t -> issue list
-(** Segment-chain fsck for a segmented log directory: table indices
+(** Segment-chain fsck for a log directory: table indices
     ascending and ids unique; every live stream page covered by a linked
     segment; no wholly-dead segment linked except the tail; every linked
     segment present in the pool with a self-description (id, index, base,
     geometry, back link) agreeing with the table; and no unreachable
     segment left in the pool registry (the current log's table — plus the
-    pending log's, mid-housekeeping — is the sole source of truth).
-    Returns [[]] for a monolithic directory. *)
+    pending log's, mid-housekeeping — is the sole source of truth). *)

@@ -29,7 +29,6 @@ let is_outcome = function
 (* The tag byte is the first encoded byte and [Data] is tag 0, so bulk
    scanners can discard data entries without decoding their payloads. *)
 let is_outcome_at buf ~off ~len = len > 0 && buf.[off] <> '\000'
-let is_outcome_raw raw = is_outcome_at raw ~off:0 ~len:(String.length raw)
 
 let prev = function
   | Data _ -> None

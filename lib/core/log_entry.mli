@@ -50,13 +50,10 @@ val is_outcome : t -> bool
 (** Everything except [Data] (§3.2: outcome entries are chained in the
     hybrid log; data entries are not). *)
 
-val is_outcome_raw : string -> bool
-(** {!is_outcome} on an encoded entry, peeking only the tag byte — lets
-    bulk recovery scans discard data entries without decoding them. *)
-
 val is_outcome_at : string -> off:int -> len:int -> bool
-(** {!is_outcome_raw} on an encoded entry stored at [buf.[off .. off+len-1]]
-    — peeks the tag in place, for scanners that avoid copying frames. *)
+(** {!is_outcome} on an encoded entry stored at [buf.[off .. off+len-1]],
+    peeking only the tag byte in place — lets bulk recovery scans discard
+    data entries without decoding or copying them. *)
 
 val decode_at : string -> off:int -> len:int -> t
 (** {!decode} on an encoded entry stored at [buf.[off .. off+len-1]],
@@ -71,9 +68,6 @@ val with_prev : t -> addr option -> t
 val encode : t -> string
 val decode : string -> t
 (** Raises {!Rs_util.Codec.Error} on malformed input. *)
-
-val encode_into : Rs_util.Codec.Enc.t -> t -> unit
-(** {!encode} into an existing encoder. *)
 
 val write : Rs_slog.Stable_log.t -> t -> addr
 (** Append the entry to the log (buffered), encoding it straight into the

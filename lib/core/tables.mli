@@ -14,7 +14,6 @@ module Pt : sig
       final; later (older) entries never override. *)
 
   val to_list : t -> (Rs_util.Aid.t * state) list
-  val pp_state : Format.formatter -> state -> unit
 end
 
 (** Coordinator action table: aid → committing(gids) | done. *)
@@ -26,7 +25,6 @@ module Ct : sig
   val find : t -> Rs_util.Aid.t -> state option
   val add_if_absent : t -> Rs_util.Aid.t -> state -> unit
   val to_list : t -> (Rs_util.Aid.t * state) list
-  val pp_state : Format.formatter -> state -> unit
 end
 
 (** Object table: uid → object state, kind and where the replay put it.

@@ -29,14 +29,12 @@ type t = {
   placement : Placement.t;
   mutable master : Gid.t; (* re-pointed when the master's shard fails over *)
   batch : int;
-  base : int;
-  debug_checks : bool;
   pools : pool Gid.Tbl.t;
   (* Committed reservations, newest first: (lo, hi, owner). *)
   mutable ranges : (int * int * Gid.t) list;
   mutable max_hi : int;
   mutable leaked : int;
-  (* Debug ledger of every pool-minted uid and the shard that minted it. *)
+  (* Ledger of every pool-minted uid and the shard that minted it. *)
   minted : Gid.t Uid.Tbl.t;
   (* Failover redirects applied after placement: dead shard gid -> heir. *)
   redirects : Gid.t Gid.Tbl.t;
@@ -46,8 +44,13 @@ let system t = t.system
 let placement t = t.placement
 let master t = t.master
 let batch t = t.batch
-let base t = t.base
 let leaked t = t.leaked
+
+(* The first directory-managed uid: every guardian's local bootstrap uids
+   (the stable-variables root among them) stay below it. *)
+let first_uid = 1024
+
+let base _ = first_uid
 
 (* Follow failover redirects (bounded: redirect chains only grow one hop
    per promotion and promotions re-point existing entries, but stay safe
@@ -74,7 +77,7 @@ let reserved_ranges t = List.rev t.ranges
 
 let locate_uid t u =
   let u = Uid.to_int u in
-  if u < t.base then None
+  if u < first_uid then None
   else
     List.find_map (fun (lo, hi, g) -> if lo <= u && u < hi then Some g else None) t.ranges
 
@@ -99,15 +102,12 @@ let pool_mint t g () =
   | (next, hi) :: rest ->
       p.ranges <- (if next + 1 = hi then rest else (next + 1, hi) :: rest);
       let u = Uid.of_int next in
-      if t.debug_checks then begin
-        (match Uid.Tbl.find_opt t.minted u with
-        | Some g' when not (Gid.equal g' g) ->
-            failwith
-              (Format.asprintf "Directory: %a minted by both %a and %a" Uid.pp u Gid.pp g'
-                 Gid.pp g)
-        | Some _ | None -> ());
-        Uid.Tbl.replace t.minted u g
-      end;
+      (match Uid.Tbl.find_opt t.minted u with
+      | Some g' when not (Gid.equal g' g) ->
+          failwith
+            (Format.asprintf "Directory: %a minted by both %a and %a" Uid.pp u Gid.pp g' Gid.pp g)
+      | Some _ | None -> ());
+      Uid.Tbl.replace t.minted u g;
       u
 
 let install_source t g =
@@ -143,7 +143,7 @@ let add_range t g ~lo =
   if Trace.enabled () then
     Trace.emit (Trace.Uid_reserve { gid = Gid.to_string g; lo; count = t.batch })
 
-let reserve_async ?(on_ready = fun () -> ()) t g =
+let reserve_async ~on_ready t g =
   let p = pool t g in
   if p.reserving then p.waiters <- on_ready :: p.waiters
   else begin
@@ -186,21 +186,19 @@ let ensure_uids t g n =
 
 (* --- construction ------------------------------------------------------ *)
 
-let create ?(batch = 64) ?(base = 1024) ?master ?(debug_checks = true) ~system ~placement () =
+let create ?(batch = 64) ~system ~placement () =
   if batch <= 0 then invalid_arg "Directory.create: batch must be positive";
   let shards = Placement.shards placement in
-  let master = match master with Some m -> m | None -> List.hd shards in
+  let master = List.hd shards in
   let t =
     {
       system;
       placement;
       master;
       batch;
-      base;
-      debug_checks;
       pools = Gid.Tbl.create 16;
       ranges = [];
-      max_hi = base;
+      max_hi = first_uid;
       leaked = 0;
       minted = Uid.Tbl.create 256;
       redirects = Gid.Tbl.create 4;
@@ -208,12 +206,12 @@ let create ?(batch = 64) ?(base = 1024) ?master ?(debug_checks = true) ~system ~
   in
   (* Bootstrap the watermark through the master's *local* uid source —
      pools do not exist yet, which is exactly why bootstrap uids live
-     below [base]. *)
+     below [first_uid]. *)
   let boot heap aid =
     match Heap.get_stable_var heap key_hwm with
     | Some _ -> ()
     | None ->
-        let a = Heap.alloc_atomic heap ~creator:aid (Value.Int base) in
+        let a = Heap.alloc_atomic heap ~creator:aid (Value.Int first_uid) in
         Heap.set_stable_var heap aid key_hwm (Value.Ref a)
   in
   let rec go () =
@@ -309,40 +307,6 @@ let snapshot_read t key =
       | Some v -> Some v
       | None -> None)
 
-(* Cross-shard consistent multi-key read: one read-only action whose steps
-   span every owning shard; [System.submit ~mode:Read_only] opens all the
-   shard snapshots at the same virtual instant — the coordinator-chosen
-   stamp — so the values form one consistent cut. *)
-let snapshot_read_multi t keys =
-  if keys = [] then invalid_arg "Directory.snapshot_read_multi: no keys";
-  let results : (string, Value.t option) Hashtbl.t = Hashtbl.create (List.length keys) in
-  let step key : System.work =
-   fun heap aid ->
-    let s = match Heap.read_only_of heap aid with Some s -> s | None -> assert false in
-    let v =
-      match Heap.snapshot_var heap s key with
-      | Some (Value.Ref a) -> Some (Heap.snapshot_read heap s a)
-      | Some v -> Some v
-      | None -> None
-    in
-    Hashtbl.replace results key v
-  in
-  let routed = List.map (fun k -> (locate t k, step k)) keys in
-  let coord = fst (List.hd routed) in
-  let distinct = List.sort_uniq Gid.compare (List.map fst routed) in
-  let cross = List.compare_length_with distinct 1 > 0 in
-  Metrics.incr m_routes;
-  if cross then Metrics.incr m_cross_routes;
-  if Trace.recording () then
-    Trace.emit
-      (Trace.Dir_route
-         { coordinator = Gid.to_string coord; shards = List.length distinct; cross })
-  else Trace.skip ();
-  ignore
-    (System.submit ~mode:System.Read_only t.system ~coordinator:coord ~steps:routed
-      : Rs_guardian.Action.handle);
-  List.map (fun k -> (k, Hashtbl.find results k)) keys
-
 (* --- crashes ----------------------------------------------------------- *)
 
 let note_crash t g =
@@ -400,7 +364,7 @@ let verify_unique_uids t =
           match (kind, Heap.uid_of heap a) with
           | Heap.Placeholder, _ | _, None -> ()
           | (Heap.Atomic | Heap.Mutex | Heap.Regular), Some u ->
-              if Uid.to_int u >= t.base then (
+              if Uid.to_int u >= first_uid then (
                 match Uid.Tbl.find_opt owner u with
                 | Some g' when not (Gid.equal g' g) ->
                     if !problem = None then

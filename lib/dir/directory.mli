@@ -15,13 +15,13 @@
     - a crash between commit and use {e leaks} at most the unused part of
       the pool (bounded by the outstanding batches, normally one) — leaked
       ranges are simply never handed out again;
-    - no uid is ever minted by two shards (checked by a debug assert at
-      every pool mint and by {!verify_unique_uids} over durable state).
+    - no uid is ever minted by two shards (checked at every pool mint and
+      by {!verify_unique_uids} over durable state).
 
     Routing: steps name objects by {e key}; {!submit} resolves each key to
     its owning shard through the {!Placement} and runs the action over the
     existing 2PC, with the coordinator defaulting to the first step's
-    shard. Uids below [base] are outside the directory's jurisdiction
+    shard. Uids below {!base} are outside the directory's jurisdiction
     (per-guardian bootstrap objects, e.g. the stable-variables root). *)
 
 module System := Rs_guardian.System
@@ -33,42 +33,21 @@ exception Out_of_uids of { gid : Rs_util.Gid.t }
     {!create_object_async} reserve before submitting, so this escapes only
     when callers mint directly from an unprovisioned pool. *)
 
-val create :
-  ?batch:int ->
-  ?base:int ->
-  ?master:Rs_util.Gid.t ->
-  ?debug_checks:bool ->
-  system:System.t ->
-  placement:Placement.t ->
-  unit ->
-  t
-(** Bootstrap the watermark object on the master (an awaited action) and
-    install a pool-backed uid source on every shard's heap. [batch]
-    (default 64) uids per reservation; [base] (default 1024) is the first
-    directory-managed uid — every guardian's local bootstrap uids must
-    stay below it. [master] defaults to the placement's first shard.
-    [debug_checks] (default on) fails fast if two shards ever mint the
-    same uid. *)
+val create : ?batch:int -> system:System.t -> placement:Placement.t -> unit -> t
+(** Bootstrap the watermark object on the master — the placement's first
+    shard — (an awaited action) and install a pool-backed uid source on
+    every shard's heap. [batch] (default 64) uids per reservation. Every
+    pool mint fails fast if two shards ever mint the same uid. *)
 
 val system : t -> System.t
 val placement : t -> Placement.t
 val master : t -> Rs_util.Gid.t
 val batch : t -> int
 val base : t -> int
+(** The first directory-managed uid (1024): every guardian's local
+    bootstrap uids stay below it. *)
 
 (** {1 Allocation} *)
-
-val reserve_async : ?on_ready:(unit -> unit) -> t -> Rs_util.Gid.t -> unit
-(** Reserve one batch for the shard, retrying aborted reservations (and a
-    down or overloaded master) in virtual time until one commits; then
-    call [on_ready]. Concurrent requests for the same shard coalesce onto
-    the in-flight reservation, so a shard has at most one outstanding
-    batch request — the leak bound. *)
-
-val ensure_uids : t -> Rs_util.Gid.t -> int -> unit
-(** Drive the simulator until the shard's pool holds at least [n] uids
-    (reserving as needed). Raises [Failure] if the simulator drains first
-    — e.g. the master is down and nothing will restart it. *)
 
 val pool_remaining : t -> Rs_util.Gid.t -> int
 val watermark : t -> int
@@ -126,15 +105,6 @@ val snapshot_read : t -> string -> Rs_objstore.Value.t option
     and the value come from a single consistent committed cut, with zero
     lock acquisition). [None] if unbound. Raises {!System.Guardian_down}
     if the owning shard is down. *)
-
-val snapshot_read_multi : t -> string list -> (string * Rs_objstore.Value.t option) list
-(** Consistent multi-key read, possibly across shards: one read-only
-    action whose steps span every owning shard. All shard snapshots open
-    at the same virtual instant — the coordinator-chosen stamp — so the
-    returned values form one consistent cross-shard cut (no committed
-    writer can fall between two of the reads). Order follows [keys].
-    Raises {!System.Guardian_down} if any owning shard is down and
-    [Invalid_argument] on an empty key list. *)
 
 (** {1 Crashes} *)
 

@@ -1,21 +1,14 @@
 module Gid = Rs_util.Gid
 module Crc32 = Rs_util.Crc32
 
-type strategy = Hash | Range of { span : int }
+type t = { seed : int; shards : Gid.t array }
 
-type t = { seed : int; strategy : strategy; shards : Gid.t array }
-
-let create ?(seed = 0) ?(strategy = Hash) ~shards () =
+let create ?(seed = 0) ~shards () =
   if shards = [] then invalid_arg "Placement.create: need at least one shard";
-  (match strategy with
-  | Range { span } when span <= 0 -> invalid_arg "Placement.create: span must be positive"
-  | Range _ | Hash -> ());
-  { seed; strategy; shards = Array.of_list shards }
+  { seed; shards = Array.of_list shards }
 
 let seed t = t.seed
-let strategy t = t.strategy
 let shards t = Array.to_list t.shards
-let n_shards t = Array.length t.shards
 
 (* SplitMix64 finalizer: spreads the seed/crc mix so nearby seeds give
    unrelated placements. *)
@@ -31,25 +24,7 @@ let hash_key t key =
   let crc = Int32.to_int (Crc32.string key) land 0xffffffff in
   mix (crc lxor (t.seed * 0x9e3779b9))
 
-(* Trailing decimal suffix, e.g. "obj42" -> Some 42. *)
-let numeric_suffix key =
-  let n = String.length key in
-  let rec start i = if i > 0 && key.[i - 1] >= '0' && key.[i - 1] <= '9' then start (i - 1) else i in
-  let s = start n in
-  if s = n then None else int_of_string_opt (String.sub key s (n - s))
-
-let shard_of_int t i =
-  match t.strategy with
-  | Hash -> slot t (mix (i lxor (t.seed * 0x9e3779b9)))
-  | Range { span } -> t.shards.((i / span) mod Array.length t.shards)
-
-let shard_of_key t key =
-  match t.strategy with
-  | Hash -> slot t (hash_key t key)
-  | Range _ -> (
-      match numeric_suffix key with
-      | Some i -> shard_of_int t i
-      | None -> slot t (hash_key t key))
+let shard_of_key t key = slot t (hash_key t key)
 
 let spread t keys =
   let groups = List.map (fun g -> (g, ref [])) (shards t) in

@@ -3,39 +3,23 @@
     The Argus model gives every object to exactly one guardian; scaling to
     many guardians needs a pure function from object name to shard that
     every client computes identically — no lookup traffic on the fast
-    path. Two strategies:
+    path. Here that function is a seeded CRC-based hash of the key, spread
+    over the shard list; it is balanced for arbitrary key sets.
 
-    - {e hash}: a seeded CRC-based hash of the key, spread over the shard
-      list. The default; balanced for arbitrary key sets.
-    - {e range}: keys carry a numeric suffix ([obj42]) and contiguous
-      spans of [span] indices map to consecutive shards — the partition a
-      range-scannable directory would use.
-
-    Placement is deterministic for a given (seed, shards, strategy): the
+    Placement is deterministic for a given (seed, shards): the
     routing-determinism test compares two independently built placements
     key by key. *)
 
-type strategy = Hash | Range of { span : int }
-
 type t
 
-val create : ?seed:int -> ?strategy:strategy -> shards:Rs_util.Gid.t list -> unit -> t
-(** Raises [Invalid_argument] if [shards] is empty or a [Range] span is
-    not positive. Default [seed] 0, default strategy [Hash]. *)
+val create : ?seed:int -> shards:Rs_util.Gid.t list -> unit -> t
+(** Raises [Invalid_argument] if [shards] is empty. Default [seed] 0. *)
 
 val seed : t -> int
-val strategy : t -> strategy
 val shards : t -> Rs_util.Gid.t list
-val n_shards : t -> int
 
 val shard_of_key : t -> string -> Rs_util.Gid.t
-(** The owning shard for [key]. Under [Range], a key with no trailing
-    integer falls back to the hash of the whole key. *)
-
-val shard_of_int : t -> int -> Rs_util.Gid.t
-(** Placement for a numeric key (index [i] of a keyspace): under [Hash]
-    the index is mixed and spread; under [Range] span [i / span] maps
-    round-robin onto the shard list. *)
+(** The owning shard for [key]. *)
 
 val spread : t -> string list -> (Rs_util.Gid.t * string list) list
 (** Group keys by owning shard (shard order = shard list order; only

@@ -48,8 +48,6 @@ type slot = { op : int; point : point }
 type schedule = slot list
 (** Fault points in scenario order (at most one per operation). *)
 
-val pp_point : Format.formatter -> point -> unit
-val pp_slot : Format.formatter -> slot -> unit
 val pp_schedule : Format.formatter -> schedule -> unit
 
 val schedule_to_string : schedule -> string

@@ -16,7 +16,6 @@ let make ~aid ~now =
 let aid h = h.aid
 let outcome h = h.state
 let resolved h = h.state <> None
-let submitted_at h = h.submitted_at
 let resolved_at h = h.resolved_at
 
 let latency h =

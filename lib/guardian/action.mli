@@ -16,7 +16,6 @@ val outcome : handle -> outcome option
 (** [None] while the action is still in flight. *)
 
 val resolved : handle -> bool
-val submitted_at : handle -> float
 val resolved_at : handle -> float option
 
 val latency : handle -> float option

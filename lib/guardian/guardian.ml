@@ -21,8 +21,6 @@ type t = {
   mutable dir : Log_dir.t; (* replaced on promotion: the standby's replica dir *)
   aid_gen : Aid.Gen.t;
   force_window : float; (* group-commit window in virtual time; 0 = sync *)
-  prepare_timeout : float option; (* 2PC knobs threaded to the endpoint *)
-  retry_interval : float option;
   mutable heap : Heap.t;
   mutable rs : Hybrid_rs.t;
   mutable twopc : Twopc.t option;
@@ -45,7 +43,6 @@ let log_dir t = t.dir
 let is_up t = t.up
 let fresh_aid t = Aid.Gen.fresh t.aid_gen
 let note_participation t aid = t.known <- Aid.Set.add aid t.known
-let participated t aid = Aid.Set.mem aid t.known
 let crashes t = t.crashes
 
 let hk_done t =
@@ -77,7 +74,7 @@ let checkpoint_due t ~threshold =
   let log = Hybrid_rs.log t.rs in
   let base = Hybrid_rs.base_bytes t.rs in
   let cap = Stable_log.segment_pages log * Stable_log.page_size log in
-  let limit = if base <= threshold || cap = 0 then threshold else ((base - 1) / cap + 1) * cap in
+  let limit = if base <= threshold then threshold else ((base - 1) / cap + 1) * cap in
   Stable_log.stream_bytes log > limit
 
 (* §2.3 operation 7: reorganize stable storage once enough log has
@@ -168,7 +165,6 @@ let wire_protocol t =
     Twopc.create ~gid:t.gid ~sim:t.sim
       ~send:(fun ~src ~dst msg -> Net.send t.net ~src ~dst msg)
       ~hooks:(hooks_of t)
-      ?prepare_timeout:t.prepare_timeout ?retry_interval:t.retry_interval
       ~await_durable:(fun k ->
         Rs_slog.Force_scheduler.enqueue (Hybrid_rs.scheduler t.rs) ~on_durable:k ())
       ()
@@ -176,9 +172,8 @@ let wire_protocol t =
   t.twopc <- Some endpoint;
   Net.register t.net t.gid (fun ~src msg -> Twopc.handle endpoint ~src msg)
 
-let create ~gid ~sim ~net ?(page_size = 1024) ?(force_window = 0.0) ?prepare_timeout
-    ?retry_interval () =
-  let dir = Log_dir.create ~page_size () in
+let create ~gid ~sim ~net ?(force_window = 0.0) () =
+  let dir = Log_dir.create () in
   Log_dir.set_label dir (Gid.to_string gid);
   let heap = Heap.create () in
   Heap.set_label heap (Gid.to_string gid);
@@ -191,8 +186,6 @@ let create ~gid ~sim ~net ?(page_size = 1024) ?(force_window = 0.0) ?prepare_tim
       dir;
       aid_gen = Aid.Gen.create gid;
       force_window;
-      prepare_timeout;
-      retry_interval;
       heap;
       rs;
       twopc = None;

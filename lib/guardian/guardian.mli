@@ -14,10 +14,7 @@ val create :
   gid:Rs_util.Gid.t ->
   sim:Rs_sim.Sim.t ->
   net:Rs_twopc.Twopc.msg Rs_sim.Net.t ->
-  ?page_size:int ->
   ?force_window:float ->
-  ?prepare_timeout:float ->
-  ?retry_interval:float ->
   unit ->
   t
 (** [force_window] (default 0, i.e. synchronous forces): group-commit
@@ -25,10 +22,7 @@ val create :
     co-resident actions — including the 2PC coordinator's committing/done
     records — ride shared forces, and every protocol message announcing an
     outcome waits for its covering batch. The window survives crashes:
-    {!restart} re-attaches it to the recovered recovery system.
-    [prepare_timeout]/[retry_interval] are threaded to
-    {!Rs_twopc.Twopc.create} (and survive restarts) so a load generator
-    can tune protocol patience against lock-wait timeouts. *)
+    {!restart} re-attaches it to the recovered recovery system. *)
 
 val gid : t -> Rs_util.Gid.t
 val heap : t -> Rs_objstore.Heap.t
@@ -50,8 +44,6 @@ val early_prepare : t -> Rs_util.Aid.t -> unit
 val note_participation : t -> Rs_util.Aid.t -> unit
 (** Record (volatilely) that [aid] executed here, so an incoming prepare
     for it is honoured; unknown actions are refused (§2.2.2). *)
-
-val participated : t -> Rs_util.Aid.t -> bool
 
 val start_commit :
   t ->
@@ -107,8 +99,8 @@ val set_auto_housekeeping :
 
     The limit is [threshold_bytes] (default 64 KiB) while the log's
     starting size ({!Core.Hybrid_rs.base_bytes}: the last checkpoint's
-    output, or the recovered log) is at most the threshold, and always for
-    a monolithic log. A log that started larger — a state too big for the
+    output, or the recovered log) is at most the threshold. A log that
+    started larger — a state too big for the
     threshold — would pass it at once, and each checkpoint would only
     rewrite what the last one wrote. Such a log is left to run past the
     end of the segment its starting size ended in (segment capacity is

@@ -74,8 +74,8 @@ let install_runtime t gid =
        })
 
 let create ?(seed = 1) ?(latency = 1.0) ?(jitter = 0.0) ?(drop_prob = 0.0)
-    ?(early_prepare = false) ?(force_window = 0.0) ?(wait_timeout = 20.0) ?max_in_flight
-    ?prepare_timeout ?retry_interval ~n () =
+    ?(early_prepare = false) ?(force_window = 0.0) ?(wait_timeout = 20.0) ?max_in_flight ~n
+    () =
   if n <= 0 then invalid_arg "System.create: need at least one guardian";
   if wait_timeout <= 0.0 then invalid_arg "System.create: wait_timeout must be positive";
   let sim = Sim.create ~seed () in
@@ -83,8 +83,7 @@ let create ?(seed = 1) ?(latency = 1.0) ?(jitter = 0.0) ?(drop_prob = 0.0)
   let net = Net.create ~latency ~jitter ~drop_prob sim () in
   let guardians =
     Array.init n (fun i ->
-        Guardian.create ~gid:(Gid.of_int i) ~sim ~net ~force_window ?prepare_timeout
-          ?retry_interval ())
+        Guardian.create ~gid:(Gid.of_int i) ~sim ~net ~force_window ())
   in
   let t =
     {

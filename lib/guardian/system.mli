@@ -84,8 +84,6 @@ val create :
   ?force_window:float ->
   ?wait_timeout:float ->
   ?max_in_flight:int ->
-  ?prepare_timeout:float ->
-  ?retry_interval:float ->
   n:int ->
   unit ->
   t
@@ -96,8 +94,7 @@ val create :
     {!Guardian.create}. [wait_timeout] (default 20.0 virtual time units)
     bounds every lock wait; expiry aborts the waiting action
     (metric [guardian.wait_aborts]). [max_in_flight] (unset = unlimited)
-    caps unresolved actions per coordinator; see {!Overloaded}.
-    [prepare_timeout]/[retry_interval] tune the 2PC endpoints. *)
+    caps unresolved actions per coordinator; see {!Overloaded}. *)
 
 val sim : t -> Rs_sim.Sim.t
 

@@ -18,23 +18,16 @@ type mode = Closed of { clients : int; think : float } | Open of { rate : float 
 type config = {
   seed : int;
   guardians : int;
-  latency : float;
-  jitter : float;
   drop : float;
-  force_window : float;
   wait_timeout : float;
   max_in_flight : int option;
   profile : profile;
   mode : mode;
   duration : float;
   objects_per_guardian : int;
-  steps_per_action : int;
   conflict : float;
   abort_rate : float;
   initial : int;
-  max_retries : int;
-  backoff_base : float;
-  backoff_cap : float;
   directory : bool;
   cross_shard : float;
   uid_batch : int;
@@ -47,23 +40,16 @@ let default =
   {
     seed = 1;
     guardians = 2;
-    latency = 1.0;
-    jitter = 0.0;
     drop = 0.0;
-    force_window = 0.0;
     wait_timeout = 20.0;
     max_in_flight = None;
     profile = Synthetic;
     mode = Closed { clients = 8; think = 1.0 };
     duration = 200.0;
     objects_per_guardian = 8;
-    steps_per_action = 2;
     conflict = 0.1;
     abort_rate = 0.0;
     initial = 1000;
-    max_retries = 8;
-    backoff_base = 2.0;
-    backoff_cap = 64.0;
     directory = false;
     cross_shard = 0.0;
     uid_batch = 64;
@@ -71,6 +57,15 @@ let default =
     read_fraction = 0.0;
     locked_reads = false;
   }
+
+(* Every action touches [steps_per_action] objects. An operation aborted
+   by a conflict, a timeout or a crash is retried up to [max_retries]
+   times; the delay starts at [backoff_base] and doubles per attempt up
+   to [backoff_cap]. *)
+let steps_per_action = 2
+let max_retries = 8
+let backoff_base = 2.0
+let backoff_cap = 64.0
 
 type stats = {
   submitted : int;
@@ -185,9 +180,7 @@ let latency_bounds = [| 0; 1; 2; 5; 10; 20; 50; 100; 200; 500; 1000; 2000; 5000;
 let validate cfg =
   if cfg.guardians <= 0 then invalid_arg "Load: need at least one guardian";
   if cfg.objects_per_guardian <= 0 then invalid_arg "Load: need at least one object";
-  if cfg.steps_per_action <= 0 then invalid_arg "Load: steps_per_action must be positive";
   if cfg.duration <= 0.0 then invalid_arg "Load: duration must be positive";
-  if cfg.max_retries < 0 then invalid_arg "Load: max_retries must be non-negative";
   (match cfg.max_in_flight with
   | Some c when c < 1 -> invalid_arg "Load: max_in_flight must be at least 1"
   | Some _ | None -> ());
@@ -216,8 +209,7 @@ let validate cfg =
 let create cfg =
   validate cfg;
   let system =
-    System.create ~seed:cfg.seed ~latency:cfg.latency ~jitter:cfg.jitter
-      ~drop_prob:cfg.drop ~force_window:cfg.force_window ~wait_timeout:cfg.wait_timeout
+    System.create ~seed:cfg.seed ~drop_prob:cfg.drop ~wait_timeout:cfg.wait_timeout
       ?max_in_flight:cfg.max_in_flight ~n:(cfg.guardians + cfg.spares) ()
   in
   let initial =
@@ -351,7 +343,6 @@ let pick_key_on t g =
 let gen_op_directory t ~client ~inject_abort =
   let cross =
     Array.length t.occupied > 1
-    && t.cfg.steps_per_action > 1
     && t.cfg.cross_shard > 0.0
     && Rng.bool t.rng t.cfg.cross_shard
   in
@@ -365,18 +356,11 @@ let gen_op_directory t ~client ~inject_abort =
       let b = other () in
       let first = (a, pick_key_on t a, 1) in
       let second = (b, pick_key_on t b, 1) in
-      let rest =
-        List.init
-          (max 0 (t.cfg.steps_per_action - 2))
-          (fun _ ->
-            let g = pick_shard t in
-            (g, pick_key_on t g, 1))
-      in
-      first :: second :: rest
+      [ first; second ]
     end
     else
       let g = pick_shard t in
-      List.init t.cfg.steps_per_action (fun _ -> (g, pick_key_on t g, 1))
+      List.init steps_per_action (fun _ -> (g, pick_key_on t g, 1))
   in
   let targets = sort_targets targets in
   let coord = match targets with (g, _, _) :: _ -> g | [] -> assert false in
@@ -389,7 +373,7 @@ let gen_op_directory t ~client ~inject_abort =
    against). *)
 let gen_read_op t ~client =
   let targets =
-    List.init t.cfg.steps_per_action (fun _ ->
+    List.init steps_per_action (fun _ ->
         if t.dir <> None then
           let g = pick_shard t in
           (g, pick_key_on t g, 0)
@@ -411,7 +395,7 @@ let gen_op t ~client =
   match t.cfg.profile with
   | Synthetic ->
       let targets =
-        List.init t.cfg.steps_per_action (fun _ ->
+        List.init steps_per_action (fun _ ->
             let g, o = pick_target t in
             (g, o, 1))
       in
@@ -639,9 +623,9 @@ and resolved t op ~tries h o =
    abandoned. The exponent is capped so an unbounded retry count keeps
    a finite delay. *)
 and retry_or_finish t op ~tries =
-  if op.phase = Comp || tries < t.cfg.max_retries then begin
+  if op.phase = Comp || tries < max_retries then begin
     t.s_retries <- t.s_retries + 1;
-    let d = min t.cfg.backoff_cap (t.cfg.backoff_base *. (2.0 ** float_of_int (min tries 30))) in
+    let d = min backoff_cap (backoff_base *. (2.0 ** float_of_int (min tries 30))) in
     let d = d *. (1.0 +. Rng.float t.rng 0.5) in
     Sim.schedule (System.sim t.system) ~delay:d (fun () -> attempt t op ~tries:(tries + 1))
   end

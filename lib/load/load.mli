@@ -42,30 +42,23 @@ type mode =
 type config = {
   seed : int;
   guardians : int;
-  latency : float;  (** network latency, as {!Rs_guardian.System.create} *)
-  jitter : float;
   drop : float;  (** message drop probability *)
-  force_window : float;  (** group-commit window; 0 = synchronous *)
   wait_timeout : float;  (** lock-wait timeout (deadlock breaker) *)
   max_in_flight : int option;  (** per-guardian admission cap *)
   profile : profile;
   mode : mode;
   duration : float;  (** stop submitting new operations after this *)
   objects_per_guardian : int;
-  steps_per_action : int;  (** objects touched per action *)
   conflict : float;  (** probability a step targets its guardian's hot object *)
   abort_rate : float;  (** probability an action deliberately aborts at the end *)
   initial : int;  (** initial balance (Bank) / seats (Reservation) *)
-  max_retries : int;  (** per operation, after non-deliberate aborts *)
-  backoff_base : float;  (** first retry delay; doubles per attempt *)
-  backoff_cap : float;
   directory : bool;
       (** route through an {!Rs_dir.Directory}: objects become global keys
           placed on shards by hash, uids come from batched reservations,
           and actions are routed by placement (Synthetic profile only) *)
   cross_shard : float;
       (** probability an operation spans two distinct shards (directory
-          mode; steps_per_action must be > 1 for it to bite) *)
+          mode) *)
   uid_batch : int;  (** uids per directory reservation *)
   spares : int;
       (** extra guardians created in the system but never populated or
@@ -88,7 +81,13 @@ type config = {
 
 val default : config
 (** 2 guardians, closed loop with 8 clients, Synthetic profile, 10%%
-    conflict, no drops, duration 200. Override with record update. *)
+    conflict, no drops, duration 200. Override with record update.
+
+    Every run uses the network defaults of {!Rs_guardian.System.create}
+    (latency 1, no jitter) and synchronous forces. Each action touches
+    two objects. An operation aborted by a conflict, a timeout or a crash
+    is retried up to 8 times, after a delay that starts at 2 and doubles
+    per attempt up to 64, scaled by a random factor in \[1, 1.5). *)
 
 type stats = {
   submitted : int;  (** submission attempts, retries included *)
@@ -100,7 +99,7 @@ type stats = {
   reroutes : int;
       (** retries redirected to another coordinator because {!submit}
           raised [Guardian_down] — dead shard, not admission shed *)
-  abandoned : int;  (** operations dropped after [max_retries] *)
+  abandoned : int;  (** operations dropped after 8 retries *)
   wait_timeouts : int;  (** lock waits broken by the timeout *)
   reads_submitted : int;  (** read-only operation attempts *)
   reads_committed : int;

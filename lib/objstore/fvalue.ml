@@ -83,11 +83,6 @@ let decode dec =
   | t -> t
   | exception Invalid_argument msg -> raise (Codec.Error msg)
 
-let byte_size t =
-  let enc = Codec.Enc.create () in
-  encode enc t;
-  Codec.Enc.length enc
-
 let equal a b = a.root = b.root && a.nodes = b.nodes
 
 (* Cycles among regular-object nodes are legal; track the path to avoid

@@ -31,9 +31,6 @@ val encode : Rs_util.Codec.Enc.t -> t -> unit
 val decode : Rs_util.Codec.Dec.t -> t
 (** Raises {!Rs_util.Codec.Error} on malformed input. *)
 
-val byte_size : t -> int
-(** Size of the encoded form; the cost metric for data entries. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

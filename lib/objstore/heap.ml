@@ -254,7 +254,6 @@ let trace_release t aid addr =
   if Trace.enabled () then
     Trace.emit (Trace.Lock_release { heap = t.label; aid = Aid.to_string aid; addr })
 let set_uid_source t s = t.uid_source <- s
-let uid_source t = t.uid_source
 
 (* The single minting point: every allocation of a recoverable object goes
    through the source interface, so a directory-managed heap cannot leak a
@@ -343,7 +342,6 @@ let copy_version t v =
 (* Snapshots (MVCC read path) *)
 
 let active_snapshots t = t.snap_active
-let commit_stamp t = t.commit_seq
 
 (* Oldest stamp any live snapshot holds; drains stale min-heap tops whose
    stamp has no live count left (lazy deletion). *)
@@ -402,8 +400,6 @@ let snapshot t =
   t.snap_active <- t.snap_active + 1;
   if Trace.enabled () then Trace.emit (Trace.Snap_open { heap = t.label; stamp });
   { s_stamp = stamp; s_heap = t.heap_id; s_released = false }
-
-let snapshot_stamp s = s.s_stamp
 
 let check_snap t s name =
   if s.s_heap <> t.heap_id then
@@ -816,11 +812,6 @@ let waiting t a =
 
 let commit_action t aid = finish ~commit:true t aid
 let abort_action t aid = finish ~commit:false t aid
-
-let holds_write t aid a =
-  match (obj t a).body with
-  | B_atomic { a_lock = Write holder; _ } -> Aid.equal holder aid
-  | B_atomic _ | B_mutex _ | B_regular _ | B_placeholder _ -> false
 
 let writer_of t a =
   match (obj t a).body with

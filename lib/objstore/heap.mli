@@ -90,7 +90,6 @@ val set_uid_source : t -> Rs_util.Uid.Source.t option -> unit
     Pool-minted uids also advance the local counter past themselves, so a
     later fallback to the local source cannot collide. *)
 
-val uid_source : t -> Rs_util.Uid.Source.t option
 val root_addr : t -> addr
 val kind_of : t -> addr -> kind
 val uid_of : t -> addr -> Rs_util.Uid.t option
@@ -160,8 +159,6 @@ val snapshot : t -> snapshot
 (** Open a snapshot at the current commit stamp. Holding it open pins the
     versions it can see; release promptly. *)
 
-val snapshot_stamp : snapshot -> int
-
 val release_snapshot : t -> snapshot -> unit
 (** Release (idempotent); prunes history versions only this snapshot could
     still observe. *)
@@ -203,10 +200,6 @@ val read_only_of : t -> Rs_util.Aid.t -> snapshot option
 val active_snapshots : t -> int
 (** Number of open snapshots (the chain-length bound). *)
 
-val commit_stamp : t -> int
-(** Current commit-sequence value (volatile; 0 on a fresh or recovered
-    heap). *)
-
 val chain_length : t -> addr -> int
 (** Committed versions currently retained for [addr] (base + history);
     1 when no snapshot pins history. *)
@@ -246,7 +239,6 @@ val abort_action : t -> Rs_util.Aid.t -> unit
 (** Discard the action's current versions and locks. Mutex modifications
     are {e not} undone (§2.4.2). *)
 
-val holds_write : t -> Rs_util.Aid.t -> addr -> bool
 val writer_of : t -> addr -> Rs_util.Aid.t option
 
 (** {1 Stable variables} *)
@@ -310,7 +302,3 @@ val reachable_uids : t -> Rs_util.Uid.Set.t
     traversing base and current versions — used to rebuild the AS after
     recovery (§3.4.1 step 4) and to trim it. *)
 
-val copy_version : t -> Value.t -> Value.t
-(** The volatile version copy: duplicates contained regular objects
-    (allocating fresh ones, preserving sharing and cycles), keeps
-    references to recoverable objects. *)

@@ -41,12 +41,9 @@ val gauge : ?registry:t -> string -> gauge
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 
-val default_buckets : int array
-(** Power-of-two bounds [0; 1; 2; 4; ...; 65536]. *)
-
 val histogram : ?registry:t -> ?bounds:int array -> string -> histogram
 (** [histogram name] is the fixed-bucket histogram under [name]. [bounds]
-    (default {!default_buckets}) are strictly increasing bucket boundaries:
+    (default: the powers of two [0; 1; 2; 4; ...; 65536]) are strictly increasing bucket boundaries:
     an observation [v] falls in the {e underflow} bucket if
     [v < bounds.(0)], in the {e overflow} bucket if [v >= bounds.(last)],
     and otherwise in the interior bucket [i] with

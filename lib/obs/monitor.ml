@@ -320,9 +320,6 @@ let () =
       done)
     ~on_clear:(fun () -> Array.iteri (fun i make -> live.(i) <- make ()) makers)
 
-let commit_implies_durable () = live.(0).verdict ()
-let repl_ship_order () = live.(1).verdict ()
-let log_monotonic () = live.(2).verdict ()
 let lock_legal () = live.(3).verdict ()
 let handle_liveness () = live.(4).verdict ()
 let snapshot_legal () = live.(5).verdict ()

@@ -13,20 +13,20 @@ type violation = { monitor : string; detail : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val commit_implies_durable : unit -> violation list
+val commit_implies_durable_on : Trace.record list -> violation list
 (** Every [Action_commit {gid}] must be followed by a [Log_force] on the
     log labeled [gid] — or by a [Crash {gid}], which means the commit died
     unacknowledged. Catches commit records that escape their covering
     force. *)
 
-val repl_ship_order : unit -> violation list
+val repl_ship_order_on : Trace.record list -> violation list
 (** Replication stream sanity: shipped and applied epochs never move
     backward, and a standby's applied watermark is monotone within an epoch
     (except across a standby crash or a base-0 reset ship — forgiveness
     then lasts until the watermark re-passes the mark it had when it was
     granted, since a re-seed replays the stream over several applies). *)
 
-val log_monotonic : unit -> violation list
+val log_monotonic_on : Trace.record list -> violation list
 (** Per labeled log stream, [Log_write] addresses are strictly increasing.
     [Log_switch] on the label forgives (the stream legitimately restarted);
     [Crash {gid}] forgives every stream the guardian owned ([gid] and
@@ -53,16 +53,14 @@ val snapshot_legal : unit -> violation list
     from open snapshots: installs at or below the oldest open snapshot are
     kept only as the newest one. *)
 
-val commit_implies_durable_on : Trace.record list -> violation list
-val repl_ship_order_on : Trace.record list -> violation list
-val log_monotonic_on : Trace.record list -> violation list
 val lock_legal_on : Trace.record list -> violation list
 
 val handle_liveness_on : Trace.record list -> violation list
 
 val snapshot_legal_on : Trace.record list -> violation list
 (** The [_on] variants run the same fold, fresh, over an explicit record
-    list — for unit tests over synthetic traces and recorded rings. *)
+    list — for unit tests over synthetic traces and recorded rings. The
+    live folds of the first three monitors are read through {!check}. *)
 
 val check : unit -> violation list
 (** Every monitor's verdict on the events since the last {!Trace.clear},

@@ -57,7 +57,7 @@ type state = {
   mutable next_seq : int;
   mutable clock : unit -> float;
   mutable enabled : bool;
-  mutable echo : bool;
+  echo : bool; (* RS_TRACE set: every event goes to stderr as it is emitted *)
   mutable subscriber : int -> event -> unit;
   mutable reset : unit -> unit;
 }
@@ -87,7 +87,6 @@ let set_capacity n =
 let capacity () = Array.length st.ring
 let set_enabled b = st.enabled <- b
 let enabled () = st.enabled
-let set_echo b = st.echo <- b
 let recording () = st.enabled && (st.echo || Array.length st.ring > 0)
 let skip () = if st.enabled then st.next_seq <- st.next_seq + 1
 

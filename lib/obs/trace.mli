@@ -155,9 +155,6 @@ val skip : unit -> unit
 (** Count an event without building it: advances the sequence counter
     exactly as {!emit} would (nothing when disabled). *)
 
-val set_echo : bool -> unit
-(** Force stderr echo on/off (initialized from [RS_TRACE]). *)
-
 val subscribe : on_event:(int -> event -> unit) -> on_clear:(unit -> unit) -> unit
 (** Install the one subscriber: [on_event seq ev] runs on every emitted
     event, [on_clear] on every {!clear}. {!Monitor} installs itself. *)
@@ -175,9 +172,6 @@ val total : unit -> int
 val clear : unit -> unit
 (** Empty the ring, reset the sequence counter and the subscriber's
     state — run before each determinism comparison and each judged run. *)
-
-val pp_event : Format.formatter -> event -> unit
-val pp_record : Format.formatter -> record -> unit
 
 val to_string : unit -> string
 (** The whole buffered trace, one record per line. Deterministic for

@@ -289,7 +289,7 @@ module Pair = struct
   type t = {
     sys : System.t;
     rnet : msg Net.t;
-    mutable directory : Directory.t option;
+    directory : Directory.t option;
     mutable primary : Gid.t;
     mutable standby : Gid.t;
     mutable epoch : int;
@@ -318,7 +318,6 @@ module Pair = struct
   let failovers t = t.failovers
   let attached t = t.attached
   let replica t = t.replica
-  let set_directory t d = t.directory <- Some d
 
   let diverged t =
     match t.last_diverged with

@@ -128,10 +128,8 @@ module Pair : sig
   (** Attach a warm standby to [primary]: install the force observer and
       log-switch hook on the primary's log, and seed the replica with the
       primary's full live prefix (housekeeping first when retirement has
-      made the prefix non-contiguous). [directory] (also settable later)
-      is re-targeted at promotion. The primary must be up. *)
-
-  val set_directory : t -> Rs_dir.Directory.t -> unit
+      made the prefix non-contiguous). [directory] is re-targeted at
+      promotion. The primary must be up. *)
 
   val primary : t -> Rs_util.Gid.t
   val standby : t -> Rs_util.Gid.t

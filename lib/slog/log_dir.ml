@@ -19,7 +19,6 @@ type pool = {
   mutable next_id : int;
   mutable retired_writes : int;
   mutable retired_reads : int;
-  mutable retired_pages : int;
   mutable retired_count : int;
 }
 
@@ -29,7 +28,6 @@ let pool_release pool id =
   | Some store ->
       pool.retired_writes <- pool.retired_writes + Store.physical_writes store;
       pool.retired_reads <- pool.retired_reads + Store.physical_reads store;
-      pool.retired_pages <- pool.retired_pages + Store.pages store;
       pool.retired_count <- pool.retired_count + 1;
       Hashtbl.remove pool.registry id
 
@@ -50,7 +48,7 @@ type t = {
   root : Store.t;
   slots : Store.t array; (* two log-anchor slots *)
   page_size : int;
-  pool : pool option; (* None: monolithic logs *)
+  pool : pool;
   mutable cur : int; (* index of the current slot, mirrored in [root] *)
   mutable cur_log : Stable_log.t;
   mutable pending : Stable_log.t option; (* new log under construction *)
@@ -73,33 +71,25 @@ let decode_root s =
   cur
 
 let mk_log ~page_size pool store =
-  match pool with
-  | None -> Stable_log.create ~page_size store
-  | Some pool ->
-      Stable_log.create ~page_size ~segment_pages:pool.segment_pages
-        ~provider:(provider_of pool) store
+  Stable_log.create ~page_size ~segment_pages:pool.segment_pages ~provider:(provider_of pool)
+    store
 
-let create ?(page_size = 1024) ?(segment_pages = 8) ?rng ?decay_prob () =
-  if segment_pages < 0 then invalid_arg "Log_dir.create: segment_pages must be >= 0";
-  let mk pages = Store.create ?rng ?decay_prob ~pages () in
+let create ?(page_size = 1024) ?(segment_pages = 8) () =
+  if segment_pages < 1 then invalid_arg "Log_dir.create: segment_pages must be >= 1";
+  let mk pages = Store.create ~pages () in
   let pool =
-    if segment_pages = 0 then None
-    else
-      Some
-        {
-          mk;
-          registry = Hashtbl.create 16;
-          segment_pages;
-          next_id = 0;
-          retired_writes = 0;
-          retired_reads = 0;
-          retired_pages = 0;
-          retired_count = 0;
-        }
+    {
+      mk;
+      registry = Hashtbl.create 16;
+      segment_pages;
+      next_id = 0;
+      retired_writes = 0;
+      retired_reads = 0;
+      retired_count = 0;
+    }
   in
   let root = mk 1 in
-  let anchor_pages = if segment_pages = 0 then 8 else 1 in
-  let slots = [| mk anchor_pages; mk anchor_pages |] in
+  let slots = [| mk 1; mk 1 |] in
   Store.put root 0 (encode_root 0);
   let cur_log = mk_log ~page_size pool slots.(0) in
   { root; slots; page_size; pool; cur = 0; cur_log; pending = None; label = ""; on_switch = None }
@@ -110,16 +100,13 @@ let open_ t =
      anchor and segments are about to be read through [Stable_log]. *)
   Store.recover t.root;
   Array.iter Store.recover t.slots;
-  (match t.pool with
-  | None -> ()
-  | Some pool -> Hashtbl.iter (fun _ s -> Store.recover s) pool.registry);
+  Hashtbl.iter (fun _ s -> Store.recover s) t.pool.registry;
   let cur =
     match Store.get t.root 0 with
     | Some s -> decode_root s
     | None -> failwith "Log_dir.open_: lost root page"
   in
-  let provider = Option.map provider_of t.pool in
-  let cur_log = Stable_log.open_ ?provider t.slots.(cur) in
+  let cur_log = Stable_log.open_ ~provider:(provider_of t.pool) t.slots.(cur) in
   (* Orphan sweep. A crash can strand segments no header reaches: a force
      died between allocating a segment and the header write linking it; a
      retirement or switch died between its commit write and the page
@@ -128,22 +115,18 @@ let open_ t =
      source of truth — every registered id outside it goes back to the
      pool. Ids are never reused across the sweep: [next_id] is advanced
      past every registered id first. *)
-  (match t.pool with
-  | None -> ()
-  | Some pool ->
-      pool.next_id <-
-        Hashtbl.fold (fun id _ acc -> max acc (id + 1)) pool.registry pool.next_id;
-      let live = List.map snd (Stable_log.segment_table cur_log) in
-      let orphans =
-        Hashtbl.fold (fun id _ acc -> if List.mem id live then acc else id :: acc)
-          pool.registry []
-      in
-      List.iter
-        (fun id ->
-          pool_release pool id;
-          Metrics.incr m_swept;
-          if Trace.recording () then Trace.emit (Trace.Segment_retire { id }) else Trace.skip ())
-        (List.sort compare orphans));
+  let pool = t.pool in
+  pool.next_id <- Hashtbl.fold (fun id _ acc -> max acc (id + 1)) pool.registry pool.next_id;
+  let live = List.map snd (Stable_log.segment_table cur_log) in
+  let orphans =
+    Hashtbl.fold (fun id _ acc -> if List.mem id live then acc else id :: acc) pool.registry []
+  in
+  List.iter
+    (fun id ->
+      pool_release pool id;
+      Metrics.incr m_swept;
+      if Trace.recording () then Trace.emit (Trace.Segment_retire { id }) else Trace.skip ())
+    (List.sort compare orphans);
   Stable_log.set_label cur_log t.label;
   {
     root = t.root;
@@ -209,27 +192,18 @@ let switch ?low_water t =
 
 let page_size t = t.page_size
 
-let segment_pages t = match t.pool with None -> 0 | Some p -> p.segment_pages
+let segment_pages t = t.pool.segment_pages
 
 let segment_ids t =
-  match t.pool with
-  | None -> []
-  | Some pool -> List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) pool.registry [])
+  List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.pool.registry [])
 
-let segment_store t id =
-  match t.pool with None -> None | Some pool -> Hashtbl.find_opt pool.registry id
-
-let live_segments t = match t.pool with None -> 0 | Some p -> Hashtbl.length p.registry
-
-let segments_retired t = match t.pool with None -> 0 | Some p -> p.retired_count
-
-let retired_pages t = match t.pool with None -> 0 | Some p -> p.retired_pages
+let segment_store t id = Hashtbl.find_opt t.pool.registry id
+let live_segments t = Hashtbl.length t.pool.registry
+let segments_retired t = t.pool.retired_count
 
 let live_pages t =
   let base = Store.pages t.root + Store.pages t.slots.(0) + Store.pages t.slots.(1) in
-  match t.pool with
-  | None -> base
-  | Some pool -> Hashtbl.fold (fun _ s acc -> acc + Store.pages s) pool.registry base
+  Hashtbl.fold (fun _ s acc -> acc + Store.pages s) t.pool.registry base
 
 let pending_log t = t.pending
 
@@ -239,11 +213,8 @@ let stores t =
 
 let physical_writes t =
   let seg =
-    match t.pool with
-    | None -> 0
-    | Some pool ->
-        Hashtbl.fold (fun _ s acc -> acc + Store.physical_writes s) pool.registry
-          pool.retired_writes
+    Hashtbl.fold (fun _ s acc -> acc + Store.physical_writes s) t.pool.registry
+      t.pool.retired_writes
   in
   Store.physical_writes t.root
   + Store.physical_writes t.slots.(0)
@@ -252,11 +223,8 @@ let physical_writes t =
 
 let physical_reads t =
   let seg =
-    match t.pool with
-    | None -> 0
-    | Some pool ->
-        Hashtbl.fold (fun _ s acc -> acc + Store.physical_reads s) pool.registry
-          pool.retired_reads
+    Hashtbl.fold (fun _ s acc -> acc + Store.physical_reads s) t.pool.registry
+      t.pool.retired_reads
   in
   Store.physical_reads t.root
   + Store.physical_reads t.slots.(0)

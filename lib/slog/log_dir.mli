@@ -1,6 +1,6 @@
 (** A guardian's stable-log directory: two log-anchor slots, a one-page
-    stable root naming the current slot, and (by default) a shared pool of
-    fixed-size {e segment} stores the logs draw their data pages from.
+    stable root naming the current slot, and a shared pool of fixed-size
+    {e segment} stores the logs draw their data pages from.
 
     Housekeeping (Ch. 5) builds a new log in the spare slot while the
     recovery system keeps appending to the current one, then "in one atomic
@@ -8,8 +8,7 @@
     root page. A crash before the switch leaves the old log current; the
     half-built new log is simply discarded at recovery.
 
-    {b Space reclamation.} With segmented logs ([segment_pages > 0], the
-    default), {!switch} retires the old generation: segments wholly below
+    {b Space reclamation.} {!switch} retires the old generation: segments wholly below
     the checkpoint's low-water mark go back to the pool through the log
     header's atomic commit point, and the rest follow when the old handle
     is destroyed — so the directory's provisioned pages track the {e live}
@@ -19,18 +18,10 @@
 
 type t
 
-val create :
-  ?page_size:int ->
-  ?segment_pages:int ->
-  ?rng:Rs_util.Rng.t ->
-  ?decay_prob:float ->
-  unit ->
-  t
-(** Fresh directory with an empty log in slot 0. [segment_pages] (default
-    8) is the data pages per segment store; 0 selects monolithic logs
-    that keep their stream on the slot store itself (the pre-segmentation
-    layout, still used by a few fault-injection tests that address slot
-    pages directly). *)
+val create : ?page_size:int -> ?segment_pages:int -> unit -> t
+(** Fresh directory with an empty log in slot 0. [page_size] defaults to
+    1024 bytes; [segment_pages] (default 8) is the data pages per segment
+    store. Raises [Invalid_argument] if [segment_pages < 1]. *)
 
 val open_ : t -> t
 (** Reopen after a crash: repairs every store, reads the root atomically,
@@ -69,8 +60,7 @@ val switch : ?low_water:Stable_log.addr -> t -> unit
 val page_size : t -> int
 
 val segment_pages : t -> int
-(** Data pages per segment, or 0 when the directory runs monolithic
-    logs. *)
+(** Data pages per segment. *)
 
 val live_segments : t -> int
 (** Segments currently in the pool registry (current log's plus, mid
@@ -78,9 +68,6 @@ val live_segments : t -> int
 
 val segments_retired : t -> int
 (** Segments returned to the pool over this directory's lifetime. *)
-
-val retired_pages : t -> int
-(** Logical pages those retired segments gave back. *)
 
 val live_pages : t -> int
 (** Logical pages currently provisioned across root, anchors, and live

@@ -39,6 +39,13 @@ let msg_to_string m = String.concat "" [ msg_kind m; "("; Aid.to_string (msg_aid
 let pp_msg fmt m = Format.pp_print_string fmt (msg_to_string m)
 
 let m_retries = Metrics.counter "twopc.retries"
+
+(* How long a coordinator waits for prepare replies before aborting
+   unilaterally, and the re-send/query period of the committing phase and
+   of prepared participants, in virtual time. *)
+let prepare_timeout = 10.0
+let retry_interval = 5.0
+
 let m_prepare_timeouts = Metrics.counter "twopc.prepare_timeouts"
 
 type hooks = {
@@ -84,8 +91,6 @@ type t = {
          (hooks force synchronously); a guardian with a group-commit
          window passes its scheduler's [enqueue] so protocol messages
          that announce an outcome wait for the covering batch. *)
-  prepare_timeout : float;
-  retry_interval : float;
   coords : coord Aid.Tbl.t;
       (* unfinished actions only: one whose done record is written, or
          whose aborts are sent, leaves, and is answered from stable state *)
@@ -93,16 +98,13 @@ type t = {
   mutable stopped : bool;
 }
 
-let create ~gid ~sim ~send ~hooks ?(prepare_timeout = 10.0) ?(retry_interval = 5.0)
-    ?(await_durable = fun k -> k ()) () =
+let create ~gid ~sim ~send ~hooks ?(await_durable = fun k -> k ()) () =
   {
     gid;
     sim;
     send;
     hooks;
     await_durable;
-    prepare_timeout;
-    retry_interval;
     coords = Aid.Tbl.create 8;
     parts = Aid.Tbl.create 8;
     stopped = false;
@@ -174,10 +176,10 @@ let begin_committing t aid coord =
             | Some { phase = Committing { waiting }; _ } when not (Gid.Set.is_empty waiting) ->
                 Metrics.incr m_retries;
                 Gid.Set.iter (fun g -> send_msg t ~dst:g (Commit aid)) waiting;
-                Sim.schedule t.sim ~delay:t.retry_interval retry
+                Sim.schedule t.sim ~delay:retry_interval retry
             | Some _ | None -> ()
         in
-        Sim.schedule t.sim ~delay:t.retry_interval retry
+        Sim.schedule t.sim ~delay:retry_interval retry
       end)
 
 let begin_aborting t aid coord =
@@ -196,7 +198,7 @@ let start_commit t aid ~participants ~on_result =
   Aid.Tbl.replace t.coords aid coord;
   List.iter (fun g -> send_msg t ~dst:g (Prepare aid)) participants;
   (* Unilateral abort if the preparing phase stalls (§2.2.1). *)
-  Sim.schedule t.sim ~delay:t.prepare_timeout (fun () ->
+  Sim.schedule t.sim ~delay:prepare_timeout (fun () ->
       if not t.stopped then
         match Aid.Tbl.find_opt t.coords aid with
         | Some ({ phase = Preparing _; _ } as c) ->
@@ -224,10 +226,10 @@ let resume_coordinator t aid participants =
         | Some { phase = Committing { waiting }; _ } when not (Gid.Set.is_empty waiting) ->
             Metrics.incr m_retries;
             Gid.Set.iter (fun g -> send_msg t ~dst:g (Commit aid)) waiting;
-            Sim.schedule t.sim ~delay:t.retry_interval retry
+            Sim.schedule t.sim ~delay:retry_interval retry
         | Some _ | None -> ()
     in
-    Sim.schedule t.sim ~delay:t.retry_interval retry
+    Sim.schedule t.sim ~delay:retry_interval retry
   end
 
 let await_verdict t aid ~coordinator =
@@ -238,7 +240,7 @@ let await_verdict t aid ~coordinator =
         match Aid.Tbl.find_opt t.parts aid with
         | Some Part_prepared ->
             send_msg t ~dst:coordinator (Query aid);
-            Sim.schedule t.sim ~delay:t.retry_interval query
+            Sim.schedule t.sim ~delay:retry_interval query
         | Some (Part_committed | Part_aborted) | None -> ()
     in
     query ()
@@ -309,10 +311,10 @@ let handle ?self t ~src msg =
                     match Aid.Tbl.find_opt t.parts aid with
                     | Some Part_prepared ->
                         send_as t ~self ~dst:(Aid.coordinator aid) (Query aid);
-                        Sim.schedule t.sim ~delay:t.retry_interval query
+                        Sim.schedule t.sim ~delay:retry_interval query
                     | Some (Part_committed | Part_aborted) | None -> ()
                 in
-                Sim.schedule t.sim ~delay:(2.0 *. t.retry_interval) query
+                Sim.schedule t.sim ~delay:(2.0 *. retry_interval) query
               end
             in
             (* A remote participant's reply promises the prepared record

@@ -75,15 +75,12 @@ val create :
   sim:Rs_sim.Sim.t ->
   send:(src:Rs_util.Gid.t -> dst:Rs_util.Gid.t -> msg -> unit) ->
   hooks:hooks ->
-  ?prepare_timeout:float ->
-  ?retry_interval:float ->
   ?await_durable:((unit -> unit) -> unit) ->
   unit ->
   t
-(** [prepare_timeout] (default 10): how long the coordinator waits for
-    prepare replies before aborting unilaterally. [retry_interval]
-    (default 5): re-send/query period for the committing phase and for
-    prepared participants.
+(** The coordinator waits 10 time units for prepare replies before
+    aborting unilaterally; the committing phase and prepared participants
+    re-send or query every 5.
 
     [await_durable k] must run [k] once every log record the hooks have
     written so far is covered by a stable force; the default runs [k]

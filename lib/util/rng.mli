@@ -9,7 +9,6 @@ val create : int -> t
 val split : t -> t
 (** An independent generator derived from (and advancing) [t]. *)
 
-val int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] if
     [bound <= 0]. *)

@@ -39,6 +39,4 @@ end
 
 module Source = struct
   type nonrec t = { label : string; mint : unit -> t }
-
-  let of_gen g = { label = "local"; mint = (fun () -> Gen.fresh g) }
 end

@@ -55,6 +55,4 @@ end
 module Source : sig
   type uid := t
   type t = { label : string; mint : unit -> uid }
-
-  val of_gen : Gen.t -> t
 end

@@ -1,10 +1,10 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
-(* [data] starts empty and is grown on first push; [capacity] is only a
-   hint. [len] tracks the used prefix. A slot past [len] never holds a
-   dropped element: shrinking refills the vacated slots with the element
-   at index 0 (still held), or drops the array when nothing is left. *)
-let create ?capacity:(_ = 8) () = { data = [||]; len = 0 }
+(* [data] starts empty and is grown on first push. [len] tracks the used
+   prefix. A slot past [len] never holds a dropped element: shrinking
+   refills the vacated slots with the element at index 0 (still held),
+   or drops the array when nothing is left. *)
+let create () = { data = [||]; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0

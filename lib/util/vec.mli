@@ -5,7 +5,7 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

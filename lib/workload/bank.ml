@@ -74,7 +74,9 @@ let adjust name delta : System.work =
       | _ -> failwith "Bank: account is not an int")
   | Some _ | None -> failwith (Printf.sprintf "Bank: unknown account %s" name)
 
-let submit_transfer t ?(amount = 1) () =
+(* One transfer of 1 between two distinct random accounts, coordinated by
+   the source guardian. Resolution is asynchronous. *)
+let submit_transfer t =
   let src_g, src_i = pick_account t in
   let rec pick_dst () =
     let d = pick_account t in
@@ -85,8 +87,8 @@ let submit_transfer t ?(amount = 1) () =
     System.submit t.system ~coordinator:src_g
       ~steps:
         [
-          (src_g, adjust (acct_name src_i) (-amount));
-          (dst_g, adjust (acct_name dst_i) amount);
+          (src_g, adjust (acct_name src_i) (-1));
+          (dst_g, adjust (acct_name dst_i) 1);
         ]
   in
   Rs_guardian.Action.on_resolve h (fun _ outcome ->
@@ -103,7 +105,7 @@ let run t ~n_transfers ?crash_every () =
       | None -> min 10 (n_transfers - !submitted)
     in
     for _ = 1 to batch do
-      submit_transfer t ()
+      submit_transfer t
     done;
     submitted := !submitted + batch;
     (* Crash in the middle of the in-flight protocol work, not at a quiet

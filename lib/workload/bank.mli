@@ -20,10 +20,6 @@ val create :
 val system : t -> Rs_guardian.System.t
 val n_accounts : t -> int
 
-val submit_transfer : t -> ?amount:int -> unit -> unit
-(** One transfer between two distinct random accounts (amount default 1),
-    coordinated by the source guardian. Resolution is asynchronous. *)
-
 val run :
   t -> n_transfers:int -> ?crash_every:int -> unit -> unit
 (** Submit [n_transfers], quiescing periodically; when [crash_every] is

@@ -18,7 +18,6 @@ val dequeue : Rs_objstore.Value.t -> (Rs_objstore.Value.t * int) option
 (** The shrunk queue and the head token; [None] when empty (the load
     profile turns that into a deliberate abort). *)
 
-val next_token : Rs_objstore.Value.t -> int
 val length : Rs_objstore.Value.t -> int
 val items : Rs_objstore.Value.t -> int list
 

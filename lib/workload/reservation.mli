@@ -22,9 +22,6 @@ val create :
 (** Commits the flight inventory at [inventory]. [offices] submit the
     bookings (they coordinate; the inventory participates). *)
 
-val submit_booking : t -> passenger:string -> unit
-(** One booking for a random flight from a random office; asynchronous. *)
-
 val run : t -> n_bookings:int -> ?crash_every:int -> unit -> unit
 (** Submit bookings, periodically crash-and-restart the inventory
     guardian when [crash_every] is given, and drain the protocol. *)

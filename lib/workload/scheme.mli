@@ -77,8 +77,7 @@ val log_bytes : t -> int
 val simple : ?page_size:int -> ?segment_pages:int -> unit -> t
 val hybrid : ?page_size:int -> ?segment_pages:int -> unit -> t
 (** [page_size] and [segment_pages] configure the scheme's
-    {!Rs_slog.Log_dir.create}; [~segment_pages:0] selects monolithic
-    logs. *)
+    {!Rs_slog.Log_dir.create}. *)
 
 val shadow : unit -> t
 val all : unit -> t list

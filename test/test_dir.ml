@@ -65,17 +65,6 @@ let test_placement_covers_all_shards () =
     (fun g n -> Alcotest.(check bool) (Printf.sprintf "shard %d owns keys" g) true (n > 0))
     hits
 
-let test_placement_range_strategy () =
-  let p = Placement.create ~strategy:(Range { span = 10 }) ~shards:(gids 4) () in
-  (* Indices 0..9 land together, 10..19 on the next shard, wrapping. *)
-  for i = 0 to 9 do
-    Alcotest.(check int) "span 0" 0 (Gid.to_int (Placement.shard_of_int p i));
-    Alcotest.(check int) "span 1" 1 (Gid.to_int (Placement.shard_of_int p (10 + i)));
-    Alcotest.(check int) "wraps" 0 (Gid.to_int (Placement.shard_of_int p (40 + i)))
-  done;
-  Alcotest.(check int) "key suffix routes by range" 2
-    (Gid.to_int (Placement.shard_of_key p "obj25"))
-
 (* --- allocator --------------------------------------------------------- *)
 
 let test_allocator_unique_uids () =
@@ -266,7 +255,6 @@ let suite =
     Alcotest.test_case "placement is deterministic" `Quick test_placement_deterministic;
     Alcotest.test_case "placement covers all shards" `Quick test_placement_covers_all_shards;
     Alcotest.test_case "placement is pinned" `Quick test_placement_pinned;
-    Alcotest.test_case "range strategy partitions spans" `Quick test_placement_range_strategy;
     Alcotest.test_case "allocator mints unique uids" `Quick test_allocator_unique_uids;
     Alcotest.test_case "batch exhaustion across crash" `Quick test_batch_exhaustion_across_crash;
     Alcotest.test_case "cross-shard, non-coordinator steps" `Quick

@@ -32,7 +32,6 @@ let test_open_loop_sheds () =
       mode = Load.Open { rate = 2.0 };
       max_in_flight = Some 2;
       duration = 40.0;
-      latency = 1.0;
     }
   in
   let t = Load.create cfg in

@@ -126,9 +126,10 @@ module Store = Rs_storage.Stable_store
 let seg_issues dir = Check.check_segments dir
 
 let test_check_segments_clean () =
-  (* Monolithic directories trivially validate. *)
-  Alcotest.(check int) "monolithic" 0
-    (List.length (seg_issues (Log_dir.create ~segment_pages:0 ())));
+  (* Every directory is segmented: a monolithic one is refused. *)
+  Alcotest.check_raises "monolithic"
+    (Invalid_argument "Log_dir.create: segment_pages must be >= 1") (fun () ->
+      ignore (Log_dir.create ~segment_pages:0 ()));
   (* A segmented directory through churn, retirement, and housekeeping. *)
   let scheme = Scheme.hybrid ~page_size:128 ~segment_pages:2 () in
   let t = Synth.create ~seed:11 ~scheme ~n_objects:8 () in
