@@ -1034,6 +1034,36 @@ let bechamel_suite () =
     Staged.stage (fun () ->
         ignore (Heap.snapshot_var vars_heap vars_snapshot (var ()) : Value.t option))
   in
+  (* The version path: a §5.2 snapshot encodes every base straight from
+     the heap, and a restart decodes and rebuilds each one. The root binds
+     256 atomic objects, as the standing workloads' roots do; the object
+     is a 1 KiB string, crash-restart's payload. *)
+  let module Codec = Rs_util.Codec in
+  let module Flatten = Rs_objstore.Flatten in
+  let root_heap = Heap.create () in
+  Array.iter
+    (fun n ->
+      let a = Heap.alloc_atomic root_heap ~creator:binder (Value.Int 0) in
+      Heap.set_stable_var root_heap binder n (Value.Ref a))
+    var_names;
+  Heap.commit_action root_heap binder;
+  let root = (Heap.atomic_view root_heap (Heap.root_addr root_heap)).base in
+  let version_enc = Codec.Enc.create ~size:65536 () in
+  let encode_kernel v =
+    Staged.stage (fun () ->
+        Codec.Enc.clear version_enc;
+        Flatten.encode root_heap version_enc v)
+  in
+  let root_bytes =
+    let e = Codec.Enc.create () in
+    Flatten.encode root_heap e root;
+    Codec.Enc.contents e
+  in
+  let rebuild_kernel =
+    Staged.stage (fun () ->
+        let fv = Rs_objstore.Fvalue.decode (Codec.Dec.of_string root_bytes) in
+        ignore (Flatten.rebuild root_heap fv : Value.t))
+  in
   let tests =
     Test.make_grouped ~name:"argus"
       [
@@ -1058,6 +1088,12 @@ let bechamel_suite () =
           [
             Test.make ~name:"get_stable_var-256" lookup_kernel;
             Test.make ~name:"snapshot_var-256" snapshot_var_kernel;
+          ];
+        Test.make_grouped ~name:"version-path"
+          [
+            Test.make ~name:"encode-root-256" (encode_kernel root);
+            Test.make ~name:"encode-object-1KiB" (encode_kernel (Value.Str page));
+            Test.make ~name:"decode-rebuild-root-256" rebuild_kernel;
           ];
       ]
   in

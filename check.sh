@@ -51,32 +51,43 @@ fi
 echo "metrics ok: $(echo "$NAMES" | wc -l | tr -d ' ') default-registry names, each read somewhere"
 
 echo "== export lint: every library export is read outside its module =="
-# Each [val NAME] in a lib/ interface must appear as a word in some file
-# of lib/, bin/, bench/, test/ or examples/ other than its own module's
-# .ml and .mli: an export nothing else reads is interface to document and
-# keep working for no caller. A word match can miss an unread export with
-# a common name (another module's [create] counts as a reader), but it
-# never fails on a name some other file really reads.
+# Each [val NAME] in a lib/ interface M.mli must be read by some file of
+# lib/, bin/, bench/, test/ or examples/ other than M's own .ml and .mli:
+# a file that has NAME as a word and also names module M as a word (a
+# qualified use, an [open], a local open or a module alias all name it).
+# An export nothing else reads is interface to document and keep working
+# for no caller. The rule can still miss an unread export whose name is
+# a common word in a file that names M for another reason, but it never
+# fails on a name some other file really reads.
 UNREAD=$(
   {
     find lib -name '*.mli' | sort | while read -r mli; do
       sed -nE "s/^[[:space:]]*val[[:space:]]+([a-z_][A-Za-z0-9_']*)([[:space:]:]|$).*/\1/p" "$mli" |
         sed "s|^|val $mli |"
     done
-    grep -rIowE "[A-Za-z_][A-Za-z0-9_']*" lib bin bench test examples | sort -u | sed 's/^/word /'
+    grep -rIowE --include='*.ml' "[A-Za-z_][A-Za-z0-9_']*" lib bin bench test examples | sort -u | sed 's/^/word /'
   } | awk '
     $1 == "val" {
       decl[$3] = decl[$3] " " $2; ml[$2] = substr($2, 1, length($2) - 1)
+      b = $2; sub(/.*\//, "", b); sub(/\.mli$/, "", b)
+      mod[$2] = toupper(substr(b, 1, 1)) substr(b, 2); named[mod[$2]] = 1
       if (!(($2 " " $3) in seen)) { seen[$2 " " $3] = 1; vals[++n] = $2 " " $3 }
       next
     }
     {
       i = index($2, ":"); f = substr($2, 1, i - 1); w = substr($2, i + 1)
-      if (!(w in decl)) next
-      k = split(decl[w], ms, " ")
-      for (j = 1; j <= k; j++) if (f != ms[j] && f != ml[ms[j]]) read[ms[j] " " w] = 1
+      if (w in named) names[f " " w] = 1
+      if (w in decl) files[w] = files[w] " " f
     }
-    END { for (j = 1; j <= n; j++) if (!(vals[j] in read)) print "  " vals[j] }'
+    END {
+      for (j = 1; j <= n; j++) {
+        split(vals[j], v, " "); mli = v[1]; w = v[2]; ok = 0
+        k = split(files[w], fs, " ")
+        for (i = 1; i <= k && !ok; i++)
+          if (fs[i] != mli && fs[i] != ml[mli] && ((fs[i] " " mod[mli]) in names)) ok = 1
+        if (!ok) print "  " vals[j]
+      }
+    }'
 )
 if [ -n "$UNREAD" ]; then
   echo "exported but never read outside their module (interface, value):"

@@ -75,9 +75,7 @@ let pending_tbl t aid =
 
 let write_data t aid ~uid ~otype version =
   Metrics.incr m_entries_written;
-  let a =
-    Log_entry.write t.log (Log_entry.Data { uid = None; otype; aid = None; version })
-  in
+  let a = Log_entry.write_data t.log ~uid:None ~otype ~aid:None version in
   Uid.Tbl.replace (pending_tbl t aid) uid (a, otype);
   a
 
@@ -162,10 +160,6 @@ let done_ ?on_durable t aid =
 
 let prepared_actions t = Aid.Tbl.fold (fun a () acc -> a :: acc) t.pat []
 let accessible t u = Uid.Set.mem u t.acc
-
-let trim_accessibility_set t =
-  let reachable = Heap.reachable_uids t.heap in
-  t.acc <- Uid.Set.inter t.acc (Uid.Set.add Uid.stable_vars reachable)
 
 let mutex_table t =
   Uid.Tbl.fold (fun u a acc -> (u, a) :: acc) t.mt []
@@ -373,7 +367,7 @@ let snapshot_stage1 t job =
   let s =
     Write_objects.snapshot ~heap:t.heap ~old_log:job.old_log ~mt:t.mt ~pat:t.pat
       ~committing:t.committing_active ~prepared_pairs:(Some []) ~write_data:(fun ~uid:_ ~otype ->
-        wdata job.new_log ~otype)
+        Log_entry.write_data job.new_log ~uid:None ~otype ~aid:None)
   in
   List.iter
     (fun (uid, a) ->

@@ -65,7 +65,6 @@ val done_ : ?on_durable:(unit -> unit) -> t -> Rs_util.Aid.t -> unit
 
 val prepared_actions : t -> Rs_util.Aid.t list
 val accessible : t -> Rs_util.Uid.t -> bool
-val trim_accessibility_set : t -> unit
 
 val mutex_table : t -> (Rs_util.Uid.t * Log_entry.addr) list
 (** The MT (§5.2): latest data-entry address per mutex object, maintained

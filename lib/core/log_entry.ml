@@ -86,13 +86,16 @@ let dec_otype d =
 let enc_pairs e ps = Codec.Enc.list (Codec.Enc.pair enc_uid enc_addr) e ps
 let dec_pairs d = Codec.Dec.list (Codec.Dec.pair dec_uid dec_addr) d
 
+let enc_data_head e ~uid ~otype ~aid =
+  Codec.Enc.u8 e 0;
+  Codec.Enc.option enc_uid e uid;
+  enc_otype e otype;
+  Codec.Enc.option enc_aid e aid
+
 let encode_into e t =
   match t with
   | Data { uid; otype; aid; version } ->
-      Codec.Enc.u8 e 0;
-      Codec.Enc.option enc_uid e uid;
-      enc_otype e otype;
-      Codec.Enc.option enc_aid e aid;
+      enc_data_head e ~uid ~otype ~aid;
       Fvalue.encode e version
   | Prepared { aid; pairs; prev } ->
       Codec.Enc.u8 e 1;
@@ -138,6 +141,11 @@ let encode t =
   Codec.Enc.contents e
 
 let write log t = Rs_slog.Stable_log.write_with log (fun e -> encode_into e t)
+
+let write_data log ~uid ~otype ~aid version =
+  Rs_slog.Stable_log.write_with log (fun e ->
+      enc_data_head e ~uid ~otype ~aid;
+      version e)
 
 let decode_at s ~off ~len =
   let d = Codec.Dec.of_string ~off ~len s in

@@ -74,6 +74,19 @@ val write : Rs_slog.Stable_log.t -> t -> addr
     log's pending pages through {!Rs_slog.Stable_log.write_with}: no
     per-entry string. Returns its address. *)
 
+val write_data :
+  Rs_slog.Stable_log.t ->
+  uid:Rs_util.Uid.t option ->
+  otype:otype ->
+  aid:Rs_util.Aid.t option ->
+  (Rs_util.Codec.Enc.t -> unit) ->
+  addr
+(** [write_data log ~uid ~otype ~aid version] appends a [Data] entry
+    whose version [version] encodes, as {!Rs_objstore.Fvalue.encode}
+    would: the bytes of {!write} on that entry, for a version that is not
+    an [Fvalue.t], such as a heap value written by
+    {!Rs_objstore.Flatten.encode}. *)
+
 val read_data : Rs_slog.Stable_log.t -> addr -> otype * Rs_objstore.Fvalue.t
 (** The object type and version of the data entry at [addr] — what a
     ⟨uid, address⟩ pair, a CSSL, the MT or a shadow map points at. Raises

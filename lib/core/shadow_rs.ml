@@ -123,7 +123,10 @@ let pending_tbl t aid =
       tbl
 
 let write_version t ~uid ~otype ~aid version =
-  Log_entry.write t.vlog (Log_entry.Data { uid = Some uid; otype; aid; version })
+  Log_entry.write_data t.vlog ~uid:(Some uid) ~otype ~aid version
+
+(* The encoder of a version that is already flattened. *)
+let flat version e = Rs_objstore.Fvalue.encode e version
 
 let sink_for t aid : Write_objects.sink =
   {
@@ -137,7 +140,7 @@ let sink_for t aid : Write_objects.sink =
            the version store, install it in the (volatile) map — the next
            map write makes it stable — and record a one-pair committed_ss
            in the in-flight log so a crash before that write recovers it. *)
-        let a = write_version t ~uid ~otype:Log_entry.Atomic ~aid:None version in
+        let a = write_version t ~uid ~otype:Log_entry.Atomic ~aid:None (flat version) in
         Uid.Tbl.replace t.map uid (a, Log_entry.Atomic);
         ignore
           (Log_entry.write t.ilog (Log_entry.Committed_ss { cssl = [ (uid, a) ]; prev = None })));
@@ -147,7 +150,7 @@ let sink_for t aid : Write_objects.sink =
            prepared action: add it to that action's pending set so its
            commit installs it, and extend that action's prepared record so
            recovery finds it. *)
-        let a = write_version t ~uid ~otype:Log_entry.Atomic ~aid:(Some aid) version in
+        let a = write_version t ~uid ~otype:Log_entry.Atomic ~aid:(Some aid) (flat version) in
         Uid.Tbl.replace (pending_tbl t aid) uid (a, Log_entry.Atomic);
         ignore
           (Log_entry.write t.ilog
@@ -214,18 +217,6 @@ let abort t aid =
   end;
   maybe_truncate_ilog t
 
-let committing t aid gids =
-  Aid.Tbl.replace t.committing_active aid ();
-  ignore
-    (Log.force_write t.ilog (Log_entry.encode (Log_entry.Committing { aid; gids; prev = None })))
-
-let done_ t aid =
-  ignore (Log.force_write t.ilog (Log_entry.encode (Log_entry.Done { aid; prev = None })));
-  Aid.Tbl.remove t.committing_active aid;
-  maybe_truncate_ilog t
-
-let prepared_actions t = Aid.Tbl.fold (fun a () acc -> a :: acc) t.pat []
-let accessible t u = Uid.Set.mem u t.acc
 let map_size t = Uid.Tbl.length t.map
 
 let recover old =
@@ -344,10 +335,3 @@ let physical_writes t =
   + Store.physical_writes t.stores.areas.(1)
   + Store.physical_writes t.stores.root
   + Store.physical_writes t.stores.istore
-
-let physical_reads t =
-  Store.physical_reads t.stores.vstore
-  + Store.physical_reads t.stores.areas.(0)
-  + Store.physical_reads t.stores.areas.(1)
-  + Store.physical_reads t.stores.root
-  + Store.physical_reads t.stores.istore

@@ -25,11 +25,6 @@ val heap : t -> Rs_objstore.Heap.t
 val prepare : t -> Rs_util.Aid.t -> Rs_objstore.Value.addr list -> unit
 val commit : t -> Rs_util.Aid.t -> unit
 val abort : t -> Rs_util.Aid.t -> unit
-val committing : t -> Rs_util.Aid.t -> Rs_util.Gid.t list -> unit
-val done_ : t -> Rs_util.Aid.t -> unit
-
-val prepared_actions : t -> Rs_util.Aid.t list
-val accessible : t -> Rs_util.Uid.t -> bool
 
 val map_size : t -> int
 (** Entries in the current map (= committed stable objects). *)
@@ -42,4 +37,3 @@ val stable_stores : t -> Rs_storage.Stable_store.t list
 (** All five stable stores — for fault injection in tests. *)
 
 val physical_writes : t -> int
-val physical_reads : t -> int

@@ -62,9 +62,7 @@ let force_append ?on_durable t entry =
   Fsched.enqueue t.sched ?on_durable ()
 
 let write_data t aid ~uid ~otype version =
-  let a =
-    Log_entry.write t.log (Log_entry.Data { uid = Some uid; otype; aid = Some aid; version })
-  in
+  let a = Log_entry.write_data t.log ~uid:(Some uid) ~otype ~aid:(Some aid) version in
   if otype = Log_entry.Mutex then Uid.Tbl.replace t.mt uid a
 
 let sink_for t aid : Write_objects.sink =
@@ -163,8 +161,8 @@ let walk t job =
   let write entry = ignore (Log_entry.write job.new_log entry) in
   let s =
     Write_objects.snapshot ~heap:t.heap ~old_log:job.old_log ~mt:t.mt ~pat:t.pat
-      ~committing:t.committing_active ~prepared_pairs:None ~write_data:(fun ~uid ~otype version ->
-        Log_entry.write job.new_log (Log_entry.Data { uid = Some uid; otype; aid = None; version }))
+      ~committing:t.committing_active ~prepared_pairs:None ~write_data:(fun ~uid ~otype ->
+        Log_entry.write_data job.new_log ~uid:(Some uid) ~otype ~aid:None)
   in
   write (Log_entry.Committed_ss { cssl = s.cssl; prev = None });
   List.iter write s.in_doubt;

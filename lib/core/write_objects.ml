@@ -5,7 +5,7 @@ module Flatten = Rs_objstore.Flatten
 module Fvalue = Rs_objstore.Fvalue
 
 type sink = {
-  data : uid:Uid.t -> otype:Log_entry.otype -> Fvalue.t -> unit;
+  data : uid:Uid.t -> otype:Log_entry.otype -> (Rs_util.Codec.Enc.t -> unit) -> unit;
   base_committed : uid:Uid.t -> Fvalue.t -> unit;
   prepared_data : uid:Uid.t -> aid:Aid.t -> Fvalue.t -> unit;
 }
@@ -13,11 +13,10 @@ type sink = {
 let write_mos ~heap ~accessible ~add_accessible ~prepared ~aid ~mos ~sink =
   let naos = Queue.create () in
   let queued = Hashtbl.create 8 in
-  (* Scan a flattened version for references to recoverable objects that
-     are not accessible yet: they are newly accessible (§3.3.3.2). *)
-  let scan fv =
-    List.iter
-      (fun u ->
+  (* Scan a version for references to recoverable objects that are not
+     accessible yet: they are newly accessible (§3.3.3.2). *)
+  let scan v =
+    Flatten.iter_uids heap v (fun u ->
         if (not (accessible u)) && not (Hashtbl.mem queued u) then begin
           Hashtbl.add queued u ();
           match Heap.addr_of_uid heap u with
@@ -27,13 +26,11 @@ let write_mos ~heap ~accessible ~add_accessible ~prepared ~aid ~mos ~sink =
                  impossible during normal operation. *)
               invalid_arg "Write_objects: reference to unknown uid"
         end)
-      (Fvalue.uids fv)
   in
   let flatten v = Flatten.flatten heap v in
   let emit_data ~uid ~otype v =
-    let fv = flatten v in
-    sink.data ~uid ~otype fv;
-    scan fv
+    sink.data ~uid ~otype (fun e -> Flatten.encode heap e v);
+    scan v
   in
   (* Step 3: the MOS proper — only accessible objects are written; the
      rest are candidates for MOS' (some may yet become newly accessible
@@ -73,9 +70,8 @@ let write_mos ~heap ~accessible ~add_accessible ~prepared ~aid ~mos ~sink =
         | Heap.Atomic -> (
             let view = Heap.atomic_view heap a in
             let emit_base () =
-              let fv = flatten view.base in
-              sink.base_committed ~uid:u fv;
-              scan fv
+              sink.base_committed ~uid:u (flatten view.base);
+              scan view.base
             in
             match (view.lock, view.cur) with
             | Heap.Write w, Some cur when Aid.equal w aid ->
@@ -83,9 +79,8 @@ let write_mos ~heap ~accessible ~add_accessible ~prepared ~aid ~mos ~sink =
                 emit_data ~uid:u ~otype:Log_entry.Atomic cur
             | Heap.Write w, Some cur when prepared w ->
                 emit_base ();
-                let fv = flatten cur in
-                sink.prepared_data ~uid:u ~aid:w fv;
-                scan fv
+                sink.prepared_data ~uid:u ~aid:w (flatten cur);
+                scan cur
             | (Heap.Write _ | Heap.Read _ | Heap.Free), _ -> emit_base ())
         | Heap.Regular | Heap.Placeholder ->
             invalid_arg "Write_objects: non-recoverable object in NAOS");
@@ -114,7 +109,6 @@ let snapshot ~heap ~old_log ~mt ~pat ~committing ~prepared_pairs ~write_data =
     cssl := (uid, a) :: !cssl;
     a
   in
-  let flatten v = Flatten.flatten heap v in
   Heap.iter_reachable heap (fun a ->
       match Heap.kind_of heap a with
       | Heap.Regular | Heap.Placeholder -> ()
@@ -122,11 +116,12 @@ let snapshot ~heap ~old_log ~mt ~pat ~committing ~prepared_pairs ~write_data =
           let uid = Option.get (Heap.uid_of heap a) in
           new_as := Uid.Set.add uid !new_as;
           let view = Heap.atomic_view heap a in
-          ignore (copy ~uid Log_entry.Atomic (flatten view.base));
+          ignore (copy ~uid Log_entry.Atomic (fun e -> Flatten.encode heap e view.base));
           match (view.lock, view.cur) with
           | Heap.Write w, Some cur when Aid.Tbl.mem pat w ->
               in_doubt :=
-                Log_entry.Prepared_data { uid; version = flatten cur; aid = w; prev = None }
+                Log_entry.Prepared_data
+                  { uid; version = Flatten.flatten heap cur; aid = w; prev = None }
                 :: !in_doubt
           | (Heap.Write _ | Heap.Read _ | Heap.Free), _ -> ())
       | Heap.Mutex -> (
@@ -136,7 +131,8 @@ let snapshot ~heap ~old_log ~mt ~pat ~committing ~prepared_pairs ~write_data =
           | Some oaddr -> (
               match Log_entry.read_data old_log oaddr with
               | Log_entry.Mutex, version ->
-                  new_mt := (uid, copy ~uid Log_entry.Mutex version) :: !new_mt
+                  let a = copy ~uid Log_entry.Mutex (fun e -> Fvalue.encode e version) in
+                  new_mt := (uid, a) :: !new_mt
               | Log_entry.Atomic, _ -> failwith "Write_objects.snapshot: MT points at an atomic entry")
           | None -> () (* newly accessible and still being prepared: carried after the marker *)));
   (* PT status of prepared actions and CT status of committing

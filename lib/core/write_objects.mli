@@ -21,7 +21,10 @@
 
 type sink = {
   data :
-    uid:Rs_util.Uid.t -> otype:Log_entry.otype -> Rs_objstore.Fvalue.t -> unit;
+    uid:Rs_util.Uid.t -> otype:Log_entry.otype -> (Rs_util.Codec.Enc.t -> unit) -> unit;
+      (** the version comes as its encoder, which writes it straight
+          from the heap ({!Rs_objstore.Flatten.encode}); hand it to
+          {!Log_entry.write_data} *)
   base_committed : uid:Rs_util.Uid.t -> Rs_objstore.Fvalue.t -> unit;
   prepared_data :
     uid:Rs_util.Uid.t -> aid:Rs_util.Aid.t -> Rs_objstore.Fvalue.t -> unit;
@@ -57,10 +60,13 @@ val snapshot :
   pat:unit Rs_util.Aid.Tbl.t ->
   committing:Rs_util.Gid.t list Rs_util.Aid.Tbl.t ->
   prepared_pairs:Log_entry.pairs option ->
-  write_data:(uid:Rs_util.Uid.t -> otype:Log_entry.otype -> Rs_objstore.Fvalue.t -> Log_entry.addr) ->
+  write_data:
+    (uid:Rs_util.Uid.t -> otype:Log_entry.otype -> (Rs_util.Codec.Enc.t -> unit) -> Log_entry.addr) ->
   snapshot
 (** The one walk both logs snapshot with: each reachable atomic object's
-    base, and each reachable mutex's version at its [mt] address in
-    [old_log], written through the log's own [write_data]. [pat] and
+    base, encoded straight from the heap by {!Rs_objstore.Flatten.encode},
+    and each reachable mutex's version at its [mt] address in [old_log],
+    written through the log's own [write_data] (a version encoder, as in
+    {!type-sink}'s [data]). [pat] and
     [committing] are the prepared actions and committing coordinators;
     [prepared_pairs] fills the log's [Prepared] entries. *)

@@ -7,7 +7,6 @@ let create ?(seed = 0) ~shards () =
   if shards = [] then invalid_arg "Placement.create: need at least one shard";
   { seed; shards = Array.of_list shards }
 
-let seed t = t.seed
 let shards t = Array.to_list t.shards
 
 (* SplitMix64 finalizer: spreads the seed/crc mix so nearby seeds give
@@ -25,16 +24,3 @@ let hash_key t key =
   mix (crc lxor (t.seed * 0x9e3779b9))
 
 let shard_of_key t key = slot t (hash_key t key)
-
-let spread t keys =
-  let groups = List.map (fun g -> (g, ref [])) (shards t) in
-  List.iter
-    (fun k ->
-      let g = shard_of_key t k in
-      match List.assoc_opt g groups with
-      | Some r -> r := k :: !r
-      | None -> assert false)
-    keys;
-  List.filter_map
-    (fun (g, r) -> match !r with [] -> None | ks -> Some (g, List.rev ks))
-    groups

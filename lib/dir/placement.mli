@@ -15,12 +15,7 @@ type t
 val create : ?seed:int -> shards:Rs_util.Gid.t list -> unit -> t
 (** Raises [Invalid_argument] if [shards] is empty. Default [seed] 0. *)
 
-val seed : t -> int
 val shards : t -> Rs_util.Gid.t list
 
 val shard_of_key : t -> string -> Rs_util.Gid.t
 (** The owning shard for [key]. *)
-
-val spread : t -> string list -> (Rs_util.Gid.t * string list) list
-(** Group keys by owning shard (shard order = shard list order; only
-    non-empty groups). *)

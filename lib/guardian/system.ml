@@ -332,8 +332,6 @@ let await ?(limit = 10_000.0) t h =
       in
       go ()
 
-let in_flight t gid = t.in_flight.(Gid.to_int gid)
-
 let sorted_parked t pred =
   Aid.Tbl.fold (fun _ p acc -> if pred p then p :: acc else acc) t.parked []
   |> List.sort (fun a b -> Aid.compare a.p_aid b.p_aid)

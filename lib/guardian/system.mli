@@ -147,9 +147,6 @@ val await : ?limit:float -> t -> Action.handle -> outcome
     first — an unresolved handle over a drained simulator is a stuck
     action, which the oracles treat as a bug. *)
 
-val in_flight : t -> Rs_util.Gid.t -> int
-(** Unresolved actions currently coordinated by [gid]. *)
-
 val crash : t -> Rs_util.Gid.t -> unit
 (** Crash the guardian. Actions parked on its wait queues die with the
     volatile heap: their waits fail deterministically (in aid order) and

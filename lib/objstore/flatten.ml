@@ -1,5 +1,6 @@
 module Uid = Rs_util.Uid
 module Vec = Rs_util.Vec
+module Codec = Rs_util.Codec
 
 let flatten heap v =
   let nodes = Vec.create () in
@@ -40,7 +41,87 @@ let flatten heap v =
                 idx))
   in
   let root = go v in
-  Fvalue.make ~nodes:(Array.of_list (Vec.to_list nodes)) ~root
+  Fvalue.make ~nodes:(Vec.to_array nodes) ~root
+
+(* A value that reaches no regular object flattens to a tree: [flatten]
+   numbers its nodes in post-order, one node per tuple and leaf, with no
+   sharing. Node count and child indices then follow from subtree sizes,
+   so such a value can be encoded with no node table. Anything else — a
+   regular object, or a recoverable object without a uid, which [flatten]
+   rejects — goes through [flatten]. *)
+exception Not_a_tree
+
+(* The number of nodes in [v]'s flattening, calling [on_uid] on each
+   referenced uid in node order. *)
+let rec tree_size heap on_uid v =
+  match v with
+  | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ -> 1
+  | Value.Tup vs ->
+      let n = ref 1 in
+      for i = 0 to Array.length vs - 1 do
+        n := !n + tree_size heap on_uid vs.(i)
+      done;
+      !n
+  | Value.Ref a -> (
+      match (Heap.kind_of heap a, Heap.uid_of heap a) with
+      | (Heap.Atomic | Heap.Mutex | Heap.Placeholder), Some u ->
+          on_uid u;
+          1
+      | Heap.Regular, _ | (Heap.Atomic | Heap.Mutex | Heap.Placeholder), None ->
+          raise_notrace Not_a_tree)
+
+(* Writes the nodes of tree [v], whose first node has index [first], as
+   [Fvalue.encode] writes them (children before their tuple), and
+   returns how many it wrote. A tuple's child indices come from the
+   children's sizes, so the work grows with nodes times tuple depth;
+   versions here are a few tuples deep. *)
+let rec emit heap enc first v =
+  match v with
+  | Value.Unit ->
+      Codec.Enc.u8 enc 0;
+      1
+  | Value.Bool b ->
+      Codec.Enc.u8 enc 1;
+      Codec.Enc.bool enc b;
+      1
+  | Value.Int i ->
+      Codec.Enc.u8 enc 2;
+      Codec.Enc.varint enc i;
+      1
+  | Value.Str s ->
+      Codec.Enc.u8 enc 3;
+      Codec.Enc.string enc s;
+      1
+  | Value.Tup vs ->
+      let next = ref first in
+      for i = 0 to Array.length vs - 1 do
+        next := !next + emit heap enc !next vs.(i)
+      done;
+      Codec.Enc.u8 enc 4;
+      Codec.Enc.varint enc (Array.length vs);
+      let child = ref first in
+      for i = 0 to Array.length vs - 1 do
+        child := !child + tree_size heap ignore vs.(i);
+        Codec.Enc.varint enc (!child - 1)
+      done;
+      !next - first + 1
+  | Value.Ref a ->
+      Codec.Enc.u8 enc 5;
+      Codec.Enc.varint enc (Uid.to_int (Option.get (Heap.uid_of heap a)));
+      1
+
+let encode heap enc v =
+  match tree_size heap ignore v with
+  | n ->
+      Codec.Enc.varint enc n;
+      ignore (emit heap enc 0 v);
+      Codec.Enc.varint enc (n - 1)
+  | exception Not_a_tree -> Fvalue.encode enc (flatten heap v)
+
+let iter_uids heap v f =
+  match tree_size heap ignore v with
+  | _ -> ignore (tree_size heap f v)
+  | exception Not_a_tree -> List.iter f (Fvalue.uids (flatten heap v))
 
 let rebuild heap (fv : Fvalue.t) =
   let n = Array.length fv.nodes in
@@ -62,7 +143,7 @@ let rebuild heap (fv : Fvalue.t) =
           | Fvalue.Ntup children ->
               (* Tuples cannot be on a cycle (only Nregular can), so plain
                  recursion is safe. *)
-              Value.Tup (Array.map node children)
+              Value.tup_map node children
           | Fvalue.Nregular child ->
               (* Reserve the regular object first so cycles resolve to it. *)
               let a = Heap.alloc_regular heap Value.Unit in

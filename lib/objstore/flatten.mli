@@ -18,5 +18,22 @@ val flatten : Heap.t -> Value.t -> Fvalue.t
     recoverable but has no uid (cannot happen for heap-allocated
     objects). *)
 
+val encode : Heap.t -> Rs_util.Codec.Enc.t -> Value.t -> unit
+(** [encode heap enc v] writes exactly the bytes of
+    [Fvalue.encode enc (flatten heap v)], straight from the heap: a value
+    that reaches no regular object is written with no node table and
+    without allocating. A value that does reach one (its sharing and
+    cycles need [flatten]'s memo) is flattened and encoded. Raises as
+    {!flatten} does. *)
+
+val iter_uids : Heap.t -> Value.t -> (Rs_util.Uid.t -> unit) -> unit
+(** [iter_uids heap v f] calls [f] on each uid that [Fvalue.uids
+    (flatten heap v)] lists, in that order; a uid may be passed more than
+    once. Raises as {!flatten} does. *)
+
 val rebuild : Heap.t -> Fvalue.t -> Value.t
-(** Allocates fresh regular objects for [Nregular] nodes. *)
+(** Allocates fresh regular objects for [Nregular] nodes.
+
+    Neither [flatten] nor [rebuild] forces a minor collection, however
+    many nodes a version has or a tuple holds (see {!Rs_util.Vec} and
+    {!Value.tup_map}). *)

@@ -76,8 +76,17 @@ let decode_node dec =
   | 6 -> Nregular (Codec.Dec.varint dec)
   | n -> raise (Codec.Error (Printf.sprintf "Fvalue: bad node tag %d" n))
 
+(* The node table starts out filled with the immediate [Nunit]:
+   [Codec.Dec.array]'s [Array.init] would start it with the first decoded
+   node, a young block, and force a minor collection above 256 nodes. *)
 let decode dec =
-  let nodes = Codec.Dec.array decode_node dec in
+  let n = Codec.Dec.varint dec in
+  if n < 0 || n > Codec.Dec.remaining dec then
+    raise (Codec.Error (Printf.sprintf "bad array length %d" n));
+  let nodes = Array.make n Nunit in
+  for i = 0 to n - 1 do
+    nodes.(i) <- decode_node dec
+  done;
   let root = Codec.Dec.varint dec in
   match make ~nodes ~root with
   | t -> t

@@ -27,9 +27,14 @@ val uids : t -> Rs_util.Uid.t list
     occurrence order — the candidates for the NAOS check (§3.3.3.2). *)
 
 val encode : Rs_util.Codec.Enc.t -> t -> unit
+(** The varint node count, each node in index order, then the root
+    index. {!Flatten.encode} writes the same bytes straight from a heap
+    value. *)
 
 val decode : Rs_util.Codec.Dec.t -> t
-(** Raises {!Rs_util.Codec.Error} on malformed input. *)
+(** Raises {!Rs_util.Codec.Error} on malformed input. The node table is
+    built without forcing a minor collection, however many nodes it has
+    (see {!Rs_util.Vec}). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

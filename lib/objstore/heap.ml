@@ -323,7 +323,7 @@ let copy_version t v =
   let rec go v =
     match v with
     | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ -> v
-    | Value.Tup vs -> Value.Tup (Array.map go vs)
+    | Value.Tup vs -> Value.tup_map go vs
     | Value.Ref a -> (
         match (obj t a).body with
         | B_atomic _ | B_mutex _ | B_placeholder _ -> v
@@ -830,8 +830,11 @@ let bindings_of = function
                None)
   | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ -> []
 
+(* Filled in place, not [Array.of_list]: see {!Value.tup_map}. *)
 let of_bindings bs =
-  Value.Tup (Array.of_list (List.map (fun (name, v) -> Value.Tup [| Value.Str name; v |]) bs))
+  let pairs = Array.make (List.length bs) Value.Unit in
+  List.iteri (fun i (name, v) -> pairs.(i) <- Value.Tup [| Value.Str name; v |]) bs;
+  Value.Tup pairs
 
 let set_stable_var t aid name v =
   write_lock t aid t.root;

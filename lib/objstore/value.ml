@@ -8,6 +8,13 @@ type t =
   | Tup of t array
   | Ref of addr
 
+let tup_map f a =
+  let vs = Array.make (Array.length a) Unit in
+  for i = 0 to Array.length a - 1 do
+    vs.(i) <- f a.(i)
+  done;
+  Tup vs
+
 let rec equal_shape a b =
   match (a, b) with
   | Unit, Unit -> true

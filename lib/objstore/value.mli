@@ -17,6 +17,13 @@ type t =
   | Tup of t array  (** mutable: in-place update of a version *)
   | Ref of addr  (** pointer to another heap object *)
 
+val tup_map : ('a -> t) -> 'a array -> t
+(** [tup_map f a] is [Tup (Array.map f a)], applying [f] in index order,
+    without [Array.map]'s forced minor collection: [Array.map] builds its
+    result with [Array.make n (f a.(0))], and [Array.make] runs a minor
+    collection first when [n] is over 256 words and the value is young.
+    Here the array starts out filled with the immediate [Unit]. *)
+
 val equal_shape : t -> t -> bool
 (** Structural equality treating [Ref] addresses literally. Used by tests;
     does not follow references. *)

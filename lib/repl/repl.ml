@@ -202,6 +202,8 @@ module Replica = struct
     t.warm <- true;
     Seq.iter (apply_warm t) (Log.read_forward t.log (Log.low_water t.log))
 
+  (* Actions with a warm committing/done record: the durable verdicts
+     [System.resolve_orphans] resolves [Committed] at promotion. *)
   let decided t =
     Aid.Tbl.fold (fun aid _ acc -> Aid.Set.add aid acc) t.ct Aid.Set.empty
 

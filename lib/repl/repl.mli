@@ -92,10 +92,6 @@ module Replica : sig
       actions and their pair lists first, then the commit table, then
       one checkpoint-style pass over the committed state) and wrap the
       restored heap with {!Core.Hybrid_rs.adopt}. No log walk. *)
-
-  val decided : t -> Rs_util.Aid.Set.t
-  (** Actions with a warm committing/done record — the durable verdicts
-      {!Rs_guardian.System.resolve_orphans} resolves [Committed]. *)
 end
 
 (** The replication protocol messages, on their own network over the

@@ -20,12 +20,12 @@ let set t i v =
   check t i "set";
   t.data.(i) <- v
 
+(* [grow] runs only when [len] = capacity, so doubling by appending the
+   array to itself fills the new half with live elements. Unlike
+   [Array.make ncap v], [Array.append] never forces a minor collection
+   when the result is over 256 words and [v] is young. *)
 let grow t v =
-  let cap = Array.length t.data in
-  let ncap = if cap = 0 then 8 else cap * 2 in
-  let ndata = Array.make ncap v in
-  Array.blit t.data 0 ndata 0 t.len;
-  t.data <- ndata
+  t.data <- (if Array.length t.data = 0 then Array.make 8 v else Array.append t.data t.data)
 
 let push t v =
   if t.len = Array.length t.data then grow t v;
@@ -67,6 +67,7 @@ let fold_left f acc t =
   !acc
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
+let to_array t = Array.sub t.data 0 t.len
 
 let of_list l =
   let t = create () in

@@ -17,8 +17,6 @@ let int_of = function
 
 let next_token v = int_of (cells v).(0)
 
-let length v = Array.length (cells v) - 1
-
 let items v =
   let c = cells v in
   List.init (Array.length c - 1) (fun i -> int_of c.(i + 1))

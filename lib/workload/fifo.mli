@@ -18,9 +18,6 @@ val dequeue : Rs_objstore.Value.t -> (Rs_objstore.Value.t * int) option
 (** The shrunk queue and the head token; [None] when empty (the load
     profile turns that into a deliberate abort). *)
 
-val length : Rs_objstore.Value.t -> int
-val items : Rs_objstore.Value.t -> int list
-
 val check : enqueued:int -> dequeued:int -> Rs_objstore.Value.t -> (unit, string) result
 (** [check ~enqueued ~dequeued v]: [v]'s token counter equals [enqueued]
     and its content is exactly [dequeued..enqueued-1] in order. *)

@@ -46,11 +46,6 @@ let abort ?on_durable t aid =
       Core.Shadow_rs.abort rs aid;
       Option.iter (fun k -> k ()) on_durable
 
-let early_prepare t aid mos =
-  match t with
-  | Hybrid { rs; _ } -> Core.Hybrid_rs.write_entry rs aid mos
-  | Simple _ | Shadow _ -> mos
-
 let crash_recover t =
   Core.Tables.Recovery_report.measure (fun () ->
       match t with
@@ -100,10 +95,6 @@ let stable_stores = function
 let physical_writes = function
   | Simple { dir; _ } | Hybrid { dir; _ } -> Log_dir.physical_writes dir
   | Shadow { rs; _ } -> Core.Shadow_rs.physical_writes rs
-
-let physical_reads = function
-  | Simple { dir; _ } | Hybrid { dir; _ } -> Log_dir.physical_reads dir
-  | Shadow { rs; _ } -> Core.Shadow_rs.physical_reads rs
 
 let log_entries = function
   | Simple { rs; _ } -> Log.entry_count (Core.Simple_rs.log rs)

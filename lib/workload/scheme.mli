@@ -26,9 +26,6 @@ val scheduler : t -> Rs_slog.Force_scheduler.t option
 (** The logged schemes' group-commit scheduler ([None] for shadow);
     configure it with a window and virtual-time timer to batch forces. *)
 
-val early_prepare : t -> Rs_util.Aid.t -> Rs_objstore.Value.addr list -> Rs_objstore.Value.addr list
-(** Hybrid only; other schemes return the MOS unwritten. *)
-
 val crash_recover : t -> t * Core.Tables.Recovery_report.t
 (** Simulate a node crash and run recovery; returns the recovered facade
     (the old one must not be used again) plus the unified
@@ -68,7 +65,6 @@ val stable_stores : t -> Rs_storage.Stable_store.t list
 val physical_writes : t -> int
 (** Physical stable-storage page writes so far. *)
 
-val physical_reads : t -> int
 val log_entries : t -> int
 (** Entries in the current log (version store for shadow). *)
 

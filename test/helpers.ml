@@ -142,3 +142,16 @@ let recs evs =
   Trace.clear ();
   Alcotest.(check (list string)) "streamed = folded" (details (all_on records)) streamed;
   records
+
+(* --- forced minor collections --- *)
+
+(* [Array.make n v] (and the stdlib functions built on it) runs a minor
+   collection first when [n] is over 256 words and [v] is young. Fail if
+   [f], run on an empty minor heap, sees any minor collection at all: it
+   allocates far less than a minor heap, so none can come from filling it. *)
+let check_no_minor name f =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let r = f () in
+  Alcotest.(check int) (name ^ ": minor collections") before (Gc.quick_stat ()).Gc.minor_collections;
+  r

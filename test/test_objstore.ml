@@ -610,6 +610,203 @@ let test_cancel_wait_releases_queue () =
   Heap.cancel_wait h t2 b;
   Alcotest.(check bool) "reader granted past cancelled writer" true (!woken = [ t3 ])
 
+(* --- The version path: no forced minor collections ----------------- *)
+
+module Codec = Rs_util.Codec
+
+let encoded f =
+  let enc = Codec.Enc.create () in
+  f enc;
+  Codec.Enc.contents enc
+
+(* A stable-variable root of [n] bindings, over 256 nodes from n = 86. *)
+let binding_root n =
+  Value.Tup
+    (Array.init n (fun i -> Value.Tup [| Value.Str (Printf.sprintf "v%d" i); Value.Int i |]))
+
+let test_version_path_forces_no_minor () =
+  let h = Heap.create () in
+  let root = binding_root 300 in
+  let fv = Helpers.check_no_minor "flatten a 300-binding root" (fun () -> Flatten.flatten h root) in
+  let bytes = encoded (fun e -> Fvalue.encode e fv) in
+  let fv' =
+    Helpers.check_no_minor "decode it" (fun () -> Fvalue.decode (Codec.Dec.of_string bytes))
+  in
+  Alcotest.(check bool) "decode roundtrip" true (Fvalue.equal fv fv');
+  let v = Helpers.check_no_minor "rebuild it" (fun () -> Flatten.rebuild h fv') in
+  Alcotest.(check bool) "rebuild roundtrip" true (Value.equal_shape v root);
+  let r = Heap.create () in
+  Helpers.check_no_minor "restore 300 objects" (fun () ->
+      for i = 1 to 300 do
+        let uid = Uid.of_int (1000 + i) in
+        ignore (Heap.install_atomic r ~uid ~base:(Some (Value.Int i)) ~cur:None)
+      done);
+  Alcotest.(check int) "objects restored" 301 (Heap.size r);
+  (* Binding one more stable variable copies the root's version and
+     builds the new one from its bindings. *)
+  for i = 0 to 299 do
+    Heap.set_stable_var r (aid 1) (Printf.sprintf "v%d" i) (Value.Int i)
+  done;
+  Heap.commit_action r (aid 1);
+  Helpers.check_no_minor "bind a 301st stable variable" (fun () ->
+      Heap.set_stable_var r (aid 2) "w" (Value.Int 0));
+  Heap.commit_action r (aid 2);
+  Alcotest.(check int) "bindings" 301 (List.length (Heap.stable_var_names r))
+
+(* Encoding a value that reaches no regular object allocates nothing:
+   the words two back-to-back [Gc.minor_words] readings allocate are all
+   there is around it. *)
+let test_heap_encoder_allocates_nothing () =
+  let h = Heap.create () in
+  let a = Heap.alloc_atomic h ~creator:(aid 1) (Value.Int 1) in
+  let root =
+    Value.Tup (Array.init 256 (fun i -> Value.Tup [| Value.Str (Printf.sprintf "v%d" i); Value.Ref a |]))
+  in
+  let enc = Codec.Enc.create ~size:65536 () in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  Flatten.encode h enc root;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "words allocated by encode" (w1 -. w0) (w2 -. w1);
+  Alcotest.(check string) "same bytes as flatten then encode"
+    (encoded (fun e -> Fvalue.encode e (Flatten.flatten h root)))
+    (Codec.Enc.contents enc)
+
+(* The flattener as it stood before [Flatten.encode]: the reference the
+   heap encoder is checked against. *)
+let reference_flatten heap v =
+  let module Vec = Rs_util.Vec in
+  let nodes = Vec.create () in
+  let memo = Hashtbl.create 8 in
+  let push n =
+    Vec.push nodes n;
+    Vec.length nodes - 1
+  in
+  let rec go v =
+    match v with
+    | Value.Unit -> push Fvalue.Nunit
+    | Value.Bool b -> push (Fvalue.Nbool b)
+    | Value.Int i -> push (Fvalue.Nint i)
+    | Value.Str s -> push (Fvalue.Nstr s)
+    | Value.Tup vs ->
+        let children = Array.map go vs in
+        push (Fvalue.Ntup children)
+    | Value.Ref a -> (
+        match Heap.kind_of heap a with
+        | Heap.Atomic | Heap.Mutex | Heap.Placeholder -> push (Fvalue.Nuid (Option.get (Heap.uid_of heap a)))
+        | Heap.Regular -> (
+            match Hashtbl.find_opt memo a with
+            | Some idx -> idx
+            | None ->
+                let idx = push (Fvalue.Nregular 0) in
+                Hashtbl.add memo a idx;
+                let child = go (Heap.regular_value heap a) in
+                Vec.set nodes idx (Fvalue.Nregular child);
+                idx))
+  in
+  let root = go v in
+  Fvalue.make ~nodes:(Array.of_list (Vec.to_list nodes)) ~root
+
+(* A value over a fixed set of objects: [S_obj i] is one of three atomic
+   objects, three mutexes and two placeholders; [S_reg i] is regular
+   object [i], whose content is [regulars.(i)] — so regular objects can
+   be shared and can form cycles. *)
+type vspec =
+  | S_unit
+  | S_bool of bool
+  | S_int of int
+  | S_str of string
+  | S_tup of vspec list
+  | S_obj of int
+  | S_reg of int
+
+type vcase = { root : vspec; regulars : vspec list }
+
+let rec show_vspec = function
+  | S_unit -> "()"
+  | S_bool b -> string_of_bool b
+  | S_int i -> string_of_int i
+  | S_str s -> Printf.sprintf "%S" s
+  | S_tup l -> "(" ^ String.concat ", " (List.map show_vspec l) ^ ")"
+  | S_obj i -> Printf.sprintf "obj%d" i
+  | S_reg i -> Printf.sprintf "reg%d" i
+
+let show_vcase c =
+  Printf.sprintf "root %s; regulars [%s]" (show_vspec c.root)
+    (String.concat "; " (List.map show_vspec c.regulars))
+
+let gen_vcase =
+  let open QCheck.Gen in
+  let leaf nreg =
+    frequency
+      ([
+         (1, return S_unit);
+         (1, map (fun b -> S_bool b) bool);
+         (2, map (fun i -> S_int i) int);
+         (2, map (fun s -> S_str s) (string_size ~gen:printable (0 -- 8)));
+         (2, map (fun i -> S_obj i) (0 -- 7));
+       ]
+      @ if nreg = 0 then [] else [ (2, map (fun i -> S_reg i) (0 -- (nreg - 1))) ])
+  in
+  let rec value nreg depth =
+    if depth = 0 then leaf nreg
+    else
+      frequency
+        [ (2, leaf nreg); (1, map (fun l -> S_tup l) (list_size (0 -- 5) (value nreg (depth - 1)))) ]
+  in
+  frequency [ (1, return 0); (1, 1 -- 4) ] >>= fun nreg ->
+  frequency
+    [
+      (1, value nreg 4);
+      (* A root as wide as a stable-variable root: over 256 nodes. *)
+      (1, map (fun l -> S_tup l) (list_size (100 -- 400) (value nreg 2)));
+    ]
+  >>= fun root ->
+  list_size (return nreg) (value nreg 3) >>= fun regulars -> return { root; regulars }
+
+let build_vcase c =
+  let h = Heap.create () in
+  let objs =
+    Array.concat
+      [
+        Array.init 3 (fun i -> Heap.alloc_atomic h ~creator:(aid 1) (Value.Int i));
+        Array.init 3 (fun i -> Heap.alloc_mutex h (Value.Int i));
+        Array.init 2 (fun i -> Heap.install_placeholder h (Uid.of_int (9000 + i)));
+      ]
+  in
+  let regs = Array.of_list (List.map (fun _ -> Heap.alloc_regular h Value.Unit) c.regulars) in
+  let rec value = function
+    | S_unit -> Value.Unit
+    | S_bool b -> Value.Bool b
+    | S_int i -> Value.Int i
+    | S_str s -> Value.Str s
+    | S_tup l -> Value.Tup (Array.of_list (List.map value l))
+    | S_obj i -> Value.Ref objs.(i)
+    | S_reg i -> Value.Ref regs.(i)
+  in
+  List.iteri (fun i s -> Heap.set_regular h regs.(i) (value s)) c.regulars;
+  (h, value c.root)
+
+let prop_heap_encoder =
+  QCheck.Test.make ~name:"the heap encoder writes what flatten-then-encode writes" ~count:300
+    (QCheck.make ~print:show_vcase gen_vcase)
+    (fun c ->
+      let h, v = build_vcase c in
+      let reference = reference_flatten h v in
+      (* A prefix checks that the encoder appends. *)
+      let with_prefix f = encoded (fun e -> Codec.Enc.u8 e 0x7f; f e) in
+      let got = with_prefix (fun e -> Flatten.encode h e v) in
+      if got <> with_prefix (fun e -> Fvalue.encode e reference) then
+        QCheck.Test.fail_report "encode differs from the reference";
+      if not (Fvalue.equal (Flatten.flatten h v) reference) then
+        QCheck.Test.fail_report "flatten differs from the reference";
+      let seen = ref [] in
+      Flatten.iter_uids h v (fun u ->
+          if not (List.exists (Uid.equal u) !seen) then seen := u :: !seen);
+      if not (List.equal Uid.equal (List.rev !seen) (Fvalue.uids reference)) then
+        QCheck.Test.fail_report "iter_uids differs from the reference's uids";
+      true)
+
 let suite =
   [
     Alcotest.test_case "alloc kinds" `Quick test_alloc_kinds;
@@ -624,6 +821,11 @@ let suite =
     Alcotest.test_case "flatten replaces uids" `Quick test_flatten_replaces_uids;
     Alcotest.test_case "flatten/rebuild roundtrip" `Quick test_flatten_rebuild_roundtrip;
     Alcotest.test_case "regular object cycle" `Quick test_regular_cycle;
+    Alcotest.test_case "version path forces no minor collection" `Quick
+      test_version_path_forces_no_minor;
+    Alcotest.test_case "heap encoder allocates nothing on a tree" `Quick
+      test_heap_encoder_allocates_nothing;
+    QCheck_alcotest.to_alcotest prop_heap_encoder;
     Alcotest.test_case "placeholder patching" `Quick test_placeholder_patching;
     Alcotest.test_case "dangling placeholder fails" `Quick test_dangling_placeholder_fails;
     Alcotest.test_case "root index sees placeholder patch" `Quick test_root_index_sees_patch;

@@ -197,6 +197,16 @@ let test_vec_drops_elements () =
   Vec.push cleared (ref 4);
   Alcotest.(check int) "a cleared vector grows again" 1 (Vec.length cleared)
 
+let test_vec_grow_forces_no_minor () =
+  let v = Vec.create () in
+  Helpers.check_no_minor "grow to 1000 boxes" (fun () ->
+      for i = 1 to 1000 do
+        Vec.push v (ref i)
+      done);
+  Alcotest.(check (list int)) "elements kept in order" (List.init 1000 (fun i -> i + 1))
+    (List.map ( ! ) (Vec.to_list v));
+  Alcotest.(check int) "to_array" 1000 !((Vec.to_array v).(999))
+
 let test_rng_determinism () =
   let a = Rng.create 7 and b = Rng.create 7 in
   for _ = 1 to 100 do
@@ -345,6 +355,7 @@ let suite =
     Alcotest.test_case "crc32 strides" `Quick test_crc32_strides;
     Alcotest.test_case "vec operations" `Quick test_vec;
     Alcotest.test_case "vec drops elements" `Quick test_vec_drops_elements;
+    Alcotest.test_case "vec growth forces no minor collection" `Quick test_vec_grow_forces_no_minor;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "uid generator" `Quick test_uid_gen;
