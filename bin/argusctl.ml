@@ -51,18 +51,18 @@ let bank_cmd =
     Term.(const bank $ seed_arg $ guardians $ accounts $ transfers $ crash_every $ drop
           $ force_window)
 
+let scheme_of_name = function
+  | "simple" -> Rs_workload.Scheme.simple ()
+  | "hybrid" -> Rs_workload.Scheme.hybrid ()
+  | "shadow" -> Rs_workload.Scheme.shadow ()
+  | s ->
+      Printf.eprintf "unknown scheme %s (simple|hybrid|shadow)\n" s;
+      exit 2
+
 (* churn: single-guardian synthetic workload + housekeeping statistics *)
 
 let churn seed scheme_name objects actions housekeep_every =
-  let scheme =
-    match scheme_name with
-    | "simple" -> Rs_workload.Scheme.simple ()
-    | "hybrid" -> Rs_workload.Scheme.hybrid ()
-    | "shadow" -> Rs_workload.Scheme.shadow ()
-    | s ->
-        Printf.eprintf "unknown scheme %s (simple|hybrid|shadow)\n" s;
-        exit 2
-  in
+  let scheme = scheme_of_name scheme_name in
   let t = ref (Rs_workload.Synth.create ~seed ~scheme ~n_objects:objects ()) in
   let total = ref 0 in
   while !total < actions do
@@ -141,47 +141,41 @@ let log_cmd =
 (* verify: run a workload, then validate the log structurally *)
 
 let verify seed scheme_name actions housekeep =
-  if scheme_name = "shadow" then begin
-    Printf.eprintf "verify: the shadow scheme has no single log to check\n";
-    exit 2
-  end;
-  let scheme =
-    match scheme_name with
-    | "simple" -> Rs_workload.Scheme.simple ()
-    | "hybrid" -> Rs_workload.Scheme.hybrid ()
-    | s ->
-        Printf.eprintf "unknown scheme %s (simple|hybrid)\n" s;
-        exit 2
-  in
+  let scheme = scheme_of_name scheme_name in
   let t = Rs_workload.Synth.create ~seed ~scheme ~n_objects:16 ~mutex_fraction:0.25 () in
   Rs_workload.Synth.run_random_actions t ~n:actions ~objects_per_action:2 ~abort_rate:0.15 ();
   if housekeep then Rs_workload.Scheme.housekeep scheme Rs_workload.Scheme.Snapshot;
-  match Rs_workload.Scheme.current_log scheme with
-  | None -> 2
-  | Some log -> (
-      Printf.printf "checking %d log entries (%d bytes)...\n"
-        (Rs_slog.Stable_log.entry_count log)
-        (Rs_slog.Stable_log.stream_bytes log);
-      let seg_issues =
-        match Rs_workload.Scheme.log_dir scheme with
-        | None -> []
-        | Some dir ->
-            Printf.printf "checking segment chain (%d live segments, %d retired)...\n"
-              (Rs_slog.Log_dir.live_segments dir)
-              (Rs_slog.Log_dir.segments_retired dir);
-            Core.Log_check.check_segments dir
-      in
-      match Core.Log_check.check_log log @ seg_issues with
-      | [] ->
-          print_endline "log structurally sound ✓";
-          0
-      | issues ->
-          List.iter (fun i -> Format.printf "  %a@." Core.Log_check.pp_issue i) issues;
-          Printf.printf "%d issues\n" (List.length issues);
-          1)
+  (* The recovery log's entry structure (shadow keeps none), then the
+     segment chain of every directory the scheme writes. *)
+  let log_issues =
+    match Rs_workload.Scheme.current_log scheme with
+    | None -> []
+    | Some log ->
+        Printf.printf "checking %d log entries (%d bytes)...\n"
+          (Rs_slog.Stable_log.entry_count log)
+          (Rs_slog.Stable_log.stream_bytes log);
+        Core.Log_check.check_log log
+  in
+  let seg_issues =
+    List.concat_map
+      (fun dir ->
+        Printf.printf "checking segment chain (%d live segments, %d retired)...\n"
+          (Rs_slog.Log_dir.live_segments dir)
+          (Rs_slog.Log_dir.segments_retired dir);
+        Core.Log_check.check_segments dir)
+      (Rs_workload.Scheme.log_dirs scheme)
+  in
+  match log_issues @ seg_issues with
+  | [] ->
+      print_endline "log structurally sound ✓";
+      0
+  | issues ->
+      List.iter (fun i -> Format.printf "  %a@." Core.Log_check.pp_issue i) issues;
+      Printf.printf "%d issues\n" (List.length issues);
+      1
 
 let verify_cmd =
-  let scheme = Arg.(value & opt string "hybrid" & info [ "scheme" ] ~doc:"simple|hybrid.") in
+  let scheme = Arg.(value & opt string "hybrid" & info [ "scheme" ] ~doc:"simple|hybrid|shadow.") in
   let actions = Arg.(value & opt int 200 & info [ "actions" ] ~doc:"Actions to run first.") in
   let hk = Arg.(value & flag & info [ "housekeep" ] ~doc:"Snapshot before checking.") in
   Cmd.v
@@ -191,15 +185,7 @@ let verify_cmd =
 (* stats: run a synthetic workload, then dump the Rs_obs metrics registry *)
 
 let stats seed scheme_name objects actions json =
-  let scheme =
-    match scheme_name with
-    | "simple" -> Rs_workload.Scheme.simple ()
-    | "hybrid" -> Rs_workload.Scheme.hybrid ()
-    | "shadow" -> Rs_workload.Scheme.shadow ()
-    | s ->
-        Printf.eprintf "unknown scheme %s (simple|hybrid|shadow)\n" s;
-        exit 2
-  in
+  let scheme = scheme_of_name scheme_name in
   let t = Rs_workload.Synth.create ~seed ~scheme ~n_objects:objects () in
   Rs_workload.Synth.run_random_actions t ~n:actions ~objects_per_action:2 ~abort_rate:0.1 ();
   let _, report = Rs_workload.Synth.crash_recover t in

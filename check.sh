@@ -155,6 +155,24 @@ assert 0 < hybrid < simple, \
     f"expected 0 < hybrid ({hybrid}) < simple ({simple}) recovery entries"
 print(f"metrics ok: physical_writes={pw} over {wr} rounds, "
       f"recovery entries hybrid={hybrid} < simple={simple}")
+# The §1.2.2 writing-cost shape: the logs write the same pages per commit
+# whatever the state size; shadowing rewrites the map at every commit, so
+# it costs more than either log at every size and grows with the state.
+g = json.load(open(sys.argv[1]))["gauges"]
+sizes = [16, 64, 256, 1024]
+ppc = {s: [g[f"e1.{s}.o{n}.pages_per_commit_x10"] for n in sizes]
+       for s in ("simple", "hybrid", "shadow")}
+for s in ("simple", "hybrid"):
+    assert max(ppc[s]) - min(ppc[s]) <= 10, \
+        f"{s} pages/commit x10 not flat across {sizes} objects: {ppc[s]}"
+for i, n in enumerate(sizes):
+    assert ppc["shadow"][i] > max(ppc["simple"][i], ppc["hybrid"][i]), \
+        f"shadow not above the logs at {n} objects: " + \
+        ", ".join(f"{s}={ppc[s][i]}" for s in ppc)
+assert ppc["shadow"][-1] > ppc["shadow"][0], \
+    f"shadow pages/commit x10 does not grow 16 -> 1024 objects: {ppc['shadow']}"
+print("e1 shape ok (pages/commit x10 at " + "/".join(map(str, sizes)) + " objects): " +
+      "; ".join(f"{s} {ppc[s]}" for s in ppc))
 EOF
 else
   # No python3: at least require the key with a nonzero value.

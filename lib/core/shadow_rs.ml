@@ -2,27 +2,21 @@ module Uid = Rs_util.Uid
 module Aid = Rs_util.Aid
 module Codec = Rs_util.Codec
 module Heap = Rs_objstore.Heap
-module Store = Rs_storage.Stable_store
 module Log = Rs_slog.Stable_log
+module Log_dir = Rs_slog.Log_dir
 module Trace = Rs_obs.Trace
 
 type addr = Log_entry.addr
 
-(* The stable footprint: version store, two map areas, map root, and the
-   in-flight log. These survive crashes; everything else is volatile. *)
-type stores = {
-  vstore : Store.t;
-  areas : Store.t array;
-  root : Store.t;
-  istore : Store.t;
-}
-
+(* The stable footprint is three log directories; everything else is
+   volatile. The version store and the in-flight log are the current logs
+   of [vdir] and [idir], never switched; each map generation is a fresh
+   log of [mdir], made current by [Log_dir.switch]. *)
 type t = {
   heap : Heap.t;
-  stores : stores;
-  vlog : Log.t;
-  mutable ilog : Log.t;
-  mutable slot : int; (* current map area *)
+  vdir : Log_dir.t;
+  idir : Log_dir.t;
+  mdir : Log_dir.t;
   map : (addr * Log_entry.otype) Uid.Tbl.t; (* uid -> version address *)
   mutable acc : Uid.Set.t;
   pat : unit Aid.Tbl.t;
@@ -31,18 +25,8 @@ type t = {
 }
 
 let heap t = t.heap
-
-let encode_root slot =
-  let e = Codec.Enc.create ~size:4 () in
-  Codec.Enc.varint e slot;
-  Codec.Enc.contents e
-
-let decode_root s =
-  let d = Codec.Dec.of_string s in
-  let slot = Codec.Dec.varint d in
-  Codec.Dec.expect_end d;
-  if slot <> 0 && slot <> 1 then failwith "Shadow_rs: corrupt map root";
-  slot
+let vlog t = Log_dir.current t.vdir
+let ilog t = Log_dir.current t.idir
 
 let encode_map map =
   let e = Codec.Enc.create ~size:256 () in
@@ -77,32 +61,21 @@ let decode_map s =
   Codec.Dec.expect_end d;
   entries
 
-(* Writing the map: format the spare area as a one-entry log, force the
-   serialized map into it, then flip the root — the atomic switch of the
-   shadowing scheme. *)
+(* Writing the map: force the serialized map into a fresh generation of
+   the map directory, then switch to it — the directory's root write is
+   the atomic switch of the shadowing scheme. A crash before it leaves
+   the new generation's segments as orphans that [Log_dir.open_] sweeps. *)
 let install_map t =
-  let spare = 1 - t.slot in
-  let mlog = Log.create (t.stores.areas.(spare)) in
-  ignore (Log.force_write mlog (encode_map t.map));
-  Store.put t.stores.root 0 (encode_root spare);
-  t.slot <- spare
+  ignore (Log.force_write (Log_dir.begin_new t.mdir) (encode_map t.map));
+  Log_dir.switch t.mdir
 
 let create heap () =
-  let stores =
-    {
-      vstore = Store.create ~pages:8 ();
-      areas = [| Store.create ~pages:8 (); Store.create ~pages:8 () |];
-      root = Store.create ~pages:1 ();
-      istore = Store.create ~pages:8 ();
-    }
-  in
   let t =
     {
       heap;
-      stores;
-      vlog = Log.create stores.vstore;
-      ilog = Log.create stores.istore;
-      slot = 0;
+      vdir = Log_dir.create ();
+      idir = Log_dir.create ();
+      mdir = Log_dir.create ();
       map = Uid.Tbl.create 64;
       acc = Uid.Set.singleton Uid.stable_vars;
       pat = Aid.Tbl.create 8;
@@ -110,8 +83,7 @@ let create heap () =
       committing_active = Aid.Tbl.create 4;
     }
   in
-  ignore (Log.force_write (Log.create stores.areas.(0)) (encode_map t.map));
-  Store.put stores.root 0 (encode_root 0);
+  install_map t;
   t
 
 let pending_tbl t aid =
@@ -123,7 +95,7 @@ let pending_tbl t aid =
       tbl
 
 let write_version t ~uid ~otype ~aid version =
-  Log_entry.write_data t.vlog ~uid:(Some uid) ~otype ~aid version
+  Log_entry.write_data (vlog t) ~uid:(Some uid) ~otype ~aid version
 
 (* The encoder of a version that is already flattened. *)
 let flat version e = Rs_objstore.Fvalue.encode e version
@@ -143,7 +115,7 @@ let sink_for t aid : Write_objects.sink =
         let a = write_version t ~uid ~otype:Log_entry.Atomic ~aid:None (flat version) in
         Uid.Tbl.replace t.map uid (a, Log_entry.Atomic);
         ignore
-          (Log_entry.write t.ilog (Log_entry.Committed_ss { cssl = [ (uid, a) ]; prev = None })));
+          (Log_entry.write (ilog t) (Log_entry.Committed_ss { cssl = [ (uid, a) ]; prev = None })));
     prepared_data =
       (fun ~uid ~aid version ->
         (* Current version of a newly accessible object held by another
@@ -153,7 +125,7 @@ let sink_for t aid : Write_objects.sink =
         let a = write_version t ~uid ~otype:Log_entry.Atomic ~aid:(Some aid) (flat version) in
         Uid.Tbl.replace (pending_tbl t aid) uid (a, Log_entry.Atomic);
         ignore
-          (Log_entry.write t.ilog
+          (Log_entry.write (ilog t)
              (Log_entry.Prepared { aid; pairs = Some [ (uid, a) ]; prev = None })));
   }
 
@@ -164,29 +136,30 @@ let prepare t aid mos =
        ~add_accessible:(fun u -> t.acc <- Uid.Set.add u t.acc)
        ~prepared:(fun a -> Aid.Tbl.mem t.pat a)
        ~aid ~mos ~sink:(sink_for t aid));
-  Log.force t.vlog;
+  Log.force (vlog t);
   let pairs =
     Uid.Tbl.fold (fun u (a, _) acc -> (u, a) :: acc) (pending_tbl t aid) []
     |> List.sort (fun (a, _) (b, _) -> Uid.compare a b)
   in
   ignore
-    (Log.force_write t.ilog
+    (Log.force_write (ilog t)
        (Log_entry.encode (Log_entry.Prepared { aid; pairs = Some pairs; prev = None })));
   Aid.Tbl.replace t.pat aid ()
 
 (* Truncate the in-flight log when nothing is in flight: participant data
    is all reflected in the stably written map, and no coordinator is mid
    phase two. Committed/aborted records of finished actions may be
-   forgotten: a resent commit/abort is acknowledged idempotently. *)
+   forgotten: a resent commit/abort is acknowledged idempotently. Retiring
+   the whole stream costs one header write. *)
 let maybe_truncate_ilog t =
   if
     Aid.Tbl.length t.pat = 0
     && Aid.Tbl.length t.pending = 0
     && Aid.Tbl.length t.committing_active = 0
-  then t.ilog <- Log.create t.stores.istore
+  then Log.retire_below (ilog t) (Log.end_addr (ilog t))
 
 let commit t aid =
-  ignore (Log.force_write t.ilog (Log_entry.encode (Log_entry.Committed { aid; prev = None })));
+  ignore (Log.force_write (ilog t) (Log_entry.encode (Log_entry.Committed { aid; prev = None })));
   (match Aid.Tbl.find_opt t.pending aid with
   | Some tbl -> Uid.Tbl.iter (fun u entry -> Uid.Tbl.replace t.map u entry) tbl
   | None -> ());
@@ -196,7 +169,7 @@ let commit t aid =
   maybe_truncate_ilog t
 
 let abort t aid =
-  ignore (Log.force_write t.ilog (Log_entry.encode (Log_entry.Aborted { aid; prev = None })));
+  ignore (Log.force_write (ilog t) (Log_entry.encode (Log_entry.Aborted { aid; prev = None })));
   (* Mutex versions written by this prepared action survive the abort
      (§2.4.2): they are installed in the map even though the atomic
      versions are discarded. *)
@@ -220,21 +193,17 @@ let abort t aid =
 let map_size t = Uid.Tbl.length t.map
 
 let recover old =
-  let stores = old.stores in
-  Store.recover stores.root;
+  let vdir = Log_dir.open_ old.vdir in
+  let idir = Log_dir.open_ old.idir in
+  let mdir = Log_dir.open_ old.mdir in
   let heap = Heap.create () in
   let ctx = Restore.create_ctx heap in
-  let vlog = Log.open_ stores.vstore in
-  let ilog = Log.open_ stores.istore in
-  let slot =
-    match Store.get stores.root 0 with
-    | Some s -> decode_root s
-    | None -> failwith "Shadow_rs.recover: lost map root"
-  in
+  let vlog = Log_dir.current vdir in
+  let ilog = Log_dir.current idir in
   let map_entries =
-    let mlog = Log.open_ stores.areas.(slot) in
+    let mlog = Log_dir.current mdir in
     match Log.get_top mlog with
-    | None -> failwith "Shadow_rs.recover: empty map area"
+    | None -> failwith "Shadow_rs.recover: empty map log"
     | Some a -> decode_map (Log.read mlog a)
   in
   let read_data = Log_entry.read_data vlog in
@@ -270,10 +239,9 @@ let recover old =
   let t =
     {
       heap;
-      stores;
-      vlog;
-      ilog;
-      slot;
+      vdir;
+      idir;
+      mdir;
       map = Uid.Tbl.create 64;
       acc = Uid.Set.add Uid.stable_vars (Heap.reachable_uids heap);
       pat = Aid.Tbl.create 8;
@@ -326,12 +294,4 @@ let recover old =
   if !stale then install_map t;
   (t, info)
 
-let stable_stores t =
-  [ t.stores.vstore; t.stores.areas.(0); t.stores.areas.(1); t.stores.root; t.stores.istore ]
-
-let physical_writes t =
-  Store.physical_writes t.stores.vstore
-  + Store.physical_writes t.stores.areas.(0)
-  + Store.physical_writes t.stores.areas.(1)
-  + Store.physical_writes t.stores.root
-  + Store.physical_writes t.stores.istore
+let log_dirs t = [ t.vdir; t.idir; t.mdir ]

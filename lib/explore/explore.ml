@@ -92,7 +92,7 @@ let fsck_guardian g =
   let ldir = Guardian.log_dir g in
   let name = Gid.to_string (Guardian.gid g) in
   Oracle.check_log (Some (Log_dir.current ldir))
-  @ Oracle.check_segments (Some ldir)
+  @ Oracle.check_segments [ ldir ]
   @ Oracle.check_stores (Log_dir.stores ldir)
   |> List.map (fun (v : Oracle.violation) -> { v with detail = name ^ ": " ^ v.detail })
 

@@ -50,18 +50,19 @@ let check_stores stores =
            (Store.agreement_issues store))
        stores)
 
-let check_segments = function
-  | None -> []
-  | Some dir ->
+let check_segments dirs =
+  List.concat_map
+    (fun dir ->
       List.map
         (fun issue ->
           {
             oracle = "segment-fsck";
             detail = Format.asprintf "%a" Core.Log_check.pp_issue issue;
           })
-        (Core.Log_check.check_segments dir)
+        (Core.Log_check.check_segments dir))
+    dirs
 
 let check_scheme scheme =
   check_log (Scheme.current_log scheme)
-  @ check_segments (Scheme.log_dir scheme)
+  @ check_segments (Scheme.log_dirs scheme)
   @ check_stores (Scheme.stable_stores scheme)

@@ -23,11 +23,11 @@ val check_log : Rs_slog.Stable_log.t option -> violation list
 (** {!Core.Log_check.check_log} on the scheme's current log, one
     violation per issue. [None] (shadow) passes vacuously. *)
 
-val check_segments : Rs_slog.Log_dir.t option -> violation list
-(** {!Core.Log_check.check_segments} on the scheme's log directory, one
-    violation per issue — the segment chain must tile the live stream
-    with no orphans after every recovery. [None] (shadow) and monolithic
-    directories pass vacuously. *)
+val check_segments : Rs_slog.Log_dir.t list -> violation list
+(** {!Core.Log_check.check_segments} on each of the scheme's log
+    directories (one for simple and hybrid, three for shadow), one
+    violation per issue — every segment chain must tile its live stream
+    with no orphans after every recovery. *)
 
 val check_stores : Rs_storage.Stable_store.t list -> violation list
 (** For each store: run {!Rs_storage.Stable_store.recover}, then demand
@@ -35,5 +35,5 @@ val check_stores : Rs_storage.Stable_store.t list -> violation list
     representation must be repairable back to full agreement. *)
 
 val check_scheme : Rs_workload.Scheme.t -> violation list
-(** {!check_log} on the scheme's current log plus {!check_stores} on all
-    its stable stores. *)
+(** {!check_log} on the scheme's current log, {!check_segments} on all
+    its log directories, and {!check_stores} on all its stable stores. *)

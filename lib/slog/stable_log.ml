@@ -35,11 +35,11 @@ let skip_header_write = ref false
 let set_skip_header_write b = skip_header_write := b
 
 (* ------------------------------------------------------------------ *)
-(* Segments. A segmented log spreads its stream pages over fixed-size
-   segment stores obtained from a provider (Log_dir's shared pool); the
-   anchor store then holds only the header page. Stream page [g] lives in
-   segment [g / segment_pages] at store page [1 + g mod segment_pages]
-   (page 0 of every segment store is its self-describing header). *)
+(* Segments. A log spreads its stream pages over fixed-size segment
+   stores obtained from a provider (Log_dir's shared pool); the anchor
+   store holds only the header page. Stream page [g] lives in segment
+   [g / segment_pages] at store page [1 + g mod segment_pages] (page 0 of
+   every segment store is its self-describing header). *)
 
 type provider = {
   alloc : unit -> int * Store.t;
@@ -91,16 +91,12 @@ let decode_segment_header s =
   Codec.Dec.expect_end dec;
   { seg_id; seg_index; seg_prev_id; seg_base; seg_page_size; seg_pages }
 
-type segmentation = {
-  provider : provider;
-  segment_pages : int; (* data pages per segment *)
-  mutable table : (int * int) list; (* index -> segment id, ascending index *)
-}
-
 type t = {
   store : Store.t; (* the anchor: holds the header page *)
   page_size : int;
-  seg : segmentation option;
+  provider : provider;
+  segment_pages : int; (* data pages per segment *)
+  mutable table : (int * int) list; (* index -> segment id, ascending index *)
   mutable forced_len : int; (* stable stream bytes *)
   mutable low_water : int; (* addresses below are retired: unreadable, unchained *)
   mutable forced_entries : int;
@@ -141,11 +137,8 @@ let encode_header t =
   Codec.Enc.varint enc t.last_offset;
   Codec.Enc.varint enc t.page_size;
   Codec.Enc.varint enc t.low_water;
-  Codec.Enc.varint enc (match t.seg with None -> 0 | Some s -> s.segment_pages);
-  Codec.Enc.list
-    (Codec.Enc.pair Codec.Enc.varint Codec.Enc.varint)
-    enc
-    (match t.seg with None -> [] | Some s -> s.table);
+  Codec.Enc.varint enc t.segment_pages;
+  Codec.Enc.list (Codec.Enc.pair Codec.Enc.varint Codec.Enc.varint) enc t.table;
   Codec.Enc.contents enc
 
 let decode_header s =
@@ -162,12 +155,14 @@ let decode_header s =
 
 let write_header t = Store.put t.store 0 (encode_header t)
 
-let mk ~store ~page_size ~seg ~cache_pages ~forced_len ~low_water ~forced_entries
-    ~last_offset =
+let mk ~store ~page_size ~provider ~segment_pages ~table ~cache_pages ~forced_len ~low_water
+    ~forced_entries ~last_offset =
   {
     store;
     page_size;
-    seg;
+    provider;
+    segment_pages;
+    table;
     forced_len;
     low_water;
     forced_entries;
@@ -195,29 +190,18 @@ let set_label t s =
 let label t = t.label
 let set_on_force t h = t.on_force <- h
 
-let create ?(page_size = 1024) ?(cache_pages = 128) ?segment_pages ?provider store =
+let create ?(page_size = 1024) ?(cache_pages = 128) ~segment_pages ~provider store =
   if page_size <= 0 then invalid_arg "Stable_log.create: page_size must be positive";
   if cache_pages <= 0 then invalid_arg "Stable_log.create: cache_pages must be positive";
-  let seg =
-    match (segment_pages, provider) with
-    | (None | Some 0), _ -> None (* a provider alone leaves the log monolithic *)
-    | Some n, _ when n < 0 -> invalid_arg "Stable_log.create: segment_pages must be >= 0"
-    | Some _, None -> invalid_arg "Stable_log.create: segment_pages requires a provider"
-    | Some n, Some provider -> Some { provider; segment_pages = n; table = [] }
-  in
+  if segment_pages < 1 then invalid_arg "Stable_log.create: segment_pages must be >= 1";
   let t =
-    mk ~store ~page_size ~seg ~cache_pages ~forced_len:0 ~low_water:0 ~forced_entries:0
-      ~last_offset:(-1)
+    mk ~store ~page_size ~provider ~segment_pages ~table:[] ~cache_pages ~forced_len:0
+      ~low_water:0 ~forced_entries:0 ~last_offset:(-1)
   in
   write_header t;
-  (* Reformatting returns any data pages a previous occupant provisioned:
-     only the header page survives a [create]. Shrink strictly {e after}
-     the header put commits the empty log — a crash during that put leaves
-     the old header, which must still find its data pages. *)
-  Store.shrink store 1;
   t
 
-let open_ ?(cache_pages = 128) ?provider store =
+let open_ ?(cache_pages = 128) ~provider store =
   match Store.get store 0 with
   | None -> failwith "Stable_log.open_: no log header"
   | Some hdr ->
@@ -226,39 +210,27 @@ let open_ ?(cache_pages = 128) ?provider store =
         try decode_header hdr
         with Codec.Error msg -> failwith ("Stable_log.open_: bad header: " ^ msg)
       in
-      let seg =
-        if segment_pages = 0 then None
-        else
-          match provider with
-          | Some provider -> Some { provider; segment_pages; table }
-          | None -> failwith "Stable_log.open_: segmented log needs a provider"
-      in
-      mk ~store ~page_size ~seg ~cache_pages ~forced_len ~low_water ~forced_entries
-        ~last_offset
+      if segment_pages < 1 then failwith "Stable_log.open_: bad header: no segment size";
+      mk ~store ~page_size ~provider ~segment_pages ~table ~cache_pages ~forced_len ~low_water
+        ~forced_entries ~last_offset
 
 (* Byte access: stream byte [i] lives on stream page [i/page_size] —
-   store page [1 + that] of the anchor (monolithic) or of the covering
-   segment. Pages are fetched on demand through a bounded LRU cache;
-   absent bytes (never forced, or in the pending region) come from the
-   pending buffer. *)
+   store page [1 + that mod segment_pages] of the covering segment. Pages
+   are fetched on demand through a bounded LRU cache; absent bytes (never
+   forced, or in the pending region) come from the pending buffer. *)
+
+let segment_store t id =
+  match t.provider.lookup id with
+  | Some store -> store
+  | None -> failwith (Printf.sprintf "Stable_log: segment %d not in the pool" id)
 
 let fetch_page t p =
-  match t.seg with
-  | None -> (
-      match Store.get t.store (1 + p) with
+  match List.assoc_opt (p / t.segment_pages) t.table with
+  | None -> failwith (Printf.sprintf "Stable_log: page %d has no live segment" p)
+  | Some id -> (
+      match Store.get (segment_store t id) (1 + (p mod t.segment_pages)) with
       | Some data -> data
       | None -> failwith (Printf.sprintf "Stable_log: lost data page %d" p))
-  | Some s -> (
-      let idx = p / s.segment_pages in
-      match List.assoc_opt idx s.table with
-      | None -> failwith (Printf.sprintf "Stable_log: page %d has no live segment" p)
-      | Some id -> (
-          match s.provider.lookup id with
-          | None -> failwith (Printf.sprintf "Stable_log: segment %d not in the pool" id)
-          | Some store -> (
-              match Store.get store (1 + (p mod s.segment_pages)) with
-              | Some data -> data
-              | None -> failwith (Printf.sprintf "Stable_log: lost data page %d" p))))
 
 let page_data t p =
   match Lru.find t.pages p with
@@ -437,17 +409,14 @@ type segment_scan = {
 let scan_segments t f =
   check_alive t;
   let lo_all = t.low_water and hi_all = t.forced_len in
+  let cap = t.segment_pages * t.page_size in
   let ranges =
-    match t.seg with
-    | None -> if hi_all > lo_all then [ (-1, lo_all, hi_all) ] else []
-    | Some s ->
-        let cap = s.segment_pages * t.page_size in
-        List.filter_map
-          (fun (idx, id) ->
-            let base = idx * cap in
-            let lo = max base lo_all and hi = min (base + cap) hi_all in
-            if hi > lo then Some (id, lo, hi) else None)
-          s.table
+    List.filter_map
+      (fun (idx, id) ->
+        let base = idx * cap in
+        let lo = max base lo_all and hi = min (base + cap) hi_all in
+        if hi > lo then Some (id, lo, hi) else None)
+      t.table
   in
   let stats = ref [] in
   let pos = ref lo_all in
@@ -517,34 +486,28 @@ let write t entry = write_with t (fun enc -> Codec.Enc.raw enc entry)
    links it: a crash before that header write leaves it unreferenced, and
    [Log_dir.open_] sweeps it back into the pool. *)
 let ensure_page_store t p =
-  match t.seg with
-  | None -> (t.store, 1 + p, false)
-  | Some s -> (
-      let idx = p / s.segment_pages in
-      let store_page = 1 + (p mod s.segment_pages) in
-      match List.assoc_opt idx s.table with
-      | Some id -> (
-          match s.provider.lookup id with
-          | Some store -> (store, store_page, false)
-          | None -> failwith (Printf.sprintf "Stable_log: segment %d not in the pool" id))
-      | None ->
-          let id, store = s.provider.alloc () in
-          let hdr =
-            {
-              seg_id = id;
-              seg_index = idx;
-              seg_prev_id = List.assoc_opt (idx - 1) s.table;
-              seg_base = idx * s.segment_pages * t.page_size;
-              seg_page_size = t.page_size;
-              seg_pages = s.segment_pages;
-            }
-          in
-          Store.put store 0 (encode_segment_header hdr);
-          s.table <- List.merge compare s.table [ (idx, id) ];
-          if Trace.recording () then Trace.emit (Trace.Segment_alloc { id; index = idx })
-          else Trace.skip ();
-          seg_event (Seg_alloc id);
-          (store, store_page, true))
+  let idx = p / t.segment_pages in
+  let store_page = 1 + (p mod t.segment_pages) in
+  match List.assoc_opt idx t.table with
+  | Some id -> (segment_store t id, store_page, false)
+  | None ->
+      let id, store = t.provider.alloc () in
+      let hdr =
+        {
+          seg_id = id;
+          seg_index = idx;
+          seg_prev_id = List.assoc_opt (idx - 1) t.table;
+          seg_base = idx * t.segment_pages * t.page_size;
+          seg_page_size = t.page_size;
+          seg_pages = t.segment_pages;
+        }
+      in
+      Store.put store 0 (encode_segment_header hdr);
+      t.table <- List.merge compare t.table [ (idx, id) ];
+      if Trace.recording () then Trace.emit (Trace.Segment_alloc { id; index = idx })
+      else Trace.skip ();
+      seg_event (Seg_alloc id);
+      (store, store_page, true)
 
 (* Flush the pending entries: hand each chunk to the page cache and the
    store (only a partial last page is cut to length; full chunks go as
@@ -604,7 +567,7 @@ let force ?(write_around = false) t =
           {
             fb_base = start;
             fb_entries = batch;
-            fb_table = (match t.seg with None -> [] | Some s -> s.table);
+            fb_table = t.table;
             fb_low_water = t.low_water;
           })
       t.on_force;
@@ -619,8 +582,8 @@ let force_write t entry =
 (* Release one segment's pages back to the pool (volatile bookkeeping
    only — the commit point is whichever header/root write made the
    segment unreachable first). *)
-let release_segment s id =
-  s.provider.release id;
+let release_segment t id =
+  t.provider.release id;
   if Trace.recording () then Trace.emit (Trace.Segment_retire { id }) else Trace.skip ();
   seg_event (Seg_retire id)
 
@@ -639,22 +602,13 @@ let retire_below t addr =
   let addr = min addr t.forced_len in
   if addr > t.low_water then begin
     t.low_water <- addr;
-    let dead =
-      match t.seg with
-      | None -> []
-      | Some s ->
-          let cap = s.segment_pages * t.page_size in
-          let dead, live = List.partition (fun (idx, _) -> ((idx + 1) * cap) <= addr) s.table in
-          s.table <- live;
-          List.map snd dead
-    in
+    let cap = t.segment_pages * t.page_size in
+    let dead, live = List.partition (fun (idx, _) -> (idx + 1) * cap <= addr) t.table in
+    t.table <- live;
     write_header t;
     seg_event Seg_link;
-    (match t.seg with
-    | Some s ->
-        List.iter (release_segment s) dead;
-        if dead <> [] then Lru.clear t.pages
-    | None -> ())
+    List.iter (fun (_, id) -> release_segment t id) dead;
+    if dead <> [] then Lru.clear t.pages
   end
 
 let get_top t =
@@ -687,9 +641,9 @@ let live_bytes t =
 
 let page_size t = t.page_size
 
-let segment_pages t = match t.seg with None -> 0 | Some s -> s.segment_pages
+let segment_pages t = t.segment_pages
 
-let segment_table t = match t.seg with None -> [] | Some s -> s.table
+let segment_table t = t.table
 
 let forces t =
   check_alive t;
@@ -714,10 +668,7 @@ let destroy t =
   if t.alive then begin
     t.alive <- false;
     Lru.clear t.pages;
-    match t.seg with
-    | None -> ()
-    | Some s ->
-        let ids = List.map snd s.table in
-        s.table <- [];
-        List.iter (release_segment s) ids
+    let ids = List.map snd t.table in
+    t.table <- [];
+    List.iter (release_segment t) ids
   end

@@ -9,28 +9,24 @@
     returning. After a crash the unforced suffix is gone — exactly the
     property two-phase commit relies on when it forces outcome entries.
 
-    On-disk layout (over atomic {!Rs_storage.Stable_store}s): logical page
-    0 of the {e anchor} store holds a header [(stream_length, entry_count,
-    last_offset, page_size, low_water, segment_pages, segment_table)];
-    the entry stream lives on data pages, each entry framed as
+    On-disk layout (over atomic {!Rs_storage.Stable_store}s): the {e
+    anchor} store holds one page, the header [(stream_length,
+    entry_count, last_offset, page_size, low_water, segment_pages,
+    segment_table)]. The entry stream is spread over fixed-size {e
+    segment} stores drawn from a {!type-provider}'s pool: with
+    [segment_pages = n], stream page [g] lives in segment [g / n] at store
+    page [1 + g mod n], and page 0 of each segment store carries a
+    self-describing {!type-segment_header}. Each entry is framed as
     [u32 length ++ payload ++ u32 length] — the trailing length lets
     {!read_backward} walk the log without an index. A force writes the
     dirty data pages and then the header; the header update is the single
     atomic commit point, so a crash mid-force leaves the previous
-    consistent state.
-
-    {b Monolithic vs segmented.} By default the stream pages follow the
-    header on the anchor store itself, which can only grow. Given a
-    {!type-provider} and [~segment_pages:n], the stream is instead spread
-    over fixed-size {e segment} stores drawn from the provider's pool:
-    stream page [g] lives in segment [g / n] at store page
-    [1 + g mod n], and page 0 of each segment store carries a
-    self-describing {!type-segment_header}. The log header's segment
-    table is the chain spine: a segment exists only once a header write
-    names it (allocation commits with the same force that commits the
-    bytes), and {!retire_below} unlinks wholly-dead segments with one
-    header write before returning their pages — online space reclamation
-    with the header as the single commit point throughout.
+    consistent state. The header's segment table is the chain spine: a
+    segment exists only once a header write names it (allocation commits
+    with the same force that commits the bytes), and {!retire_below}
+    unlinks wholly-dead segments with one header write before returning
+    their pages — online space reclamation with the header as the single
+    commit point throughout.
 
     {b The pending region.} Buffered entries are framed straight into
     page-sized byte chunks as they are written: chunk [i] is stream page
@@ -124,24 +120,22 @@ val label : t -> string
 val create :
   ?page_size:int ->
   ?cache_pages:int ->
-  ?segment_pages:int ->
-  ?provider:provider ->
+  segment_pages:int ->
+  provider:provider ->
   Rs_storage.Stable_store.t ->
   t
-(** [create store] formats [store] as a fresh, empty log; any data pages a
-    previous occupant provisioned are shrunk away. [page_size] is the data
-    bytes per logical page (default 1024); [cache_pages] bounds the
-    volatile LRU page cache (default 128). [segment_pages > 0] with a
-    [provider] makes the log segmented ([store] then only ever holds the
-    header page); [segment_pages] defaults to 0 (monolithic) and requires
-    [provider] when positive. *)
+(** [create ~segment_pages ~provider store] formats the anchor [store] as
+    a fresh, empty log whose stream pages come from [provider] in
+    segments of [segment_pages] data pages. [page_size] is the data bytes
+    per logical page (default 1024); [cache_pages] bounds the volatile
+    LRU page cache (default 128). Raises [Invalid_argument] if
+    [segment_pages < 1]. *)
 
-val open_ : ?cache_pages:int -> ?provider:provider -> Rs_storage.Stable_store.t -> t
-(** [open_ store] re-opens a previously created log after a crash,
-    recovering exactly the forced prefix. Reads only the header page —
-    cost independent of log size. Raises [Failure] if [store] holds no
-    valid log header, or if the header says the log is segmented and no
-    [provider] is given. *)
+val open_ : ?cache_pages:int -> provider:provider -> Rs_storage.Stable_store.t -> t
+(** [open_ ~provider store] re-opens a previously created log after a
+    crash, recovering exactly the forced prefix; its segments resolve
+    through [provider]. Reads only the header page — cost independent of
+    log size. Raises [Failure] if [store] holds no valid log header. *)
 
 val write_with : t -> (Rs_util.Codec.Enc.t -> unit) -> addr
 (** [write_with t f] appends one entry (buffered; not yet stable) whose
@@ -185,7 +179,7 @@ val read_forward : t -> addr -> (addr * string) Seq.t
     to a new log. *)
 
 type segment_scan = {
-  scan_id : int;  (** pool id of the segment, or [-1] for a monolithic log *)
+  scan_id : int;  (** pool id of the segment *)
   scan_base : addr;  (** first live stream byte the reader covered *)
   scan_len : int;  (** live stream bytes in the reader's range *)
   scan_first : addr option;
@@ -209,8 +203,7 @@ val scan_segments :
     An entry
     straddling a segment boundary is delivered by the reader owning its
     frame's start. Buffered (unforced) entries are not visited — after a
-    crash they are gone anyway. A monolithic log scans as a single
-    pseudo-segment with id [-1]. Returns the per-reader statistics,
+    crash they are gone anyway. Returns the per-reader statistics,
     ascending by base address. *)
 
 val end_addr : t -> addr
@@ -224,9 +217,9 @@ val get_top : t -> addr option
 val retire_below : t -> addr -> unit
 (** [retire_below t a] declares every entry below address [a] dead —
     recovery will never visit it again — and reclaims the space it can:
-    the low-water mark rises to [a] (clamped to the forced stream) and,
-    in a segmented log, every segment wholly below the mark is unlinked
-    and its pages returned to the pool. The header write recording the
+    the low-water mark rises to [a] (clamped to the forced stream) and
+    every segment wholly below the mark is unlinked and its pages
+    returned to the pool. The header write recording the
     new mark and table is the single atomic commit point; pages are
     released only after it, so a crash in between merely leaves orphan
     segments for {!Log_dir.open_} to sweep. The segment containing the
@@ -254,11 +247,10 @@ val live_bytes : t -> int
 val page_size : t -> int
 
 val segment_pages : t -> int
-(** Data pages per segment, or 0 for a monolithic log. *)
+(** Data pages per segment. *)
 
 val segment_table : t -> (int * int) list
-(** Live [(index, segment id)] pairs, ascending index; [] when
-    monolithic. *)
+(** Live [(index, segment id)] pairs, ascending index. *)
 
 val forces : t -> int
 (** Number of force operations performed (each costs synchronous I/O). *)
@@ -278,8 +270,7 @@ val cache_hits : t -> int
 
 val cache_misses : t -> int
 val store : t -> Rs_storage.Stable_store.t
-(** The anchor store (header page; plus the whole stream when
-    monolithic). *)
+(** The anchor store, which holds the header page. *)
 
 val set_force_hook : (unit -> unit) option -> unit
 (** Install (or clear) the process-wide fault-point census hook: it runs
@@ -296,7 +287,7 @@ val set_skip_header_write : bool -> unit
     (the [--break-force] self-test). *)
 
 val destroy : t -> unit
-(** Invalidate the in-memory handle (the thesis's [destroy]) and, in a
-    segmented log, return every remaining segment to the pool — nothing
+(** Invalidate the in-memory handle (the thesis's [destroy]) and return
+    every remaining segment to the pool — nothing
     can name this log's pages once its slot is no longer current.
     Subsequent operations raise [Invalid_argument]. *)

@@ -120,11 +120,6 @@ let decay t p =
   check_nonneg p "decay";
   if p < Array.length t.pages then note_decay t p
 
-let shrink t n =
-  check_nonneg n "shrink";
-  let n = max n 1 in
-  if n < Array.length t.pages then t.pages <- Array.sub t.pages 0 n
-
 let set_crash_after t n =
   if n < 0 then invalid_arg "Disk.set_crash_after: negative";
   t.crash_in <- Some n

@@ -52,13 +52,6 @@ val decay : t -> int -> unit
 (** Force page [p] bad: simulates spontaneous storage decay. No-op beyond
     the end. *)
 
-val shrink : t -> int -> unit
-(** [shrink t n] returns every page at index >= [n] to the free pool (the
-    disk keeps at least one page); their contents are gone. The inverse of
-    the automatic growth in {!write} — reformatting a store over a
-    previously large log reclaims the simulated platters instead of
-    keeping the high-water mark provisioned forever. Tallies are kept. *)
-
 val set_write_hook : (t -> int -> unit) option -> unit
 (** Install (or clear, with [None]) the process-wide fault-point census
     hook: it observes every physical write on every disk, receiving the

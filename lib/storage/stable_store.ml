@@ -76,13 +76,13 @@ let repair disk p data =
   Trace.emit (Trace.Store_repair { page = p });
   Disk.write disk p (frame data)
 
-let get t p =
-  check t p "get";
+(* The one repair rule, shared by [get] and [recover]: read both
+   replicas, mend whichever is bad or stale from its partner, and return
+   the surviving value. A crash between the two careful writes leaves B
+   readable but stale; A is written first, so A is never older. *)
+let mend t p =
   match read_pair t p with
   | Some va, Some vb ->
-      (* A crash between the two careful writes leaves B readable but
-         stale; A is written first, so A is never older. Mend B now rather
-         than leaving the divergence for the next offline [recover]. *)
       if not (String.equal va vb) then repair t.b p va;
       Some va
   | Some va, None ->
@@ -92,6 +92,10 @@ let get t p =
       repair t.a p vb;
       Some vb
   | None, None -> None
+
+let get t p =
+  check t p "get";
+  mend t p
 
 (* Crash arming is coordinated across the two disks: a single countdown of
    physical writes, decremented here, delegated to whichever disk performs
@@ -147,20 +151,8 @@ let put t p data =
 
 let recover t =
   for p = 0 to pages t - 1 do
-    match read_pair t p with
-    | Some va, Some vb ->
-        if not (String.equal va vb) then
-          (* A crash fell between the two careful writes: A holds the newer
-             value (A is always written first), so propagate it. *)
-          repair t.b p va
-    | Some va, None -> repair t.b p va
-    | None, Some vb -> repair t.a p vb
-    | None, None -> ()
+    ignore (mend t p)
   done
-
-let shrink t n =
-  Disk.shrink t.a n;
-  Disk.shrink t.b n
 
 let arm_crash t ~after_writes =
   if after_writes < 0 then invalid_arg "Stable_store.arm_crash: negative";

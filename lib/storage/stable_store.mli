@@ -37,13 +37,6 @@ val recover : t -> unit
 (** Repair pass: for every logical page, copy the good representative over
     a bad or diverged partner. Run after a crash before using the store. *)
 
-val shrink : t -> int -> unit
-(** [shrink t n] drops both representatives of every logical page at index
-    >= [n] (at least one page is kept), returning the simulated disk space.
-    Used when a store is reformatted over a smaller structure — e.g.
-    {!Rs_slog.Stable_log.create} on a reused slot, or a shadow map area —
-    so provisioned pages track live state rather than the high-water mark. *)
-
 val arm_crash : t -> after_writes:int -> unit
 (** Arm a crash after [after_writes] further physical page writes. *)
 

@@ -88,13 +88,13 @@ let current_log = function
   | Hybrid { rs; _ } -> Some (Core.Hybrid_rs.log rs)
   | Shadow _ -> None
 
-let stable_stores = function
-  | Simple { dir; _ } | Hybrid { dir; _ } -> Log_dir.stores dir
-  | Shadow { rs; _ } -> Core.Shadow_rs.stable_stores rs
+let log_dirs = function
+  | Simple { dir; _ } | Hybrid { dir; _ } -> [ dir ]
+  | Shadow { rs; _ } -> Core.Shadow_rs.log_dirs rs
 
-let physical_writes = function
-  | Simple { dir; _ } | Hybrid { dir; _ } -> Log_dir.physical_writes dir
-  | Shadow { rs; _ } -> Core.Shadow_rs.physical_writes rs
+let stable_stores t = List.concat_map Log_dir.stores (log_dirs t)
+
+let physical_writes t = List.fold_left (fun n d -> n + Log_dir.physical_writes d) 0 (log_dirs t)
 
 let log_entries = function
   | Simple { rs; _ } -> Log.entry_count (Core.Simple_rs.log rs)
@@ -105,10 +105,6 @@ let log_bytes = function
   | Simple { rs; _ } -> Log.stream_bytes (Core.Simple_rs.log rs)
   | Hybrid { rs; _ } -> Log.stream_bytes (Core.Hybrid_rs.log rs)
   | Shadow _ -> 0
-
-let log_dir = function
-  | Simple { dir; _ } | Hybrid { dir; _ } -> Some dir
-  | Shadow _ -> None
 
 let simple ?page_size ?segment_pages () =
   let heap = Heap.create () in

@@ -53,14 +53,16 @@ val current_log : t -> Rs_slog.Stable_log.t option
 (** The scheme's current log ([None] for shadow, whose stable layout is a
     map plus version store) — for validation with {!Core.Log_check}. *)
 
-val log_dir : t -> Rs_slog.Log_dir.t option
-(** The logged schemes' log directory ([None] for shadow) — for the
+val log_dirs : t -> Rs_slog.Log_dir.t list
+(** Every log directory the scheme writes: one for simple and hybrid;
+    the version store, in-flight log and map for shadow — for the
     segment-chain fsck ({!Core.Log_check.check_segments}) and space
     accounting. *)
 
 val stable_stores : t -> Rs_storage.Stable_store.t list
-(** Every stable store behind the scheme — for fault injection: arm a
-    crash on one of these, run an operation, and recover. *)
+(** Every stable store behind the scheme, {!Rs_slog.Log_dir.stores} of
+    each of {!log_dirs} in turn — for fault injection: arm a crash on one
+    of these, run an operation, and recover. *)
 
 val physical_writes : t -> int
 (** Physical stable-storage page writes so far. *)

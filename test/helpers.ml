@@ -32,6 +32,47 @@ let raw_log ?(chain = false) entries =
   Log.force log;
   dir
 
+(* A log over an in-test segment pool: enough of [Log.provider] to run a
+   log without a [Log_dir]. [registry] holds the live segment stores by
+   id; [released] lists the ids returned to the pool, newest first. *)
+type seg_log = {
+  log : Log.t;
+  provider : Log.provider;
+  registry : (int, Rs_storage.Stable_store.t) Hashtbl.t;
+  released : int list ref;
+}
+
+let seg_log ?(page_size = 64) ?(segment_pages = 4) () =
+  let registry = Hashtbl.create 8 in
+  let next = ref 0 in
+  let released = ref [] in
+  let provider =
+    {
+      Log.alloc =
+        (fun () ->
+          let id = !next in
+          incr next;
+          let s = Rs_storage.Stable_store.create ~pages:1 () in
+          Hashtbl.replace registry id s;
+          (id, s));
+      lookup = Hashtbl.find_opt registry;
+      release =
+        (fun id ->
+          if not (Hashtbl.mem registry id) then invalid_arg "released unknown segment";
+          released := id :: !released;
+          Hashtbl.remove registry id);
+    }
+  in
+  let anchor = Rs_storage.Stable_store.create ~pages:1 () in
+  { log = Log.create ~page_size ~segment_pages ~provider anchor; provider; registry; released }
+
+(* Reopen [s]'s log from its anchor store, as after a crash. *)
+let reopen ?cache_pages s = Log.open_ ?cache_pages ~provider:s.provider (Log.store s.log)
+
+(* The store holding stream page [p] of [s]'s log. *)
+let segment_of s p =
+  Hashtbl.find s.registry (List.assoc (p / Log.segment_pages s.log) (Log.segment_table s.log))
+
 let pt_of info = info.Core.Tables.Recovery_info.pt
 let ct_of info = info.Core.Tables.Recovery_info.ct
 

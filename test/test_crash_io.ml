@@ -44,16 +44,20 @@ let check_all_or_nothing ~label t ~before ~after =
 (* Sweep crashes through one action's prepare+commit on every store. *)
 let sweep_action which () =
   let crashes_hit = ref 0 in
-  let store_count =
-    match Scheme.stable_stores (scheme_of which) with l -> List.length l
+  (* Fresh world per crash point: 6 objects, 5 committed actions. *)
+  let world () =
+    let t = Synth.create ~seed:5 ~scheme:(scheme_of which) ~n_objects:6 () in
+    Synth.run_random_actions t ~n:5 ~objects_per_action:2 ();
+    t
   in
+  (* Counted on the world the action runs in, so the segment stores its
+     logs hold by then are swept too. *)
+  let store_count = List.length (Scheme.stable_stores (Synth.scheme (world ()))) in
   for store_idx = 0 to store_count - 1 do
     let budget = ref 0 in
     let exhausted = ref false in
     while (not !exhausted) && !budget < 200 do
-      (* Fresh world per crash point: 6 objects, 5 committed actions. *)
-      let t = ref (Synth.create ~seed:5 ~scheme:(scheme_of which) ~n_objects:6 ()) in
-      Synth.run_random_actions !t ~n:5 ~objects_per_action:2 ();
+      let t = ref (world ()) in
       let before = Synth.counters !t in
       let after =
         (* The model of the sweep action: objects 0 and 3 incremented. *)

@@ -11,10 +11,10 @@ let config = { Explore.default_config with budget = 60 }
 (* Fault points each target's census finds at the default seed. *)
 let census_points =
   [
-    ("simple", 50);
-    ("hybrid", 64);
-    ("shadow", 97);
-    ("segments", 85);
+    ("simple", 47);
+    ("hybrid", 58);
+    ("shadow", 104);
+    ("segments", 79);
     ("twopc", 32);
     ("group", 53);
     ("load", 20);

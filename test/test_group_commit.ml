@@ -11,7 +11,7 @@ module Scheme = Rs_workload.Scheme
 module Synth = Rs_workload.Synth
 module Metrics = Rs_obs.Metrics
 
-let mk_log () = Log.create ~page_size:64 (Store.create ~pages:8 ())
+let mk_log () = (Helpers.seg_log ()).log
 
 (* A manual timer: armed thunks pile up until the test fires them. *)
 let manual_timer () =
@@ -103,7 +103,8 @@ let test_stop_drops_tokens () =
    a crash before the new log's first force may then lose the new log
    entirely, but never an acknowledged token's entry. *)
 let test_set_log_settles_waiters () =
-  let old_log = mk_log () in
+  let old = Helpers.seg_log () in
+  let old_log = old.log in
   let new_log = mk_log () in
   let armed, timer = manual_timer () in
   let sched = Fsched.create ~window:2.0 ~timer old_log in
@@ -118,7 +119,7 @@ let test_set_log_settles_waiters () =
   Alcotest.(check int) "nothing pending" 0 (Fsched.pending sched);
   (* Crash now — before any force of the new log. The acknowledged entry
      must be recoverable from the old log's store. *)
-  let reopened = Log.open_ (Log.store old_log) in
+  let reopened = Helpers.reopen old in
   Alcotest.(check int) "entry survives on the old log" 1 (Log.forced_count reopened);
   fire armed (* the batch's stale timer is an empty flush *);
   Alcotest.(check int) "no double notification" 1 !fired

@@ -133,7 +133,7 @@ let test_check_segments_clean () =
   (* A segmented directory through churn, retirement, and housekeeping. *)
   let scheme = Scheme.hybrid ~page_size:128 ~segment_pages:2 () in
   let t = Synth.create ~seed:11 ~scheme ~n_objects:8 () in
-  let dir = Option.get (Scheme.log_dir scheme) in
+  let dir = List.hd (Scheme.log_dirs scheme) in
   Alcotest.(check int) "fresh" 0 (List.length (seg_issues dir));
   Synth.run_random_actions t ~n:40 ~objects_per_action:2 ~abort_rate:0.2 ();
   Alcotest.(check int) "after churn" 0 (List.length (seg_issues dir));
