@@ -196,6 +196,7 @@ module Replica = struct
     clear_warm t
 
   let reopen t =
+    Log_dir.scrub t.dir;
     t.dir <- Log_dir.open_ t.dir;
     t.log <- Log_dir.current t.dir;
     clear_warm t;

@@ -436,12 +436,14 @@ let test_parallel_recovery_reads_once () =
   in
   let reads () = List.map (fun (id, d) -> (id, (Disk.stats d).Disk.reads)) (disks ()) in
   let r0 = reads () in
+  Log_dir.scrub dir;
   ignore (Log_dir.open_ dir);
   let r1 = reads () in
   let rs_p, _ = Rs.recover_parallel dir in
   let r2 = reads () in
-  (* Log_dir.open_ is deterministic: what recovery read beyond its repair
-     pass is r2 - r1 - (r1 - r0), per mirror of each segment. *)
+  (* The scrub and Log_dir.open_ are deterministic: what recovery read
+     beyond its repair pass is r2 - r1 - (r1 - r0), per mirror of each
+     segment. *)
   let table = Log.segment_table (Rs.log rs_p) in
   List.iteri
     (fun i (id, before) ->
