@@ -999,10 +999,19 @@ let bechamel_suite () =
     Synth.run_random_actions t ~n:100 ~objects_per_action:2 ();
     Staged.stage (fun () -> ignore (Scheme.crash_recover (Synth.scheme t)))
   in
-  let housekeep_kernel technique =
+  (* The [128x1KiB] rows take the standing crash-restart shard's shape,
+     128 objects of 1 KiB each; the recovery row recovers as a guardian
+     restart does, a scrub and then the segment-parallel scan. *)
+  let parallel_recovery_kernel =
     let t =
-      Synth.create ~seed:31 ~scheme:(Scheme.hybrid ()) ~n_objects:64 ~payload_bytes:64 ()
+      Synth.create ~seed:29 ~scheme:(Scheme.hybrid ()) ~n_objects:128 ~payload_bytes:1024 ()
     in
+    Synth.run_random_actions t ~n:100 ~objects_per_action:2 ();
+    let dir = List.hd (Scheme.log_dirs (Synth.scheme t)) in
+    Staged.stage (fun () -> ignore (Core.Hybrid_rs.recover_parallel dir))
+  in
+  let housekeep_kernel ?(n_objects = 64) ?(payload_bytes = 64) technique =
+    let t = Synth.create ~seed:31 ~scheme:(Scheme.hybrid ()) ~n_objects ~payload_bytes () in
     Synth.run_random_actions t ~n:100 ~objects_per_action:2 ();
     Staged.stage (fun () ->
         Synth.run_random_actions t ~n:20 ~objects_per_action:2 ();
@@ -1079,11 +1088,14 @@ let bechamel_suite () =
         Test.make_grouped ~name:"e2-recovery"
           (List.map
              (fun s -> Test.make ~name:(Scheme.name s) (recovery_kernel s))
-             (Scheme.all ()));
+             (Scheme.all ())
+          @ [ Test.make ~name:"hybrid-parallel-128x1KiB" parallel_recovery_kernel ]);
         Test.make_grouped ~name:"e3-housekeeping"
           [
             Test.make ~name:"compaction" (housekeep_kernel Scheme.Compaction);
             Test.make ~name:"snapshot" (housekeep_kernel Scheme.Snapshot);
+            Test.make ~name:"snapshot-128x1KiB"
+              (housekeep_kernel ~n_objects:128 ~payload_bytes:1024 Scheme.Snapshot);
           ];
         Test.make_grouped ~name:"page-path"
           [

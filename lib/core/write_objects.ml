@@ -103,7 +103,7 @@ type snapshot = {
 
 let snapshot ~heap ~old_log ~mt ~pat ~committing ~prepared_pairs ~write_data =
   let cssl = ref [] and in_doubt = ref [] and new_mt = ref [] in
-  let new_as = ref (Uid.Set.singleton Uid.stable_vars) in
+  let new_as = ref [ Uid.stable_vars ] in
   let copy ~uid otype version =
     let a = write_data ~uid ~otype version in
     cssl := (uid, a) :: !cssl;
@@ -114,7 +114,7 @@ let snapshot ~heap ~old_log ~mt ~pat ~committing ~prepared_pairs ~write_data =
       | Heap.Regular | Heap.Placeholder -> ()
       | Heap.Atomic -> (
           let uid = Option.get (Heap.uid_of heap a) in
-          new_as := Uid.Set.add uid !new_as;
+          new_as := uid :: !new_as;
           let view = Heap.atomic_view heap a in
           ignore (copy ~uid Log_entry.Atomic (fun e -> Flatten.encode heap e view.base));
           match (view.lock, view.cur) with
@@ -126,7 +126,7 @@ let snapshot ~heap ~old_log ~mt ~pat ~committing ~prepared_pairs ~write_data =
           | (Heap.Write _ | Heap.Read _ | Heap.Free), _ -> ())
       | Heap.Mutex -> (
           let uid = Option.get (Heap.uid_of heap a) in
-          new_as := Uid.Set.add uid !new_as;
+          new_as := uid :: !new_as;
           match Uid.Tbl.find_opt mt uid with
           | Some oaddr -> (
               match Log_entry.read_data old_log oaddr with
@@ -144,4 +144,4 @@ let snapshot ~heap ~old_log ~mt ~pat ~committing ~prepared_pairs ~write_data =
   Aid.Tbl.iter
     (fun aid gids -> in_doubt := Log_entry.Committing { aid; gids; prev = None } :: !in_doubt)
     committing;
-  { cssl = List.rev !cssl; in_doubt = List.rev !in_doubt; new_as = !new_as; new_mt = List.rev !new_mt }
+  { cssl = List.rev !cssl; in_doubt = List.rev !in_doubt; new_as = Uid.Set.of_list !new_as; new_mt = List.rev !new_mt }

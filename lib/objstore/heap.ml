@@ -983,16 +983,17 @@ let patch_placeholders t =
 
 (* Preorder over the stable state: an object is visited before what its
    versions reference, an atomic object's base before its current
-   version, each object once. *)
+   version, each object once. Addresses are dense indices into [objs],
+   and [f] leaves the heap alone, so one byte per object marks it seen. *)
 let iter_reachable t f =
-  let seen = Hashtbl.create 64 in
+  let seen = Bytes.make (size t) '\000' in
   let rec go_value = function
     | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ -> ()
     | Value.Tup vs -> Array.iter go_value vs
     | Value.Ref a -> go_addr a
   and go_addr a =
-    if not (Hashtbl.mem seen a) then begin
-      Hashtbl.add seen a ();
+    if Bytes.get seen a = '\000' then begin
+      Bytes.set seen a '\001';
       f a;
       match (obj t a).body with
       | B_atomic b ->
@@ -1006,6 +1007,6 @@ let iter_reachable t f =
   go_addr t.root
 
 let reachable_uids t =
-  let uids = ref Uid.Set.empty in
-  iter_reachable t (fun a -> Option.iter (fun u -> uids := Uid.Set.add u !uids) (obj t a).uid);
-  !uids
+  let uids = ref [] in
+  iter_reachable t (fun a -> Option.iter (fun u -> uids := u :: !uids) (obj t a).uid);
+  Uid.Set.of_list !uids

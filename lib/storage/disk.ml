@@ -1,7 +1,7 @@
 module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
 
-type page = Good of string | Bad
+type page = Good of { data : string; crc : int } | Bad
 
 type stats = {
   mutable reads : int;
@@ -81,20 +81,20 @@ let read t p =
   t.reads <- t.reads + 1;
   Metrics.incr m_reads;
   let result =
-    if p >= Array.length t.pages then None
+    if p >= Array.length t.pages then Bad
     else begin
       maybe_decay t p;
-      match t.pages.(p) with Good data -> Some data | Bad -> None
+      t.pages.(p)
     end
   in
-  if Trace.recording () then Trace.emit (Trace.Page_read { page = p; ok = result <> None })
+  if Trace.recording () then Trace.emit (Trace.Page_read { page = p; ok = result <> Bad })
   else Trace.skip ();
   result
 
 let trace_write p =
   if Trace.recording () then Trace.emit (Trace.Page_write { page = p }) else Trace.skip ()
 
-let write t p data =
+let write t p page =
   check_nonneg p "write";
   grow_to t p;
   t.writes <- t.writes + 1;
@@ -110,10 +110,10 @@ let write t p data =
       raise Crash
   | Some n ->
       t.crash_in <- Some (n - 1);
-      t.pages.(p) <- Good data;
+      t.pages.(p) <- page;
       trace_write p
   | None ->
-      t.pages.(p) <- Good data;
+      t.pages.(p) <- page;
       trace_write p
 
 let decay t p =

@@ -6,11 +6,20 @@
       (detectably bad — real disks detect this with per-sector checksums);
     - spontaneous {e decay} flips a good page to bad between operations.
 
+    A good page keeps its checksum beside its bytes, as a sector keeps
+    its check bits: the writer supplies both, the disk stores the
+    caller's string itself (no copy), and a reader judges the page by
+    recomputing the checksum. The disk never checks it.
+
     Crash injection: {!set_crash_after} arms a countdown of page writes;
     the write that exhausts it tears its page and raises {!Crash}. This
     lets tests stop a multi-page update at every possible point. *)
 
 type t
+
+type page = Good of { data : string; crc : int } | Bad
+(** A page as stored: the bytes written with the checksum written beside
+    them, or unreadable (torn, decayed, never written). *)
 
 exception Crash
 (** Raised by [write] when an armed crash point fires. *)
@@ -39,14 +48,14 @@ val stats : t -> stats
 (** A point-in-time snapshot of this disk's tallies (a fresh record;
     mutating it does not touch the disk). *)
 
-val read : t -> int -> string option
-(** [read t p] is [Some data] if page [p] is good, [None] if bad (torn,
-    decayed, never written, or beyond the end). Raises [Invalid_argument]
-    on a negative index. *)
+val read : t -> int -> page
+(** [read t p] is page [p] as stored — the very value last written, not
+    a copy — or [Bad] if it is torn, decayed, never written or beyond the
+    end. Raises [Invalid_argument] on a negative index. *)
 
-val write : t -> int -> string -> unit
-(** Overwrites page [p], growing the disk if needed. Raises {!Crash}
-    (leaving the page torn) when an armed crash fires. *)
+val write : t -> int -> page -> unit
+(** Overwrites page [p] with [page], growing the disk if needed. Raises
+    {!Crash} (leaving the page torn) when an armed crash fires. *)
 
 val decay : t -> int -> unit
 (** Force page [p] bad: simulates spontaneous storage decay. No-op beyond

@@ -9,7 +9,13 @@
     the new value, never garbage.
 
     {!recover} must run after every crash (and periodically against decay):
-    it repairs diverged pairs, completing or undoing interrupted writes. *)
+    it repairs diverged pairs, completing or undoing interrupted writes.
+
+    Each representative stores the caller's string with its CRC-32 beside
+    it ({!Disk.page}): a put computes the checksum once and hands the same
+    string to both disks, and a get of agreeing representatives checks
+    the checksum once and returns the stored string itself. Neither copies
+    the bytes. *)
 
 type t
 
@@ -23,11 +29,12 @@ val pages : t -> int
 val get : t -> int -> string option
 (** [get t p] is the last value carefully put to logical page [p], or [None]
     if never written or if both representatives have been lost (a
-    catastrophe outside the fault model). The get is {e careful with
-    read repair}: it verifies both representatives and rewrites an
-    unreadable one from its good partner on the spot (bumping the
-    [stable_store.repairs] counter), so isolated decay is healed by
-    ordinary traffic instead of waiting for the next {!recover} pass. *)
+    catastrophe outside the fault model). A value is the very string the
+    put stored. The get is {e careful with read repair}: it verifies both
+    representatives and rewrites an unreadable one from its good partner
+    on the spot (bumping the [stable_store.repairs] counter), so isolated
+    decay is healed by ordinary traffic instead of waiting for the next
+    {!recover} pass. *)
 
 val put : t -> int -> string -> unit
 (** Careful, atomic overwrite of logical page [p]. May raise {!Disk.Crash}

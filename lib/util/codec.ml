@@ -14,7 +14,7 @@ module Enc = struct
 
   let u8 t v =
     if v < 0 || v > 255 then invalid_arg "Codec.Enc.u8: out of range";
-    Buffer.add_char t (Char.chr v)
+    Buffer.add_char t (Char.unsafe_chr v)
 
   let u32 t v =
     Buffer.add_char t (Char.chr (Int32.to_int (Int32.logand v 0xFFl)));
@@ -25,16 +25,20 @@ module Enc = struct
     Buffer.add_char t
       (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 24) 0xFFl)))
 
+  (* Every byte written here is below 0x100 by construction. *)
   let rec leb128 t z =
-    if z land lnot 0x7F = 0 then Buffer.add_char t (Char.chr z)
+    if z land lnot 0x7F = 0 then Buffer.add_char t (Char.unsafe_chr z)
     else begin
-      Buffer.add_char t (Char.chr (0x80 lor (z land 0x7F)));
+      Buffer.add_char t (Char.unsafe_chr (0x80 lor (z land 0x7F)));
       leb128 t (z lsr 7)
     end
 
   (* Zig-zag then LEB128 so negative ints stay short. [leb128] is a
-     top-level loop, not a closure, so encoding allocates nothing. *)
-  let varint t v = leb128 t ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
+     top-level loop, not a closure, so encoding allocates nothing; the
+     one-byte case, most lengths and tags, is written inline. *)
+  let varint t v =
+    let z = (v lsl 1) lxor (v asr (Sys.int_size - 1)) in
+    if z land lnot 0x7F = 0 then Buffer.add_char t (Char.unsafe_chr z) else leb128 t z
 
   let bool t b = u8 t (if b then 1 else 0)
 

@@ -735,9 +735,11 @@ let show_vcase c =
   Printf.sprintf "root %s; regulars [%s]" (show_vspec c.root)
     (String.concat "; " (List.map show_vspec c.regulars))
 
-let gen_vcase =
+(* A value over [nreg] regular objects and the eight objects of
+   [build_vcase]: three atomic, three mutex, two placeholders. *)
+let rec gen_vspec nreg depth =
   let open QCheck.Gen in
-  let leaf nreg =
+  let leaf =
     frequency
       ([
          (1, return S_unit);
@@ -748,12 +750,14 @@ let gen_vcase =
        ]
       @ if nreg = 0 then [] else [ (2, map (fun i -> S_reg i) (0 -- (nreg - 1))) ])
   in
-  let rec value nreg depth =
-    if depth = 0 then leaf nreg
-    else
-      frequency
-        [ (2, leaf nreg); (1, map (fun l -> S_tup l) (list_size (0 -- 5) (value nreg (depth - 1)))) ]
-  in
+  if depth = 0 then leaf
+  else
+    frequency
+      [ (2, leaf); (1, map (fun l -> S_tup l) (list_size (0 -- 5) (gen_vspec nreg (depth - 1)))) ]
+
+let gen_vcase =
+  let open QCheck.Gen in
+  let value = gen_vspec in
   frequency [ (1, return 0); (1, 1 -- 4) ] >>= fun nreg ->
   frequency
     [
@@ -785,13 +789,14 @@ let build_vcase c =
     | S_reg i -> Value.Ref regs.(i)
   in
   List.iteri (fun i s -> Heap.set_regular h regs.(i) (value s)) c.regulars;
-  (h, value c.root)
+  (h, objs, value)
 
 let prop_heap_encoder =
   QCheck.Test.make ~name:"the heap encoder writes what flatten-then-encode writes" ~count:300
     (QCheck.make ~print:show_vcase gen_vcase)
     (fun c ->
-      let h, v = build_vcase c in
+      let h, _, value = build_vcase c in
+      let v = value c.root in
       let reference = reference_flatten h v in
       (* A prefix checks that the encoder appends. *)
       let with_prefix f = encoded (fun e -> Codec.Enc.u8 e 0x7f; f e) in
@@ -805,6 +810,82 @@ let prop_heap_encoder =
           if not (List.exists (Uid.equal u) !seen) then seen := u :: !seen);
       if not (List.equal Uid.equal (List.rev !seen) (Fvalue.uids reference)) then
         QCheck.Test.fail_report "iter_uids differs from the reference's uids";
+      true)
+
+(* The walk as it was when it marked addresses in a hash table, through
+   the public accessors: the reference for order and coverage. *)
+let reference_iter_reachable t f =
+  let seen = Hashtbl.create 64 in
+  let rec go_value = function
+    | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ -> ()
+    | Value.Tup vs -> Array.iter go_value vs
+    | Value.Ref a -> go_addr a
+  and go_addr a =
+    if not (Hashtbl.mem seen a) then begin
+      Hashtbl.add seen a ();
+      f a;
+      match Heap.kind_of t a with
+      | Heap.Atomic ->
+          let view = Heap.atomic_view t a in
+          go_value view.base;
+          Option.iter go_value view.cur
+      | Heap.Mutex -> go_value (Heap.mutex_value t a)
+      | Heap.Regular -> go_value (Heap.regular_value t a)
+      | Heap.Placeholder -> ()
+    end
+  in
+  go_addr (Heap.root_addr t)
+
+(* A graph of [build_vcase]'s objects: the atomic objects get a base
+   each and perhaps an uncommitted current version, the mutex objects a
+   value, so any object can reach any other, itself included. *)
+type wcase = { graph : vcase; atomics : (vspec * vspec option) list; mutexes : vspec list }
+
+let show_wcase w =
+  Printf.sprintf "%s; atomics [%s]; mutexes [%s]" (show_vcase w.graph)
+    (String.concat "; "
+       (List.map
+          (fun (b, c) -> show_vspec b ^ Option.fold ~none:"" ~some:(fun c -> " / " ^ show_vspec c) c)
+          w.atomics))
+    (String.concat "; " (List.map show_vspec w.mutexes))
+
+let gen_wcase =
+  let open QCheck.Gen in
+  gen_vcase >>= fun graph ->
+  let value = gen_vspec (List.length graph.regulars) 2 in
+  list_repeat 3 (pair value (opt value)) >>= fun atomics ->
+  list_repeat 3 value >>= fun mutexes -> return { graph; atomics; mutexes }
+
+let prop_iter_reachable =
+  QCheck.Test.make ~name:"the heap walk visits what the hash-table walk visits, in order"
+    ~count:300 (QCheck.make ~print:show_wcase gen_wcase)
+    (fun w ->
+      let h, objs, value = build_vcase w.graph in
+      let t1 = aid 1 in
+      List.iteri (fun i (base, _) -> Heap.set_base h objs.(i) (value base)) w.atomics;
+      List.iteri
+        (fun i m ->
+          let a = objs.(3 + i) in
+          ignore (Heap.seize h t1 a : Value.t);
+          Heap.set_mutex h t1 a (value m);
+          Heap.release h t1 a)
+        w.mutexes;
+      Heap.set_stable_var h t1 "root" (value w.graph.root);
+      Heap.commit_action h t1;
+      List.iteri
+        (fun i (_, cur) -> Option.iter (fun c -> Heap.set_current h (aid 2) objs.(i) (value c)) cur)
+        w.atomics;
+      let visits walk =
+        let order = ref [] in
+        walk h (fun a -> order := a :: !order);
+        List.rev !order
+      in
+      let want = visits reference_iter_reachable in
+      if visits Heap.iter_reachable <> want then
+        QCheck.Test.fail_report "iter_reachable differs from the reference walk";
+      let want_uids = Uid.Set.of_list (List.filter_map (Heap.uid_of h) want) in
+      if not (Uid.Set.equal (Heap.reachable_uids h) want_uids) then
+        QCheck.Test.fail_report "reachable_uids differs from the reference walk's uids";
       true)
 
 let suite =
@@ -826,6 +907,7 @@ let suite =
     Alcotest.test_case "heap encoder allocates nothing on a tree" `Quick
       test_heap_encoder_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_heap_encoder;
+    QCheck_alcotest.to_alcotest prop_iter_reachable;
     Alcotest.test_case "placeholder patching" `Quick test_placeholder_patching;
     Alcotest.test_case "dangling placeholder fails" `Quick test_dangling_placeholder_fails;
     Alcotest.test_case "root index sees placeholder patch" `Quick test_root_index_sees_patch;

@@ -5,33 +5,38 @@ module Disk = Rs_storage.Disk
 module Store = Rs_storage.Stable_store
 module Rng = Rs_util.Rng
 
+(* The disk stores whatever checksum it is handed; only the stable store
+   judges it, so the disk tests write a dummy one. *)
+let page data = Disk.Good { data; crc = 0 }
+let data_of d p = match Disk.read d p with Disk.Good g -> Some g.data | Disk.Bad -> None
+
 let test_disk_basic () =
   let d = Disk.create ~pages:4 () in
-  Alcotest.(check (option string)) "unwritten" None (Disk.read d 0);
-  Disk.write d 0 "hello";
-  Alcotest.(check (option string)) "written" (Some "hello") (Disk.read d 0);
-  Disk.write d 0 "bye";
-  Alcotest.(check (option string)) "overwritten" (Some "bye") (Disk.read d 0);
+  Alcotest.(check (option string)) "unwritten" None (data_of d 0);
+  Disk.write d 0 (page "hello");
+  Alcotest.(check (option string)) "written" (Some "hello") (data_of d 0);
+  Disk.write d 0 (page "bye");
+  Alcotest.(check (option string)) "overwritten" (Some "bye") (data_of d 0);
   Disk.decay d 0;
-  Alcotest.(check (option string)) "decayed" None (Disk.read d 0)
+  Alcotest.(check (option string)) "decayed" None (data_of d 0)
 
 let test_disk_growth () =
   let d = Disk.create ~pages:2 () in
-  Disk.write d 100 "far";
+  Disk.write d 100 (page "far");
   Alcotest.(check bool) "grew" true (Disk.pages d >= 101);
-  Alcotest.(check (option string)) "read far" (Some "far") (Disk.read d 100);
-  Alcotest.(check (option string)) "beyond end" None (Disk.read d 100000)
+  Alcotest.(check (option string)) "read far" (Some "far") (data_of d 100);
+  Alcotest.(check (option string)) "beyond end" None (data_of d 100000)
 
 let test_disk_crash () =
   let d = Disk.create ~pages:4 () in
-  Disk.write d 1 "ok";
+  Disk.write d 1 (page "ok");
   Disk.set_crash_after d 1;
-  Disk.write d 2 "survives";
-  (match Disk.write d 1 "torn" with
+  Disk.write d 2 (page "survives");
+  (match Disk.write d 1 (page "torn") with
   | () -> Alcotest.fail "expected crash"
   | exception Disk.Crash -> ());
-  Alcotest.(check (option string)) "torn page is bad" None (Disk.read d 1);
-  Alcotest.(check (option string)) "other page survives" (Some "survives") (Disk.read d 2);
+  Alcotest.(check (option string)) "torn page is bad" None (data_of d 1);
+  Alcotest.(check (option string)) "other page survives" (Some "survives") (data_of d 2);
   Alcotest.(check int) "torn count" 1 (Disk.stats d).torn_writes
 
 let test_store_basic () =
@@ -120,10 +125,10 @@ let test_store_get_repairs_divergent_readable () =
   let s = Store.create ~pages:4 () in
   Store.put s 2 "old";
   let _, b = Store.disks s in
-  (* Capture B's validly framed stale page, update both replicas, then
-     regress B — exactly the state a crash between the careful writes
-     leaves behind. *)
-  let stale = Option.get (Disk.read b 2) in
+  (* Capture B's intact stale page, update both replicas, then regress
+     B — exactly the state a crash between the careful writes leaves
+     behind. *)
+  let stale = Disk.read b 2 in
   Store.put s 2 "new";
   Disk.write b 2 stale;
   Alcotest.(check bool) "replicas diverge" true (Store.agreement_issues s <> []);
@@ -135,13 +140,16 @@ let test_store_get_repairs_divergent_readable () =
     (Store.agreement_issues s);
   Alcotest.(check (option string)) "stable afterwards" (Some "new") (Store.get s 2)
 
-(* The careful put verifies by comparing read-back bytes with the frame it
-   wrote, and careful reads unframe byte-equal replicas once. These
-   shortcuts must leave every physical read, write and repair where the
-   per-replica unframing put them. *)
+(* The careful put verifies by comparing the read-back bytes and checksum
+   with the ones it wrote, and careful reads check agreeing replicas'
+   checksum once. These shortcuts must leave every physical read, write
+   and repair where checking each replica on its own put them. *)
 let io () =
   let c name = Option.value ~default:0 (Rs_obs.Metrics.find_counter Rs_obs.Metrics.default name) in
   (c "disk.reads", c "disk.writes", c "stable_store.repairs")
+
+(* A replica whose bytes no longer match the checksum stored beside them. *)
+let spoiled data = Disk.Good { data; crc = Int32.to_int (Rs_util.Crc32.string data) lxor 1 }
 
 let check_io name (r0, w0, p0) ~reads ~writes ~repairs =
   let r1, w1, p1 = io () in
@@ -176,7 +184,7 @@ let test_store_get_divergent_io () =
   let s = Store.create ~pages:4 () in
   Store.put s 2 "old";
   let _, b = Store.disks s in
-  let stale = Option.get (Disk.read b 2) in
+  let stale = Disk.read b 2 in
   Store.put s 2 "new";
   Disk.write b 2 stale;
   let before = io () in
@@ -190,6 +198,11 @@ let test_store_get_one_sided_io () =
   let s = Store.create ~pages:4 () in
   Store.put s 0 "zero";
   let a, b = Store.disks s in
+  let change_bytes disk =
+    match Disk.read disk 0 with
+    | Disk.Good g -> Disk.write disk 0 (Disk.Good { g with data = "zer0" })
+    | Disk.Bad -> Alcotest.fail "replica unreadable before the spoil"
+  in
   List.iter
     (fun (name, spoil) ->
       spoil ();
@@ -200,8 +213,10 @@ let test_store_get_one_sided_io () =
     [
       ("B decayed", fun () -> Disk.decay b 0);
       ("A decayed", fun () -> Disk.decay a 0);
-      ("B fails its checksum", fun () -> Disk.write b 0 "\000\000\000\000\004zero");
-      ("A fails its checksum", fun () -> Disk.write a 0 "not a frame");
+      ("B fails its checksum", fun () -> Disk.write b 0 (spoiled "zero"));
+      ("A fails its checksum", fun () -> Disk.write a 0 (spoiled "not zero"));
+      ("B's bytes change under its checksum", fun () -> change_bytes b);
+      ("A's bytes change under its checksum", fun () -> change_bytes a);
     ]
 
 let test_store_get_both_bad_io () =
@@ -209,11 +224,11 @@ let test_store_get_both_bad_io () =
   Store.put s 3 "three";
   let a, b = Store.disks s in
   Disk.decay a 3;
-  Disk.write b 3 "garbage";
+  Disk.write b 3 (spoiled "garbage");
   let before = io () in
   Alcotest.(check (option string)) "both bad" None (Store.get s 3);
   check_io "both bad" before ~reads:2 ~writes:0 ~repairs:0;
-  Disk.write a 3 "garbage";
+  Disk.write a 3 (spoiled "garbage");
   let before = io () in
   Alcotest.(check (option string)) "equal but bad" None (Store.get s 3);
   check_io "equal but bad" before ~reads:2 ~writes:0 ~repairs:0;
@@ -221,13 +236,27 @@ let test_store_get_both_bad_io () =
   Alcotest.(check (option string)) "never written" None (Store.get s 1);
   check_io "never written" before ~reads:2 ~writes:0 ~repairs:0
 
+(* Agreeing replicas hold the string the put was handed: a careful get
+   returns that very string, and allocates far less than a copy of the
+   1 KiB page (129 words) would. *)
+let test_store_get_returns_stored_string () =
+  let s = Store.create ~pages:2 () in
+  let data = String.make 1024 'p' in
+  Store.put s 0 data;
+  let before = Gc.minor_words () in
+  let got = Store.get s 0 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "the put's string itself" true
+    (match got with Some g -> g == data | None -> false);
+  if words > 16. then Alcotest.failf "get allocated %.0f words" words
+
 let test_store_recover_divergent_io () =
   let s = Store.create ~pages:4 () in
   for p = 0 to 3 do
     Store.put s p (Printf.sprintf "v%d" p)
   done;
   let _, b = Store.disks s in
-  let stale = Option.get (Disk.read b 2) in
+  let stale = Disk.read b 2 in
   Store.put s 2 "v2'";
   Disk.write b 2 stale;
   let before = io () in
@@ -289,6 +318,8 @@ let suite =
     Alcotest.test_case "divergent get I/O" `Quick test_store_get_divergent_io;
     Alcotest.test_case "one-sided get I/O" `Quick test_store_get_one_sided_io;
     Alcotest.test_case "both-bad get I/O" `Quick test_store_get_both_bad_io;
+    Alcotest.test_case "get returns the stored string" `Quick
+      test_store_get_returns_stored_string;
     Alcotest.test_case "recover divergent I/O" `Quick test_store_recover_divergent_io;
     QCheck_alcotest.to_alcotest prop_store_atomic_random;
   ]
