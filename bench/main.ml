@@ -21,7 +21,11 @@
      e14 nemesis: committed work & availability under fault schedules
 
    Usage: dune exec bench/main.exe [-- e1|e2|...|e14|bechamel|all]
-   The default runs every experiment plus the Bechamel microbenchmarks. *)
+     [--metrics-json PATH] [--check BENCH_N.json]
+   The default runs every experiment plus the Bechamel microbenchmarks.
+   [--metrics-json] writes the metrics registry after the run; [--check]
+   compares it with a committed BENCH file and then runs the gates
+   (gates.ml) of the experiments that ran. *)
 
 module Scheme = Rs_workload.Scheme
 module Synth = Rs_workload.Synth
@@ -62,7 +66,7 @@ let e1 () =
           in
           let dw = Scheme.physical_writes scheme - w0 in
           (* Pages per commit in tenths, rounded half up: the printed cell
-             and the gauge check.sh gates on the §1.2.2 shape. *)
+             and the gauge the §1.2.2 shape is gated on. *)
           let x10 = ((dw * 20) + acts) / (2 * acts) in
           Rs_obs.Metrics.set
             (Rs_obs.Metrics.gauge
@@ -375,10 +379,8 @@ let e7 () =
    simulator run chained actions through the asynchronous commit path;
    with a batching window the outcome entries of co-resident actions
    ride one force, so forces/commit and pages/commit drop as
-   concurrency grows. Results are exported as e8.* gauges so check.sh
+   concurrency grows. Results are exported as e8.* gauges so its gate
    can assert the claimed reduction from BENCH_3.json. *)
-
-let e8_window = ref 2.0
 
 let e8 () =
   header "e8: group commit — forces and pages per commit vs concurrency";
@@ -431,7 +433,7 @@ let e8 () =
                       v)
                   [ ("commits", commits); ("physical_writes", dw); ("forces", df) ];
                 (label, window, commits, dw, df))
-              [ ("nobatch", 0.0); ("batch", !e8_window) ]
+              [ ("nobatch", 0.0); ("batch", 2.0) ]
           in
           let base_w =
             match variants with (_, _, c, dw, _) :: _ -> float_of_int dw /. float_of_int c | [] -> nan
@@ -457,7 +459,7 @@ let e8 () =
    every old segment; provisioned pages should then track the live
    checkpoint, not the accumulated history. Control: the same scheme
    never housekeeping (footprint and recovery grow with history).
-   Results are exported as e9.* gauges so check.sh can assert the
+   Results are exported as e9.* gauges so its gate can assert the
    reclamation bound from BENCH_4.json. *)
 
 let e9 () =
@@ -512,7 +514,7 @@ let e9 () =
    concurrency (the saturation knee), and over message loss (retry
    cost); then an open-loop arrival sweep against a per-guardian
    admission cap, where shedding, not collapse, absorbs overload.
-   Results are exported as e10.* gauges so check.sh can assert scaling
+   Results are exported as e10.* gauges so its gate can assert scaling
    and the p99 bound from BENCH_5.json. *)
 
 let e10 () =
@@ -596,7 +598,7 @@ let e10 () =
    adding shards adds throughput — per-shard load is constant, so total
    committed work should rise with the shard count, and a 10% cross-shard
    mix pays a 2PC tax but must not flatten the curve. Results are
-   exported as e11.* gauges so check.sh can assert scaling from
+   exported as e11.* gauges so its gate can assert scaling from
    BENCH_6.json. *)
 
 let e11 () =
@@ -649,7 +651,7 @@ let e11 () =
    one message per force; the payoff is failover — promoting the warm
    image skips the log replay a cold restart must do, so time from
    primary death to the first new commit drops. Results are exported as
-   e12.* gauges so check.sh can assert the failover win from
+   e12.* gauges so its gate can assert the failover win from
    BENCH_7.json. *)
 
 let e12 () =
@@ -878,7 +880,7 @@ let e13 () =
    under a seeded fault schedule (decay + partition + crash), plus the
    replicated variant whose crash of the paired shard promotes the warm
    standby. The decisive column is violations: it must read 0 on every
-   row, and check.sh asserts exactly that from the e14.* gauges in
+   row, and its gate asserts exactly that from the e14.* gauges in
    BENCH_9.json. *)
 
 let e14 () =
@@ -929,8 +931,8 @@ let e14 () =
    baseline (read-only work runs as ordinary Update actions whose reads
    take read locks and can wait or time out) against MVCC snapshot reads
    (the same traffic submitted ~mode:Read_only, served from a committed
-   snapshot with zero lock-table traffic). The claims, asserted by
-   check.sh from the e15.* gauges in BENCH_10.json: every mvcc row takes
+   snapshot with zero lock-table traffic). The claims, asserted by its
+   gate from the e15.* gauges in BENCH_10.json: every mvcc row takes
    zero read locks and aborts zero reads, the conc-32 mvcc row sees zero
    wait timeouts, and mvcc read p99 stays strictly below both the paired
    locked row and the e10 all-update locked baseline. *)
@@ -1159,38 +1161,20 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* [--metrics-json PATH]: dump the Rs_obs registry after the run. *)
-  let metrics_json, args =
+  (* [--metrics-json PATH] and [--check PATH]: see the usage above. *)
+  let path_option flag args =
     let rec strip acc = function
-      | "--metrics-json" :: path :: rest -> (Some path, List.rev_append acc rest)
-      | [ "--metrics-json" ] ->
-          Printf.eprintf "--metrics-json requires a path argument\n";
+      | f :: path :: rest when f = flag -> (Some path, List.rev_append acc rest)
+      | [ f ] when f = flag ->
+          Printf.eprintf "%s requires a path argument\n" flag;
           exit 2
       | x :: rest -> strip (x :: acc) rest
       | [] -> (None, List.rev acc)
     in
     strip [] args
   in
-  (* [--force-window W]: batching window (virtual time) for e8's batched
-     variant; 0 degenerates to the unbatched baseline. *)
-  let args =
-    let rec strip acc = function
-      | "--force-window" :: w :: rest -> (
-          match float_of_string_opt w with
-          | Some w when w >= 0.0 ->
-              e8_window := w;
-              List.rev_append acc rest
-          | Some _ | None ->
-              Printf.eprintf "--force-window requires a non-negative number\n";
-              exit 2)
-      | [ "--force-window" ] ->
-          Printf.eprintf "--force-window requires a value argument\n";
-          exit 2
-      | x :: rest -> strip (x :: acc) rest
-      | [] -> List.rev acc
-    in
-    strip [] args
-  in
+  let metrics_json, args = path_option "--metrics-json" args in
+  let check, args = path_option "--check" args in
   let to_run =
     match args with
     | [] | [ "all" ] -> experiments
@@ -1203,6 +1187,11 @@ let () =
                 Printf.eprintf "unknown experiment %s (e1..e15, bechamel, all)\n" n;
                 exit 2)
           names
+  in
+  (* Read the committed file first: a bad path fails before the run, and
+     [--metrics-json] may overwrite the file after it. *)
+  let committed =
+    Option.map (fun path -> (path, In_channel.with_open_bin path In_channel.input_all)) check
   in
   print_endline "Reliable Object Storage to Support Atomic Actions — benchmark harness";
   print_endline "(thesis has no measured tables; experiments per EXPERIMENTS.md)";
@@ -1217,11 +1206,36 @@ let () =
       f ();
       Rs_obs.Monitor.assert_ok ~where:name ())
     to_run;
-  match metrics_json with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Rs_obs.Metrics.to_json Rs_obs.Metrics.default);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "\nmetrics written to %s\n" path
+  let json = Rs_obs.Metrics.to_json Rs_obs.Metrics.default in
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc json;
+          output_char oc '\n');
+      Printf.printf "\nmetrics written to %s\n" path)
+    metrics_json;
+  (* The check reports on stderr, so a caller can drop the tables. *)
+  Option.iter
+    (fun (path, text) ->
+      let fresh = Gates.parse json and committed = Gates.parse text in
+      (match Gates.drift ~committed ~fresh with
+      | [] -> Printf.eprintf "%s: no drift (%d keys)\n" path (Gates.compared fresh)
+      | lines ->
+          Printf.eprintf "%s drifted in %d key(s):\n%s\n" path (List.length lines)
+            (String.concat "\n" lines);
+          Printf.eprintf
+            "to change it on purpose: dune exec bench/main.exe -- %s --metrics-json %s\n"
+            (String.concat " " args) path;
+          exit 1);
+      List.iter
+        (fun (name, _) ->
+          match List.assoc_opt name Gates.gates with
+          | None -> ()
+          | Some gate -> (
+              match gate (Gates.lookup fresh) with
+              | () -> Printf.eprintf "%s: gates pass\n" name
+              | exception Gates.Failed msg ->
+                  Printf.eprintf "%s gate failed: %s\n" name msg;
+                  exit 1))
+        to_run)
+    committed

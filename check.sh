@@ -6,16 +6,15 @@
 # every recovery scheme must survive a bounded exploration with zero
 # oracle violations, and the seeded broken-force mutation must be caught.
 #
-# The bench smokes never rewrite the committed BENCH_*.json artifacts:
-# each runs its experiments into a temporary file, compares it key by key
-# with the committed file and fails with the list of keys that differ
-# (the runs are seeded, so any difference is drift). Only the wall-clock
-# gauges e12.*.us and e13.*_us may differ. The smoke's own gates then run
-# on the fresh file. To change a BENCH file on purpose, regenerate it
-# with the experiments its section names, e.g.
+# The bench claims live beside the experiments: `bench/main.exe eN
+# --check BENCH_N.json` runs the experiments, compares the metrics
+# registry key by key with the committed file (the runs are seeded, so
+# any difference is drift; only the wall-clock gauges e12.*.us and
+# e13.*_us may differ) and then runs the experiments' gates from
+# bench/gates.ml. Nothing here rewrites a BENCH file. To change one on
+# purpose, regenerate it with the experiments its line names, e.g.
 #   dune exec bench/main.exe -- e13 --metrics-json BENCH_8.json
-# and commit the result. Without python3 the drift check is skipped (and
-# says so) and the gates fall back to grep.
+# and commit the result. The script needs only dune and POSIX shell tools.
 set -e
 
 cd "$(dirname "$0")"
@@ -102,395 +101,21 @@ dune runtest
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-# bench_fresh N EXPERIMENT...: run the experiments into $FRESH and check
-# it against the committed BENCH_N.json.
-bench_fresh() {
-  n=$1
-  shift
-  FRESH="$WORK/BENCH_$n.json"
-  dune exec bench/main.exe -- "$@" --metrics-json "$FRESH" >/dev/null
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "BENCH_$n.json" "$FRESH" "$@" <<'EOF'
-import json, re, sys
-committed, fresh = (json.load(open(p)) for p in sys.argv[1:3])
-wall = re.compile(r"e12\..*\.us|e13\..*_us")
-def flat(d):
-    return {(sec, k): v for sec, m in d.items() for k, v in m.items()
-            if not (sec == "gauges" and wall.fullmatch(k))}
-old, new = flat(committed), flat(fresh)
-drift = [f"  {sec} {k}: committed {old.get((sec, k), '(absent)')}, "
-         f"fresh {new.get((sec, k), '(absent)')}"
-         for sec, k in sorted(old.keys() | new.keys()) if old.get((sec, k)) != new.get((sec, k))]
-if drift:
-    print(f"{sys.argv[1]} drifted in {len(drift)} key(s):")
-    print("\n".join(drift))
-    print(f"to change it on purpose: dune exec bench/main.exe -- "
-          f"{' '.join(sys.argv[3:])} --metrics-json {sys.argv[1]}")
-    sys.exit(1)
-print(f"{sys.argv[1]}: no drift ({len(new)} keys)")
-EOF
-  else
-    echo "drift check skipped for BENCH_$n.json (python3 unavailable)"
-  fi
-}
-
-echo "== bench smoke: e1 against BENCH_2.json =="
-# Committed artifact: e1 is seeded, so the JSON is deterministic.
-bench_fresh 2 e1
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$FRESH" <<'EOF'
-import json, sys
-c = json.load(open(sys.argv[1]))["counters"]
-pw = c["stable_store.physical_writes"]
-wr = c["stable_store.write_rounds"]
-simple = c["simple_rs.recovery_entries"]
-hybrid = c["hybrid_rs.recovery_entries"]
-assert pw > 0, f"no physical writes recorded ({pw})"
-# Careful writes run as overlapped mirrored rounds: one round per logical
-# put, two physical writes per round (a repair retries singles).
-assert wr > 0 and pw >= int(1.9 * wr), \
-    f"expected ~2 physical writes per round, got {pw} writes / {wr} rounds"
-assert 0 < hybrid < simple, \
-    f"expected 0 < hybrid ({hybrid}) < simple ({simple}) recovery entries"
-print(f"metrics ok: physical_writes={pw} over {wr} rounds, "
-      f"recovery entries hybrid={hybrid} < simple={simple}")
-# The §1.2.2 writing-cost shape: the logs write the same pages per commit
-# whatever the state size; shadowing rewrites the map at every commit, so
-# it costs more than either log at every size and grows with the state.
-g = json.load(open(sys.argv[1]))["gauges"]
-sizes = [16, 64, 256, 1024]
-ppc = {s: [g[f"e1.{s}.o{n}.pages_per_commit_x10"] for n in sizes]
-       for s in ("simple", "hybrid", "shadow")}
-for s in ("simple", "hybrid"):
-    assert max(ppc[s]) - min(ppc[s]) <= 10, \
-        f"{s} pages/commit x10 not flat across {sizes} objects: {ppc[s]}"
-for i, n in enumerate(sizes):
-    assert ppc["shadow"][i] > max(ppc["simple"][i], ppc["hybrid"][i]), \
-        f"shadow not above the logs at {n} objects: " + \
-        ", ".join(f"{s}={ppc[s][i]}" for s in ppc)
-assert ppc["shadow"][-1] > ppc["shadow"][0], \
-    f"shadow pages/commit x10 does not grow 16 -> 1024 objects: {ppc['shadow']}"
-print("e1 shape ok (pages/commit x10 at " + "/".join(map(str, sizes)) + " objects): " +
-      "; ".join(f"{s} {ppc[s]}" for s in ppc))
-EOF
-else
-  # No python3: at least require the key with a nonzero value.
-  grep -q '"stable_store.physical_writes": [1-9]' "$FRESH" ||
-    { echo "stable_store.physical_writes missing or zero"; exit 1; }
-  echo "metrics ok (python3 unavailable; key presence checked only)"
-fi
-
-echo "== bench smoke: e7 e8 against BENCH_3.json =="
-# Committed artifact: e7 exercises the 2PC/guardian counters (all zero in
-# BENCH_2.json, whose dump runs before e7) and e8 measures group commit;
-# both are seeded and run on virtual time, so the JSON is deterministic.
-bench_fresh 3 e7 e8
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$FRESH" <<'EOF'
-import json, sys
-m = json.load(open(sys.argv[1]))
-c, g = m["counters"], m["gauges"]
-assert c["guardian.prepares"] > 0, "e7 left guardian.prepares at zero"
-assert c["guardian.commits"] > 0, "e7 left guardian.commits at zero"
-assert c["slog.group_commits"] > 0, "e8 recorded no group commits"
-for conc in (8, 16):
-    def per(variant):
-        w = g[f"e8.hybrid.c{conc}.{variant}.physical_writes"]
-        n = g[f"e8.hybrid.c{conc}.{variant}.commits"]
-        return w / n
-    ratio = per("nobatch") / per("batch")
-    assert ratio >= 2.0, \
-        f"hybrid at conc {conc}: writes/commit only improved {ratio:.2f}x (< 2x)"
-    print(f"group commit ok: hybrid conc {conc} writes/commit down {ratio:.1f}x")
-print(f"metrics ok: guardian.prepares={c['guardian.prepares']}, "
-      f"guardian.commits={c['guardian.commits']}, "
-      f"group_commits={c['slog.group_commits']}")
-EOF
-else
-  grep -q '"slog.group_commits": [1-9]' "$FRESH" ||
-    { echo "slog.group_commits missing or zero"; exit 1; }
-  grep -q '"guardian.commits": [1-9]' "$FRESH" ||
-    { echo "guardian.commits missing or zero"; exit 1; }
-  echo "metrics ok (python3 unavailable; key presence checked only)"
-fi
-
-echo "== bench smoke: e9 against BENCH_4.json =="
-# Committed artifact: e9 measures log footprint and recovery cost versus
-# history length for the segmented log. Seeded and deterministic. The
-# gates pin the reclamation bound (a bounded number of live segments no
-# matter how many housekeeping cycles ran) and history-independent
-# recovery, against a no-housekeeping control that grows in both.
-bench_fresh 4 e9
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$FRESH" <<'EOF'
-import json, sys
-g = json.load(open(sys.argv[1]))["gauges"]
-def seg(c, k): return g[f"e9.seg.c{c}.{k}"]
-def nohk(c, k): return g[f"e9.nohk.c{c}.{k}"]
-# Reclamation bound: <= 2 live segments after 10 housekeeping cycles.
-assert seg(10, "live_segments") <= 2, \
-    f"live segments not bounded: {seg(10, 'live_segments')} after 10 cycles"
-# Footprint is flat in history: 10 cycles cost no more pages than 2.
-assert seg(10, "live_pages") <= seg(2, "live_pages"), \
-    f"live pages grew with history: {seg(2, 'live_pages')} -> {seg(10, 'live_pages')}"
-# Retirement actually happened, and kept happening.
-assert seg(10, "retired_segments") > seg(2, "retired_segments") > 0, \
-    "segment retirement did not track history"
-# Recovery is history-independent with housekeeping...
-assert seg(10, "recovery_entries") == seg(2, "recovery_entries"), \
-    f"recovery entries drifted: {seg(2, 'recovery_entries')} -> {seg(10, 'recovery_entries')}"
-# ...and history-proportional without it.
-assert nohk(10, "live_pages") > 2 * seg(10, "live_pages"), \
-    "no-housekeeping control did not outgrow the reclaimed log"
-assert nohk(10, "recovery_entries") > nohk(2, "recovery_entries"), \
-    "no-housekeeping control recovery did not grow with history"
-print(f"reclamation ok: live_segments={seg(10, 'live_segments')} (<=2), "
-      f"live_pages flat at {seg(10, 'live_pages')} "
-      f"(control: {nohk(10, 'live_pages')}), "
-      f"recovery entries flat at {seg(10, 'recovery_entries')} "
-      f"(control: {nohk(10, 'recovery_entries')})")
-EOF
-else
-  grep -q '"e9.seg.c10.live_segments": [12]\b' "$FRESH" ||
-    { echo "e9.seg.c10.live_segments missing or > 2"; exit 1; }
-  echo "reclamation ok (python3 unavailable; key presence checked only)"
-fi
-
-echo "== bench smoke: e10 against BENCH_5.json =="
-# Committed artifact: e10 drives the Rs_load generator over virtual time
-# (closed-loop concurrency/conflict/drop sweeps, open-loop admission
-# sweep); seeded, so the JSON is deterministic. The gates pin the
-# wait-queue claims: throughput scales with concurrency at 10% conflict,
-# tail latency stays bounded, and open-loop overload shows shedding.
-bench_fresh 5 e10
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$FRESH" <<'EOF'
-import json, sys
-g = json.load(open(sys.argv[1]))["gauges"]
-thr32 = g["e10.conc32.throughput_x1000"]
-assert thr32 > 0, "no throughput at concurrency 32 (hang or abort storm)"
-c1, c32 = g["e10.conc1.committed"], g["e10.conc32.committed"]
-assert c32 > 2 * c1, \
-    f"throughput did not scale: {c1} committed at conc 1 vs {c32} at conc 32"
-p99 = g["e10.conc32.p99_x10"] / 10
-assert p99 < 100, f"p99 unbounded at 10% conflict: {p99} time units"
-assert g["e10.open80.sheds"] > 0, "open-loop overload shed nothing"
-print(f"load ok: conc1->32 committed {c1}->{c32}, "
-      f"throughput {thr32/1000:.3f}/unit, p99 {p99:.1f}, "
-      f"sheds {g['e10.open80.sheds']}")
-EOF
-else
-  grep -q '"e10.conc32.throughput_x1000": [1-9]' "$FRESH" ||
-    { echo "e10.conc32.throughput_x1000 missing or zero"; exit 1; }
-  echo "load ok (python3 unavailable; key presence checked only)"
-fi
-
-echo "== bench smoke: e11 against BENCH_6.json =="
-# Committed artifact: e11 sweeps the Rs_dir placement directory over
-# shard count x cross-shard ratio at fixed per-shard load (3 closed-loop
-# clients per shard); seeded, so the JSON is deterministic. The gates pin
-# the sharding claim: committed work rises monotonically with the shard
-# count, with and without a 10% cross-shard 2PC mix.
-bench_fresh 6 e11
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$FRESH" <<'EOF'
-import json, sys
-g = json.load(open(sys.argv[1]))["gauges"]
-for cross in (0, 10):
-    series = [g[f"e11.s{s}.x{cross}.committed"] for s in (1, 2, 4, 8)]
-    assert all(b > a for a, b in zip(series, series[1:])), \
-        f"committed not increasing with shards at {cross}% cross: {series}"
-    print(f"shards ok at {cross}% cross: committed 1->2->4->8 shards = {series}")
-EOF
-else
-  grep -q '"e11.s8.x10.committed": [1-9]' "$FRESH" ||
-    { echo "e11.s8.x10.committed missing or zero"; exit 1; }
-  echo "shards ok (python3 unavailable; key presence checked only)"
-fi
-
-echo "== bench smoke: e12 against BENCH_7.json =="
-# Committed artifact: e12 measures the replication pair — ship overhead
-# on the commit path, then failover vs cold restart over an identical
-# history. Counters (ship bytes, applies, failovers) are seeded and
-# deterministic; the us gauges are wall-clock and drift run to run, but
-# the gate they carry — promoting the warm standby strictly beats
-# replaying the log — holds with a wide margin at this history length.
-bench_fresh 7 e12
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$FRESH" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-g, c = d["gauges"], d["counters"]
-assert g["e12.repl.committed"] == g["e12.solo.committed"] > 0, \
-    "replication changed the committed count"
-assert g["e12.ship_bytes"] > 0 and c["repl.applies"] > 0, "nothing was shipped"
-cold, fo = g["e12.cold.us"], g["e12.failover.us"]
-assert g["e12.cold.entries"] > 0, "cold restart replayed no entries"
-assert fo < cold, \
-    f"failover-to-first-commit ({fo}us) not below cold restart ({cold}us)"
-print(f"repl ok: {g['e12.ship_bytes']} bytes shipped, failover {fo}us < "
-      f"cold {cold}us over {g['e12.cold.entries']} replayed entries")
-EOF
-else
-  grep -q '"repl.ship_bytes": [1-9]' "$FRESH" ||
-    { echo "repl.ship_bytes missing or zero"; exit 1; }
-  echo "repl ok (python3 unavailable; key presence checked only)"
-fi
-
-echo "== bench smoke: e13 against BENCH_8.json =="
-# Committed artifact: e13 measures bounded restart. Entry and read-op
-# counts are deterministic; the us gauges drift run to run, so the
-# wall-clock gates carry generous constant factors while the flatness
-# and read-operation gates are exact.
-bench_fresh 8 e13
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$FRESH" <<'EOF'
-import json, sys
-g = json.load(open(sys.argv[1]))["gauges"]
-# Incremental checkpointing bounds the live log: entries visited and log
-# size are identical across 2/5/10 cycles of history (one cycle of tail).
-for m in ("entries", "log_entries", "scan_read_ops"):
-    vals = [g[f"e13.inc.c{c}.{m}"] for c in (2, 5, 10)]
-    assert len(set(vals)) == 1, f"inc {m} not flat across cycles: {vals}"
-# ... and restart wall time stays flat too (generous noise margin).
-for m in ("serial_us", "parallel_us"):
-    c2, c10 = g[f"e13.inc.c2.{m}"], g[f"e13.inc.c10.{m}"]
-    assert c10 <= 3 * c2, f"inc {m} grew with history: c2={c2} c10={c10}"
-# The unbounded control grows with history.
-assert g["e13.nohk.c10.entries"] >= 4 * g["e13.nohk.c2.entries"], \
-    "nohk recovery entries did not grow with history"
-# Segment-parallel cold restart beats serial replay on a >=2000-entry
-# log: ~40x fewer stable-storage read operations at wall-time parity.
-assert g["e13.nohk.c10.log_entries"] >= 2000, "control log too short to gate"
-scan, ser = g["e13.nohk.c10.scan_read_ops"], g["e13.nohk.c10.serial_read_ops"]
-assert 10 * scan <= ser, f"scan read ops not well below serial: {scan} vs {ser}"
-pus, sus = g["e13.nohk.c10.parallel_us"], g["e13.nohk.c10.serial_us"]
-assert 2 * pus <= 3 * sus, f"parallel wall time regressed vs serial: {pus} vs {sus}"
-print(f"bounded restart ok: inc flat at {g['e13.inc.c10.entries']} entries while "
-      f"nohk grew to {g['e13.nohk.c10.entries']}; scan {scan} read ops vs "
-      f"serial {ser} ({pus}us vs {sus}us)")
-EOF
-else
-  grep -q '"e13.inc.c10.entries": ' "$FRESH" ||
-    { echo "e13 gauges missing"; exit 1; }
-  [ "$(grep -o '"e13.inc.c10.entries": [0-9]*' "$FRESH" | grep -o '[0-9]*$')" = \
-    "$(grep -o '"e13.inc.c2.entries": [0-9]*' "$FRESH" | grep -o '[0-9]*$')" ] ||
-    { echo "inc recovery entries not flat across cycles"; exit 1; }
-  echo "bounded restart ok (python3 unavailable; flatness checked only)"
-fi
-
-echo "== bench smoke: e14 against BENCH_9.json =="
-# Committed artifact: e14 runs the nemesis — seeded fault schedules
-# (decay + partition + crash, plus a promoting failover on the repl row)
-# under every load profile. Virtual time end to end, so the JSON is
-# deterministic. The gate is absolute: every row commits real work and
-# reports zero oracle/monitor violations, and the repl row promoted.
-bench_fresh 9 e14
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$FRESH" <<'EOF'
-import json, sys
-g = json.load(open(sys.argv[1]))["gauges"]
-for p in ("synthetic", "bank", "reservation", "queue", "saga", "repl"):
-    v, c, e = g[f"e14.{p}.violations"], g[f"e14.{p}.committed"], g[f"e14.{p}.events"]
-    assert v == 0, f"{p}: {v} violation(s) under nemesis"
-    assert c > 0, f"{p}: nothing committed under nemesis"
-    assert e > 0, f"{p}: no nemesis events fired (vacuous run)"
-    assert g[f"e14.{p}.downtime_x10"] > 0, f"{p}: no downtime recorded (vacuous faults)"
-assert g["e14.repl.promoted"] == 1, "repl row did not promote the standby"
-print("nemesis ok: all 6 profiles clean under fault schedules, "
-      f"repl promoted, e.g. bank committed={g['e14.bank.committed']} "
-      f"with downtime={g['e14.bank.downtime_x10']/10}")
-EOF
-else
-  for p in synthetic bank reservation queue saga repl; do
-    grep -q "\"e14.$p.violations\": 0" "$FRESH" ||
-      { echo "e14.$p.violations missing or nonzero"; exit 1; }
-  done
-  echo "nemesis ok (python3 unavailable; zero-violation keys checked only)"
-fi
-
-echo "== bench smoke: e3 e4 against BENCH_11.json =="
-# Committed artifact: e3 checkpoints seeded hybrid histories with each
-# technique and records, per checkpoint, the new log's entries and stream
-# bytes and the old-log entries it read; e4 measures recovery with and
-# without a snapshot. The wall times e3 prints are not exported, so the
-# JSON is deterministic. The gate is §5.3's comparison stated as counts:
-# as history grows at fixed state (sweep A), compaction reads more of the
-# old log and the snapshot reads no more of it.
-bench_fresh 11 e3 e4
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$FRESH" <<'EOF'
-import json, sys
-g = json.load(open(sys.argv[1]))["gauges"]
-def reads(t): return [g[f"e3.a.h{h}.{t}.old_reads"] for h in (100, 400, 1600)]
-comp, snap = reads("compaction"), reads("snapshot")
-assert all(b > a for a, b in zip(comp, comp[1:])), \
-    f"compaction old-log reads did not grow with history: {comp}"
-assert snap[-1] <= snap[0], f"snapshot old-log reads grew with history: {snap}"
-print(f"housekeeping ok: sweep A old-log reads compaction {comp}, snapshot {snap}")
-EOF
-else
-  grep -q '"e3.a.h1600.compaction.old_reads": [1-9]' "$FRESH" ||
-    { echo "e3.a.h1600.compaction.old_reads missing or zero"; exit 1; }
-  echo "housekeeping ok (python3 unavailable; key presence checked only)"
-fi
-
-echo "== bench smoke: e15 against BENCH_10.json =="
-# Committed artifact: e15 sweeps a 90/10 read-mostly closed loop over
-# concurrency, locked-read baseline vs MVCC snapshot reads. Virtual time
-# end to end, so the JSON is deterministic. The gates are the MVCC
-# contract: snapshot reads take zero read locks and abort zero reads at
-# every concurrency (a reader wait-timeout would surface as a read
-# abort), and at conc 32 the snapshot-read p99 beats both the paired
-# locked row and the e10 all-update locked baseline (p99 48.7).
-bench_fresh 10 e15
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$FRESH" <<'EOF'
-import json, sys
-g = json.load(open(sys.argv[1]))["gauges"]
-for c in (1, 4, 8, 16, 32):
-    locks = g[f"e15.mvcc.c{c}.read_locks"]
-    rab = g[f"e15.mvcc.c{c}.reads_aborted"]
-    rc = g[f"e15.mvcc.c{c}.reads_committed"]
-    assert locks == 0, f"mvcc conc {c}: snapshot reads took {locks} read locks"
-    assert rab == 0, f"mvcc conc {c}: {rab} read-only actions aborted"
-    assert rc > 0, f"mvcc conc {c}: no snapshot reads committed (vacuous run)"
-    assert g[f"e15.locked.c{c}.read_locks"] > 0, \
-        f"locked baseline at conc {c} took no read locks (vacuous baseline)"
-    assert rc > g[f"e15.locked.c{c}.reads_committed"], \
-        f"mvcc conc {c} did not out-commit the locked baseline"
-p99_mvcc = g["e15.mvcc.c32.read_p99_x10"] / 10
-p99_lock = g["e15.locked.c32.read_p99_x10"] / 10
-assert p99_mvcc < p99_lock, \
-    f"mvcc read p99 ({p99_mvcc}) not below locked baseline ({p99_lock})"
-assert p99_mvcc < 48.7, \
-    f"mvcc read p99 ({p99_mvcc}) not below the e10 locked-action baseline (48.7)"
-print(f"mvcc ok: zero read locks & zero read aborts at every concurrency, "
-      f"conc-32 read p99 {p99_mvcc} vs locked {p99_lock} (e10 baseline 48.7), "
-      f"reads committed {g['e15.mvcc.c32.reads_committed']} vs "
-      f"locked {g['e15.locked.c32.reads_committed']}")
-EOF
-else
-  for c in 1 4 8 16 32; do
-    grep -q "\"e15.mvcc.c$c.read_locks\": 0" "$FRESH" ||
-      { echo "e15.mvcc.c$c.read_locks missing or nonzero"; exit 1; }
-    grep -q "\"e15.mvcc.c$c.reads_aborted\": 0" "$FRESH" ||
-      { echo "e15.mvcc.c$c.reads_aborted missing or nonzero"; exit 1; }
-  done
-  grep -q '"e15.mvcc.c32.reads_committed": [1-9]' "$FRESH" ||
-    { echo "e15.mvcc.c32.reads_committed missing or zero"; exit 1; }
-  echo "mvcc ok (python3 unavailable; zero-lock/zero-abort keys checked only)"
-fi
+echo "== bench claims: each committed BENCH file against a fresh run, then its gates =="
+# Each line runs the experiments that wrote a BENCH file and checks the
+# registry against the committed file, key by key, then runs those
+# experiments' claim gates (bench/gates.ml) on the fresh values. It never
+# rewrites the file, and it fails listing every key that drifted.
+dune exec bench/main.exe -- e1 --check BENCH_2.json >/dev/null
+dune exec bench/main.exe -- e7 e8 --check BENCH_3.json >/dev/null
+dune exec bench/main.exe -- e9 --check BENCH_4.json >/dev/null
+dune exec bench/main.exe -- e10 --check BENCH_5.json >/dev/null
+dune exec bench/main.exe -- e11 --check BENCH_6.json >/dev/null
+dune exec bench/main.exe -- e12 --check BENCH_7.json >/dev/null
+dune exec bench/main.exe -- e13 --check BENCH_8.json >/dev/null
+dune exec bench/main.exe -- e14 --check BENCH_9.json >/dev/null
+dune exec bench/main.exe -- e3 e4 --check BENCH_11.json >/dev/null
+dune exec bench/main.exe -- e15 --check BENCH_10.json >/dev/null
 
 echo "== standing bench smoke: every workload ends correct with no failed op =="
 # The standing benchmark (bench/standing, declared in BENCHMARK.json)
@@ -504,29 +129,15 @@ SPACE_AMP_MAX=1.29
 for workload in mixed update-open crash-restart; do
   LAST=$(dune exec bench/standing/standing.exe -- --workload "$workload" \
            --seed 1 --seconds 1 --trace 0 | tail -1)
-  if command -v python3 >/dev/null 2>&1; then
-    echo "$LAST" | python3 -c '
-import json, sys
-w, amp_max = sys.argv[1], float(sys.argv[2])
-d = json.loads(sys.stdin.read())
-failed, attempted = d["failed"], d["attempted"]
-assert d["correct"] is True, f"{w}: standing run not correct"
-assert failed == 0, f"{w}: {failed} failed operations"
-amp = d["metrics"]["space_amp"]["value"]
-assert w != "crash-restart" or amp <= amp_max, f"{w}: space_amp {amp} above {amp_max}"
-print(f"{w}: correct, {attempted} attempted, 0 failed, space_amp {amp:.4f}")
-' "$workload" "$SPACE_AMP_MAX" || { echo "$LAST"; exit 1; }
-  else
-    case "$LAST" in
-      *'"correct": true,'*'"failed": 0,'*) echo "$workload: correct, 0 failed" ;;
-      *) echo "$LAST"; echo "standing bench $workload failed its gates"; exit 1 ;;
-    esac
-    if [ "$workload" = crash-restart ]; then
-      AMP=$(echo "$LAST" | sed -n 's/.*"space_amp": {"value": \([0-9.]*\).*/\1/p')
-      awk -v a="${AMP:-9}" -v m="$SPACE_AMP_MAX" 'BEGIN { exit !(a <= m) }' ||
-        { echo "crash-restart space_amp ${AMP:-?} above $SPACE_AMP_MAX"; exit 1; }
-      echo "crash-restart: space_amp $AMP"
-    fi
+  case "$LAST" in
+    *'"correct": true,'*'"failed": 0,'*) echo "$workload: correct, 0 failed" ;;
+    *) echo "$LAST"; echo "standing bench $workload failed its gates"; exit 1 ;;
+  esac
+  if [ "$workload" = crash-restart ]; then
+    AMP=$(echo "$LAST" | sed -n 's/.*"space_amp": {"value": \([0-9.]*\).*/\1/p')
+    awk -v a="${AMP:-9}" -v m="$SPACE_AMP_MAX" 'BEGIN { exit !(a <= m) }' ||
+      { echo "crash-restart space_amp ${AMP:-?} above $SPACE_AMP_MAX"; exit 1; }
+    echo "crash-restart: space_amp $AMP"
   fi
 done
 
