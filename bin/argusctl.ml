@@ -273,10 +273,9 @@ let explore seed scheme_name budget max_depth break_force =
         exit 2
   in
   let config = { Rs_explore.Explore.seed; budget; max_depth } in
-  if break_force then Rs_slog.Stable_log.set_skip_header_write true;
   let outcomes =
-    Fun.protect
-      ~finally:(fun () -> if break_force then Rs_slog.Stable_log.set_skip_header_write false)
+    Rs_util.Fault_hook.with_mutations
+      (if break_force then [ Rs_slog.Stable_log.Skip_header_write ] else [])
       (fun () -> List.map (Rs_explore.Explore.explore ~config) targets)
   in
   List.iter (fun o -> Format.printf "%a@." Rs_explore.Explore.pp_outcome o) outcomes;
@@ -601,10 +600,9 @@ let nemesis seed seeds profile_name guardians clients duration events replicated
       replicated;
     }
   in
-  if break_barging then Rs_objstore.Heap.set_allow_read_barging true;
   let failures =
-    Fun.protect
-      ~finally:(fun () -> if break_barging then Rs_objstore.Heap.set_allow_read_barging false)
+    Rs_util.Fault_hook.with_mutations
+      (if break_barging then [ Rs_objstore.Heap.Read_barging ] else [])
       (fun () ->
         List.init seeds (fun i ->
             let cfg = { cfg with seed = seed + i } in

@@ -263,10 +263,12 @@ case "$OUT" in
   *) echo "argusctl recover reported divergence"; exit 1 ;;
 esac
 
-echo "== exploration gate: every target survives 200 crash schedules =="
+echo "== exploration gate: every target survives its whole depth-2 schedule space =="
 # One run over the explorer's target table: each of the 11 targets prints
-# one summary line, and every line must report violations=0.
-if ! OUT=$(dune exec bin/argusctl.exe -- explore --scheme all --budget 200); then
+# one summary line, and every line must report violations=0. Budget 20000
+# exceeds every target's baseline + depth-1 + depth-2 count (shadow's
+# 4,117 is the largest), so no schedule is sampled away.
+if ! OUT=$(dune exec bin/argusctl.exe -- explore --scheme all --budget 20000); then
   echo "$OUT"
   echo "exploration found a violation"
   exit 1

@@ -16,6 +16,7 @@ module Net = Rs_sim.Net
 module Trace = Rs_obs.Trace
 module Monitor = Rs_obs.Monitor
 module Gid = Rs_util.Gid
+module Fault_hook = Rs_util.Fault_hook
 
 type config = { seed : int; budget : int; max_depth : int }
 
@@ -245,21 +246,24 @@ let finish t phase = Option.iter (fun sim -> ignore (step_all sim)) (phase.run t
 
 (* ---- census ------------------------------------------------------ *)
 
-let seg_stages = [| Fault.Seg_alloc; Fault.Seg_link; Fault.Seg_retire |]
+(* What a fault site counts toward: a physical write on the [i]-th
+   start-of-run stable store (both disk replicas counted together), a
+   completed log force, or a segment event of one stage. The census and
+   the injection of a point count with the same [kind_of]. Segments
+   allocated mid-run are invisible to the write count (their disks are
+   not in the start-of-run store list) — their crash windows are covered
+   by the segment-boundary points. *)
+type kind = Writes of int | Forces | Segs of Fault.seg_stage
 
-let seg_stage_index : Slog.segment_event -> int = function
-  | Slog.Seg_alloc _ -> 0
-  | Slog.Seg_link -> 1
-  | Slog.Seg_retire _ -> 2
+let kind_of stores = function
+  | Slog.Forced -> Some Forces
+  | Slog.Segment (Slog.Seg_alloc _) -> Some (Segs Fault.Seg_alloc)
+  | Slog.Segment Slog.Seg_link -> Some (Segs Fault.Seg_link)
+  | Slog.Segment (Slog.Seg_retire _) -> Some (Segs Fault.Seg_retire)
+  | site -> Option.map (fun i -> Writes i) (List.find_index (fun s -> Store.is_write s site) stores)
 
-(* One clean run of the scenario with the process-wide census hooks
-   installed: per phase, how many physical page writes land on each
-   stable store (both disk replicas counted together, matching what
-   [Store.arm_crash ~after_writes] counts), how many log forces complete,
-   how many segment events of each stage fire, and how many simulator
-   events it runs. Segments allocated mid-run are invisible to the write
-   census (their disks are not in the start-of-run store list) — their
-   crash windows are covered by the segment-boundary points.
+(* One clean run of the scenario under a counting hook: per phase, how
+   many sites of each kind fire, and how many simulator events it runs.
 
    Per-phase point order: housekeeping boundary, segment boundaries,
    force boundaries, the store-write sweep, then event boundaries.
@@ -267,88 +271,58 @@ let seg_stage_index : Slog.segment_event -> int = function
    prefix reaches them before the long tail of store writes. *)
 let census sc =
   let stores = Scheme.stable_stores (Synth.scheme sc.synth) in
-  let disk_of =
-    List.concat
-      (List.mapi
-         (fun i s ->
-           let a, b = Store.disks s in
-           [ (a, i); (b, i) ])
-         stores)
+  let kind = kind_of stores in
+  let counts = Hashtbl.create 16 in
+  let count j k = Option.value ~default:0 (Hashtbl.find_opt counts (j, k)) in
+  let cur = ref 0 in
+  let events =
+    Fault_hook.with_hook
+      (fun site ->
+        Option.iter (fun k -> Hashtbl.replace counts (!cur, k) (count !cur k + 1)) (kind site);
+        Fault_hook.Go)
+      (fun () ->
+        List.mapi
+          (fun j phase ->
+            cur := j;
+            Option.fold ~none:0 ~some:(fun sim -> step_all sim) (phase.run sc.synth))
+          sc.phases)
   in
-  let n = List.length sc.phases in
-  let writes = Array.init n (fun _ -> Array.make (List.length stores) 0) in
-  let forces = Array.make n 0 in
-  let segs = Array.init n (fun _ -> Array.make (Array.length seg_stages) 0) in
-  let events = Array.make n 0 in
-  let cur = ref (-1) in
-  Disk.set_write_hook
-    (Some
-       (fun d _page ->
-         if !cur >= 0 then
-           match List.find_opt (fun (d', _) -> d' == d) disk_of with
-           | Some (_, i) -> writes.(!cur).(i) <- writes.(!cur).(i) + 1
-           | None -> ()));
-  Slog.set_force_hook (Some (fun () -> if !cur >= 0 then forces.(!cur) <- forces.(!cur) + 1));
-  Slog.set_segment_hook
-    (Some
-       (fun ev ->
-         if !cur >= 0 then
-           let s = seg_stage_index ev in
-           segs.(!cur).(s) <- segs.(!cur).(s) + 1));
-  Fun.protect
-    ~finally:(fun () ->
-      Disk.set_write_hook None;
-      Slog.set_force_hook None;
-      Slog.set_segment_hook None)
-    (fun () ->
-      List.iteri
-        (fun j phase ->
-          cur := j;
-          events.(j) <- Option.fold ~none:0 ~some:(fun sim -> step_all sim) (phase.run sc.synth))
-        sc.phases);
   List.concat
     (List.mapi
-       (fun j phase ->
+       (fun j (phase, events) ->
          let at point = { Fault.op = j; point } in
-         let per counts mk =
-           List.concat (List.mapi (fun s n -> List.init n (mk s)) (Array.to_list counts))
-         in
+         let each k mk = List.init (count j k) (fun i -> at (mk (i + 1))) in
          (if phase.slice <> None then [ at Fault.Hk_boundary ] else [])
-         @ per segs.(j) (fun s k ->
-               at (Fault.Segment_boundary { stage = seg_stages.(s); nth = k + 1 }))
-         @ List.init forces.(j) (fun k -> at (Fault.Force_boundary { nth = k + 1 }))
-         @ per writes.(j) (fun s k -> at (Fault.Store_write { store = s; after_writes = k }))
-         @ List.map (fun nth -> at (Fault.Event_boundary { nth })) (spread events.(j)))
-       sc.phases)
+         @ List.concat_map
+             (fun stage -> each (Segs stage) (fun nth -> Fault.Segment_boundary { stage; nth }))
+             [ Fault.Seg_alloc; Fault.Seg_link; Fault.Seg_retire ]
+         @ each Forces (fun nth -> Fault.Force_boundary { nth })
+         @ List.concat
+             (List.mapi
+                (fun store _ ->
+                  each (Writes store) (fun n -> Fault.Store_write { store; after_writes = n - 1 }))
+                stores)
+         @ List.map (fun nth -> at (Fault.Event_boundary { nth })) (spread events))
+       (List.combine sc.phases events))
 
 (* ---- one schedule ------------------------------------------------ *)
 
 (* Run [phase] over [t] with [point] armed; true iff the crash fired. A
    [Hk_boundary] (censused only on a housekeeping phase) always crashes,
    after the phase's first slice alone; an [Event_boundary] crashes after
-   that many of the phase's simulator events, if it runs that many. *)
+   that many of the phase's simulator events, if it runs that many; a
+   counted point crashes the [nth] site of its kind. *)
 let inject t phase point =
   let crashed f = match f () with () -> false | exception Disk.Crash -> true in
-  let armed disarm = Fun.protect ~finally:disarm (fun () -> crashed (fun () -> finish t phase)) in
-  let nth_hook nth =
-    let count = ref 0 in
-    fun () ->
-      incr count;
-      if !count = nth then raise Disk.Crash
+  let crash_at k nth =
+    let kind = kind_of (Scheme.stable_stores (Synth.scheme t)) in
+    let hook = Fault_hook.on_nth (fun site -> kind site = Some k) nth Crash in
+    crashed (fun () -> Fault_hook.with_hook hook (fun () -> finish t phase))
   in
   match point with
-  | Fault.Store_write { store; after_writes } ->
-      let stores = Scheme.stable_stores (Synth.scheme t) in
-      Option.iter (fun s -> Store.arm_crash s ~after_writes) (List.nth_opt stores store);
-      armed (fun () -> List.iter Store.clear_crash stores)
-  | Fault.Force_boundary { nth } ->
-      Slog.set_force_hook (Some (nth_hook nth));
-      armed (fun () -> Slog.set_force_hook None)
-  | Fault.Segment_boundary { stage; nth } ->
-      let hit = nth_hook nth in
-      Slog.set_segment_hook
-        (Some (fun ev -> if seg_stages.(seg_stage_index ev) = stage then hit ()));
-      armed (fun () -> Slog.set_segment_hook None)
+  | Fault.Store_write { store; after_writes } -> crash_at (Writes store) (after_writes + 1)
+  | Fault.Force_boundary { nth } -> crash_at Forces nth
+  | Fault.Segment_boundary { stage; nth } -> crash_at (Segs stage) nth
   | Fault.Hk_boundary ->
       Option.get phase.slice t;
       true
@@ -357,7 +331,7 @@ let inject t phase point =
           Option.iter
             (fun sim -> if step_all ~upto:nth sim = nth then raise Disk.Crash)
             (phase.run t))
-  | Fault.Msg_crash _ | Fault.Msg_drop _ | Fault.Msg_delay _ -> armed ignore
+  | Fault.Msg_crash _ | Fault.Msg_drop _ | Fault.Msg_delay _ -> crashed (fun () -> finish t phase)
 
 (* Crash recovery plus in-doubt resolution (presumed abort, §2.2.3),
    then the scenario's oracle on the recovered counters and the judge. *)
@@ -626,21 +600,15 @@ let twopc =
     let w = build config in
     let net = System.net w.sys in
     let d0 = Net.messages_delivered net in
-    let fault_send nth fault =
-      let count = ref 0 in
-      Net.set_send_hook
-        (Some
-           (fun () ->
-             incr count;
-             if !count = nth then fault else Net.Deliver))
+    let fault_send nth = Fault_hook.on_nth (function Net.Send -> true | _ -> false) nth in
+    let hook =
+      match sched with
+      | { Fault.point = Fault.Msg_drop { nth }; _ } :: _ -> fault_send nth Fault_hook.Drop
+      | { Fault.point = Fault.Msg_delay { nth; by }; _ } :: _ ->
+          fault_send nth (Fault_hook.Delay by)
+      | _ -> fun _ -> Go
     in
-    (match sched with
-    | { Fault.point = Fault.Msg_drop { nth }; _ } :: _ -> fault_send nth Net.Drop
-    | { Fault.point = Fault.Msg_delay { nth; by }; _ } :: _ -> fault_send nth (Net.Delay by)
-    | _ -> ());
-    Fun.protect
-      ~finally:(fun () -> Net.set_send_hook None)
-      (fun () ->
+    Fault_hook.with_hook hook (fun () ->
         transfer w;
         (match sched with
         | { Fault.point = Fault.Msg_crash { after_deliveries; victim }; _ } :: _ ->

@@ -86,12 +86,13 @@ val targets : (string * (config -> outcome)) list
 (** Every target, one row each, in report order.
 
     The single-guardian rows share one phase loop: phase [j] runs under
-    the slot scheduled at [j]. The census hooks
-    ({!Rs_storage.Disk.set_write_hook}, {!Rs_slog.Stable_log.set_force_hook},
-    {!Rs_slog.Stable_log.set_segment_hook}) find a point at every store
-    write, log force and segment alloc/link/retire boundary, plus the
-    housekeeping stage boundary and at most 20 evenly spaced simulator
-    event boundaries of a phase. A crash is recovered with presumed
+    the slot scheduled at [j]. The census counts the sites of one clean
+    run through {!Rs_util.Fault_hook} ({!Rs_storage.Disk.Write},
+    {!Rs_slog.Stable_log.Forced}, {!Rs_slog.Stable_log.Segment}), and a
+    schedule crashes the same count of the same site, so there is a
+    point at every store write, log force and segment alloc/link/retire
+    boundary, plus the housekeeping stage boundary and at most 20 evenly
+    spaced simulator event boundaries of a phase. A crash is recovered with presumed
     abort and the counters checked by the row's oracle; a closing commit
     must survive a crash that interrupts nothing.
     - ["simple"], ["hybrid"], ["shadow"]: that {!Rs_workload.Scheme}

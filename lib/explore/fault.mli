@@ -18,8 +18,10 @@ type seg_stage = Seg_alloc | Seg_link | Seg_retire
 
 type point =
   | Store_write of { store : int; after_writes : int }
-      (** tear the [(after_writes+1)]-th physical page write on stable
-          store [store] ({!Rs_storage.Stable_store.arm_crash}) *)
+      (** tear the [(after_writes+1)]-th physical page write on either
+          disk of the [store]-th stable store in the run's start-of-run
+          store list ({!Rs_storage.Stable_store.is_write}; repair writes
+          count too) *)
   | Force_boundary of { nth : int }
       (** crash immediately after the [nth] log force of the operation
           completes: the force is stable, the continuation is lost *)

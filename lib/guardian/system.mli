@@ -100,7 +100,7 @@ val sim : t -> Rs_sim.Sim.t
 
 val net : t -> Rs_twopc.Twopc.msg Rs_sim.Net.t
 (** The shared network — for message-delivery census and fault injection
-    ({!Rs_sim.Net.set_send_hook}, delivery counters). *)
+    (the {!Rs_sim.Net.Send} fault site, delivery counters). *)
 
 val guardian : t -> Rs_util.Gid.t -> Guardian.t
 val guardians : t -> Guardian.t list

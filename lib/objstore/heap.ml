@@ -18,10 +18,9 @@ let conflict ~addr ~requester ~holders =
     Trace.emit
       (Trace.Lock_conflict { aid = Aid.to_string requester; holder = holders_str holders; addr })
 
-(* Self-test mutation (see [set_allow_read_barging]): re-enables the
-   pre-wait-queue read path that grants past queued writers. *)
-let allow_read_barging = ref false
-let set_allow_read_barging b = allow_read_barging := b
+(* Self-test mutation: re-enables the pre-wait-queue read path that
+   grants past queued writers. *)
+type Rs_util.Fault_hook.mutation += Read_barging
 
 type addr = Value.addr
 
@@ -51,7 +50,7 @@ type atomic_body = {
 (* A snapshot pins the committed state as of its stamp. It is bound to one
    heap incarnation: crash/restart replaces the heap wholesale, so stamps
    are volatile and a stale snapshot cannot leak across a restart. *)
-type snapshot = { s_stamp : int; s_heap : int; mutable s_released : bool }
+type snapshot = { s_stamp : int; s_heap : unit ref; mutable s_released : bool }
 
 (* Min-heap of active snapshot stamps (lazy deletion: entries whose stamp
    no longer appears in the live table are dropped at the top). Gives the
@@ -168,7 +167,10 @@ type t = {
   mutable snap_active : int;
   ro : snapshot Aid.Tbl.t;
   chained : (addr, unit) Hashtbl.t;
-  heap_id : int;
+  (* This heap incarnation's identity, compared with [==]: a snapshot
+     taken before a crash is rejected by the replacement heap instead of
+     silently reading fresh stamps. *)
+  heap_id : unit ref;
   (* Index over the root version this heap last looked a binding up in;
      rebuilt when a different version's array shows up. Per heap, so two
      guardians' roots never evict each other. *)
@@ -193,13 +195,7 @@ let add_obj t ?uid ?(register = true) body =
   | Some _ | None -> ());
   a
 
-(* Distinguishes heap incarnations so a snapshot taken before a crash is
-   rejected by the replacement heap instead of silently reading fresh
-   stamps. Allocation order is deterministic under Rs_sim. *)
-let heap_ids = ref 0
-
 let create () =
-  incr heap_ids;
   let t =
     {
       objs = Vec.create ();
@@ -218,7 +214,7 @@ let create () =
       snap_active = 0;
       ro = Aid.Tbl.create 8;
       chained = Hashtbl.create 16;
-      heap_id = !heap_ids;
+      heap_id = ref ();
       root_index = { pairs = [||]; slots = Hashtbl.create 1; names = [] };
     }
   in
@@ -402,12 +398,12 @@ let snapshot t =
   { s_stamp = stamp; s_heap = t.heap_id; s_released = false }
 
 let check_snap t s name =
-  if s.s_heap <> t.heap_id then
+  if s.s_heap != t.heap_id then
     invalid_arg (Printf.sprintf "Heap.%s: snapshot from another heap incarnation" name);
   if s.s_released then invalid_arg (Printf.sprintf "Heap.%s: snapshot already released" name)
 
 let release_snapshot t s =
-  if s.s_heap <> t.heap_id then
+  if s.s_heap != t.heap_id then
     invalid_arg "Heap.release_snapshot: snapshot from another heap incarnation";
   if not s.s_released then begin
     s.s_released <- true;
@@ -592,7 +588,8 @@ and read_atomic_locked t aid a =
   | Write holder when Aid.equal holder aid -> (
       match b.a_cur with Some v -> v | None -> b.a_base)
   | Read readers when Aid.Set.mem aid readers -> b.a_base
-  | (Free | Read _) when b.a_wait = [] || t.runtime = None || !allow_read_barging ->
+  | (Free | Read _)
+    when b.a_wait = [] || t.runtime = None || Rs_util.Fault_hook.mutated Read_barging ->
       grant_read t aid a b;
       b.a_base
   | Free | Read _ | Write _ ->

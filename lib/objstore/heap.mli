@@ -67,11 +67,12 @@ val set_label : t -> string -> unit
 
 val label : t -> string
 
-val set_allow_read_barging : bool -> unit
-(** Self-test mutation: make {!read_atomic} grant read locks directly even
-    when writers are queued — the pre-wait-queue barging path that starves
-    upgraders. Exists only so tests can verify the lock-legality spec
-    monitor catches it; reset to [false] after use. *)
+type Rs_util.Fault_hook.mutation +=
+  | Read_barging
+        (** Self-test mutation: {!read_atomic} grants read locks directly
+            even when writers are queued — the pre-wait-queue barging path
+            that starves upgraders. Exists only so tests can verify the
+            lock-legality spec monitor catches it. *)
 
 val cancel_wait : t -> Rs_util.Aid.t -> addr -> unit
 (** Remove [aid] from the wait queue of [addr] (timeout/crash path); may

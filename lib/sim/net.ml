@@ -1,4 +1,5 @@
 module Gid = Rs_util.Gid
+module Fault_hook = Rs_util.Fault_hook
 
 type 'msg node = { mutable handler : src:Gid.t -> 'msg -> unit; mutable up : bool }
 
@@ -13,14 +14,9 @@ type 'msg t = {
   mutable dropped : int;
 }
 
-type verdict = Deliver | Drop | Delay of float
-
-(* Fault-injection hook (Rs_explore): consulted once per send from an up
-   source, before the probabilistic drop. One slot; the explorer
-   installs/uninstalls it per explored schedule. *)
-let send_hook : (unit -> verdict) option ref = ref None
-
-let set_send_hook h = send_hook := h
+(* Fault site: consulted once per send from an up source, before the
+   probabilistic drop. *)
+type Fault_hook.site += Send
 
 let create ?(latency = 1.0) ?(jitter = 0.0) ?(drop_prob = 0.0) sim () =
   {
@@ -53,9 +49,9 @@ let send t ~src ~dst msg =
   let snode = node t src "send" in
   if snode.up then begin
     t.sent <- t.sent + 1;
-    let verdict = match !send_hook with Some f -> f () | None -> Deliver in
+    let verdict = Fault_hook.at Send in
     let rng = Sim.rng t.sim in
-    if verdict = Drop then t.dropped <- t.dropped + 1
+    if verdict = Fault_hook.Drop then t.dropped <- t.dropped + 1
     else if t.drop_prob > 0.0 && Rs_util.Rng.bool rng t.drop_prob then
       t.dropped <- t.dropped + 1
     else begin
@@ -65,7 +61,7 @@ let send t ~src ~dst msg =
         if Gid.equal src dst then 0.0
         else t.latency +. if t.jitter > 0.0 then Rs_util.Rng.float rng t.jitter else 0.0
       in
-      let delay = wire +. match verdict with Delay d -> d | Deliver | Drop -> 0.0 in
+      let delay = wire +. match verdict with Delay d -> d | Go | Crash | Drop -> 0.0 in
       Sim.schedule t.sim ~delay (fun () ->
           let n = node t dst "deliver" in
           if n.up then begin

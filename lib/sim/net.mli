@@ -4,21 +4,18 @@
     — exactly the failure 2PC timeouts must cover. A self-send
     ([src = dst]) skips the wire: it is delivered at delay 0 (the same
     instant, after the sending event) with no latency and no jitter draw,
-    but it still passes the send hook, the drop check and the up check and
+    but it still passes the fault hook, the drop check and the up check and
     counts as sent and delivered. *)
 
 type 'msg t
 
-type verdict = Deliver | Drop | Delay of float
-(** What the fault-injection hook decides for one send: deliver normally,
-    drop it silently, or deliver with [Delay d] extra latency (which
-    reorders it past messages sent later). *)
-
-val set_send_hook : (unit -> verdict) option -> unit
-(** Install (or clear) the process-wide fault-injection hook, consulted
-    once per send from an up source ahead of the probabilistic drop.
-    [Rs_explore] uses it to census 2PC message sends and to drop or
-    reorder the n-th one. One client at a time. *)
+type Rs_util.Fault_hook.site +=
+  | Send
+        (** a send from an up source, ahead of the probabilistic drop: a
+            [Drop] verdict loses it silently, [Delay d] delivers it [d]
+            later (reordering it past messages sent later), [Go] and
+            [Crash] deliver it normally. [Rs_explore] drops or reorders
+            the n-th 2PC message here. *)
 
 val create :
   ?latency:float -> ?jitter:float -> ?drop_prob:float -> Sim.t -> unit -> 'msg t

@@ -4,6 +4,7 @@ module Lru = Rs_util.Lru
 module Store = Rs_storage.Stable_store
 module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
+module Fault_hook = Rs_util.Fault_hook
 
 let m_forces = Metrics.counter "slog.forces"
 let m_cache_hits = Metrics.counter "slog.cache_hits"
@@ -16,23 +17,12 @@ type addr = int
    the offset of its leading length word in the stream. *)
 let frame_overhead = 8
 
-(* Fault-point census hook (Rs_explore): observes every completed force on
-   every log of the process. Raising from the hook models a crash landing
-   on the force boundary — the force is stable, the caller's continuation
-   is lost. One slot; the explorer installs/uninstalls it per run. *)
-let force_hook : (unit -> unit) option ref = ref None
-
-let set_force_hook h = force_hook := h
-
-(* Self-test mutation switch: when set, [force] "forgets" the header
-   write — the single atomic commit point of the force — so forced
-   entries silently fail to survive a crash. Exists only so the
-   Rs_explore oracle suite can prove it detects a recovery system whose
-   forces lie ([argusctl explore --break-force] and the explore
-   self-test). Never set outside those paths. *)
-let skip_header_write = ref false
-
-let set_skip_header_write b = skip_header_write := b
+(* Self-test mutation: [force] "forgets" the header write — the single
+   atomic commit point of the force — so forced entries silently fail to
+   survive a crash. Exists only so the Rs_explore oracle suite can prove
+   it detects a recovery system whose forces lie ([argusctl explore
+   --break-force] and the explore self-test). *)
+type Fault_hook.mutation += Skip_header_write
 
 (* ------------------------------------------------------------------ *)
 (* Segments. A log spreads its stream pages over fixed-size segment
@@ -49,17 +39,19 @@ type provider = {
 
 type segment_event = Seg_alloc of int | Seg_link | Seg_retire of int
 
-(* Segment-boundary census hook (Rs_explore): fires after a segment store
-   is allocated and formatted (but before the log header links it), after
-   a header write that changed the segment table or low-water mark (the
-   chain-link/retirement commit point), and after each segment's pages
-   are returned. Raising [Disk.Crash] from the hook lands a crash exactly
-   on that boundary. One client at a time. *)
-let segment_hook : (segment_event -> unit) option ref = ref None
+(* Fault sites: after every completed force, and after a segment store is
+   allocated and formatted (but before the log header links it), after a
+   header write that changed the segment table or low-water mark (the
+   chain-link/retirement commit point), and after each segment's pages are
+   returned. A [Crash] verdict lands a crash exactly on that boundary. *)
+type Fault_hook.site += Forced | Segment of segment_event
 
-let set_segment_hook h = segment_hook := h
+let boundary site =
+  match Fault_hook.at site with
+  | Fault_hook.Crash -> raise Rs_storage.Disk.Crash
+  | Go | Drop | Delay _ -> ()
 
-let seg_event ev = match !segment_hook with Some f -> f ev | None -> ()
+let seg_event ev = if Fault_hook.active () then boundary (Segment ev)
 
 type segment_header = {
   seg_id : int;
@@ -118,7 +110,7 @@ type t = {
   mutable label : string; (* owner tag stamped on Log_force trace events *)
   mutable on_force : (force_batch -> unit) option;
       (* per-instance observer of every completed force — the replication
-         ship point. Distinct from the process-wide explorer [force_hook]. *)
+         ship point. Distinct from the fault hook's [Forced] site. *)
 }
 
 and force_batch = {
@@ -555,7 +547,7 @@ let force ?(write_around = false) t =
     Vec.clear t.pending;
     Vec.clear t.chunks;
     t.pending_bytes <- 0;
-    if not !skip_header_write then write_header t;
+    if not (Fault_hook.mutated Skip_header_write) then write_header t;
     if !linked then seg_event Seg_link;
     t.forces <- t.forces + 1;
     Metrics.incr m_forces;
@@ -571,7 +563,7 @@ let force ?(write_around = false) t =
             fb_low_water = t.low_water;
           })
       t.on_force;
-    match !force_hook with Some f -> f () | None -> ()
+    boundary Forced
   end
 
 let force_write t entry =

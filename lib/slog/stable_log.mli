@@ -88,11 +88,22 @@ type segment_event =
           the chain-link / retirement commit point *)
   | Seg_retire of int  (** a segment's pages were returned to the pool *)
 
-val set_segment_hook : (segment_event -> unit) option -> unit
-(** Install (or clear) the process-wide segment-boundary census hook.
-    [Rs_explore] uses it to census segment lifecycle boundaries and to
-    inject a crash {e on} one (by raising {!Rs_storage.Disk.Crash} from
-    the hook). One client at a time. *)
+type Rs_util.Fault_hook.site +=
+  | Forced
+        (** a force completed, on any log: a [Crash] verdict raises
+            {!Rs_storage.Disk.Crash} with the force stable and everything
+            volatile after it lost *)
+  | Segment of segment_event
+        (** a segment lifecycle boundary, on any log; a [Crash] verdict
+            raises {!Rs_storage.Disk.Crash} right after it *)
+
+type Rs_util.Fault_hook.mutation +=
+  | Skip_header_write
+        (** Self-test mutation: every [force] skips its header write, so
+            forced entries do not actually survive a crash. This
+            deliberately breaks the durability contract — it exists only
+            so the exploration oracle suite can verify that it catches a
+            lying force (the [--break-force] self-test). *)
 
 type force_batch = {
   fb_base : addr;  (** stream length before the force *)
@@ -107,8 +118,8 @@ type force_batch = {
 val set_on_force : t -> (force_batch -> unit) option -> unit
 (** Install (or clear) this log's per-instance force observer, called after
     every completed force with the covered batch. [Rs_repl] ships each
-    batch to the standby from here. Unlike {!set_force_hook} (the
-    process-wide explorer census), this follows the log instance. *)
+    batch to the standby from here. Unlike the fault hook's {!Forced}
+    site (seen on every log), this follows the log instance. *)
 
 val set_label : t -> string -> unit
 (** Tag the log with its owner's name ("G0", "G1:standby", …); stamped on
@@ -271,20 +282,6 @@ val cache_hits : t -> int
 val cache_misses : t -> int
 val store : t -> Rs_storage.Stable_store.t
 (** The anchor store, which holds the header page. *)
-
-val set_force_hook : (unit -> unit) option -> unit
-(** Install (or clear) the process-wide fault-point census hook: it runs
-    after every completed force, on every log. [Rs_explore] uses it both
-    to census force boundaries and to inject a crash {e on} one (by
-    raising {!Rs_storage.Disk.Crash} from the hook: the force itself is
-    stable, everything volatile after it is lost). One client at a time. *)
-
-val set_skip_header_write : bool -> unit
-(** Self-test mutation: make every subsequent [force] skip its header
-    write, so forced entries do not actually survive a crash. This
-    deliberately breaks the durability contract — it exists only so the
-    exploration oracle suite can verify that it catches a lying force
-    (the [--break-force] self-test). *)
 
 val destroy : t -> unit
 (** Invalidate the in-memory handle (the thesis's [destroy]) and return

@@ -1,5 +1,6 @@
 module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
+module Fault_hook = Rs_util.Fault_hook
 
 type page = Good of { data : string; crc : int } | Bad
 
@@ -23,19 +24,11 @@ type t = {
   mutable decays : int;
   rng : Rs_util.Rng.t option;
   decay_prob : float;
-  mutable crash_in : int option; (* writes remaining before the armed crash *)
 }
 
 exception Crash
 
-(* Fault-point census hook (Rs_explore): observes every physical write on
-   every disk of the process. One slot, not a list — the explorer is the
-   only client and installs/uninstalls it around each censused run. *)
-let write_hook : (t -> int -> unit) option ref = ref None
-
-let set_write_hook h = write_hook := h
-
-let note_write t p = match !write_hook with Some f -> f t p | None -> ()
+type Fault_hook.site += Write of t
 
 let create ?rng ?(decay_prob = 0.0) ~pages () =
   if pages <= 0 then invalid_arg "Disk.create: pages must be positive";
@@ -47,7 +40,6 @@ let create ?rng ?(decay_prob = 0.0) ~pages () =
     decays = 0;
     rng;
     decay_prob;
-    crash_in = None;
   }
 
 let pages t = Array.length t.pages
@@ -91,39 +83,22 @@ let read t p =
   else Trace.skip ();
   result
 
-let trace_write p =
-  if Trace.recording () then Trace.emit (Trace.Page_write { page = p }) else Trace.skip ()
-
 let write t p page =
   check_nonneg p "write";
   grow_to t p;
   t.writes <- t.writes + 1;
   Metrics.incr m_writes;
-  note_write t p;
-  match t.crash_in with
-  | Some 0 ->
+  match if Fault_hook.active () then Fault_hook.at (Write t) else Fault_hook.Go with
+  | Fault_hook.Crash ->
       (* The crash interrupts this write: the page is torn. *)
       t.pages.(p) <- Bad;
       t.torn_writes <- t.torn_writes + 1;
       Trace.emit (Trace.Torn_write { page = p });
-      t.crash_in <- None;
       raise Crash
-  | Some n ->
-      t.crash_in <- Some (n - 1);
+  | Go | Drop | Delay _ ->
       t.pages.(p) <- page;
-      trace_write p
-  | None ->
-      t.pages.(p) <- page;
-      trace_write p
+      if Trace.recording () then Trace.emit (Trace.Page_write { page = p }) else Trace.skip ()
 
 let decay t p =
   check_nonneg p "decay";
   if p < Array.length t.pages then note_decay t p
-
-let set_crash_after t n =
-  if n < 0 then invalid_arg "Disk.set_crash_after: negative";
-  t.crash_in <- Some n
-
-let clear_crash t = t.crash_in <- None
-
-let snapshot t = { t with pages = Array.copy t.pages }

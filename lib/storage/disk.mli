@@ -11,9 +11,9 @@
     caller's string itself (no copy), and a reader judges the page by
     recomputing the checksum. The disk never checks it.
 
-    Crash injection: {!set_crash_after} arms a countdown of page writes;
-    the write that exhausts it tears its page and raises {!Crash}. This
-    lets tests stop a multi-page update at every possible point. *)
+    Crash injection: every write is a {!Rs_util.Fault_hook} site,
+    [Write disk]; a [Crash] verdict tears the page and raises {!Crash}.
+    This lets tests stop a multi-page update at every possible point. *)
 
 type t
 
@@ -22,7 +22,11 @@ type page = Good of { data : string; crc : int } | Bad
     them, or unreadable (torn, decayed, never written). *)
 
 exception Crash
-(** Raised by [write] when an armed crash point fires. *)
+(** Raised by [write] when the fault hook crashes it. *)
+
+type Rs_util.Fault_hook.site +=
+  | Write of t
+        (** a physical page write on this disk, before the page lands *)
 
 type stats = {
   mutable reads : int;
@@ -55,24 +59,8 @@ val read : t -> int -> page
 
 val write : t -> int -> page -> unit
 (** Overwrites page [p] with [page], growing the disk if needed. Raises
-    {!Crash} (leaving the page torn) when an armed crash fires. *)
+    {!Crash} (leaving the page torn) when the fault hook crashes it. *)
 
 val decay : t -> int -> unit
 (** Force page [p] bad: simulates spontaneous storage decay. No-op beyond
     the end. *)
-
-val set_write_hook : (t -> int -> unit) option -> unit
-(** Install (or clear, with [None]) the process-wide fault-point census
-    hook: it observes every physical write on every disk, receiving the
-    disk and the page index before the write lands (torn writes
-    included). Used by [Rs_explore] to census crash points; exactly one
-    client at a time. *)
-
-val set_crash_after : t -> int -> unit
-(** [set_crash_after t n] makes the [n+1]-th subsequent write crash
-    ([n = 0] crashes the very next write). *)
-
-val clear_crash : t -> unit
-
-val snapshot : t -> t
-(** Deep copy, for exploring alternate futures in tests. *)

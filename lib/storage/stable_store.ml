@@ -1,7 +1,7 @@
 module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
 
-type t = { a : Disk.t; b : Disk.t; mutable armed : int option }
+type t = { a : Disk.t; b : Disk.t }
 
 let m_phys_writes = Metrics.counter "stable_store.physical_writes"
 let m_repairs = Metrics.counter "stable_store.repairs"
@@ -22,7 +22,7 @@ let intact = function
 
 let create ?rng ?decay_prob ~pages () =
   let mk () = Disk.create ?rng ?decay_prob ~pages () in
-  { a = mk (); b = mk (); armed = None }
+  { a = mk (); b = mk () }
 
 let pages t = max (Disk.pages t.a) (Disk.pages t.b)
 
@@ -32,9 +32,8 @@ let check _t p name =
 (* Repair, by a careful get or by [recover]: a get that had to fall back
    to one replica rewrites the unreadable partner on the spot (decay would
    otherwise accumulate until only the periodic [recover] pass stood
-   between the page and catastrophe). Repairs write the disk directly —
-   they are not part of any careful-put write budget, so an armed crash
-   countdown is unaffected. *)
+   between the page and catastrophe). Repairs write the disk directly and
+   are not counted as [stable_store.physical_writes]. *)
 let repair disk p survivor =
   Metrics.incr m_repairs;
   Trace.emit (Trace.Store_repair { page = p });
@@ -68,26 +67,9 @@ let get t p =
   check t p "get";
   mend t p
 
-(* Crash arming is coordinated across the two disks: a single countdown of
-   physical writes, decremented here, delegated to whichever disk performs
-   the fatal write. *)
-let countdown t =
-  match t.armed with
-  | None -> false
-  | Some 0 ->
-      t.armed <- None;
-      true
-  | Some n ->
-      t.armed <- Some (n - 1);
-      false
-
-let write_phys t disk p page =
+let write_phys disk p page =
   Metrics.incr m_phys_writes;
-  if countdown t then begin
-    Disk.set_crash_after disk 0;
-    Disk.write disk p page (* raises Disk.Crash, tearing the page *)
-  end
-  else Disk.write disk p page
+  Disk.write disk p page
 
 let put t p data =
   check t p "put";
@@ -117,8 +99,8 @@ let put t p data =
   in
   let rec round need_a need_b attempts =
     if attempts = 0 then failwith "Stable_store.put: persistent device failure";
-    if need_a then write_phys t t.a p page;
-    if need_b then write_phys t t.b p page;
+    if need_a then write_phys t.a p page;
+    if need_b then write_phys t.b p page;
     Metrics.incr m_write_rounds;
     let a_ok = (not need_a) || ok t.a in
     let b_ok = (not need_b) || ok t.b in
@@ -131,18 +113,10 @@ let recover t =
     ignore (mend t p)
   done
 
-let arm_crash t ~after_writes =
-  if after_writes < 0 then invalid_arg "Stable_store.arm_crash: negative";
-  t.armed <- Some after_writes
-
-let clear_crash t =
-  t.armed <- None;
-  Disk.clear_crash t.a;
-  Disk.clear_crash t.b
-
 let physical_writes t = (Disk.stats t.a).writes + (Disk.stats t.b).writes
 let physical_reads t = (Disk.stats t.a).reads + (Disk.stats t.b).reads
 let disks t = (t.a, t.b)
+let is_write t = function Disk.Write d -> d == t.a || d == t.b | _ -> false
 
 let agreement_issues t =
   let issues = ref [] in

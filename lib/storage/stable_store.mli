@@ -38,16 +38,12 @@ val get : t -> int -> string option
 
 val put : t -> int -> string -> unit
 (** Careful, atomic overwrite of logical page [p]. May raise {!Disk.Crash}
-    if a crash is armed; the page then still reads as old or new value. *)
+    when the fault hook crashes one of its two disk writes; the page then
+    still reads as old or new value. *)
 
 val recover : t -> unit
 (** Repair pass: for every logical page, copy the good representative over
     a bad or diverged partner. Run after a crash before using the store. *)
-
-val arm_crash : t -> after_writes:int -> unit
-(** Arm a crash after [after_writes] further physical page writes. *)
-
-val clear_crash : t -> unit
 
 val physical_writes : t -> int
 (** Total physical page writes across both disks (the cost metric used by
@@ -59,9 +55,12 @@ val decay_random_page : t -> Rs_util.Rng.t -> unit
 (** Decay one random physical page — never both representatives of the same
     logical page (independent failure modes assumption, §1.1). *)
 
+val is_write : t -> Rs_util.Fault_hook.site -> bool
+(** Is the site a physical page write ({!Disk.Write}) on either of [t]'s
+    two disks? Repair writes count too. *)
+
 val disks : t -> Disk.t * Disk.t
-(** The two underlying disks [(a, b)] — for fault-point census
-    ({!Disk.set_write_hook} attribution) and replica inspection in tests.
+(** The two underlying disks [(a, b)] — for replica inspection in tests.
     Writing them directly voids the atomicity warranty. *)
 
 val agreement_issues : t -> (int * string) list

@@ -113,11 +113,9 @@ let create ~gid ~sim ~send ~hooks ?(await_durable = fun k -> k ()) () =
 let gid t = t.gid
 let coordinating t = Aid.Tbl.length t.coords
 
-(* Self-test mutation (see [set_lazy_prepare]): every prepare takes the
-   coordinator's-own-share path, remote ones included. *)
-let lazy_prepare = ref false
-
-let set_lazy_prepare b = lazy_prepare := b
+(* Self-test mutation: every prepare takes the coordinator's-own-share
+   path, remote ones included. *)
+type Rs_util.Fault_hook.mutation += Lazy_prepare
 
 (* [send_as t ~self] sends speaking as [self] — normally [t.gid], but a
    guardian answering mail addressed to a gid it took over (failover
@@ -297,7 +295,7 @@ let handle ?self t ~src msg =
            record's covering force covers this prepared record too. A
            crash before it loses both, and presumed abort resolves the
            action. *)
-        let own = Gid.equal src t.gid || !lazy_prepare in
+        let own = Gid.equal src t.gid || Rs_util.Fault_hook.mutated Lazy_prepare in
         match t.hooks.on_prepare ~force:(not own) aid with
         | `Prepared ->
             Aid.Tbl.replace t.parts aid Part_prepared;

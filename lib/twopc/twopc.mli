@@ -99,12 +99,14 @@ val coordinating : t -> int
 (** Actions this endpoint coordinates that are not yet finished. 0 once a
     crash-free system has quiesced. *)
 
-val set_lazy_prepare : bool -> unit
-(** Self-test mutation: make every prepare, remote ones included, write
-    its prepared record unforced and reply without waiting — the
-    coordinator's-own-share path applied where it is unsound. It exists
-    only so the exploration oracles can show they catch a participant
-    that promises a prepared record it has not made stable. *)
+type Rs_util.Fault_hook.mutation +=
+  | Lazy_prepare
+        (** Self-test mutation: every prepare, remote ones included, writes
+            its prepared record unforced and replies without waiting — the
+            coordinator's-own-share path applied where it is unsound. It
+            exists only so the exploration oracles can show they catch a
+            participant that promises a prepared record it has not made
+            stable. *)
 
 val start_commit :
   t ->

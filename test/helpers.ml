@@ -196,3 +196,10 @@ let check_no_minor name f =
   let r = f () in
   Alcotest.(check int) (name ^ ": minor collections") before (Gc.quick_stat ()).Gc.minor_collections;
   r
+
+(* --- fault injection --- *)
+
+(* Run [f] with the [n]-th fault site satisfying [p] crashed: a disk write
+   there tears its page, a force or segment boundary crashes right after
+   itself; either raises [Rs_storage.Disk.Crash]. *)
+let crash_nth p n f = Rs_util.Fault_hook.(with_hook (on_nth p n Crash)) f

@@ -20,17 +20,12 @@ let scheme_of = function
   | 1 -> Scheme.hybrid ()
   | _ -> Scheme.shadow ()
 
-(* Run [op] with a crash armed on [store] after [budget] writes. Returns
-   whether the crash actually fired. *)
+(* Run [op] with a crash on [store]'s physical write after [budget]
+   writes. Returns whether the crash actually fired. *)
 let with_crash store ~budget op =
-  Store.arm_crash store ~after_writes:budget;
-  match op () with
-  | () ->
-      Store.clear_crash store;
-      false
-  | exception Disk.Crash ->
-      Store.clear_crash store;
-      true
+  match Helpers.crash_nth (Store.is_write store) (budget + 1) op with
+  | () -> false
+  | exception Disk.Crash -> true
 
 let check_all_or_nothing ~label t ~before ~after =
   let actual = Synth.counters t in

@@ -78,15 +78,14 @@ let test_load_clean () =
         (Format.asprintf "%a" Rs_explore.Oracle.pp_violation violation)
         (Fault.schedule_to_string schedule)
 
+(* [target] explored with the seeded bug [m] switched on. *)
+let explore_mutated m target =
+  Rs_util.Fault_hook.with_mutations [ m ] (fun () -> Explore.explore ~config target)
+
 (* A scheduler whose covering forces lie about stability must fail the
    group target's durably-acked floor. *)
 let test_group_broken_force_caught () =
-  Rs_slog.Stable_log.set_skip_header_write true;
-  let o =
-    Fun.protect
-      ~finally:(fun () -> Rs_slog.Stable_log.set_skip_header_write false)
-      (fun () -> Explore.explore ~config "group")
-  in
+  let o = explore_mutated Rs_slog.Stable_log.Skip_header_write "group" in
   match o.Explore.counterexample with
   | None -> Alcotest.fail "broken force not detected by the group target"
   | Some _ -> ()
@@ -96,12 +95,7 @@ let test_group_broken_force_caught () =
    unsound — must be caught: a crash in the gap loses the record, and the
    commit it was promised lands on nothing. *)
 let test_lazy_prepare_caught () =
-  Rs_twopc.Twopc.set_lazy_prepare true;
-  let o =
-    Fun.protect
-      ~finally:(fun () -> Rs_twopc.Twopc.set_lazy_prepare false)
-      (fun () -> Explore.explore ~config "twopc")
-  in
+  let o = explore_mutated Rs_twopc.Twopc.Lazy_prepare "twopc" in
   match o.Explore.counterexample with
   | None -> Alcotest.fail "lazily forced prepared record not detected by the twopc target"
   | Some _ -> ()
@@ -111,12 +105,7 @@ let test_lazy_prepare_caught () =
    report a violation whose shrunk counterexample is tiny — the bug needs
    no elaborate crash schedule, only a recovery. *)
 let test_broken_force_caught () =
-  Rs_slog.Stable_log.set_skip_header_write true;
-  let o =
-    Fun.protect
-      ~finally:(fun () -> Rs_slog.Stable_log.set_skip_header_write false)
-      (fun () -> Explore.explore ~config "hybrid")
-  in
+  let o = explore_mutated Rs_slog.Stable_log.Skip_header_write "hybrid" in
   match o.Explore.counterexample with
   | None -> Alcotest.fail "broken force not detected"
   | Some { Explore.schedule; violation = _ } ->

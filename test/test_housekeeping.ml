@@ -257,20 +257,9 @@ let test_crash_at_segment_retirement technique () =
   done;
   let job = stage_one rs technique in
   commit_value heap rs ~seq:100 ~name:"k0" ~v:100;
-  let armed = ref true in
-  Log.set_segment_hook
-    (Some
-       (function
-         | Log.Seg_retire _ when !armed ->
-             armed := false;
-             raise Rs_storage.Disk.Crash
-         | _ -> ()));
+  let retire = function Log.Segment (Log.Seg_retire _) -> true | _ -> false in
   let crashed =
-    match
-      Fun.protect
-        ~finally:(fun () -> Log.set_segment_hook None)
-        (fun () -> stage_two rs job)
-    with
+    match crash_nth retire 1 (fun () -> stage_two rs job) with
     | () -> false
     | exception Rs_storage.Disk.Crash -> true
   in

@@ -245,15 +245,15 @@ let test_early_violation_caught () =
 let test_stream_matches_fold () =
   let capacity = 1 lsl 17 in
   Fun.protect ~finally:(fun () ->
-      Heap.set_allow_read_barging false;
       Trace.set_capacity 0;
       Trace.clear ())
   @@ fun () ->
   Trace.set_capacity capacity;
   List.iter
     (fun barging ->
-      Heap.set_allow_read_barging barging;
-      ignore (Nemesis.run { base with seed = 5; profile = Load.Bank; clients = 8 });
+      Rs_util.Fault_hook.with_mutations
+        (if barging then [ Heap.Read_barging ] else [])
+        (fun () -> ignore (Nemesis.run { base with seed = 5; profile = Load.Bank; clients = 8 }));
       Alcotest.(check bool) "the ring holds the whole run" true (Trace.total () <= capacity);
       let streamed = details (Monitor.check ()) in
       Alcotest.(check (list string))
@@ -283,9 +283,8 @@ let test_barging_mutation_caught () =
     }
   in
   let lock_violations mutated =
-    Fun.protect ~finally:(fun () -> Heap.set_allow_read_barging false) @@ fun () ->
+    Rs_util.Fault_hook.with_mutations (if mutated then [ Heap.Read_barging ] else []) @@ fun () ->
     Trace.clear ();
-    Heap.set_allow_read_barging mutated;
     let t = Load.create cfg in
     Load.start t;
     ignore (Load.drain t);

@@ -153,16 +153,9 @@ let test_map_switch_segment_crashes () =
         let t2 = aid 2 in
         set_var "x" 2 heap t2;
         Rs.prepare rs t2 (Heap.mos heap t2);
-        let seen = ref 0 in
-        Log.set_segment_hook
-          (Some
-             (fun ev ->
-               if stage_of ev = stage then begin
-                 incr seen;
-                 if !seen = !nth then raise Rs_storage.Disk.Crash
-               end));
+        let at_stage = function Log.Segment ev -> stage_of ev = stage | _ -> false in
         fired :=
-          (match Fun.protect ~finally:(fun () -> Log.set_segment_hook None) (fun () -> Rs.commit rs t2) with
+          (match crash_nth at_stage !nth (fun () -> Rs.commit rs t2) with
           | () -> false
           | exception Rs_storage.Disk.Crash -> true);
         if !fired then begin

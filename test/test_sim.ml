@@ -93,8 +93,8 @@ let test_net_delivery () =
   Alcotest.(check bool) "latency applied" true (Sim.now sim = 2.0)
 
 (* A message to self skips the wire: it lands in the same instant, but
-   only after the event that sent it has finished, and the send hook
-   still sees it. *)
+   only after the event that sent it has finished, and the fault hook
+   still sees its send. *)
 let test_net_self_delivery () =
   let sim = Sim.create () in
   let net = Net.create ~latency:2.0 ~jitter:1.0 sim () in
@@ -102,17 +102,20 @@ let test_net_self_delivery () =
   let order = ref [] in
   Net.register net g0 (fun ~src:_ msg -> order := (msg, Sim.now sim) :: !order);
   let hooked = ref 0 in
-  Net.set_send_hook (Some (fun () -> incr hooked; Net.Deliver));
-  Fun.protect
-    ~finally:(fun () -> Net.set_send_hook None)
-    (fun () ->
+  let count = function
+    | Net.Send ->
+        incr hooked;
+        Rs_util.Fault_hook.Go
+    | _ -> Go
+  in
+  Rs_util.Fault_hook.with_hook count (fun () ->
       Sim.schedule sim ~delay:3.0 (fun () ->
           Net.send net ~src:g0 ~dst:g0 "self";
           order := ("sender done", Sim.now sim) :: !order);
       ignore (Sim.run sim));
   Alcotest.(check (list (pair string (float 0.0))))
     "same instant, after the sender" [ ("sender done", 3.0); ("self", 3.0) ] (List.rev !order);
-  Alcotest.(check int) "send hook consulted" 1 !hooked;
+  Alcotest.(check int) "Send site consulted" 1 !hooked;
   Alcotest.(check int) "counted sent" 1 (Net.messages_sent net);
   Alcotest.(check int) "counted delivered" 1 (Net.messages_delivered net)
 

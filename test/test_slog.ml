@@ -90,12 +90,13 @@ let test_crash_mid_force () =
         ignore (Log.force_write s.log "one");
         ignore (Log.force_write s.log "two");
         let store = store_of s in
-        Store.arm_crash store ~after_writes:crash_at;
-        match Log.force_write s.log "doomed" with
-        | _ -> Store.clear_crash store
+        match
+          Helpers.crash_nth (Store.is_write store) (crash_at + 1) (fun () ->
+              Log.force_write s.log "doomed")
+        with
+        | _ -> ()
         | exception Disk.Crash ->
             incr crashes;
-            Store.clear_crash store;
             Store.recover store;
             let l' = Helpers.reopen s in
             let n = Log.entry_count l' in
@@ -165,11 +166,9 @@ let test_log_dir_recovers_slot_stores () =
   (* The force's first physical write (data page, replica A) succeeds;
      the second (replica B) tears. *)
   let slot = List.nth (Log_dir.stores dir) 1 in
-  Store.arm_crash slot ~after_writes:1;
-  (match Log.force log with
+  (match Helpers.crash_nth (Store.is_write slot) 2 (fun () -> Log.force log) with
   | () -> Alcotest.fail "expected crash"
   | exception Disk.Crash -> ());
-  Store.clear_crash slot;
   Alcotest.(check bool) "replicas diverged by the crash" true
     (Store.agreement_issues slot <> []);
   let dir' = Log_dir.open_ dir in
@@ -192,11 +191,9 @@ let test_log_dir_open_reads_anchors_only () =
     ignore (Log.write log "doomed");
     let seg = Option.get (Log_dir.segment_store dir (List.hd (Log_dir.segment_ids dir))) in
     (* The force rewrites the tail page: replica A lands, B tears. *)
-    Store.arm_crash seg ~after_writes:1;
-    (match Log.force log with
+    (match Helpers.crash_nth (Store.is_write seg) 2 (fun () -> Log.force log) with
     | () -> Alcotest.fail "expected crash"
     | exception Disk.Crash -> ());
-    Store.clear_crash seg;
     Alcotest.(check bool) "segment replicas diverged by the crash" true
       (Store.agreement_issues seg <> []);
     (dir, seg)
@@ -322,7 +319,7 @@ let test_segmented_retire () =
   let l' = Helpers.reopen s in
   Alcotest.(check string) "and survives reopen" "after-retirement" (Log.read l' a)
 
-(* Crash injected at each segment-lifecycle boundary via the census hook;
+(* Crash injected at each segment-lifecycle boundary via the fault hook;
    [Log_dir.open_] must recover the forced prefix and sweep any segment
    the crash stranded between allocation and header-link. *)
 let test_segment_boundary_crashes () =
@@ -332,17 +329,14 @@ let test_segment_boundary_crashes () =
       let log = Log_dir.current dir in
       ignore (Log.force_write log (String.make 40 'a'));
       let live_before = Log_dir.live_segments dir in
-      Log.set_segment_hook
-        (Some
-           (fun ev ->
-             match (ev, stage) with
-             | Log.Seg_alloc _, `Alloc | Log.Seg_link, `Link -> raise Disk.Crash
-             | _ -> ()));
+      let at_stage = function
+        | Log.Segment (Log.Seg_alloc _) -> stage = `Alloc
+        | Log.Segment Log.Seg_link -> stage = `Link
+        | _ -> false
+      in
       let crashed =
         match
-          Fun.protect
-            ~finally:(fun () -> Log.set_segment_hook None)
-            (fun () ->
+          Helpers.crash_nth at_stage 1 (fun () ->
               List.iter (fun _ -> ignore (Log.write log (String.make 40 'b'))) [ 1; 2; 3 ];
               Log.force log)
         with

@@ -4,6 +4,7 @@
 module Disk = Rs_storage.Disk
 module Store = Rs_storage.Stable_store
 module Rng = Rs_util.Rng
+module Fault_hook = Rs_util.Fault_hook
 
 (* The disk stores whatever checksum it is handed; only the stable store
    judges it, so the disk tests write a dummy one. *)
@@ -30,14 +31,52 @@ let test_disk_growth () =
 let test_disk_crash () =
   let d = Disk.create ~pages:4 () in
   Disk.write d 1 (page "ok");
-  Disk.set_crash_after d 1;
-  Disk.write d 2 (page "survives");
-  (match Disk.write d 1 (page "torn") with
+  (match
+     Helpers.crash_nth (function Disk.Write d' -> d' == d | _ -> false) 2 (fun () ->
+         Disk.write d 2 (page "survives");
+         Disk.write d 1 (page "torn"))
+   with
   | () -> Alcotest.fail "expected crash"
   | exception Disk.Crash -> ());
   Alcotest.(check (option string)) "torn page is bad" None (data_of d 1);
   Alcotest.(check (option string)) "other page survives" (Some "survives") (data_of d 2);
   Alcotest.(check int) "torn count" 1 (Disk.stats d).torn_writes
+
+(* The fault seam's scope guarantee: a hook and a mutation installed with
+   [with_*] are gone once the body raises [Disk.Crash] (every injected
+   schedule ends that way), a nested install restores the outer one, and
+   the next disk write afterwards lands untorn. *)
+type Fault_hook.mutation += Probe
+
+let test_fault_hook_scoped () =
+  let d = Disk.create ~pages:2 () in
+  let crash _ = Fault_hook.Crash in
+  let counted = ref 0 in
+  let count _ =
+    incr counted;
+    Fault_hook.Go
+  in
+  Fault_hook.with_hook count (fun () ->
+      Fault_hook.with_mutations [ Probe ] (fun () ->
+          (match Fault_hook.with_hook crash (fun () -> Disk.write d 0 (page "torn")) with
+          | () -> Alcotest.fail "expected crash"
+          | exception Disk.Crash -> ());
+          Fault_hook.with_mutations [] (fun () ->
+              Alcotest.(check bool) "inner set replaces" false (Fault_hook.mutated Probe));
+          Alcotest.(check bool) "outer mutation back" true (Fault_hook.mutated Probe));
+      Disk.write d 1 (page "counted"));
+  Alcotest.(check int) "outer hook back after the inner crash" 1 !counted;
+  (match
+     Fault_hook.with_hook crash (fun () ->
+         Fault_hook.with_mutations [ Probe ] (fun () -> Disk.write d 0 (page "torn")))
+   with
+  | () -> Alcotest.fail "expected crash"
+  | exception Disk.Crash -> ());
+  Alcotest.(check bool) "no hook after the crash" false (Fault_hook.active ());
+  Alcotest.(check bool) "no mutation after the crash" false (Fault_hook.mutated Probe);
+  Disk.write d 0 (page "after");
+  Alcotest.(check (option string)) "next write lands untorn" (Some "after") (data_of d 0);
+  Alcotest.(check int) "torn count" 2 (Disk.stats d).torn_writes
 
 let test_store_basic () =
   let s = Store.create ~pages:4 () in
@@ -56,11 +95,9 @@ let test_store_atomicity_sweep () =
   for crash_at = 0 to 6 do
     let s = Store.create ~pages:2 () in
     Store.put s 0 "old";
-    Store.arm_crash s ~after_writes:crash_at;
-    (match Store.put s 0 "new" with
+    (match Helpers.crash_nth (Store.is_write s) (crash_at + 1) (fun () -> Store.put s 0 "new") with
     | () -> () (* crash point beyond this put's writes *)
     | exception Disk.Crash -> ());
-    Store.clear_crash s;
     Store.recover s;
     match Store.get s 0 with
     | Some "old" | Some "new" -> ()
@@ -272,14 +309,13 @@ let test_store_crash_between_pages () =
   let s = Store.create ~pages:2 () in
   Store.put s 0 "a0";
   Store.put s 1 "b0";
-  Store.arm_crash s ~after_writes:3;
   (match
-     Store.put s 0 "a1";
-     Store.put s 1 "b1"
+     Helpers.crash_nth (Store.is_write s) 4 (fun () ->
+         Store.put s 0 "a1";
+         Store.put s 1 "b1")
    with
   | () -> ()
   | exception Disk.Crash -> ());
-  Store.clear_crash s;
   Store.recover s;
   (match Store.get s 0 with
   | Some "a0" | Some "a1" -> ()
@@ -295,9 +331,10 @@ let prop_store_atomic_random =
       let page = page mod 4 in
       let s = Store.create ~pages:4 () in
       Store.put s page "before";
-      Store.arm_crash s ~after_writes:crash_at;
-      (match Store.put s page "after" with () -> () | exception Disk.Crash -> ());
-      Store.clear_crash s;
+      let put () = Store.put s page "after" in
+      (match Helpers.crash_nth (Store.is_write s) (crash_at + 1) put with
+      | () -> ()
+      | exception Disk.Crash -> ());
       Store.recover s;
       match Store.get s page with Some "before" | Some "after" -> true | Some _ | None -> false)
 
@@ -306,6 +343,7 @@ let suite =
     Alcotest.test_case "disk basics" `Quick test_disk_basic;
     Alcotest.test_case "disk growth" `Quick test_disk_growth;
     Alcotest.test_case "disk crash injection" `Quick test_disk_crash;
+    Alcotest.test_case "fault hook and mutations are scoped" `Quick test_fault_hook_scoped;
     Alcotest.test_case "store basics" `Quick test_store_basic;
     Alcotest.test_case "store atomicity sweep" `Quick test_store_atomicity_sweep;
     Alcotest.test_case "store decay repair" `Quick test_store_decay_repair;
